@@ -48,6 +48,26 @@ def lstsq_with_residual(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     return x, resmax
 
 
+def bilinear(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_ij a_i b_j t[i, j, :] for a product tensor, where t[i, j, k] is
+    the coefficient of e_k in the product of e_i and e_j."""
+    return np.einsum("i,j,ijk->k", a, b, t)
+
+
+def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Matrix of b -> bilinear(t, a, b)."""
+    return np.einsum("a,abk->kb", a, t)
+
+
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import lstsq_with_residual, max_abs, nullspace
+from ._linalg import bilinear, left_action, lstsq_with_residual, max_abs, nullspace
 
 # Tolerance for the structural invariants checked at construction time
 # (associativity, unit, parity bookkeeping, involution axioms).
@@ -84,10 +84,6 @@ class Element:
         if even <= STRUCTURE_TOL:
             return 1
         return None
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.parity is not None
 
     def graded_part(self, parity: int) -> "Element":
         mask = (self.algebra.parity == parity).astype(complex)
@@ -285,11 +281,11 @@ class Superalgebra:
         return Element(self, np.zeros(self.dim))
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self.structure)
+        return bilinear(self.structure, a, b)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of b -> a b on coefficient vectors."""
-        return np.einsum("i,ijk->kj", np.asarray(a, dtype=complex), self.structure)
+        return left_action(self.structure, np.asarray(a, dtype=complex))
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of b -> b a on coefficient vectors."""
@@ -313,33 +309,17 @@ class Superalgebra:
                 out -= koszul_sign(pa, pb) * self.mul_coeffs(cb, ca)
         return Element(self, out)
 
-    def graded_symmetric_product(self, a: Element, b: Element) -> Element:
-        """(AB + (-1)**(e_A e_B) BA) / 2, extended bilinearly."""
-        out = np.zeros(self.dim, dtype=complex)
-        for pa in (0, 1):
-            ca = a.coeffs * (self.parity == pa)
-            if max_abs(ca) == 0.0:
-                continue
-            for pb in (0, 1):
-                cb = b.coeffs * (self.parity == pb)
-                if max_abs(cb) == 0.0:
-                    continue
-                out += 0.5 * self.mul_coeffs(ca, cb)
-                out += 0.5 * koszul_sign(pa, pb) * self.mul_coeffs(cb, ca)
-        return Element(self, out)
-
     @property
     def is_supercommutative(self) -> bool:
         if self._supercomm_cache is None:
-            worst = 0.0
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    comm = self.supercommutator(
-                        self.basis_element(i), self.basis_element(j)
-                    )
-                    worst = max(worst, max_abs(comm.coeffs))
-            self._supercomm_cache = worst <= SUPERCOMMUTATIVE_TOL
+            comm = self.structure - self.swapped_structure()
+            self._supercomm_cache = max_abs(comm) <= SUPERCOMMUTATIVE_TOL
         return self._supercomm_cache
+
+    def swapped_structure(self) -> np.ndarray:
+        """t[i, j] = (-1)**(e_i e_j) e_j e_i, so [e_i, e_j] = c[i, j] - t[i, j]."""
+        eta = koszul_signs(self.parity, self.parity)
+        return eta[:, :, None] * self.structure.transpose(1, 0, 2)
 
     # -- center and sectors ----------------------------------------------------
 
@@ -618,7 +598,7 @@ def grassmann_algebra(n: int) -> Superalgebra:
         for t in range(dim):
             if s & t:
                 continue
-            structure[s, t, s | t] = _shuffle_sign(s, t, n)
+            structure[s, t, s | t] = _shuffle_sign(s, t)
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
     involution = np.eye(dim, dtype=complex)
@@ -630,10 +610,10 @@ def grassmann_algebra(n: int) -> Superalgebra:
     return Superalgebra(structure, parity, unit, involution, labels, kind)
 
 
-def _shuffle_sign(s: int, t: int, n: int) -> int:
+def _shuffle_sign(s: int, t: int) -> int:
     """Sign from sorting the concatenation (ascending s)(ascending t)."""
     inversions = 0
-    for i in range(n):
+    for i in range(int(t).bit_length()):
         if t >> i & 1:
             # count members of s greater than generator i
             inversions += bin(s >> (i + 1)).count("1")
@@ -663,21 +643,30 @@ def grassmann_derivative_matrices(alg: Superalgebra) -> tuple[list, list]:
     return left, right
 
 
+def koszul_signs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """The matrix of signs (-1)**(pa[i] * pb[j])."""
+    return np.where(np.outer(pa, pb) % 2, -1.0, 1.0)
+
+
+def graded_kron(
+    a: Superalgebra, b: Superalgebra, ta: np.ndarray, tb: np.ndarray
+) -> np.ndarray:
+    """A product tensor on the Kronecker basis of a (x) b from product
+    tensors on the factors, by the Koszul rule
+    (x (x) y) . (u (x) v) = (-1)**(e_y e_u) ta(x, u) (x) tb(y, v)."""
+    d = a.dim * b.dim
+    sign = koszul_signs(b.parity, a.parity)  # sign[j, k]: f_j moves past e_k
+    return np.einsum("jk,ikm,jln->ijklmn", sign, ta, tb).reshape(d, d, d)
+
+
 def tensor_algebra(a: Superalgebra, b: Superalgebra) -> Superalgebra:
     """Graded tensor product.  Products follow the Koszul rule
     (x (x) y)(u (x) v) = (-1)**(e_y e_u) xu (x) yv and the involution acts
     factorwise, (x (x) y)* = x* (x) y* (the factor stars already absorb the
     graded swap signs, so no extra phase appears).
     """
-    da, db = a.dim, b.dim
-    dim = da * db
     parity = (a.parity[:, None] + b.parity[None, :]).reshape(-1) % 2
-    sign = np.where(
-        (b.parity[:, None] & a.parity[None, :]).astype(bool), -1.0, 1.0
-    )  # sign[j, k] for (e_i (x) f_j)(e_k (x) f_l)
-    structure = np.einsum(
-        "jk,ikm,jln->ijklmn", sign, a.structure, b.structure
-    ).reshape(dim, dim, dim)
+    structure = graded_kron(a, b, a.structure, b.structure)
     unit = np.kron(a.unit_coeffs, b.unit_coeffs)
     involution = np.kron(a.involution_matrix, b.involution_matrix)
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
@@ -694,11 +683,6 @@ def tensor_algebra(a: Superalgebra, b: Superalgebra) -> Superalgebra:
         )
     kind = {"form": "tensor", "parts": [a.kind, b.kind]}
     return Superalgebra(structure, parity, unit, involution, labels, kind, rep)
-
-
-def tensor_index(a: Superalgebra, b: Superalgebra, i: int, j: int) -> int:
-    """Index of e_i (x) f_j in tensor_algebra(a, b)."""
-    return i * b.dim + j
 
 
 def kron_element(prod: Superalgebra, x: Element, y: Element) -> Element:

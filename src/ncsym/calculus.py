@@ -721,11 +721,6 @@ class AlgebraIsomorphism:
             raise CalculusError("element not in the target algebra")
         return Element(self.source, self.inverse_matrix @ b.coeffs)
 
-    def inverse(self) -> "AlgebraIsomorphism":
-        return AlgebraIsomorphism(
-            self.target, self.source, self.inverse_matrix, verify=False
-        )
-
     def compose(self, other: "AlgebraIsomorphism") -> "AlgebraIsomorphism":
         """self after other."""
         if other.target is not self.source:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 
 from .suites import SUITES
@@ -59,6 +60,10 @@ def main(argv=None) -> int:
             continue
         if flag not in accepted:
             print(f"ncsym: suite {args.suite!r} does not take --{flag}", file=sys.stderr)
+            return 2
+        if flag == "tol" and not (math.isfinite(value) and value > 0):
+            print(f"ncsym: --tol must be finite and positive, got {value}",
+                  file=sys.stderr)
             return 2
         kwargs[flag] = value
     if args.suite == "verify" and args.algebra != "all":

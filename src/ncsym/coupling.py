@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import max_abs
+from ._linalg import bilinear, left_action, max_abs, rk4_step
 from .algebra import (
     Element,
     Superalgebra,
     grassmann_algebra,
     grassmann_derivative_matrices,
+    graded_kron,
     tensor_algebra,
 )
 from .calculus import Cochain, Derivation, DerivationFamily
@@ -59,8 +60,9 @@ class CouplingError(ValueError):
 class FactorSpec:
     """One side of a coupling: an algebra with a bracket tensor.
 
-    ``pb_tensor[i, j]`` holds the coefficients of {e_i, e_j}.  ``lam`` is the
-    fitted proportionality constant against minus the supercommutator.
+    ``pb_tensor`` is the bracket tensor in the convention of
+    :mod:`ncsym.symplectic`.  ``lam`` is the fitted proportionality constant
+    against minus the supercommutator.
     """
 
     label: str
@@ -74,17 +76,7 @@ class FactorSpec:
     omega: Cochain | None = None
 
     def poisson(self, a: Element, b: Element) -> Element:
-        c = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, self.pb_tensor)
-        return Element(self.algebra, c)
-
-
-def _pb_tensor_from_structure(ss: SymplecticStructure) -> np.ndarray:
-    d = ss.algebra.dim
-    t = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        lmat = ss.poisson_operator(ss.algebra.basis_element(i))
-        t[i] = lmat.T
-    return t
+        return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
 
 def _fit_lambda(
@@ -92,13 +84,7 @@ def _fit_lambda(
 ) -> tuple[complex, float, bool]:
     """Least squares for lam {e_i,e_j} = -[e_i,e_j]; raises if the bracket
     is not proportional to the supercommutator at all."""
-    d = alg.dim
-    target = np.zeros_like(pb)
-    for i in range(d):
-        for j in range(d):
-            target[i, j] = -alg.supercommutator(
-                alg.basis_element(i), alg.basis_element(j)
-            ).coeffs
+    target = alg.swapped_structure() - alg.structure
     den = np.vdot(pb, pb).real
     if den < tol * tol:
         raise CouplingError("factor bracket vanishes identically")
@@ -115,31 +101,20 @@ def _fit_lambda(
     return lam, residual, commutative
 
 
-def quantum_factor(alg: Superalgebra, hbar: float, label: str | None = None) -> FactorSpec:
-    ss = quantum_form(alg, hbar)
-    pb = _pb_tensor_from_structure(ss)
-    lam, res, comm = _fit_lambda(alg, pb)
+def _structure_factor(ss: SymplecticStructure, label: str) -> FactorSpec:
+    lam, res, comm = _fit_lambda(ss.algebra, ss.pb_tensor)
     return FactorSpec(
-        label or f"quantum(hbar={hbar})",
-        alg,
-        pb,
-        lam,
-        res,
-        comm,
-        structure=ss,
-        family=ss.family,
-        omega=ss.omega,
+        label, ss.algebra, ss.pb_tensor, lam, res, comm,
+        structure=ss, family=ss.family, omega=ss.omega,
     )
+
+
+def quantum_factor(alg: Superalgebra, hbar: float, label: str | None = None) -> FactorSpec:
+    return _structure_factor(quantum_form(alg, hbar), label or f"quantum(hbar={hbar})")
 
 
 def canonical_factor(alg: Superalgebra, label: str | None = None) -> FactorSpec:
-    ss = canonical_form(alg)
-    pb = _pb_tensor_from_structure(ss)
-    lam, res, comm = _fit_lambda(alg, pb)
-    return FactorSpec(
-        label or "canonical", alg, pb, lam, res, comm,
-        structure=ss, family=ss.family, omega=ss.omega,
-    )
+    return _structure_factor(canonical_form(alg), label or "canonical")
 
 
 def grassmann_classical_factor(n: int, label: str | None = None) -> FactorSpec:
@@ -150,12 +125,8 @@ def grassmann_classical_factor(n: int, label: str | None = None) -> FactorSpec:
     dim = alg.dim
     dl, dr = grassmann_derivative_matrices(alg)
     pb = np.zeros((dim, dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            acc = np.zeros(dim, dtype=complex)
-            for a in range(n):
-                acc -= alg.mul_coeffs(dr[a][:, i], dl[a][:, j])
-            pb[i, j] = acc
+    for right, left in zip(dr, dl):
+        pb -= np.einsum("pi,qj,pqk->ijk", right, left, alg.structure, optimize=True)
     lam, res, comm = _fit_lambda(alg, pb)
     members = [Derivation(alg, m, 1) for m in dl]
     family = DerivationFamily(alg, members)
@@ -252,12 +223,11 @@ class ProductStructure:
             self.family, self.omega = _product_omega(self.algebra, f1, f2)
 
     def poisson(self, a: Element, b: Element) -> Element:
-        c = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, self.pb_tensor)
-        return Element(self.algebra, c)
+        return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
     def poisson_operator(self, h: Element) -> np.ndarray:
         """Matrix of E -> {H, E} on product coefficients."""
-        return np.einsum("a,abk->kb", h.coeffs, self.pb_tensor)
+        return left_action(self.pb_tensor, h.coeffs)
 
     def hamiltonian_operator(self, a: Element, b: Element) -> np.ndarray:
         """The three-term operator route for H = A (x) B.
@@ -280,25 +250,11 @@ class ProductStructure:
 
 def _product_pb_tensor(f1: FactorSpec, f2: FactorSpec) -> np.ndarray:
     a1, a2 = f1.algebra, f2.algebra
-    d1, d2 = a1.dim, a2.dim
-    eta1 = np.where(
-        (a1.parity[:, None] & a1.parity[None, :]).astype(bool), -1.0, 1.0
+    sym1 = 0.5 * (a1.structure + a1.swapped_structure())
+    sym2 = 0.5 * (a2.structure + a2.swapped_structure())
+    return graded_kron(a1, a2, f1.pb_tensor, sym2) + graded_kron(
+        a1, a2, sym1, f2.pb_tensor
     )
-    eta2 = np.where(
-        (a2.parity[:, None] & a2.parity[None, :]).astype(bool), -1.0, 1.0
-    )
-    sym1 = 0.5 * (a1.structure + eta1[:, :, None] * a1.structure.transpose(1, 0, 2))
-    sym2 = 0.5 * (a2.structure + eta2[:, :, None] * a2.structure.transpose(1, 0, 2))
-    # Koszul prefactor for moving the second slot of the first pair past the
-    # first slot of the second pair
-    s = np.where(
-        (a2.parity[:, None] & a1.parity[None, :]).astype(bool), -1.0, 1.0
-    )
-    t = np.einsum("jk,ikm,jln->ijklmn", s, f1.pb_tensor, sym2) + np.einsum(
-        "jk,ikm,jln->ijklmn", s, sym1, f2.pb_tensor
-    )
-    d = d1 * d2
-    return t.reshape(d, d, d)
 
 
 def _product_omega(prod: Superalgebra, f1: FactorSpec, f2: FactorSpec):
@@ -358,11 +314,7 @@ def coupled_evolution(
             n = max(1, int(np.ceil(abs(target - t_now) * steps / max(1.0, abs(times).max()))))
             dt = (target - t_now) / n
             for _ in range(n):
-                k1 = lmat @ y
-                k2 = lmat @ (y + 0.5 * dt * k1)
-                k3 = lmat @ (y + 0.5 * dt * k2)
-                k4 = lmat @ (y + dt * k3)
-                y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                y = rk4_step(lambda v: lmat @ v, y, dt)
             t_now = target
             out[r] = y
         return out

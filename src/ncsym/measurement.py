@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import kron_element, matrix_algebra
+from .algebra import _basis_vec, kron_element, matrix_algebra
 from .coupling import ProductStructure, evolve_functional, quantum_factor
 from .moyal import PhasePolynomial, classical_pb, moyal_bracket, star
 from .states import PObVM, make_state
@@ -180,15 +180,6 @@ class PointerObservable:
         vals = np.array([self.value(z) for z in zs])
         return float(vals.mean())
 
-    def quantum_block(self, alg, projectors: dict[str, np.ndarray]):
-        """Sum of value * projector as an element of a matrix algebra."""
-        if set(projectors) != set(self.values):
-            raise MeasurementError("projector labels differ from values")
-        total = np.zeros((alg.rep_basis.shape[1],) * 2, dtype=complex)
-        for lab, p in projectors.items():
-            total = total + self.values[lab] * np.asarray(p)
-        return alg.element(alg.coeffs_from_matrix(total))
-
 
 # -- the Stern-Gerlach numbers (CGS) ------------------------------------------------
 
@@ -265,7 +256,7 @@ def matrix_apparatus_crosscheck(
     hmat = np.kron(fmat, kmat)
 
     # direct route
-    psi0 = np.kron(c, _unit(d, 0))
+    psi0 = np.kron(c, _basis_vec(d, 0))
     psi_t = expm(-1j * tau * hmat / hbar) @ psi0
     direct = np.zeros(d)
     for m in range(d):
@@ -288,7 +279,7 @@ def matrix_apparatus_crosscheck(
     effects = {}
     eye_sys = sys_alg.unit
     for m in range(d):
-        proj = np.outer(_unit(d, m), _unit(d, m))
+        proj = np.outer(_basis_vec(d, m), _basis_vec(d, m))
         effects[str(m)] = kron_element(
             prod.algebra, eye_sys, app_alg.element(app_alg.coeffs_from_matrix(proj))
         )
@@ -308,12 +299,6 @@ def matrix_apparatus_crosscheck(
         "routeGap": gap,
         "agrees": bool(gap <= CROSSCHECK_TOL),
     }
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 # -- hybrid interaction bracket -------------------------------------------------------

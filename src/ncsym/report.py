@@ -74,7 +74,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when there is at least one check and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def add(self, name, passed, value=None, tolerance=None, **details) -> CheckResult:
         res = CheckResult(name, bool(passed), value, tolerance, details)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import lstsq_with_residual, max_abs, nullspace
-from .algebra import AlgebraError, Element, Superalgebra
+from .algebra import Element, Superalgebra, _basis_vec
 
 STATE_TOL = 1e-10
 # Relative eigenvalue threshold for GNS rank decisions.
@@ -147,7 +147,7 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
         f = np.array(
             [
                 berezin_integral_coeffs(
-                    alg, alg.mul_coeffs(_unit_vec(alg.dim, i), rho.coeffs)
+                    alg, alg.mul_coeffs(_basis_vec(alg.dim, i), rho.coeffs)
                 )
                 for i in range(alg.dim)
             ]
@@ -411,7 +411,7 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
     sqrt_s = np.sqrt(s)
     down = sqrt_s[:, None] * v.conj().T        # xi: C^dim -> C^d
     lift = v / sqrt_s[None, :]                 # section: C^d -> C^dim
-    ops = [down @ alg.left_mult_matrix(_unit_vec(alg.dim, k)) @ lift
+    ops = [down @ alg.left_mult_matrix(_basis_vec(alg.dim, k)) @ lift
            for k in range(alg.dim)]
     chi = down @ alg.unit_coeffs
 
@@ -431,7 +431,7 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
             hom_res = max(hom_res, max_abs(lhs - rhs))
     star_res = 0.0
     for k in range(alg.dim):
-        lhs = rep(alg.star_coeffs(_unit_vec(alg.dim, k)))
+        lhs = rep(alg.star_coeffs(_basis_vec(alg.dim, k)))
         star_res = max(star_res, max_abs(lhs - ops[k].conj().T))
     # commutant: all T with [pi(e_k), T] = 0
     eye = np.eye(d)
@@ -450,9 +450,3 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
         homomorphism_residual=float(hom_res),
         star_residual=float(star_res),
     )
-
-
-def _unit_vec(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v

@@ -77,6 +77,12 @@ ALGEBRA_ALIASES = {
 }
 
 
+def _require_samples(samples: int) -> None:
+    """No sampled check may pass on zero samples."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _bracket_case_algebras(only: str | None = None):
     cases = [
         ("matrix2", matrix_algebra(2)),
@@ -102,6 +108,7 @@ def identity_suite(
     algebras: graded antisymmetry, the Leibniz rule, the Jacobi identity,
     reality, annihilation of the unit and the operator compatibility
     [Y_a, Y_b] = Y_{a,b}, on random homogeneous triples."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("identity", seed, meta={"samples": samples, "hbar": 1.0})
     for label, alg in _bracket_case_algebras(only):
@@ -160,16 +167,12 @@ def calculus_suite(
     differential, the Cartan homotopy formula, the wedge Leibniz rule,
     Lie derivatives representing the derivation bracket, and pullback
     along automorphisms acting as a homomorphism commuting with d."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("calculus", seed, meta={"samples": samples})
-    cases = [("matrix2", matrix_algebra(2)), ("graded11", matrix_algebra(2, grading=(1, 1)))]
-    if only is not None:
-        name = ALGEBRA_ALIASES.get(only, only)
-        if name not in ("matrix2", "matrix3", "graded11"):
-            raise ValueError(f"unknown algebra preset {only!r}")
-        # the calculus battery is defined over matrix2 and graded11; a
-        # matrix3 request leaves it empty (vacuously passing)
-        cases = [c for c in cases if c[0] == name]
+    # the calculus battery is defined over matrix2 and graded11; a matrix3
+    # request leaves it empty
+    cases = [c for c in _bracket_case_algebras(only) if c[0] != "matrix3"]
     for label, alg in cases:
         fam = DerivationFamily.inner_family(alg)
         worst = {
@@ -249,6 +252,7 @@ def coupling_suite(
     product bracket checked against the Kronecker commutator route.  With
     ``left``/``right`` factor tokens it instead reports the verdict for
     that single pair."""
+    _require_samples(samples)
     if (left is None) != (right is None):
         raise ValueError("provide both factor tokens or neither")
     if left is not None:
@@ -361,6 +365,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
     """Superclassical checks: the canonical worked brackets, the Berezin
     integral against the algebraic route, and uniqueness of the state on
     three anticommuting generators."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("grassmann", seed, meta={"samples": samples})
 
@@ -384,7 +389,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
 
     alg = grassmann_algebra(3)
     worst = 0.0
-    for _ in range(samples // 10):
+    for _ in range(max(1, samples // 10)):
         coeffs = rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)
         el = alg.element(coeffs)
         via_alg = berezin_integral_coeffs(alg, el.coeffs)
@@ -420,6 +425,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
 def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL) -> Report:
     """Star product facts: associativity on random polynomials, the exact
     canonical bracket, a quadratic oracle and the classical limit slope."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("moyal", seed, meta={"samples": samples})
     x = PhasePolynomial.x()
@@ -657,7 +663,7 @@ def verify_suite(
     """The identity and calculus batteries in one report."""
     ident = identity_suite(
         seed,
-        samples=samples or 200,
+        samples=200 if samples is None else samples,
         tol=tol if tol is not None else IDENTITY_TOL,
         only=algebra,
     )

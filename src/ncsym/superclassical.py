@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs
-from .algebra import Element, Superalgebra, grassmann_algebra
+from ._linalg import max_abs, rk4_step
+from .algebra import Element, Superalgebra, _shuffle_sign, grassmann_algebra
 from .states import State, StateError, cc_check, make_state
 
 SUPER_EPS = 1e-15
@@ -34,19 +34,6 @@ Key = tuple[tuple[int, ...], int]
 
 class SuperspaceError(ValueError):
     pass
-
-
-def _shuffle_sign(s: int, t: int) -> int:
-    sign = 1
-    i = 0
-    tt = t
-    while tt:
-        if tt & 1:
-            if bin(s >> (i + 1)).count("1") % 2:
-                sign = -sign
-        tt >>= 1
-        i += 1
-    return sign
 
 
 @dataclass
@@ -315,11 +302,7 @@ def hamilton_rk4(
         nsteps = max(1, int(np.ceil(abs(target - t_now) * steps_per_unit)))
         dt = (target - t_now) / nsteps
         for _ in range(nsteps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = rk4_step(rhs, y, dt)
         t_now = target
         out[r] = y
     return out

@@ -13,6 +13,17 @@ superderivations inner):
 * the quantum form  omega_q = (-i hbar) omega_c, which is real and gives
   {A, B} = (-i hbar)**-1 [A, B] = (i/hbar) [A, B].
 
+Every bracket is read off one tensor per structure.  Y_A is linear in A,
+so the Hamiltonian solve runs once per basis element at construction and
+the bracket tensor is
+
+    pb_tensor[i, j, k] = coefficient of e_k in {e_i, e_j},
+
+the same convention as the structure constants of the algebra.  So
+{A, B} = ``bilinear(pb_tensor, a, b)`` and the Poisson operator of H is
+``left_action(pb_tensor, h)``; the coupling factors and the product
+structure contract their tensors the same way.
+
 Dynamics: dA/dt = {H, A} with hermitian even H; in closed form
 A(t) = expm(t L_H) A with L_H the Poisson operator of H, equivalently
 A(t) = exp(iHt/hbar) A exp(-iHt/hbar) in a matrix realization.
@@ -22,13 +33,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import max_abs, numerical_rank
-from .algebra import Element, Superalgebra
+from ._linalg import bilinear, left_action, max_abs, numerical_rank, rk4_step
+from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,
     Derivation,
     DerivationFamily,
-    differential,
     exterior_derivative,
     is_special,
 )
@@ -83,64 +93,68 @@ class SymplecticStructure:
                     )
             if numerical_rank(self._pairing) != m:
                 raise SymplecticError("form is degenerate on the family")
-        # per-parity solvers for i_Y omega = -dA (Y has the parity of A since
-        # the form is even)
-        self._solvers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # i_Y omega = -d e_i for every basis element in one batch.  Y has the
+        # parity of e_i since the form is even, and
+        # (d e_i)(X_l) = (-1)**(e_l e_i) X_l(e_i).
+        mats = np.array([x.matrix for x in self.family.members])
+        basis_par = self.algebra.parity
+        signs = koszul_signs(basis_par, self.family.parities)
+        rhs = -(signs[:, :, None] * mats.transpose(2, 0, 1)).reshape(dim, m * dim)
+        coeffs = np.zeros((dim, m), dtype=complex)
         for t in (0, 1):
+            rows = np.flatnonzero(basis_par == t)
             cols = np.flatnonzero(self.family.parities == t)
-            if cols.size:
-                block = self._pairing[cols]
-                self._solvers[t] = (cols, np.linalg.pinv(block.T))
+            if rows.size and cols.size:
+                pinv = np.linalg.pinv(self._pairing[cols].T)
+                coeffs[np.ix_(rows, cols)] = rhs[rows] @ pinv.T
+        # row i: family coefficients of Y_{e_i}; its solve residual; and the
+        # bracket tensor (convention in the module docstring)
+        self.hamiltonian_basis = coeffs
+        self.solve_residual = coeffs @ self._pairing - rhs
+        self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats)
 
     # -- hamiltonian derivations and brackets --------------------------------
+
+    def _check_solve(self, a: Element) -> None:
+        """Raise unless i_Y omega = -dA closes for each parity part of A.
+
+        The solve residual is linear in each part, so it is the part's
+        coefficients times the per-basis residual rows."""
+        for t in (0, 1):
+            part = a.coeffs * (self.algebra.parity == t)
+            if max_abs(part) == 0.0:
+                continue
+            res = max_abs(part @ self.solve_residual)
+            if res <= HAMILTONIAN_SOLVE_TOL:
+                continue
+            if not np.any(self.family.parities == t):
+                raise SymplecticError("no family directions of the required parity")
+            raise SymplecticError(f"hamiltonian solve failed, residual {res:.3e}")
 
     def hamiltonian_coeffs(self, a: Element) -> np.ndarray:
         """Family coefficients of Y_A solving i_{Y_A} omega = -dA for
         homogeneous A; raises when the solve does not close."""
-        par = a.parity
-        if par is None:
+        if a.parity is None:
             raise SymplecticError("need a homogeneous element")
-        rhs = -differential(self.family, a).tensor.reshape(-1)
-        if par not in self._solvers:
-            if max_abs(rhs) <= HAMILTONIAN_SOLVE_TOL:
-                return np.zeros(len(self.family), dtype=complex)
-            raise SymplecticError("no family directions of the required parity")
-        cols, pinv = self._solvers[par]
-        y = pinv @ rhs
-        res = max_abs(self._pairing[cols].T @ y - rhs)
-        if res > HAMILTONIAN_SOLVE_TOL:
-            raise SymplecticError(
-                f"hamiltonian solve failed, residual {res:.3e}"
-            )
-        full = np.zeros(len(self.family), dtype=complex)
-        full[cols] = y
-        return full
+        self._check_solve(a)
+        return a.coeffs @ self.hamiltonian_basis
 
     def hamiltonian_derivation(self, a: Element) -> Derivation:
-        par = a.parity
-        if par is None:
-            raise SymplecticError("need a homogeneous element")
-        return self.family.combination(self.hamiltonian_coeffs(a), par)
+        return self.family.combination(self.hamiltonian_coeffs(a), a.parity)
 
     def poisson(self, a: Element, b: Element) -> Element:
-        """{A, B} = Y_A(B), extended bilinearly over parity parts of A."""
-        out = np.zeros(self.algebra.dim, dtype=complex)
-        for t in (0, 1):
-            part = a.graded_part(t)
-            if max_abs(part.coeffs) == 0.0:
-                continue
-            out = out + self.hamiltonian_derivation(part).matrix @ b.coeffs
-        return Element(self.algebra, out)
+        """{A, B} = Y_A(B), extended bilinearly over parity parts of A.
+
+        The solve gate runs on every call, for each parity part of A."""
+        self._check_solve(a)
+        return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
     def poisson_operator(self, h: Element) -> np.ndarray:
-        """Matrix of B -> {H, B} (sum over parity parts of H)."""
-        out = np.zeros((self.algebra.dim, self.algebra.dim), dtype=complex)
-        for t in (0, 1):
-            part = h.graded_part(t)
-            if max_abs(part.coeffs) == 0.0:
-                continue
-            out = out + self.hamiltonian_derivation(part).matrix
-        return out
+        """Matrix of B -> {H, B} (sum over parity parts of H).
+
+        The solve gate runs on every call, for each parity part of H."""
+        self._check_solve(h)
+        return left_action(self.pb_tensor, h.coeffs)
 
     def canonical_pair_residual(self, a: Element, b: Element) -> float:
         """How far {A, B} is from the unit."""
@@ -151,14 +165,10 @@ class SymplecticStructure:
         return self.canonical_pair_residual(a, b) <= tol
 
 
-def canonical_form(
-    alg: Superalgebra, family: DerivationFamily | None = None
-) -> SymplecticStructure:
-    """The commutator 2-form omega(D_A, D_B) = [A, B] on a special algebra.
-
-    Well defined because [A + z, B + w] = [A, B] for central shifts z, w, so
-    the value depends only on the derivations.  Imaginary: omega* = -omega.
-    """
+def _commutator_cochain(
+    alg: Superalgebra, family: DerivationFamily | None
+) -> Cochain:
+    """The 2-cochain (D_A, D_B) -> [A, B] on a special algebra."""
     info = is_special(alg)
     if not info["special"]:
         raise SymplecticError(
@@ -169,11 +179,22 @@ def canonical_form(
     for x in fam.members:
         if x.source is None:
             raise SymplecticError("canonical form needs an inner family")
-    omega = Cochain.from_function(
+    return Cochain.from_function(
         fam, 2, 0, lambda x, y: alg.supercommutator(x.source, y.source)
     )
+
+
+def canonical_form(
+    alg: Superalgebra, family: DerivationFamily | None = None
+) -> SymplecticStructure:
+    """The commutator 2-form omega(D_A, D_B) = [A, B] on a special algebra.
+
+    Well defined because [A + z, B + w] = [A, B] for central shifts z, w, so
+    the value depends only on the derivations.  Imaginary: omega* = -omega.
+    """
     return SymplecticStructure(
-        omega, {"kind": "canonical", "hbar": None, "reality": "imaginary"}
+        _commutator_cochain(alg, family),
+        {"kind": "canonical", "hbar": None, "reality": "imaginary"},
     )
 
 
@@ -183,10 +204,9 @@ def quantum_form(
     family: DerivationFamily | None = None,
 ) -> SymplecticStructure:
     """omega_q = (-i hbar) omega_c; real, with {A,B} = (i/hbar)[A, B]."""
-    if hbar <= 0:
-        raise SymplecticError("hbar must be positive")
-    base = canonical_form(alg, family)
-    omega = (-1j * hbar) * base.omega
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise SymplecticError(f"hbar must be finite and positive, got {hbar}")
+    omega = (-1j * hbar) * _commutator_cochain(alg, family)
     return SymplecticStructure(
         omega, {"kind": "quantum", "hbar": float(hbar), "reality": "real"}
     )
@@ -237,23 +257,13 @@ class HamiltonianSystem:
             y = a.coeffs.copy()
             lmat = self.liouville
             for _ in range(n):
-                k1 = lmat @ y
-                k2 = lmat @ (y + 0.5 * dt * k1)
-                k3 = lmat @ (y + 0.5 * dt * k2)
-                k4 = lmat @ (y + dt * k3)
-                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                y = rk4_step(lambda v: lmat @ v, y, dt)
             return Element(self.algebra, y)
         raise SymplecticError(f"unknown method {method!r}")
 
     def evolve_functional(self, functional: np.ndarray, t: float) -> np.ndarray:
         """State evolution by duality: phi_t(A) = phi(A(t))."""
         return self.heisenberg_matrix(t).T @ np.asarray(functional, dtype=complex)
-
-    def evolution_trace(self, a: Element, times) -> np.ndarray:
-        """Rows of observable coefficients along the closed-form flow."""
-        return np.array(
-            [self.heisenberg_matrix(float(t)) @ a.coeffs for t in times]
-        )
 
 
 def _hermitian_realization(h: Element) -> np.ndarray:

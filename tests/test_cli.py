@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from ncsym import suites
 from ncsym.cli import main
 from ncsym.suites import SUITES
 
@@ -92,3 +94,37 @@ def test_every_suite_passes_quickly(capsys):
             argv += ["--samples", "25"]
         assert main(argv) == 0, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["coupling", "--samples", "0"], ["verify", "--samples", "-5"]]
+)
+def test_samples_below_one_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_tol_must_be_finite_and_positive(tol, capsys):
+    assert main(["gns", f"--tol={tol}"]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hbar", ["nan", "inf", "-1"])
+def test_factor_hbar_must_be_finite_and_positive(hbar, capsys):
+    assert main(["coupling", "--left", f"quantum:{hbar}", "--right", "quantum"]) == 2
+    assert "hbar must be finite and positive" in capsys.readouterr().err
+
+
+def test_verify_suite_does_not_replace_zero_samples():
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        suites.verify_suite(seed=0, samples=0)
+
+
+def test_grassmann_routes_compared_below_ten_samples():
+    with mock.patch.object(
+        suites, "berezin_integral_coeffs", wraps=suites.berezin_integral_coeffs
+    ) as via_alg:
+        rep = suites.grassmann_suite(seed=0, samples=5)
+    assert via_alg.call_count >= 1
+    assert rep.passed

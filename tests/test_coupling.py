@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import check_superderivation, exterior_derivative, koszul_sign
 from ncsym.coupling import (
@@ -32,6 +33,31 @@ def test_factor_lambda_values():
     assert abs(GCL2.lam) < 1e-12
     assert GCL2.commutative and not QM2.commutative
     assert QM2.fit_residual < 1e-12
+
+
+def test_grassmann_bracket_tensor_matches_pairwise_reference():
+    # {e_i, e_j} = -sum_a (right d_a e_i)(left d_a e_j), one pair at a time;
+    # every entry is a small integer, so the batched tensor is exact
+    f = grassmann_classical_factor(3)
+    alg = f.algebra
+    dl, dr = grassmann_derivative_matrices(alg)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            want = np.zeros(alg.dim, dtype=complex)
+            for right, left in zip(dr, dl):
+                want -= alg.mul_coeffs(right[:, i], left[:, j])
+            np.testing.assert_array_equal(f.pb_tensor[i, j], want)
+
+
+@pytest.mark.parametrize(
+    "alg", [matrix_algebra(2, grading=(1, 1)), grassmann_algebra(2)], ids=["M1-1", "G2"]
+)
+def test_swapped_structure_gives_basis_supercommutators(alg):
+    comm = alg.structure - alg.swapped_structure()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            want = alg.supercommutator(alg.basis_element(i), alg.basis_element(j))
+            np.testing.assert_array_equal(comm[i, j], want.coeffs)
 
 
 def test_grassmann_factor_bracket_axioms():

@@ -33,6 +33,12 @@ def test_residual_convenience_and_passed():
     assert "FAIL" in rep.checks[1].line()
 
 
+def test_empty_report_does_not_pass():
+    rep = Report("demo", 0)
+    assert not rep.passed
+    assert rep.summary_lines()[-1].startswith("FAIL")
+
+
 def test_json_bytes_parse_and_schema():
     rep = Report("demo", 0, meta={"alpha": np.float64(2.0)})
     rep.add("named", True, value=0.25, tolerance=0.5)

@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ncsym.algebra import matrix_algebra
+from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
     DerivationFamily,
+    differential,
     exterior_derivative,
     inner_derivation,
+    interior,
     lie_derivative,
     pullback,
     random_cochain,
 )
+from ncsym.coupling import ProductStructure, quantum_factor
 from ncsym.symplectic import (
     HamiltonianSystem,
     SymplecticError,
+    SymplecticStructure,
     canonical_form,
     quantum_form,
 )
@@ -107,6 +111,61 @@ def test_bracket_identities_random():
         lhs_m = lie_bracket(ya, yb).matrix
         rhs_m = wq.poisson_operator(pb_el)
         np.testing.assert_allclose(lhs_m, rhs_m, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "alg", [M3, matrix_algebra(3, grading=(2, 1))], ids=["M3", "M2-1"]
+)
+def test_bracket_tensor_solves_the_hamiltonian_system(alg):
+    # Y_A comes from the per-basis solve; interior and d check the defining
+    # equation i_{Y_A} omega = -dA independently, one parity part at a time
+    ss = quantum_form(alg, HBAR)
+    rng = np.random.default_rng(50)
+    for _ in range(5):
+        a = alg.sample_element(rng)
+        b = alg.sample_element(rng)
+        via_parts = np.zeros(alg.dim, dtype=complex)
+        for t in (0, 1):
+            part = a.graded_part(t)
+            if part.norm() == 0.0:
+                continue
+            y = ss.hamiltonian_derivation(part)
+            defect = interior(y, ss.omega) + differential(ss.family, part)
+            assert defect.norm() <= 1e-9
+            via_parts += y(b).coeffs
+        np.testing.assert_allclose(ss.poisson(a, b).coeffs, via_parts, atol=1e-9)
+
+
+def _product_form_structures():
+    prod = ProductStructure(quantum_factor(M2, 1.0), quantum_factor(M2, 1.0))
+    ss = SymplecticStructure(
+        prod.omega, {"kind": "quantum", "hbar": 1.0, "reality": "real"}
+    )
+    return prod, ss
+
+
+def test_product_form_brackets_factor_elements():
+    # no basis element of M2 (x) M2 is Hamiltonian for the product form, but
+    # a (x) 1 is, and its bracket is the product bracket
+    prod, ss = _product_form_structures()
+    rng = np.random.default_rng(51)
+    a = kron_element(prod.algebra, M2.sample_element(rng), M2.unit)
+    b = prod.algebra.sample_element(rng)
+    np.testing.assert_allclose(
+        ss.poisson(a, b).coeffs, prod.poisson(a, b).coeffs, atol=1e-9
+    )
+
+
+def test_solve_gate_rejects_non_hamiltonian_elements():
+    prod, ss = _product_form_structures()
+    e11 = M2.basis_element(0)
+    a = kron_element(prod.algebra, e11, e11)
+    with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
+        ss.hamiltonian_coeffs(a)
+    with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
+        ss.poisson(a, a)
+    with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
+        ss.poisson_operator(a)
 
 
 def test_no_canonical_pairs_in_m2():
