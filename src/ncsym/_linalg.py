@@ -59,6 +59,28 @@ def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("a,abk->kb", a, t)
 
 
+def multiplicativity_defect(src: np.ndarray, p: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """d[i, j, k], the coefficient of e_k in P(e_i e_j) - (P e_i)(P e_j),
+    for the linear map with columns P[:, i] = P e_i from the algebra with
+    product tensor ``src`` to the one with product tensor ``tgt``."""
+    image = np.tensordot(src, p, axes=(2, 1))
+    pushed = np.tensordot(p, tgt, axes=(0, 0))  # [i, b, k]: (P e_i) e_b
+    return image - np.tensordot(pushed, p, axes=(1, 0)).transpose(0, 2, 1)
+
+
+def greedy_independent(vectors, zero_tol: float) -> list[int]:
+    """Indices kept by a greedy scan: skip a vector with max |entry| below
+    ``zero_tol``, keep it when it raises the numerical rank of those kept."""
+    kept: list[int] = []
+    for idx, v in enumerate(vectors):
+        if max_abs(v) < zero_tol:
+            continue
+        s = np.linalg.svd(np.array([vectors[k] for k in kept] + [v]), compute_uv=False)
+        if s[-1] > RANK_RTOL * s[0]:
+            kept.append(idx)
+    return kept
+
+
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0

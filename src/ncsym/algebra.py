@@ -21,6 +21,10 @@ Conventions used throughout the package:
 An algebra may carry a faithful matrix realization (one concrete matrix per
 basis element).  It is used for spectra and positivity checks; all structural
 operations work on coefficients only.
+
+Every algebra is validated at construction: :meth:`Superalgebra.validate`
+checks each axiom exactly on the whole structure at every size, never on a
+sample, and returns the residual of each one.
 """
 from __future__ import annotations
 
@@ -30,7 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import bilinear, left_action, lstsq_with_residual, max_abs, nullspace
+from ._linalg import (
+    bilinear,
+    greedy_independent,
+    left_action,
+    lstsq_with_residual,
+    max_abs,
+    multiplicativity_defect,
+    nullspace,
+)
 
 # Tolerance for the structural invariants checked at construction time
 # (associativity, unit, parity bookkeeping, involution axioms).
@@ -158,8 +170,6 @@ class Superalgebra:
         labels: Sequence[str] | None = None,
         kind: dict | None = None,
         rep_basis: np.ndarray | None = None,
-        validate: bool = True,
-        tol: float = STRUCTURE_TOL,
     ) -> None:
         self.structure = np.asarray(structure, dtype=complex)
         self.dim = self.structure.shape[0]
@@ -181,88 +191,67 @@ class Superalgebra:
         self.rep_basis = None if rep_basis is None else np.asarray(
             rep_basis, dtype=complex
         )
+        if self.rep_basis is not None and self.rep_basis.shape[0] != self.dim:
+            raise AlgebraError("realization basis count mismatch")
         self._center_cache: tuple[list[Element], list[Element]] | None = None
         self._supercomm_cache: bool | None = None
-        if validate:
-            self.validate(tol)
+        self.validate()
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, tol: float = STRUCTURE_TOL) -> None:
-        """Check associativity, the unit, parity bookkeeping and the
-        involution axioms; raise AlgebraError on the first failure."""
-        c = self.structure
-        n = self.dim
-        # unit
-        lm = self.left_mult_matrix(self.unit_coeffs)
-        rm = self.right_mult_matrix(self.unit_coeffs)
-        err = max(max_abs(lm - np.eye(n)), max_abs(rm - np.eye(n)))
-        if err > tol:
-            raise AlgebraError(f"unit axiom fails by {err:.3e}")
-        # associativity; for big algebras fall back to a deterministic sample
-        if n <= 64:
-            lhs = np.einsum("ijm,mkl->ijkl", c, c)
-            rhs = np.einsum("jkm,iml->ijkl", c, c)
-            err = max_abs(lhs - rhs)
-            if err > tol:
-                raise AlgebraError(f"associativity fails by {err:.3e}")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(200):
-                i, j, k = rng.integers(0, n, size=3)
-                lhs = c[i, j] @ c[:, k].reshape(n, n)
-                rhs = c[j, k] @ c[i, :].reshape(n, n)
-                if max_abs(lhs - rhs) > tol:
-                    raise AlgebraError("associativity fails on sampled triple")
-        # parity additivity: c[i, j, k] == 0 unless parity adds up
-        psum = (self.parity[:, None] + self.parity[None, :]) % 2
-        bad = psum[:, :, None] != self.parity[None, None, :]
-        err = max_abs(np.where(bad, c, 0.0))
-        if err > tol:
-            raise AlgebraError(f"structure constants violate grading by {err:.3e}")
-        # involution: involutive, antilinear antihomomorphism, unit fixed,
-        # parity preserving
-        m = self.involution_matrix
-        err = max_abs(m @ np.conj(m) - np.eye(n))
-        if err > tol:
-            raise AlgebraError(f"involution not involutive, defect {err:.3e}")
-        err = max_abs(self.star_coeffs(self.unit_coeffs) - self.unit_coeffs)
-        if err > tol:
-            raise AlgebraError(f"involution moves the unit by {err:.3e}")
-        pmask = self.parity[:, None] != self.parity[None, :]
-        err = max_abs(np.where(pmask, m, 0.0))
-        if err > tol:
-            raise AlgebraError(f"involution violates grading by {err:.3e}")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.star_coeffs(c[i, j])
-                sign = koszul_sign(self.parity[i], self.parity[j])
-                rhs = sign * self.mul_coeffs(
-                    self.star_coeffs(_basis_vec(n, j)),
-                    self.star_coeffs(_basis_vec(n, i)),
-                )
-                if max_abs(lhs - rhs) > tol:
-                    raise AlgebraError(
-                        f"involution is not a graded antihomomorphism at "
-                        f"({self.labels[i]}, {self.labels[j]})"
-                    )
-        # realization, when present: linear multiplicative, unit to identity
+    def validate(self) -> dict[str, float]:
+        """Check every axiom exactly on the whole structure, at every size,
+        and return the residual of each, in the order checked: unit,
+        associativity, grading, involutive, starFixesUnit, starGrading,
+        antihomomorphism and, with a realization, realizationUnit and
+        realizationMultiplicative.  Raises AlgebraError for the first one
+        above STRUCTURE_TOL, naming the worst basis triple or pair where the
+        axiom has one.  No step holds more than a dim**3 array."""
+        c, n, m, u = self.structure, self.dim, self.involution_matrix, self.unit_coeffs
+        eye = np.eye(n)
+        right, left = c.reshape(n, n * n), c.reshape(n * n, n)
+        # per (i, j, k): worst coefficient of (e_i e_j) e_k - e_i (e_j e_k)
+        assoc = np.array([np.abs(
+            (c[i] @ right).reshape(n, n, n) - (left @ c[i]).reshape(n, n, n)
+        ).max(axis=2) for i in range(n)])
+        off_grade = ((self.parity[:, None] + self.parity) % 2)[:, :, None] != self.parity
+        # the star is a homomorphism from conj(A) into the graded opposite
+        # algebra, whose structure constants are swapped_structure()
+        antihom = multiplicativity_defect(np.conj(c), m, self.swapped_structure())
+        checks = [
+            ("unit", max(max_abs(self.left_mult_matrix(u) - eye),
+                         max_abs(self.right_mult_matrix(u) - eye)),
+             "unit axiom fails by {err:.3e}"),
+            ("associativity", assoc, "associativity fails by {err:.3e} at {at}"),
+            ("grading", max_abs(np.where(off_grade, c, 0.0)),
+             "structure constants violate grading by {err:.3e}"),
+            ("involutive", max_abs(m @ np.conj(m) - eye),
+             "involution not involutive, defect {err:.3e}"),
+            ("starFixesUnit", max_abs(self.star_coeffs(u) - u),
+             "involution moves the unit by {err:.3e}"),
+            ("starGrading", max_abs(np.where(self.parity[:, None] != self.parity, m, 0.0)),
+             "involution violates grading by {err:.3e}"),
+            ("antihomomorphism", np.abs(antihom).max(axis=2),
+             "involution is not a graded antihomomorphism at {at} ({err:.3e})"),
+        ]
         if self.rep_basis is not None:
-            if self.rep_basis.shape[0] != n:
-                raise AlgebraError("realization basis count mismatch")
-            ident = np.eye(self.rep_basis.shape[1])
-            err = max_abs(self.realize(self.unit_coeffs) - ident)
-            if err > tol:
-                raise AlgebraError(f"unit does not realize to identity ({err:.3e})")
-            for i in range(n):
-                for j in range(n):
-                    lhs = self.rep_basis[i] @ self.rep_basis[j]
-                    rhs = self.realize(c[i, j])
-                    if max_abs(lhs - rhs) > tol:
-                        raise AlgebraError(
-                            "realization is not multiplicative at "
-                            f"({self.labels[i]}, {self.labels[j]})"
-                        )
+            rep = self.rep_basis
+            checks += [
+                ("realizationUnit", max_abs(self.realize(u) - np.eye(rep.shape[1])),
+                 "unit does not realize to identity ({err:.3e})"),
+                ("realizationMultiplicative", np.array([np.abs(
+                    rep[i] @ rep - np.tensordot(c[i], rep, axes=1)
+                ).max(axis=(1, 2)) for i in range(n)]),
+                 "realization is not multiplicative at {at} ({err:.3e})"),
+            ]
+        residuals = {}
+        for key, defect, message in checks:
+            err, at = _worst(np.asarray(defect))
+            if err > STRUCTURE_TOL:
+                names = ", ".join(self.labels[k] for k in at)
+                raise AlgebraError(message.format(err=err, at=f"({names})"))
+            residuals[key] = err
+        return residuals
 
     # -- basic operations ----------------------------------------------------
 
@@ -331,26 +320,15 @@ class Superalgebra:
         """
         if self._center_cache is not None:
             return self._center_cache
+        comm = self.structure - self.swapped_structure()  # [e_i, e_j] = comm[i, j]
         out: list[list[Element]] = []
         for t in (0, 1):
             idx = np.flatnonzero(self.parity == t)
-            if idx.size == 0:
-                out.append([])
-                continue
-            rows = []
-            for j in range(self.dim):
-                sign = koszul_sign(t, self.parity[j])
-                # column i: coefficients of e_i e_j - sign * e_j e_i
-                block = self.structure[idx, j, :] - sign * self.structure[j, idx, :]
-                rows.append(block.T)  # (dim, len(idx))
-            mat = np.vstack(rows)
-            basis = nullspace(mat)
-            vecs = []
-            for k in range(basis.shape[1]):
-                full = np.zeros(self.dim, dtype=complex)
-                full[idx] = basis[:, k]
-                vecs.append(Element(self, full))
-            out.append(vecs)
+            # row (j, k), column i: coefficient of e_k in [e_idx[i], e_j]
+            basis = nullspace(comm[idx].transpose(1, 2, 0).reshape(self.dim**2, idx.size))
+            full = np.zeros((self.dim, basis.shape[1]), dtype=complex)
+            full[idx] = basis
+            out.append([Element(self, col) for col in full.T])
         self._center_cache = (out[0], out[1])
         return self._center_cache
 
@@ -744,21 +722,18 @@ def _independent_hermitian_span(
     for v in vecs:
         cands.append(0.5 * (v + v.star()))
         cands.append(-0.5j * (v - v.star()))
-    out: list[Element] = []
-    rows: list[np.ndarray] = []
-    for cand in cands:
-        if max_abs(cand.coeffs) < 1e-12:
-            continue
-        stacked = np.array(rows + [cand.coeffs])
-        s = np.linalg.svd(stacked, compute_uv=False)
-        if s[-1] > 1e-10 * s[0]:
-            rows.append(cand.coeffs)
-            out.append(cand)
-        if len(out) == len(vecs):
-            break
-    if len(out) != len(vecs):
+    keep = greedy_independent([cand.coeffs for cand in cands], 1e-12)[: len(vecs)]
+    if len(keep) != len(vecs):
         raise AlgebraError("center is not spanned by hermitian elements")
-    return out
+    return [cands[k] for k in keep]
+
+
+def _worst(mags: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest entry of an array of magnitudes and its index."""
+    if mags.size == 0:
+        return 0.0, ()
+    at = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    return float(mags[at]), tuple(int(k) for k in at)
 
 
 def _cluster_reals(evals: np.ndarray) -> list[float] | None:

@@ -34,7 +34,13 @@ from math import factorial
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import lstsq_with_residual, max_abs, numerical_rank
+from ._linalg import (
+    greedy_independent,
+    lstsq_with_residual,
+    max_abs,
+    multiplicativity_defect,
+    numerical_rank,
+)
 from .algebra import AlgebraError, Element, Superalgebra, koszul_sign
 
 # Residual threshold for the superderivation (graded Leibniz) condition.
@@ -270,18 +276,9 @@ class DerivationFamily:
     def inner_family(cls, alg: Superalgebra) -> "DerivationFamily":
         """Inner derivations of the basis elements, thinned to an independent
         set (the center contributes nothing and is dropped)."""
-        members: list[Derivation] = []
-        rows: list[np.ndarray] = []
-        for i in range(alg.dim):
-            d = inner_derivation(alg, alg.basis_element(i))
-            flat = d.matrix.reshape(-1)
-            if max_abs(flat) < 1e-14:
-                continue
-            stacked = np.array(rows + [flat])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            if s[-1] > 1e-10 * s[0]:
-                rows.append(flat)
-                members.append(d)
+        derivs = [inner_derivation(alg, alg.basis_element(i)) for i in range(alg.dim)]
+        keep = greedy_independent([d.matrix.reshape(-1) for d in derivs], 1e-14)
+        members = [derivs[k] for k in keep]
         if not members:
             raise CalculusError(
                 "no nonzero inner derivations (is the algebra supercommutative?)"
@@ -687,17 +684,13 @@ class AlgebraIsomorphism:
         s = np.linalg.svd(p, compute_uv=False)
         if s[-1] < 1e-12 * s[0]:
             raise CalculusError("isomorphism matrix is singular")
-        worst_mult = 0.0
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = tgt.mul_coeffs(p[:, i], p[:, j])
-                rhs = p @ src.structure[i, j]
-                worst_mult = max(worst_mult, max_abs(lhs - rhs))
         grading = max_abs(
             np.where(tgt.parity[:, None] != src.parity[None, :], p, 0.0)
         )
         return {
-            "multiplicative": worst_mult,
+            "multiplicative": max_abs(
+                multiplicativity_defect(src.structure, p, tgt.structure)
+            ),
             "unit": max_abs(p @ src.unit_coeffs - tgt.unit_coeffs),
             "star": max_abs(
                 p @ src.involution_matrix - tgt.involution_matrix @ np.conj(p)

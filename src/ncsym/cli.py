@@ -13,6 +13,7 @@ import argparse
 import inspect
 import math
 import sys
+from pathlib import Path
 
 from .suites import SUITES
 
@@ -66,6 +67,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         kwargs[flag] = value
+    if args.out and not Path(args.out).parent.is_dir():
+        print(f"ncsym: --out directory does not exist: {Path(args.out).parent}",
+              file=sys.stderr)
+        return 2
     if args.suite == "verify" and args.algebra != "all":
         kwargs["algebra"] = args.algebra
     if args.suite == "stern-gerlach":

@@ -361,7 +361,7 @@ def gns_suite(seed: int = 0, tol: float = GNS_TOL) -> Report:
     return rep
 
 
-def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Report:
+def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Report:
     """Superclassical checks: the canonical worked brackets, the Berezin
     integral against the algebraic route, and uniqueness of the state on
     three anticommuting generators."""
@@ -375,7 +375,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
     g = p * p
     got = super_poisson(f, g, w_even)
     want = SuperFunction(2, 0, {((1, 2), 0): -4.0})
-    rep.residual("canonicalEvenWorkedBracket", (got - want).norm(), 1e-12)
+    rep.residual("canonicalEvenWorkedBracket", (got - want).norm(), tol)
 
     _, thetas = variables(0, 2)
     w_odd = SuperPBMatrix.unit_odd(2)
@@ -384,7 +384,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
     rep.residual(
         "oddSelfBracket",
         (self_bracket - SuperFunction.scalar(0, 2, -1.0)).norm(),
-        1e-12,
+        tol,
     )
 
     alg = grassmann_algebra(3)
@@ -395,7 +395,7 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
         via_alg = berezin_integral_coeffs(alg, el.coeffs)
         via_super = berezin_integral(superfunction_from_element(el)).coefficient((), 0)
         worst = max(worst, abs(via_alg - via_super))
-    rep.residual("berezinRoutesAgree", worst, 1e-12)
+    rep.residual("berezinRoutesAgree", worst, tol)
 
     scan = g3_unique_state(rng=np.random.default_rng(seed), samples=samples)
     rep.add(
@@ -407,12 +407,12 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-9) -> Rep
     functional = scan["state"].functional
     delta = np.zeros(alg.dim)
     delta[0] = 1.0
-    rep.residual("g3StateIsDelta", max_abs(functional - delta), 1e-12)
+    rep.residual("g3StateIsDelta", max_abs(functional - delta), tol)
     # the density is the descending top monomial: coefficient -1 on the
     # ascending basis element, everything else zero
     want_density = np.zeros(alg.dim, dtype=complex)
     want_density[-1] = -1.0
-    rep.residual("g3DensityOracle", max_abs(scan["density"] - want_density), 1e-12)
+    rep.residual("g3DensityOracle", max_abs(scan["density"] - want_density), tol)
     rep.add(
         "g3SeparationFails",
         scan["ccVerdict"] is False

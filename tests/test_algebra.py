@@ -1,13 +1,17 @@
 """Structure-constant layer: products, grading, involution, center, sectors."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ncsym._linalg import multiplicativity_defect
 from ncsym.algebra import (
+    STRUCTURE_TOL,
     AlgebraError,
     Superalgebra,
     direct_sum,
@@ -168,16 +172,137 @@ def test_json_round_trip_is_exact():
         assert back.to_json() == text
 
 
-def test_invalid_structure_rejected():
+def _m2_data(**override) -> dict:
+    data = dict(
+        structure=M2.structure, parity=M2.parity, unit=M2.unit_coeffs,
+        involution=M2.involution_matrix, rep_basis=M2.rep_basis, labels=M2.labels,
+    )
+    return {**data, **override}
+
+
+def _nonassociative_m2() -> np.ndarray:
     bad = M2.structure.copy()
     bad[1, 2, 3] += 0.5  # E12 E21 = E11 + 0.5 E22 is not associative
-    with pytest.raises(AlgebraError):
-        Superalgebra(
-            structure=bad,
-            parity=M2.parity,
-            unit=M2.unit_coeffs,
-            involution=M2.involution_matrix,
-        )
+    return bad
+
+
+G1 = grassmann_algebra(1)
+
+# One broken input per axiom, each passing every axiom checked before it.
+BROKEN = {
+    "unit": (_m2_data(unit=2 * M2.unit_coeffs), "unit axiom fails"),
+    "associativity": (
+        _m2_data(structure=_nonassociative_m2()), r"associativity fails .* at \(E"
+    ),
+    "grading": (_m2_data(parity=[0, 1, 0, 0]), "structure constants violate grading"),
+    "involutive": (_m2_data(involution=2 * M2.involution_matrix), "not involutive"),
+    "starFixesUnit": (_m2_data(involution=-M2.involution_matrix), "moves the unit"),
+    "starGrading": (
+        dict(
+            structure=G1.structure, parity=G1.parity, unit=G1.unit_coeffs,
+            involution=[[1, 0.5], [0, -1]],
+        ),
+        "involution violates grading",
+    ),
+    # entrywise conjugation is a homomorphism, not an antihomomorphism
+    "antihomomorphism": (
+        _m2_data(involution=np.eye(4)), r"not a graded antihomomorphism at \(E"
+    ),
+    "realizationUnit": (
+        _m2_data(rep_basis=2 * M2.rep_basis), "unit does not realize to identity"
+    ),
+    # transposed matrix units realize the opposite algebra
+    "realizationMultiplicative": (
+        _m2_data(rep_basis=M2.rep_basis.transpose(0, 2, 1)),
+        r"realization is not multiplicative at \(E",
+    ),
+}
+
+
+@pytest.mark.parametrize("axiom", list(BROKEN))
+def test_invalid_structure_rejected(axiom):
+    data, message = BROKEN[axiom]
+    with pytest.raises(AlgebraError, match=message):
+        Superalgebra(**data)
+
+
+def _pairwise_multiplicativity(src, p, tgt):
+    """Loop reference: P(e_i e_j) - (P e_i)(P e_j), one basis pair at a time."""
+    n = src.shape[0]
+    out = np.zeros((n, n, tgt.shape[0]), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = p @ src[i, j] - np.einsum("a,b,abk->k", p[:, i], p[:, j], tgt)
+    return out
+
+
+@pytest.mark.parametrize("alg", [M11, matrix_algebra(3, grading=(2, 1)), G3])
+def test_multiplicativity_defect_matches_pairwise_loop(alg):
+    rng = np.random.default_rng(5)
+    shape = (alg.dim, alg.dim)
+    p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    np.testing.assert_allclose(
+        multiplicativity_defect(alg.structure, p, alg.structure),
+        _pairwise_multiplicativity(alg.structure, p, alg.structure),
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("involution", [M11.involution_matrix, np.eye(4)])
+def test_antihomomorphism_defect_matches_pairwise_loop(involution):
+    # (e_i e_j)* - (-1)**(e_i e_j) e_j* e_i*, as validate computes it and
+    # one basis pair at a time
+    c, par = M11.structure, M11.parity
+    loop = np.zeros_like(c)
+    for i in range(4):
+        for j in range(4):
+            sign = -1 if par[i] and par[j] else 1
+            loop[i, j] = involution @ np.conj(c[i, j]) - sign * np.einsum(
+                "a,b,abk->k", involution[:, j], involution[:, i], c
+            )
+    got = multiplicativity_defect(np.conj(c), involution, M11.swapped_structure())
+    np.testing.assert_allclose(got, loop, atol=1e-12)
+
+
+def test_associativity_is_exact_beyond_dim_64():
+    # t1 t2 gains eps t3t4 and t2 t1 loses it: unit, grading and the star
+    # still hold, and only triples such as (t1, t2, t1) see the defect
+    base = direct_sum(grassmann_algebra(6), matrix_algebra(1))
+    assert base.dim == 65
+    bad = base.structure.copy()
+    bad[1, 2, 12] += 1e-3
+    bad[2, 1, 12] -= 1e-3
+    with pytest.raises(AlgebraError, match="associativity fails by 2.000e-03"):
+        Superalgebra(bad, base.parity, base.unit_coeffs, base.involution_matrix)
+
+
+AXIOMS = [
+    "unit", "associativity", "grading", "involutive", "starFixesUnit",
+    "starGrading", "antihomomorphism",
+]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [M3, matrix_algebra(3, grading=(2, 1)), grassmann_algebra(4),
+     tensor_algebra(M2, M3)],
+    ids=["M3", "M21", "G4", "M2xM3"],
+)
+def test_validate_returns_every_residual(alg):
+    residuals = alg.validate()
+    realized = ["realizationUnit", "realizationMultiplicative"]
+    assert list(residuals) == AXIOMS + (realized if alg.rep_basis is not None else [])
+    assert max(residuals.values()) <= STRUCTURE_TOL
+
+
+def test_grassmann6_builds_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        grassmann_algebra(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
 
 
 def test_mixed_parity_element_reports_none():

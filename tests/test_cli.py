@@ -128,3 +128,22 @@ def test_grassmann_routes_compared_below_ten_samples():
         rep = suites.grassmann_suite(seed=0, samples=5)
     assert via_alg.call_count >= 1
     assert rep.passed
+
+
+def test_grassmann_tol_gates_the_residual_checks():
+    rep = suites.grassmann_suite(seed=0, samples=5, tol=1e-6)
+    gated = {
+        "canonicalEvenWorkedBracket", "oddSelfBracket", "berezinRoutesAgree",
+        "g3StateIsDelta", "g3DensityOracle",
+    }
+    tols = {c.name: c.tolerance for c in rep.checks if c.name in gated}
+    assert tols == dict.fromkeys(gated, 1e-6)
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    suite = mock.Mock(wraps=SUITES["gns"])
+    with mock.patch.dict(SUITES, gns=suite):
+        code = main(["gns", "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert suite.call_count == 0
+    assert "ncsym: --out directory does not exist" in capsys.readouterr().err
