@@ -55,8 +55,9 @@ def bilinear(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix of b -> bilinear(t, a, b)."""
-    return np.einsum("a,abk->kb", a, t)
+    """Matrix of b -> bilinear(t, a, b); a stack of vectors ``a`` (..., dim)
+    gives the stack of their matrices."""
+    return np.einsum("...a,abk->...kb", a, t)
 
 
 def multiplicativity_defect(src: np.ndarray, p: np.ndarray, tgt: np.ndarray) -> np.ndarray:

@@ -35,13 +35,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import (
+    RANK_RTOL,
     greedy_independent,
-    lstsq_with_residual,
+    left_action,
     max_abs,
     multiplicativity_defect,
     numerical_rank,
 )
-from .algebra import AlgebraError, Element, Superalgebra, koszul_sign
+from .algebra import Element, Superalgebra, koszul_sign, koszul_signs
 
 # Residual threshold for the superderivation (graded Leibniz) condition.
 DERIVATION_TOL = 1e-10
@@ -102,27 +103,31 @@ class Derivation:
         return self + (-1.0) * other
 
 
+def leibniz_defect(
+    alg: Superalgebra, xs: np.ndarray, parity: int, j: int
+) -> np.ndarray:
+    """Block j of the graded Leibniz defect, X L_j - (-1)**(r e_j) L_j X -
+    L(X e_j) with L_j left multiplication by e_j, for each X in the stack
+    ``xs`` (q, dim, dim) of operators of parity r."""
+    lj = alg.structure[j].T
+    sign = koszul_sign(parity, int(alg.parity[j]))
+    return (xs @ lj - sign * (lj @ xs)) - left_action(alg.structure, xs[:, :, j])
+
+
 def check_superderivation(
     alg: Superalgebra, matrix: np.ndarray, parity: int, tol: float = DERIVATION_TOL
 ) -> tuple[bool, float]:
     """Check the graded Leibniz condition for an operator of declared parity.
 
     Returns (ok, residual).  The residual includes both the Leibniz defect
-    X mu(A) - (-1)**(r e_A) mu(A) X - mu(X(A)) over all basis elements A and
-    the grading defect (matrix entries that move between wrong parity
-    sectors).
+    of every block of :func:`leibniz_defect` and the grading defect (matrix
+    entries that move between wrong parity sectors).
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    xs = np.asarray(matrix, dtype=complex)[None]
     r = int(parity) % 2
-    worst = 0.0
-    for j in range(alg.dim):
-        lj = alg.structure[j].T  # left multiplication by e_j
-        sign = koszul_sign(r, int(alg.parity[j]))
-        lhs = matrix @ lj - sign * lj @ matrix
-        rhs = alg.left_mult_matrix(matrix[:, j])
-        worst = max(worst, max_abs(lhs - rhs))
+    worst = max(max_abs(leibniz_defect(alg, xs, r, j)) for j in range(alg.dim))
     bad = (alg.parity[:, None] != (alg.parity[None, :] + r) % 2)
-    worst = max(worst, max_abs(np.where(bad, matrix, 0.0)))
+    worst = max(worst, max_abs(np.where(bad, xs[0], 0.0)))
     return worst <= tol, worst
 
 
@@ -152,42 +157,33 @@ def lie_bracket(x: Derivation, y: Derivation) -> Derivation:
 def superderivation_dims(alg: Superalgebra) -> dict:
     """Dimensions of the even and odd superderivation spaces.
 
-    Solves the graded Leibniz condition as a linear system on operators with
-    the grading pattern of each parity.  For large ungraded algebras with a
-    spanning matrix realization the answer n**2 - 1 for M_n is used instead
-    of the (much bigger) solve; the route taken is reported.
+    Per parity, an orthonormal basis of grading-respecting operators is cut
+    down one Leibniz block e_j at a time: candidates the block sends to
+    exactly zero stay, the rest are replaced by the null space of their
+    (dim**2, q) block residual from an economy SVD.  All blocks share one
+    rank cutoff, ``RANK_RTOL`` times the largest singular value seen so far,
+    so a block that nearly vanishes is not ranked against its own roundoff.
+    Memory is O(dim**4): the candidates and one residual.
     """
     n = alg.dim
-    if n > 30 and alg.rep_basis is not None and not np.any(alg.parity):
-        nrep = alg.rep_basis.shape[1]
-        flat = alg.rep_basis.reshape(n, -1)
-        if n == nrep * nrep and numerical_rank(flat) == n:
-            # the realization is onto a full matrix algebra of matching
-            # dimension, so this is M_nrep up to isomorphism
-            return {"even": n - 1, "odd": 0, "route": "fullMatrix"}
     dims = {}
-    eye = np.eye(n)
-    lefts = [alg.left_mult_matrix(eye[:, j]) for j in range(n)]
     for r in (0, 1):
-        allowed = np.flatnonzero(
-            (alg.parity[:, None] == (alg.parity[None, :] + r) % 2).reshape(-1)
-        )
-        if allowed.size == 0:
-            dims[r] = 0
-            continue
-        blocks = []
+        rows, cols = np.nonzero(alg.parity[:, None] == (alg.parity[None, :] + r) % 2)
+        xs = np.zeros((rows.size, n, n), dtype=complex)
+        xs[np.arange(rows.size), rows, cols] = 1.0
+        scale = 0.0
         for j in range(n):
-            lj = lefts[j]
-            sign = koszul_sign(r, int(alg.parity[j]))
-            # vec(X Lj) - sign vec(Lj X) - vec(mu(X e_j)), row-major vec
-            mj = np.kron(eye, lj.T) - sign * np.kron(lj, eye)
-            bj = np.zeros((n * n, n * n), dtype=complex)
-            for k in range(n):
-                bj[:, k * n + j] = lefts[k].reshape(-1)
-            blocks.append((mj - bj)[:, allowed])
-        mat = np.vstack(blocks)
-        dims[r] = allowed.size - numerical_rank(mat)
-    return {"even": int(dims[0]), "odd": int(dims[1]), "route": "solver"}
+            res = leibniz_defect(alg, xs, r, j).reshape(len(xs), n * n)
+            live = np.any(res != 0, axis=1)
+            if not live.any():
+                continue
+            _, s, vh = np.linalg.svd(res[live].T, full_matrices=False)
+            scale = max(scale, s[0])
+            rank = int(np.sum(s > RANK_RTOL * scale))
+            kept = np.tensordot(vh[rank:].conj(), xs[live], axes=1)
+            xs = np.concatenate([xs[~live], kept])
+        dims[r] = len(xs)
+    return {"even": dims[0], "odd": dims[1]}
 
 
 def is_special(alg: Superalgebra) -> dict:
@@ -204,7 +200,6 @@ def is_special(alg: Superalgebra) -> dict:
             "center_dims": [len(z0), len(z1)],
             "superderivation_dims": None,
             "inner_dim": 0,
-            "route": "supercommutative",
             "supercommutative": True,
         }
         alg._special_cache = result
@@ -224,7 +219,6 @@ def is_special(alg: Superalgebra) -> dict:
         "center_dims": [len(z0), len(z1)],
         "superderivation_dims": [sder["even"], sder["odd"]],
         "inner_dim": inner_dim,
-        "route": sder["route"],
         "supercommutative": bool(alg.is_supercommutative),
     }
     alg._special_cache = result
@@ -262,7 +256,8 @@ class DerivationFamily:
                     raise CalculusError(
                         f"family member fails the derivation condition ({res:.3e})"
                     )
-        self._flat = np.array([x.matrix.reshape(-1) for x in self.members])
+        self.matrices = np.array([x.matrix for x in self.members])
+        self._flat = self.matrices.reshape(len(self.members), -1)
         if numerical_rank(self._flat) != len(self.members):
             raise CalculusError("family members are linearly dependent")
         self._pinv = np.linalg.pinv(self._flat.T)
@@ -287,10 +282,8 @@ class DerivationFamily:
 
     def expand(self, x: Derivation) -> tuple[np.ndarray, float]:
         """Coefficients of x over the family and the expansion residual."""
-        vec = x.matrix.reshape(-1)
-        coeffs = self._pinv @ vec
-        res = max_abs(self._flat.T @ coeffs - vec)
-        return coeffs, res
+        coeffs, res = self._expand_all(x.matrix[None])
+        return coeffs[0], res
 
     def expand_strict(self, x: Derivation, tol: float = EXPAND_TOL) -> np.ndarray:
         coeffs, res = self.expand(x)
@@ -299,36 +292,42 @@ class DerivationFamily:
         return coeffs
 
     def combination(self, coeffs: np.ndarray, parity: int) -> Derivation:
-        mat = np.tensordot(coeffs, np.array([x.matrix for x in self.members]), axes=1)
+        mat = np.tensordot(coeffs, self.matrices, axes=1)
         return Derivation(self.algebra, mat, parity)
+
+    def _expand_all(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
+        """Coefficients (k, m) of a stack of k operators over the family and
+        the worst expansion residual."""
+        flat = mats.reshape(len(mats), -1)
+        coeffs = flat @ self._pinv.T
+        return coeffs, max_abs(coeffs @ self._flat - flat)
 
     @property
     def bracket(self) -> np.ndarray:
         """Structure constants f[i, j, k] with [X_i, X_j] = sum_k f[i,j,k] X_k."""
         if self._bracket is None:
             m = len(self)
-            f = np.zeros((m, m, m), dtype=complex)
-            worst = 0.0
-            for i in range(m):
-                for j in range(m):
-                    br = lie_bracket(self.members[i], self.members[j])
-                    coeffs, res = self.expand(br)
-                    worst = max(worst, res)
-                    f[i, j] = coeffs
+            prod = np.einsum("iab,jbc->ijac", self.matrices, self.matrices)
+            sign = koszul_signs(self.parities, self.parities)[:, :, None, None]
+            comm = prod - sign * prod.transpose(1, 0, 2, 3)
+            coeffs, worst = self._expand_all(comm.reshape(m * m, -1))
             if worst > CLOSURE_TOL:
                 raise CalculusError(f"family is not bracket closed ({worst:.3e})")
-            self._bracket = f
+            self._bracket = coeffs.reshape(m, m, m)
         return self._bracket
 
     @property
     def star_matrix(self) -> np.ndarray:
         """S with X_i* = sum_j S[j, i] X_j (gated expansion)."""
         if self._star is None:
-            m = len(self)
-            s = np.zeros((m, m), dtype=complex)
-            for i in range(m):
-                s[:, i] = self.expand_strict(self.members[i].star())
-            self._star = s
+            inv = self.algebra.involution_matrix
+            stars = inv @ np.conj(self.matrices) @ np.conj(inv)
+            coeffs, worst = self._expand_all(stars)
+            if worst > EXPAND_TOL:
+                raise CalculusError(
+                    f"derivation lies outside the family by {worst:.3e}"
+                )
+            self._star = coeffs.T
         return self._star
 
 
@@ -354,6 +353,14 @@ def graded_permutation_sign(perm: tuple[int, ...], parities) -> int:
                     sign = -sign
                 seq[j], seq[j + 1] = b, a
     return sign
+
+
+def parity_sector(family: DerivationFamily, degree: int, parity: int) -> np.ndarray:
+    """Mask of the entries t[i_1, .., i_p, k] a cochain of this degree and
+    parity may have nonzero: e_k has parity parity + e_i1 + .. + e_ip."""
+    fp = family.parities
+    total = parity + sum(np.ix_(*[fp] * degree))
+    return (np.asarray(total)[..., None] + family.algebra.parity) % 2 == 0
 
 
 class Cochain:
@@ -404,14 +411,8 @@ class Cochain:
         return worst
 
     def _parity_residual(self) -> float:
-        fp = self.family.parities
-        alg = self.family.algebra
-        worst = 0.0
-        for idx in product(range(len(fp)), repeat=self.degree):
-            tot = (self.parity + sum(int(fp[i]) for i in idx)) % 2
-            vals = self.tensor[idx]
-            worst = max(worst, max_abs(vals[alg.parity != tot]))
-        return worst
+        sector = parity_sector(self.family, self.degree, self.parity)
+        return max_abs(np.where(sector, 0.0, self.tensor))
 
     # -- construction helpers
 
@@ -637,9 +638,7 @@ def random_cochain(
     if degree == 1:
         m = len(family)
         t = rng.standard_normal((m, alg.dim)) + 1j * rng.standard_normal((m, alg.dim))
-        for i in range(m):
-            tot = (parity + int(family.parities[i])) % 2
-            t[i, alg.parity != tot] = 0.0
+        t[~parity_sector(family, 1, parity)] = 0.0
         return Cochain(family, 1, parity, t)
     a = random_cochain(family, 1, 0, rng)
     b = random_cochain(family, degree - 1, parity, rng)

@@ -16,7 +16,7 @@ outcomes and simultaneously kills the interference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

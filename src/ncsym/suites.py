@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import max_abs
-from .algebra import grassmann_algebra, kron_element, matrix_algebra
+from .algebra import grassmann_algebra, matrix_algebra
 from .calculus import (
     AlgebraIsomorphism,
     DerivationFamily,
@@ -53,7 +53,6 @@ from .superclassical import (
     SuperPBMatrix,
     SuperFunction,
     berezin_integral,
-    element_from_superfunction,
     g3_unique_state,
     super_poisson,
     superfunction_from_element,
@@ -170,9 +169,8 @@ def calculus_suite(
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("calculus", seed, meta={"samples": samples})
-    # the calculus battery is defined over matrix2 and graded11; a matrix3
-    # request leaves it empty
-    cases = [c for c in _bracket_case_algebras(only) if c[0] != "matrix3"]
+    # by default the battery runs on matrix2 and graded11; matrix3 by name
+    cases = [c for c in _bracket_case_algebras(only) if only or c[0] != "matrix3"]
     for label, alg in cases:
         fam = DerivationFamily.inner_family(alg)
         worst = {

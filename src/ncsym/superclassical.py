@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import max_abs, rk4_step
 from .algebra import Element, Superalgebra, _shuffle_sign, grassmann_algebra
-from .states import State, StateError, cc_check, make_state
+from .states import StateError, cc_check, make_state
 
 SUPER_EPS = 1e-15
 FLOW_CONSERVATION_TOL = 1e-8

@@ -96,7 +96,7 @@ class SymplecticStructure:
         # i_Y omega = -d e_i for every basis element in one batch.  Y has the
         # parity of e_i since the form is even, and
         # (d e_i)(X_l) = (-1)**(e_l e_i) X_l(e_i).
-        mats = np.array([x.matrix for x in self.family.members])
+        mats = self.family.matrices
         basis_par = self.algebra.parity
         signs = koszul_signs(basis_par, self.family.parities)
         rhs = -(signs[:, :, None] * mats.transpose(2, 0, 1)).reshape(dim, m * dim)

@@ -1,11 +1,15 @@
 """Derivations, cochain calculus, flows: sign conventions pinned by hand."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from ncsym.algebra import grassmann_algebra, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
+    CalculusError,
     Cochain,
     DerivationFamily,
     check_superderivation,
@@ -62,13 +66,43 @@ def test_transpose_map_is_not_a_derivation():
 
 
 def test_superderivation_dimensions():
-    assert superderivation_dims(M2) == {"even": 3, "odd": 0, "route": "solver"}
+    assert superderivation_dims(M2) == {"even": 3, "odd": 0}
     dims = superderivation_dims(M11)
     assert dims["even"] == 1 and dims["odd"] == 2
     # Grassmann(2): even span {theta_a d_b}, odd span {d_a, top*d_a}
     g2 = grassmann_algebra(2)
     dims = superderivation_dims(g2)
     assert dims["even"] == 4 and dims["odd"] == 4
+    # closed forms: Der(M_n) = inner has dimension n**2 - 1; on M(p|q) the
+    # even part is p**2 + q**2 - 1 and the odd part 2pq; on G_k both parts
+    # are k 2**(k-1)
+    for n in (3, 4, 5):
+        assert superderivation_dims(matrix_algebra(n)) == {"even": n * n - 1, "odd": 0}
+    for p, q in ((2, 1), (2, 2)):
+        dims = superderivation_dims(matrix_algebra(p + q, grading=(p, q)))
+        assert dims == {"even": p * p + q * q - 1, "odd": 2 * p * q}
+    for k in (3, 4):
+        half = k * 2 ** (k - 1)
+        assert superderivation_dims(grassmann_algebra(k)) == {"even": half, "odd": half}
+
+
+def test_superderivations_of_m6_are_inner():
+    # Der(M_n) = inner (Dubois-Violette, Kerner & Madore 1990), solved for
+    # rather than assumed at dim 36
+    assert superderivation_dims(matrix_algebra(6)) == {"even": 35, "odd": 0}
+
+
+def test_superderivation_solve_memory_is_bounded():
+    # one Leibniz block at a time: the dense dim**3 x dim**2 system on M5
+    # alone would take about 300 MB
+    alg = matrix_algebra(5)
+    tracemalloc.start()
+    try:
+        superderivation_dims(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_is_special():
@@ -94,6 +128,32 @@ def test_family_expand_and_bracket_closure():
     np.testing.assert_allclose(rebuilt.matrix, d.matrix, atol=TOL)
     f = FAM2.bracket  # raises if not closed
     assert f.shape == (3, 3, 3)
+
+
+def test_family_bracket_and_star_match_pairwise_loop():
+    for alg in (matrix_algebra(3), matrix_algebra(3, grading=(2, 1))):
+        fam = DerivationFamily.inner_family(alg)
+        frame = np.array([x.matrix.reshape(-1) for x in fam.members]).T
+
+        def coeffs(x):
+            return np.linalg.lstsq(frame, x.matrix.reshape(-1), rcond=None)[0]
+
+        f = np.array([[coeffs(lie_bracket(x, y)) for y in fam.members] for x in fam.members])
+        s = np.array([coeffs(x.star()) for x in fam.members]).T
+        np.testing.assert_allclose(fam.bracket, f, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fam.star_matrix, s, rtol=0, atol=1e-12)
+
+
+def test_wrong_parity_sector_entry_is_rejected():
+    # an even 1-cochain sends the even member to the even sector only
+    even = int(np.flatnonzero(FAM11.parities == 0)[0])
+    odd_basis = int(np.flatnonzero(M11.parity == 1)[0])
+    t = np.zeros((len(FAM11), M11.dim), dtype=complex)
+    t[even, odd_basis] = 1.0
+    with pytest.raises(CalculusError, match="parity bookkeeping"):
+        Cochain(FAM11, 1, 0, t)
+    t[even, odd_basis] = 0.0
+    Cochain(FAM11, 1, 0, t)
 
 
 def test_derivation_star_of_inner():

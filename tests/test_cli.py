@@ -147,3 +147,10 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert suite.call_count == 0
     assert "ncsym: --out directory does not exist" in capsys.readouterr().err
+
+
+def test_calculus_battery_runs_on_an_explicit_matrix3():
+    rep = suites.calculus_suite(seed=0, samples=1, only="m3")
+    names = [c.name for c in rep.checks]
+    assert names and all(name.startswith("matrix3.") for name in names)
+    assert rep.passed
