@@ -57,7 +57,10 @@ def bilinear(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Matrix of b -> bilinear(t, a, b); a stack of vectors ``a`` (..., dim)
     gives the stack of their matrices."""
-    return np.einsum("...a,abk->...kb", a, t)
+    # one matmul against the (dim, dim*dim) unfolding: no per-call einsum
+    # path search, and no tensordot bookkeeping on a single vector
+    flat = a @ t.reshape(t.shape[0], -1)
+    return flat.reshape(a.shape[:-1] + t.shape[1:]).swapaxes(-1, -2)
 
 
 def multiplicativity_defect(src: np.ndarray, p: np.ndarray, tgt: np.ndarray) -> np.ndarray:

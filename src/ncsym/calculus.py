@@ -24,6 +24,14 @@ Sign conventions (all checked by the test suite):
 * exterior derivative: the usual alternating-sum formula with graded weights
   a_i = e_Xi (e_w + sum of earlier argument parities) on the action terms and
   b_ij = e_Xj (parities strictly between i and j) on the bracket terms.
+
+Sign tensors: ``exterior_derivative`` and ``wedge`` never loop over index
+tuples.  Each term is one contraction of whole tensors, moved into its
+argument slots, times a sign tensor built by broadcasting the family
+parities along the slot axes, e.g. (-1)**(a + a_i) for the action term in
+slot a.  The wedge signs depend on an index tuple only through its parity
+pattern, so each permutation gets a table over the 2**(p+q) patterns,
+filled by ``graded_permutation_sign`` and indexed by the family parities.
 """
 from __future__ import annotations
 
@@ -286,10 +294,7 @@ class DerivationFamily:
         return coeffs[0], res
 
     def expand_strict(self, x: Derivation, tol: float = EXPAND_TOL) -> np.ndarray:
-        coeffs, res = self.expand(x)
-        if res > tol:
-            raise CalculusError(f"derivation lies outside the family by {res:.3e}")
-        return coeffs
+        return self._expand_all_strict(x.matrix[None], tol)[0]
 
     def combination(self, coeffs: np.ndarray, parity: int) -> Derivation:
         mat = np.tensordot(coeffs, self.matrices, axes=1)
@@ -301,6 +306,16 @@ class DerivationFamily:
         flat = mats.reshape(len(mats), -1)
         coeffs = flat @ self._pinv.T
         return coeffs, max_abs(coeffs @ self._flat - flat)
+
+    def _expand_all_strict(
+        self, mats: np.ndarray, tol: float = EXPAND_TOL
+    ) -> np.ndarray:
+        """Coefficients (k, m) of a stack of operators over the family;
+        raises when the worst one lies outside the family by more than tol."""
+        coeffs, worst = self._expand_all(mats)
+        if worst > tol:
+            raise CalculusError(f"derivation lies outside the family by {worst:.3e}")
+        return coeffs
 
     @property
     def bracket(self) -> np.ndarray:
@@ -322,12 +337,7 @@ class DerivationFamily:
         if self._star is None:
             inv = self.algebra.involution_matrix
             stars = inv @ np.conj(self.matrices) @ np.conj(inv)
-            coeffs, worst = self._expand_all(stars)
-            if worst > EXPAND_TOL:
-                raise CalculusError(
-                    f"derivation lies outside the family by {worst:.3e}"
-                )
-            self._star = coeffs.T
+            self._star = self._expand_all_strict(stars).T
         return self._star
 
 
@@ -517,32 +527,47 @@ class Cochain:
         }
 
 
+def _slot_parities(family: DerivationFamily, slots: int) -> list[np.ndarray]:
+    """The family parities along each slot axis of a (m, .., m, dim) tensor
+    with ``slots`` argument axes; entry c broadcasts over every other axis."""
+    fp = family.parities
+    return [fp.reshape((1,) * c + (-1,) + (1,) * (slots - c)) for c in range(slots)]
+
+
+def _sign(exponent) -> np.ndarray:
+    """(-1)**exponent, elementwise."""
+    return 1.0 - 2.0 * (np.asarray(exponent) % 2)
+
+
 def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     """Graded wedge product; see the module docstring for the convention."""
     if alpha.family is not beta.family:
         raise CalculusError("wedge needs a common derivation family")
     fam = alpha.family
-    alg = fam.algebra
     p, q = alpha.degree, beta.degree
-    m = len(fam)
-    fp = fam.parities
-    out_par = (alpha.parity + beta.parity) % 2
-    t = np.zeros((m,) * (p + q) + (alg.dim,), dtype=complex)
-    norm = factorial(p) * factorial(q)
-    for idx in product(range(m), repeat=p + q):
-        pars = [int(fp[i]) for i in idx]
-        acc = np.zeros(alg.dim, dtype=complex)
-        for sigma in permutations(range(p + q)):
-            sign = graded_permutation_sign(sigma, pars)
-            if beta.parity % 2:
-                carry = sum(pars[sigma[j]] for j in range(p)) % 2
-                if carry:
-                    sign = -sign
-            aval = alpha.tensor[tuple(idx[sigma[j]] for j in range(p))]
-            bval = beta.tensor[tuple(idx[sigma[j]] for j in range(p, p + q))]
-            acc = acc + sign * alg.mul_coeffs(aval, bval)
-        t[idx] = acc / norm
-    return Cochain(fam, p + q, out_par, t, check=False)
+    n = p + q
+    # prod[j_1..j_p, l_1..l_q] = alpha(X_j..) beta(X_l..) in the algebra; the
+    # lower-degree factor meets the structure constants first, so no
+    # intermediate outgrows the product
+    a, b, c = alpha.tensor, beta.tensor, fam.algebra.structure
+    if p <= q:
+        prod = np.tensordot(np.tensordot(a, c, axes=(p, 0)), b, axes=(p, q))
+    else:
+        prod = np.tensordot(a, np.tensordot(c, b, axes=(1, q)), axes=(p, 0))
+    prod = np.moveaxis(prod, p, -1)
+    patterns = list(np.ndindex(*(2,) * n))
+    t = np.zeros_like(prod)
+    for sigma in permutations(range(n)):
+        table = np.empty((2,) * n)
+        for pars in patterns:
+            carry = beta.parity * sum(pars[sigma[j]] for j in range(p))
+            table[pars] = graded_permutation_sign(sigma, pars) * _sign(carry)
+        sign = table[np.ix_(*[fam.parities] * n)]
+        # axis j of prod holds argument sigma[j], so slot k reads axis
+        # sigma^-1(k)
+        t += sign[..., None] * prod.transpose(*np.argsort(sigma), n)
+    t /= factorial(p) * factorial(q)
+    return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 
 
 def lie_derivative(y: Derivation, target):
@@ -555,25 +580,16 @@ def lie_derivative(y: Derivation, target):
     fam = omega.family
     if y.algebra is not fam.algebra:
         raise CalculusError("derivation and cochain live on different algebras")
-    m = len(fam)
     p = omega.degree
-    b = np.zeros((m, m), dtype=complex)
-    for i, x in enumerate(fam.members):
-        b[:, i] = fam.expand_strict(lie_bracket(y, x))
+    # column i: family coefficients of [Y, X_i]
+    signs = koszul_signs([y.parity], fam.parities)[0][:, None, None]
+    brackets = y.matrix @ fam.matrices - (signs * fam.matrices) @ y.matrix
+    b = fam._expand_all_strict(brackets).T
     out = np.einsum("...a,ba->...b", omega.tensor, y.matrix)
-    fp = fam.parities
+    e = _slot_parities(fam, p)
     for j in range(p):
         tj = np.moveaxis(np.tensordot(b, omega.tensor, axes=(0, j)), 0, j)
-        if y.parity % 2:
-            # sign (-1)**(e_w + parities of the first j slots) per index tuple
-            exps = np.full((m,) * p, omega.parity, dtype=int)
-            for k in range(j):
-                shape = [1] * p
-                shape[k] = m
-                exps = exps + fp.reshape(shape)
-            signs = np.where(exps % 2 == 1, -1.0, 1.0)
-            tj = signs[..., None] * tj
-        out = out - tj
+        out = out - _sign(y.parity * (omega.parity + sum(e[:j]))) * tj
     return Cochain(fam, p, (omega.parity + y.parity) % 2, out, check=False)
 
 
@@ -589,29 +605,29 @@ def interior(x: Derivation, omega: Cochain) -> Cochain:
 
 
 def exterior_derivative(omega: Cochain) -> Cochain:
+    """The Chevalley-Eilenberg differential with the graded weights of the
+    module docstring: p+1 action terms and p(p+1)/2 bracket terms, each a
+    whole-tensor contraction moved into its slots and signed."""
     fam = omega.family
-    alg = fam.algebra
-    m = len(fam)
     p = omega.degree
-    fp = fam.parities
-    f = fam.bracket if p >= 1 else None
-    mats = [x.matrix for x in fam.members]
-    t = np.zeros((m,) * (p + 1) + (alg.dim,), dtype=complex)
-    for idx in product(range(m), repeat=p + 1):
-        pars = [int(fp[i]) for i in idx]
-        val = np.zeros(alg.dim, dtype=complex)
-        for a in range(p + 1):
-            rest = idx[:a] + idx[a + 1:]
-            ai = pars[a] * ((omega.parity + sum(pars[:a])) % 2)
-            sign = (-1) ** (a + ai)
-            val = val + sign * (mats[idx[a]] @ omega.tensor[rest])
-        for a in range(p + 1):
-            for bpos in range(a + 1, p + 1):
-                bij = pars[bpos] * (sum(pars[a + 1: bpos]) % 2)
-                sign = (-1) ** (bpos + bij)
-                slot = idx[:a] + (slice(None),) + idx[a + 1: bpos] + idx[bpos + 1:]
-                val = val + sign * (f[idx[a], idx[bpos]] @ omega.tensor[slot])
-        t[idx] = val
+    # the bracket table is built (once per family) before the output exists,
+    # so its temporaries never stack on it
+    f = fam.bracket if p else None
+    e = _slot_parities(fam, p + 1)
+    # act[i, j_1..j_p] = X_i(w(X_j1..X_jp)); in slot a it is the action term
+    act = np.moveaxis(np.tensordot(fam.matrices, omega.tensor, axes=(2, p)), 1, -1)
+    t = np.zeros((len(fam),) * (p + 1) + act.shape[-1:], dtype=complex)
+    for a in range(p + 1):
+        t += _sign(a + e[a] * (omega.parity + sum(e[:a]))) * np.moveaxis(act, 0, a)
+    del act
+    for a in range(p + 1):
+        for b in range(a + 1, p + 1):
+            # w([X_a, X_b], ..) with the other arguments in order
+            term = np.moveaxis(
+                np.tensordot(f, omega.tensor, axes=(2, a)), (0, 1), (a, b)
+            )
+            term *= _sign(b + e[b] * sum(e[a + 1:b]))
+            t += term
     return Cochain(fam, p + 1, omega.parity, t, check=False)
 
 
@@ -758,10 +774,9 @@ def pullback(
         if iso.source is not iso.target:
             raise CalculusError("need a source family for a non-automorphism")
         source_family = omega.family
-    m_src = len(source_family)
-    s = np.zeros((len(omega.family), m_src), dtype=complex)
-    for i, x in enumerate(source_family.members):
-        s[:, i] = omega.family.expand_strict(pushforward(iso, x))
+    # column i: coefficients of phi_* X_i over the target family
+    pushed = iso.matrix @ source_family.matrices @ iso.inverse_matrix
+    s = omega.family._expand_all_strict(pushed).T
     t = omega.tensor
     for ax in range(omega.degree):
         t = np.moveaxis(np.tensordot(s, t, axes=(0, ax)), 0, ax)

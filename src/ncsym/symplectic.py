@@ -179,9 +179,11 @@ def _commutator_cochain(
     for x in fam.members:
         if x.source is None:
             raise SymplecticError("canonical form needs an inner family")
-    return Cochain.from_function(
-        fam, 2, 0, lambda x, y: alg.supercommutator(x.source, y.source)
-    )
+    # [A, B] = sum_uv a_u b_v [e_u, e_v] for every pair of sources at once
+    sources = np.array([x.source.coeffs for x in fam.members])
+    comm = alg.structure - alg.swapped_structure()
+    t = np.tensordot(np.tensordot(sources, comm, axes=(1, 0)), sources, axes=(1, 1))
+    return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
 
 
 def canonical_form(

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ncsym.calculus import (
     superderivation_dims,
     wedge,
 )
+from ncsym.symplectic import quantum_form
 
 TOL = 1e-10
 
@@ -410,3 +413,141 @@ def test_pullback_of_differential_is_differential_of_pullback():
     lhs = pullback(phi, differential(FAM2, a))
     rhs = differential(FAM2, phi.apply_inverse(a))
     assert (lhs - rhs).norm() < 1e-9
+
+
+# -- reference oracles: the tuple-by-tuple loops the kernels replaced ----------
+
+
+def loop_exterior_derivative(omega):
+    fam = omega.family
+    alg = fam.algebra
+    m = len(fam)
+    p = omega.degree
+    fp = fam.parities
+    f = fam.bracket if p >= 1 else None
+    mats = [x.matrix for x in fam.members]
+    t = np.zeros((m,) * (p + 1) + (alg.dim,), dtype=complex)
+    for idx in product(range(m), repeat=p + 1):
+        pars = [int(fp[i]) for i in idx]
+        val = np.zeros(alg.dim, dtype=complex)
+        for a in range(p + 1):
+            rest = idx[:a] + idx[a + 1:]
+            ai = pars[a] * ((omega.parity + sum(pars[:a])) % 2)
+            sign = (-1) ** (a + ai)
+            val = val + sign * (mats[idx[a]] @ omega.tensor[rest])
+        for a in range(p + 1):
+            for bpos in range(a + 1, p + 1):
+                bij = pars[bpos] * (sum(pars[a + 1: bpos]) % 2)
+                sign = (-1) ** (bpos + bij)
+                slot = idx[:a] + (slice(None),) + idx[a + 1: bpos] + idx[bpos + 1:]
+                val = val + sign * (f[idx[a], idx[bpos]] @ omega.tensor[slot])
+        t[idx] = val
+    return t
+
+
+def loop_wedge(alpha, beta):
+    fam = alpha.family
+    alg = fam.algebra
+    p, q = alpha.degree, beta.degree
+    m = len(fam)
+    fp = fam.parities
+    t = np.zeros((m,) * (p + q) + (alg.dim,), dtype=complex)
+    norm = factorial(p) * factorial(q)
+    for idx in product(range(m), repeat=p + q):
+        pars = [int(fp[i]) for i in idx]
+        acc = np.zeros(alg.dim, dtype=complex)
+        for sigma in permutations(range(p + q)):
+            sign = graded_permutation_sign(sigma, pars)
+            if beta.parity % 2:
+                carry = sum(pars[sigma[j]] for j in range(p)) % 2
+                if carry:
+                    sign = -sign
+            aval = alpha.tensor[tuple(idx[sigma[j]] for j in range(p))]
+            bval = beta.tensor[tuple(idx[sigma[j]] for j in range(p, p + q))]
+            acc = acc + sign * alg.mul_coeffs(aval, bval)
+        t[idx] = acc / norm
+    return t
+
+
+ORACLE_ALGEBRAS = {
+    "M3": matrix_algebra(3),
+    "M1-1": M11,
+    "M2-1": matrix_algebra(3, grading=(2, 1)),
+}
+ORACLE_FAMILIES = {
+    name: DerivationFamily.inner_family(alg) for name, alg in ORACLE_ALGEBRAS.items()
+}
+
+
+def _parities(name):
+    return (0, 1) if np.any(ORACLE_ALGEBRAS[name].parity) else (0,)
+
+
+def _rel_gap(got, want):
+    scale = np.max(np.abs(want))
+    assert scale > 0.0, "the oracle value is zero, so the comparison checks nothing"
+    return np.max(np.abs(got - want)) / scale
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
+def test_exterior_derivative_matches_loop(name, degree):
+    fam = ORACLE_FAMILIES[name]
+    rng = np.random.default_rng(40 + degree)
+    for parity in _parities(name):
+        omega = random_cochain(fam, degree, parity, rng)
+        got = exterior_derivative(omega)
+        assert (got.degree, got.parity) == (degree + 1, parity)
+        assert _rel_gap(got.tensor, loop_exterior_derivative(omega)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, p, q",
+    [(name, p, q) for name in ORACLE_ALGEBRAS for p, q in ((0, 1), (1, 1), (1, 2), (2, 1))]
+    + [("M1-1", 2, 2)],
+)
+def test_wedge_matches_loop(name, p, q):
+    fam = ORACLE_FAMILIES[name]
+    rng = np.random.default_rng(50 + 3 * p + q)
+    for pa in _parities(name):
+        for pb in _parities(name):
+            alpha = random_cochain(fam, p, pa, rng)
+            beta = random_cochain(fam, q, pb, rng)
+            got = wedge(alpha, beta)
+            assert (got.degree, got.parity) == (p + q, (pa + pb) % 2)
+            assert _rel_gap(got.tensor, loop_wedge(alpha, beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["M3", "M1-1", "M2-1"])
+def test_quantum_form_is_scaled_commutator_table(name):
+    alg = ORACLE_ALGEBRAS[name]
+    hbar = 0.7
+    want = (-1j * hbar) * commutator_form(alg, ORACLE_FAMILIES[name]).tensor
+    assert np.array_equal(quantum_form(alg, hbar).omega.tensor, want)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_cochain_kernels_memory_is_a_small_multiple_of_the_output():
+    # d holds the output, the shared action contraction and one signed copy
+    # of it; wedge holds the output, the product tensor and one signed,
+    # permuted copy of it.  So each peaks near 3x the output; 4x leaves room
+    # for the inputs and the sign tensors, which are 1/(2 dim) of it.
+    fam = DerivationFamily.inner_family(matrix_algebra(5))
+    rng = np.random.default_rng(60)
+    omega = random_cochain(fam, 2, 0, rng)
+    alpha = random_cochain(fam, 1, 0, rng)
+    beta = random_cochain(fam, 2, 0, rng)
+    fam.bracket  # cached before tracing: part of the family, not of d
+    for fn in (lambda: exterior_derivative(omega), lambda: wedge(alpha, beta)):
+        out, peak = _traced_peak(fn)
+        assert out.tensor.shape == (24, 24, 24, 25)
+        assert peak <= 4 * out.tensor.nbytes

@@ -154,3 +154,23 @@ def test_calculus_battery_runs_on_an_explicit_matrix3():
     names = [c.name for c in rep.checks]
     assert names and all(name.startswith("matrix3.") for name in names)
     assert rep.passed
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_ungraded_calculus_battery_samples_even_wedge_factors(seed, samples):
+    # an odd 1-cochain on M3 is identically zero, so a wedge check drawn with
+    # an odd factor would compare zero with zero
+    rep = suites.calculus_suite(seed=seed, samples=samples, only="m3")
+    values = {c.name: c.value for c in rep.checks}
+    assert values["matrix3.wedgeLeibniz"] > 0.0
+    assert values["matrix3.pullbackWedge"] > 0.0
+
+
+@pytest.mark.parametrize("samples, ran", [(None, 4), (3, 3)])
+def test_verify_samples_reach_the_calculus_battery(samples, ran):
+    # each calculus sample makes five wedge calls of its own
+    with mock.patch.object(suites, "wedge", wraps=suites.wedge) as wedge:
+        rep = suites.verify_suite(seed=0, samples=samples, algebra="m2")
+    assert rep.passed
+    assert wedge.call_count == 5 * ran
