@@ -20,7 +20,9 @@ def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(a)
+    # a tall matrix needs no U beyond its column count; a wide one needs the
+    # full vh, whose extra rows span part of the null space
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(a.shape[1], dtype=complex)

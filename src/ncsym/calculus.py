@@ -31,11 +31,13 @@ argument slots, times a sign tensor built by broadcasting the family
 parities along the slot axes, e.g. (-1)**(a + a_i) for the action term in
 slot a.  The wedge signs depend on an index tuple only through its parity
 pattern, so each permutation gets a table over the 2**(p+q) patterns,
-filled by ``graded_permutation_sign`` and indexed by the family parities.
+filled by ``graded_permutation_sign`` once per (p, q, parity of the second
+factor) and indexed by the family parities on every call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
@@ -162,35 +164,152 @@ def lie_bracket(x: Derivation, y: Derivation) -> Derivation:
     return Derivation(x.algebra, mat, (x.parity + y.parity) % 2, src)
 
 
+def leibniz_system(
+    alg: Superalgebra, parity: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The stacked Leibniz system of parity r on the grading-respecting unit
+    candidates E_ab, as sparse entries ``(rows, cols, vals, q)``.
+
+    Row j dim**2 + k dim + l is entry (k, l) of block j of
+    :func:`leibniz_defect`, column c the c-th candidate (row-major in (a, b))
+    of the q candidates.  For E_ab, block j is
+
+        +d_ka c[j,l,b] - s_j c[j,a,k] d_lb - d_jb c[a,l,k],  s_j = (-1)**(r e_j),
+
+    so every entry comes from one nonzero structure constant and one free
+    index: assembly costs O(nnz dim).  The three terms are summed in that
+    order, as ``leibniz_defect`` sums them, and exact zeros are dropped.
+    """
+    n = alg.dim
+    r = int(parity) % 2
+    allowed = alg.parity[:, None] == (alg.parity[None, :] + r) % 2
+    cand = np.full((n, n), -1)
+    cand[allowed] = np.arange(np.count_nonzero(allowed))
+    i, j, k = np.nonzero(alg.structure)
+    v = alg.structure[i, j, k]
+    s = _sign(r * alg.parity)
+    t = np.arange(n)[:, None]  # the free index, against every nonzero
+    # (block, k, l), candidate (a, b), value; nonzero c[i, j, k] read as
+    # c[j,l,b], c[j,a,k] and c[a,l,k] in turn
+    terms = [
+        ((i, t, j), (t, k), v),
+        ((i, k, t), (j, t), -s[i] * v),
+        ((t, k, j), (i, t), -v),
+    ]
+    rows, cols, vals = [], [], []
+    for (bj, bk, bl), (a, b), val in terms:
+        col = cand[a, b]
+        keep = col >= 0
+        rows.append(((bj * n + bk) * n + bl)[keep])
+        cols.append(col[keep])
+        vals.append(np.broadcast_to(val, keep.shape)[keep])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    q = int(np.count_nonzero(allowed))
+    key, inv = np.unique(rows * q + cols, return_inverse=True)
+    total = np.zeros(key.size, dtype=complex)
+    np.add.at(total, inv, vals)
+    live = total != 0
+    return key[live] // q, key[live] % q, total[live], q
+
+
+# Largest dense block, in entries, formed at once by superderivation_dims;
+# taller components are folded into a triangular factor row chunk by chunk.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """Connected-component label of each of the q columns in the bipartite
+    graph of the entries, rows numbered from 0: min-label propagation, with
+    pointer jumping."""
+    label = np.arange(q)
+    while True:
+        row_min = np.full(rows.max(initial=-1) + 1, q)
+        np.minimum.at(row_min, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, row_min[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _block_singular_values(
+    comp: np.ndarray, lrow: np.ndarray, lcol: np.ndarray, vals: np.ndarray,
+    g: int, nr: int, nc: int,
+) -> np.ndarray:
+    """Singular values (g, min(nr, nc)) of g stacked (nr, nc) blocks given by
+    their entries (block, row, column, value).  A stack above
+    ``_BLOCK_ENTRIES`` is first folded, row chunk by chunk, into its
+    triangular factor, R <- qr([R; chunk]).R, which has the same singular
+    values."""
+    step = max(nc, _BLOCK_ENTRIES // (g * nc))
+    tri = np.zeros((g, 0, nc), dtype=complex)
+    for lo in range(0, nr, step):
+        hi = min(lo + step, nr)
+        sel = (lrow >= lo) & (lrow < hi)
+        chunk = np.zeros((g, hi - lo, nc), dtype=complex)
+        chunk[comp[sel], lrow[sel] - lo, lcol[sel]] = vals[sel]
+        if hi - lo == nr:
+            return np.linalg.svd(chunk, compute_uv=False)
+        tri = np.linalg.qr(np.concatenate([tri, chunk], axis=1), mode="r")
+    return np.linalg.svd(tri, compute_uv=False)
+
+
+def _local_index(comp: np.ndarray) -> np.ndarray:
+    """Position of each item among the items of its component, in order."""
+    order = np.argsort(comp, kind="stable")
+    ranked = comp[order]
+    local = np.empty(comp.size, dtype=int)
+    local[order] = np.arange(comp.size) - np.searchsorted(ranked, ranked)
+    return local
+
+
 def superderivation_dims(alg: Superalgebra) -> dict:
     """Dimensions of the even and odd superderivation spaces.
 
-    Per parity, an orthonormal basis of grading-respecting operators is cut
-    down one Leibniz block e_j at a time: candidates the block sends to
-    exactly zero stay, the rest are replaced by the null space of their
-    (dim**2, q) block residual from an economy SVD.  All blocks share one
-    rank cutoff, ``RANK_RTOL`` times the largest singular value seen so far,
-    so a block that nearly vanishes is not ranked against its own roundoff.
-    Memory is O(dim**4): the candidates and one residual.
+    Per parity r, the superderivations are the null space of the stacked
+    Leibniz system of :func:`leibniz_system`: every block e_j of the defect,
+    on every grading-respecting unit candidate E_ab.  Permuted, that system
+    is block diagonal: the connected components of its bipartite (equation,
+    candidate) graph are independent subsystems (Pothen & Fan, ACM TOMS 16
+    (1990) 303).  Components of equal shape are stacked, at most
+    ``_BLOCK_ENTRIES`` entries at a time, and their singular values taken
+    in one batched SVD.  All ranks use one cutoff, ``RANK_RTOL`` times the
+    largest singular value over all components, which is the stacked
+    system's own cutoff: the singular values of a block-diagonal matrix are
+    the union of its blocks'.  The dimension is the number of candidates
+    minus that rank.  A dense algebra forms one component of up to dim**3
+    rows, folded into a triangular factor chunk by chunk, so memory stays
+    O(dim**4).
     """
-    n = alg.dim
     dims = {}
     for r in (0, 1):
-        rows, cols = np.nonzero(alg.parity[:, None] == (alg.parity[None, :] + r) % 2)
-        xs = np.zeros((rows.size, n, n), dtype=complex)
-        xs[np.arange(rows.size), rows, cols] = 1.0
-        scale = 0.0
-        for j in range(n):
-            res = leibniz_defect(alg, xs, r, j).reshape(len(xs), n * n)
-            live = np.any(res != 0, axis=1)
-            if not live.any():
-                continue
-            _, s, vh = np.linalg.svd(res[live].T, full_matrices=False)
-            scale = max(scale, s[0])
-            rank = int(np.sum(s > RANK_RTOL * scale))
-            kept = np.tensordot(vh[rank:].conj(), xs[live], axes=1)
-            xs = np.concatenate([xs[~live], kept])
-        dims[r] = len(xs)
+        rows, cols, vals, q = leibniz_system(alg, r)
+        _, rows = np.unique(rows, return_inverse=True)
+        _, comp = np.unique(_components(rows, cols, q), return_inverse=True)
+        ecomp = comp[cols]
+        row_comp = np.zeros(rows.max(initial=-1) + 1, dtype=int)
+        row_comp[rows] = ecomp
+        ncomp = comp.max(initial=-1) + 1
+        nr = np.bincount(row_comp, minlength=ncomp)
+        nc = np.bincount(comp, minlength=ncomp)
+        lrow, lcol = _local_index(row_comp)[rows], _local_index(comp)[cols]
+        svals = [np.zeros(0)]
+        # candidates no equation touches (no rows) add nothing to the rank
+        for h, w in np.unique(np.stack([nr, nc])[:, nr > 0], axis=1).T:
+            members = np.flatnonzero((nr == h) & (nc == w))
+            pos = np.full(ncomp, -1)
+            pos[members] = np.arange(members.size)
+            epos = pos[ecomp]
+            per = max(1, _BLOCK_ENTRIES // (h * w))
+            for b0 in range(0, members.size, per):
+                sel = (epos >= b0) & (epos < b0 + per)
+                g = min(per, members.size - b0)
+                svals.append(_block_singular_values(
+                    epos[sel] - b0, lrow[sel], lcol[sel], vals[sel], g, h, w
+                ).reshape(-1))
+        s = np.concatenate(svals)
+        dims[r] = q - int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))
     return {"even": dims[0], "odd": dims[1]}
 
 
@@ -199,6 +318,12 @@ def is_special(alg: Superalgebra) -> dict:
     scalars and every superderivation is inner.  Checked by comparing the
     superderivation-space dimension with dim - 1; returns an evidence dict.
     """
+    return _special_evidence(alg)[0]
+
+
+def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]:
+    """:func:`is_special`'s evidence dict and the inner family it counted
+    (None on a supercommutative algebra), both computed once per algebra."""
     if getattr(alg, "_special_cache", None) is not None:
         return alg._special_cache
     z0, z1 = alg.graded_center()
@@ -210,8 +335,8 @@ def is_special(alg: Superalgebra) -> dict:
             "inner_dim": 0,
             "supercommutative": True,
         }
-        alg._special_cache = result
-        return result
+        alg._special_cache = (result, None)
+        return alg._special_cache
     sder = superderivation_dims(alg)
     fam = DerivationFamily.inner_family(alg)
     inner_dim = len(fam)
@@ -229,8 +354,8 @@ def is_special(alg: Superalgebra) -> dict:
         "inner_dim": inner_dim,
         "supercommutative": bool(alg.is_supercommutative),
     }
-    alg._special_cache = result
-    return result
+    alg._special_cache = (result, fam)
+    return alg._special_cache
 
 
 # -- derivation families ------------------------------------------------------
@@ -321,14 +446,17 @@ class DerivationFamily:
     def bracket(self) -> np.ndarray:
         """Structure constants f[i, j, k] with [X_i, X_j] = sum_k f[i,j,k] X_k."""
         if self._bracket is None:
-            m = len(self)
-            prod = np.einsum("iab,jbc->ijac", self.matrices, self.matrices)
+            mats = self.matrices
             sign = koszul_signs(self.parities, self.parities)[:, :, None, None]
-            comm = prod - sign * prod.transpose(1, 0, 2, 3)
-            coeffs, worst = self._expand_all(comm.reshape(m * m, -1))
+            f = np.empty((len(self),) * 3, dtype=complex)
+            worst = 0.0
+            # one X_i at a time: its m commutators, m dim**2 entries
+            for i, x in enumerate(mats):
+                f[i], res = self._expand_all(x @ mats - sign[i] * (mats @ x))
+                worst = max(worst, res)
             if worst > CLOSURE_TOL:
                 raise CalculusError(f"family is not bracket closed ({worst:.3e})")
-            self._bracket = coeffs.reshape(m, m, m)
+            self._bracket = f
         return self._bracket
 
     @property
@@ -539,6 +667,24 @@ def _sign(exponent) -> np.ndarray:
     return 1.0 - 2.0 * (np.asarray(exponent) % 2)
 
 
+@lru_cache(maxsize=None)
+def _wedge_sign_tables(p: int, q: int, beta_parity: int) -> tuple:
+    """For each permutation sigma of the p + q wedge arguments: the axis
+    order that puts argument k in slot k (axis j of the product tensor holds
+    argument sigma[j], so slot k reads axis sigma^-1(k)), and the wedge sign
+    as a read-only table over the 2**(p+q) argument parity patterns."""
+    n = p + q
+    out = []
+    for sigma in permutations(range(n)):
+        table = np.empty((2,) * n)
+        for pars in np.ndindex(*(2,) * n):
+            carry = beta_parity * sum(pars[sigma[j]] for j in range(p))
+            table[pars] = graded_permutation_sign(sigma, pars) * _sign(carry)
+        table.setflags(write=False)
+        out.append((tuple(np.argsort(sigma)), table))
+    return tuple(out)
+
+
 def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     """Graded wedge product; see the module docstring for the convention."""
     if alpha.family is not beta.family:
@@ -555,17 +701,10 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     else:
         prod = np.tensordot(a, np.tensordot(c, b, axes=(1, q)), axes=(p, 0))
     prod = np.moveaxis(prod, p, -1)
-    patterns = list(np.ndindex(*(2,) * n))
     t = np.zeros_like(prod)
-    for sigma in permutations(range(n)):
-        table = np.empty((2,) * n)
-        for pars in patterns:
-            carry = beta.parity * sum(pars[sigma[j]] for j in range(p))
-            table[pars] = graded_permutation_sign(sigma, pars) * _sign(carry)
+    for axes, table in _wedge_sign_tables(p, q, beta.parity):
         sign = table[np.ix_(*[fam.parities] * n)]
-        # axis j of prod holds argument sigma[j], so slot k reads axis
-        # sigma^-1(k)
-        t += sign[..., None] * prod.transpose(*np.argsort(sigma), n)
+        t += sign[..., None] * prod.transpose(*axes, n)
     t /= factorial(p) * factorial(q)
     return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 

@@ -40,7 +40,7 @@ from .calculus import (
     Derivation,
     DerivationFamily,
     exterior_derivative,
-    is_special,
+    _special_evidence,
 )
 
 CLOSED_TOL = 1e-10
@@ -169,13 +169,13 @@ def _commutator_cochain(
     alg: Superalgebra, family: DerivationFamily | None
 ) -> Cochain:
     """The 2-cochain (D_A, D_B) -> [A, B] on a special algebra."""
-    info = is_special(alg)
+    info, inner = _special_evidence(alg)
     if not info["special"]:
         raise SymplecticError(
             "algebra is not special (trivial graded center + all "
             f"superderivations inner); evidence: {info}"
         )
-    fam = family if family is not None else DerivationFamily.inner_family(alg)
+    fam = family if family is not None else inner
     for x in fam.members:
         if x.source is None:
             raise SymplecticError("canonical form needs an inner family")

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncsym._linalg import multiplicativity_defect
+from ncsym._linalg import multiplicativity_defect, nullspace
 from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
@@ -303,6 +303,30 @@ def test_grassmann6_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 100e6
+
+
+@pytest.mark.parametrize("shape, rank", [((40, 6), 4), ((3, 6), 3)], ids=["tall", "wide"])
+def test_nullspace_of_tall_and_wide_matrices(shape, rank):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    basis = nullspace(a)
+    assert basis.shape == (shape[1], shape[1] - rank)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(shape[1] - rank), atol=1e-12)
+    assert np.abs(a @ basis).max() <= 1e-12
+
+
+def test_graded_center_of_m7_needs_no_dim4_matrix():
+    # the (dim**2, dim) center system needs no dim**2 x dim**2 U factor,
+    # which alone is 92 MB at dim 49
+    alg = matrix_algebra(7)
+    tracemalloc.start()
+    try:
+        z0, z1 = alg.graded_center()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(z0), len(z1)) == (1, 0)
+    assert peak <= 8 * 2**20
 
 
 def test_mixed_parity_element_reports_none():

@@ -8,7 +8,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from ncsym.algebra import grassmann_algebra, matrix_algebra
+from ncsym import calculus
+from ncsym.algebra import Superalgebra, grassmann_algebra, matrix_algebra, tensor_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
     CalculusError,
@@ -21,6 +22,8 @@ from ncsym.calculus import (
     inner_derivation,
     interior,
     is_special,
+    leibniz_defect,
+    leibniz_system,
     lie_bracket,
     lie_derivative,
     pullback,
@@ -84,9 +87,13 @@ def test_superderivation_dimensions():
     for p, q in ((2, 1), (2, 2)):
         dims = superderivation_dims(matrix_algebra(p + q, grading=(p, q)))
         assert dims == {"even": p * p + q * q - 1, "odd": 2 * p * q}
-    for k in (3, 4):
+    for n in (7, 8):
+        assert superderivation_dims(matrix_algebra(n)) == {"even": n * n - 1, "odd": 0}
+    for k in (3, 4, 5, 6):
         half = k * 2 ** (k - 1)
         assert superderivation_dims(grassmann_algebra(k)) == {"even": half, "odd": half}
+    m2m3 = tensor_algebra(matrix_algebra(2), matrix_algebra(3))
+    assert superderivation_dims(m2m3) == {"even": 35, "odd": 0}
 
 
 def test_superderivations_of_m6_are_inner():
@@ -95,17 +102,71 @@ def test_superderivations_of_m6_are_inner():
     assert superderivation_dims(matrix_algebra(6)) == {"even": 35, "odd": 0}
 
 
+def dense_basis(alg, seed):
+    """``alg`` in a random basis e'_i = sum_a P[a, i] e_a: the same algebra,
+    with every structure constant nonzero."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((alg.dim,) * 2) + 1j * rng.standard_normal((alg.dim,) * 2)
+    pinv = np.linalg.inv(p)
+    c = np.einsum("ai,bj,abk,lk->ijl", p, p, alg.structure, pinv)
+    star = pinv @ alg.involution_matrix @ np.conj(p)
+    return Superalgebra(c, alg.parity, pinv @ alg.unit_coeffs, star)
+
+
+DENSE_M3 = dense_basis(matrix_algebra(3), 0)
+SOLVE_ALGEBRAS = {
+    "M3": matrix_algebra(3),
+    "M2-1": matrix_algebra(3, grading=(2, 1)),
+    "G3": grassmann_algebra(3),
+    "denseM3": DENSE_M3,
+}
+
+
+@pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
+def test_sparse_leibniz_system_equals_the_dense_defect_stack(alg):
+    n = alg.dim
+    for r in (0, 1):
+        rows, cols = np.nonzero(alg.parity[:, None] == (alg.parity[None, :] + r) % 2)
+        xs = np.zeros((rows.size, n, n), dtype=complex)
+        xs[np.arange(rows.size), rows, cols] = 1.0
+        dense = np.concatenate([
+            leibniz_defect(alg, xs, r, j).reshape(rows.size, n * n).T for j in range(n)
+        ])
+        i, j, v, q = leibniz_system(alg, r)
+        assert q == rows.size and np.all(v != 0)
+        sparse = np.zeros((n**3, q), dtype=complex)
+        sparse[i, j] = v
+        assert np.array_equal(sparse, dense)
+
+
+def test_dense_basis_superderivations_are_inner():
+    assert np.count_nonzero(DENSE_M3.structure) == 9**3
+    assert superderivation_dims(DENSE_M3) == {"even": 8, "odd": 0}
+
+
+@pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
+def test_chunked_reduction_keeps_the_dimensions(alg, monkeypatch):
+    # a tiny block budget folds every component's rows into a triangular
+    # factor, chunk by chunk, before its SVD
+    want = superderivation_dims(alg)
+    monkeypatch.setattr(calculus, "_BLOCK_ENTRIES", 8)
+    assert superderivation_dims(alg) == want
+
+
 def test_superderivation_solve_memory_is_bounded():
-    # one Leibniz block at a time: the dense dim**3 x dim**2 system on M5
-    # alone would take about 300 MB
-    alg = matrix_algebra(5)
-    tracemalloc.start()
-    try:
-        superderivation_dims(alg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    # assembled sparsely and solved component by component, no block
+    # larger than _BLOCK_ENTRIES
+    for alg, bound_mb in ((matrix_algebra(5), 8), (grassmann_algebra(6), 32), (DENSE_M3, 8)):
+        _, peak = _traced_peak(lambda: superderivation_dims(alg))
+        assert peak <= bound_mb * 2**20
+
+
+def test_family_bracket_memory_is_bounded():
+    # one member's commutators at a time, never the (m, m, dim, dim) products
+    fam = DerivationFamily.inner_family(matrix_algebra(5))
+    f, peak = _traced_peak(lambda: fam.bracket)
+    assert f.shape == (24, 24, 24)
+    assert peak <= 5 * 2**20
 
 
 def test_is_special():
@@ -170,6 +231,20 @@ def test_derivation_star_of_inner():
             lhs = inner_derivation(alg, a).star()
             rhs = (-1.0) * inner_derivation(alg, a.star())
             np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-10)
+
+
+def test_wedge_sign_tables_are_built_once_per_degrees_and_parity(monkeypatch):
+    calls = []
+    sign = calculus.graded_permutation_sign
+    monkeypatch.setattr(
+        calculus, "graded_permutation_sign", lambda *a: calls.append(a) or sign(*a)
+    )
+    calculus._wedge_sign_tables.cache_clear()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        wedge(random_cochain(FAM11, 1, 0, rng), random_cochain(FAM11, 1, 1, rng))
+    # 2! permutations times 2**2 parity patterns, for the first wedge only
+    assert len(calls) == 8
 
 
 def test_graded_permutation_sign():

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+importing the package pulls in no heavy optional module."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,18 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # scipy.sparse costs tens of ms of import time and MBs of memory; the
+    # package needs none of it, so a fresh interpreter must not load it
+    code = (
+        "import sys, ncsym, ncsym.suites\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -53,6 +53,23 @@ def test_canonical_form_rejects_non_special():
         canonical_form(grassmann_algebra(2))
 
 
+def test_quantum_form_reuses_the_inner_family_is_special_built(monkeypatch):
+    build = DerivationFamily.inner_family.__func__
+    calls = []
+
+    def counted(cls, alg):
+        calls.append(alg)
+        return build(cls, alg)
+
+    monkeypatch.setattr(DerivationFamily, "inner_family", classmethod(counted))
+    alg = matrix_algebra(3, grading=(2, 1))
+    ss = quantum_form(alg, HBAR)
+    assert len(calls) == 1
+    ref = build(DerivationFamily, alg)
+    assert np.array_equal(ss.family.matrices, ref.matrices)
+    assert list(ss.family.parities) == list(ref.parities)
+
+
 def test_hamiltonian_derivation_under_commutator_form():
     # i_{Y_A} omega_c = -dA has the solution Y_A = D_A
     rng = np.random.default_rng(41)
