@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -553,19 +553,6 @@ class Cochain:
         return max_abs(np.where(sector, 0.0, self.tensor))
 
     # -- construction helpers
-
-    @classmethod
-    def from_function(
-        cls, family: DerivationFamily, degree: int, parity: int, fn, check: bool = True
-    ) -> "Cochain":
-        """Tabulate ``fn(members...) -> Element`` on every index tuple."""
-        m = len(family)
-        dim = family.algebra.dim
-        t = np.zeros((m,) * degree + (dim,), dtype=complex)
-        for idx in product(range(m), repeat=degree):
-            val = fn(*(family.members[i] for i in idx))
-            t[idx] = val.coeffs if isinstance(val, Element) else np.asarray(val)
-        return cls(family, degree, parity, t, check=check)
 
     @classmethod
     def zero(cls, family: DerivationFamily, degree: int, parity: int) -> "Cochain":

@@ -71,6 +71,9 @@ def main(argv=None) -> int:
         print(f"ncsym: --out directory does not exist: {Path(args.out).parent}",
               file=sys.stderr)
         return 2
+    if args.out and Path(args.out).is_dir():
+        print(f"ncsym: --out is a directory: {args.out}", file=sys.stderr)
+        return 2
     if args.suite == "verify" and args.algebra != "all":
         kwargs["algebra"] = args.algebra
     if args.suite == "stern-gerlach":

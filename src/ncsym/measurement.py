@@ -23,8 +23,9 @@ from scipy.linalg import expm
 
 from .algebra import _basis_vec, kron_element, matrix_algebra
 from .coupling import ProductStructure, evolve_functional, quantum_factor
-from .moyal import PhasePolynomial, classical_pb, moyal_bracket, star
+from .moyal import moyal_bracket, star
 from .states import PObVM, make_state
+from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
 
 SUPPRESSION_SERIES_CUT = 1e-8
 CROSSCHECK_TOL = 1e-6
@@ -307,8 +308,8 @@ def matrix_apparatus_crosscheck(
 def hybrid_interaction_bracket(
     fmat: np.ndarray,
     amat: np.ndarray,
-    kpoly: PhasePolynomial,
-    jpoly: PhasePolynomial,
+    kpoly: SuperFunction,
+    jpoly: SuperFunction,
     hbar: float,
     route: str = "star",
 ) -> np.ndarray:
@@ -330,7 +331,7 @@ def hybrid_interaction_bracket(
         pol_br = moyal_bracket(kpoly, jpoly, hbar)
     elif route == "classical":
         pol_sym = kpoly * jpoly
-        pol_br = classical_pb(kpoly, jpoly)
+        pol_br = super_poisson(kpoly, jpoly, SuperPBMatrix.canonical_even(1))
     else:
         raise MeasurementError(f"unknown route {route!r}")
     n = fmat.shape[0]

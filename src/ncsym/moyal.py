@@ -1,29 +1,34 @@
 """Deformation quantization on flat two-dimensional phase space.
 
-Three independent computational routes live here:
+Phase space polynomials are ``SuperFunction(2, 0)`` objects: coordinate 0
+is x and coordinate 1 is p (``variables(2, 0)``).  The series star product
+below is exact to all orders because derivatives terminate; the
+``moyal-limit`` suite certifies it.  Two further routes live here, the
+Wigner transform of sampled wave functions (with the phase space measure
+dx dp / (2 pi hbar), so a pure state has an idempotent symbol) and a
+direct double quadrature of the star product integral kernel for rapidly
+decaying functions; ``tests/test_moyal.py`` cross-checks them against
+the series.
 
-* a graded series star product on polynomials in (x, p), exact to all
-  orders because derivatives terminate;
-* the Wigner transform of sampled wave functions, with the phase space
-  measure dx dp / (2 pi hbar), so a pure state has an idempotent symbol;
-* a direct double-quadrature of the star product integral kernel for
-  rapidly decaying functions.
-
-Series convention: f * g = sum_k hbar**k T_k(f, g) with
+Series convention (Groenewold 1946, Moyal 1949): f * g = sum_k hbar**k
+T_k(f, g) with
 
     T_k = (1/k!) (i/2)**k sum_j C(k, j) (-1)**j
           (dx**(k-j) dp**j f) (dp**(k-j) dx**j g),
 
-so T_0 = fg and T_1 = -(i/2){f, g} with {f, g} = f_p g_x - f_x g_p
-(that sign makes {p, x} = 1, matching the operator bracket convention
-{A, B} = (i/hbar)[A, B]).
+so T_0 = fg and T_1 = -(i/2){f, g} with {f, g} = f_p g_x - f_x g_p, the
+``SuperPBMatrix.canonical_even(1)`` bracket (that sign makes {p, x} = 1,
+matching the operator bracket convention {A, B} = (i/hbar)[A, B]).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb, factorial
+from dataclasses import dataclass
+from functools import lru_cache
+from math import comb, factorial, isfinite, perm
 
 import numpy as np
+
+from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
 
 MOYAL_SERIES_TOL = 1e-10
 WIGNER_NORMALIZATION_TOL = 1e-3
@@ -34,138 +39,63 @@ class MoyalError(ValueError):
     pass
 
 
-@dataclass
-class PhasePolynomial:
-    """Sparse polynomial in one pair of phase space variables."""
-
-    terms: dict[tuple[int, int], complex] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for (a, b), c in self.terms.items():
-            if abs(c) > 1e-15:
-                clean[(int(a), int(b))] = complex(c)
-        self.terms = clean
-
-    @classmethod
-    def scalar(cls, value: complex) -> "PhasePolynomial":
-        return cls({(0, 0): value})
-
-    @classmethod
-    def x(cls) -> "PhasePolynomial":
-        return cls({(1, 0): 1.0})
-
-    @classmethod
-    def p(cls) -> "PhasePolynomial":
-        return cls({(0, 1): 1.0})
-
-    @property
-    def degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=0)
-
-    def norm(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def coefficient(self, a: int, b: int) -> complex:
-        return self.terms.get((a, b), 0.0 + 0.0j)
-
-    def __add__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            other = PhasePolynomial.scalar(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PhasePolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            other = PhasePolynomial.scalar(other)
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            return PhasePolynomial({k: c * other for k, c in self.terms.items()})
-        out: dict[tuple[int, int], complex] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return PhasePolynomial(out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def conjugate(self) -> "PhasePolynomial":
-        return PhasePolynomial({k: np.conj(c) for k, c in self.terms.items()})
-
-    def dx(self) -> "PhasePolynomial":
-        out = {}
-        for (a, b), c in self.terms.items():
-            if a:
-                out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
-        return PhasePolynomial(out)
-
-    def dp(self) -> "PhasePolynomial":
-        out = {}
-        for (a, b), c in self.terms.items():
-            if b:
-                out[(a, b - 1)] = out.get((a, b - 1), 0.0) + b * c
-        return PhasePolynomial(out)
-
-    def evaluate(self, x, p):
-        x = np.asarray(x)
-        p = np.asarray(p)
-        total = np.zeros(np.broadcast(x, p).shape, dtype=complex)
-        for (a, b), c in self.terms.items():
-            total = total + c * (x**a) * (p**b)
-        return total
+def _degree(f: SuperFunction) -> int:
+    """Total degree of a phase space polynomial; rejects anything else."""
+    if not isinstance(f, SuperFunction) or (f.m, f.n) != (2, 0):
+        raise MoyalError("the star product acts on SuperFunction(2, 0) polynomials")
+    return max((sum(exps) for exps, _ in f.terms), default=0)
 
 
-def classical_pb(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """{f, g} = f_p g_x - f_x g_p (so that {p, x} = 1)."""
-    return f.dp() * g.dx() - f.dx() * g.dp()
-
-
-def star_terms(f: PhasePolynomial, g: PhasePolynomial) -> list[PhasePolynomial]:
-    """All hbar-order terms of the series star product (finitely many)."""
-    kmax = min(f.degree, g.degree)
+@lru_cache(maxsize=4096)
+def _pair_weights(a1: int, b1: int, a2: int, b2: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (k, weight) of x^a1 p^b1 * x^a2 p^b2: its order-k term
+    is weight (i/2)**k / k! x^(a1+a2-k) p^(b1+b2-k), with the integer
+    weight sum_j C(k, j) (-1)**j (a1)_(k-j) (b1)_j (b2)_(k-j) (a2)_j and
+    (n)_r the falling factorial."""
     out = []
-    for k in range(kmax + 1):
-        acc = PhasePolynomial({})
-        for j in range(k + 1):
-            df = f
-            for _ in range(k - j):
-                df = df.dx()
-            for _ in range(j):
-                df = df.dp()
-            dg = g
-            for _ in range(k - j):
-                dg = dg.dp()
-            for _ in range(j):
-                dg = dg.dx()
-            acc = acc + ((-1) ** j * comb(k, j)) * (df * dg)
-        out.append(((0.5j) ** k / factorial(k)) * acc)
+    for k in range(min(a1, b2) + min(b1, a2) + 1):
+        weight = sum(
+            (-1) ** j * comb(k, j) * perm(a1, k - j) * perm(b1, j)
+            * perm(b2, k - j) * perm(a2, j)
+            for j in range(k + 1)
+        )
+        if weight:
+            out.append((k, weight))
+    return tuple(out)
+
+
+def star_terms(f: SuperFunction, g: SuperFunction) -> list[SuperFunction]:
+    """All hbar-order terms of the series star product (finitely many),
+    from one pass over pairs of monomials."""
+    orders = [{} for _ in range(min(_degree(f), _degree(g)) + 1)]
+    for ((a1, b1), _), c1 in f.terms.items():
+        for ((a2, b2), _), c2 in g.terms.items():
+            for k, weight in _pair_weights(a1, b1, a2, b2):
+                key = ((a1 + a2 - k, b1 + b2 - k), 0)
+                orders[k][key] = orders[k].get(key, 0.0) + c1 * c2 * weight
+    out = []
+    for k, acc in enumerate(orders):
+        scale = (0.5j) ** k / factorial(k)
+        out.append(SuperFunction(2, 0, {key: c * scale for key, c in acc.items()}))
     return out
 
 
-def star(f: PhasePolynomial, g: PhasePolynomial, hbar: float) -> PhasePolynomial:
-    total = PhasePolynomial({})
+def star(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunction:
+    if not (isfinite(hbar) and hbar > 0):
+        raise MoyalError(f"hbar must be finite and positive, got {hbar}")
+    total = SuperFunction(2, 0, {})
     for k, term in enumerate(star_terms(f, g)):
         total = total + (hbar**k) * term
     return total
 
 
-def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial, hbar: float) -> PhasePolynomial:
-    return (1j / hbar) * (star(f, g, hbar) - star(g, f, hbar))
+def moyal_bracket(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunction:
+    commutator = star(f, g, hbar) - star(g, f, hbar)  # star rejects a bad hbar
+    return (1j / hbar) * commutator
 
 
 def classical_limit_report(
-    f: PhasePolynomial, g: PhasePolynomial, hbars=None
+    f: SuperFunction, g: SuperFunction, hbars=None
 ) -> dict:
     """Dual-route check of the first two series terms and the remainder
     scaling exponent as hbar -> 0."""
@@ -174,7 +104,7 @@ def classical_limit_report(
     )
     terms = star_terms(f, g)
     t0_direct = f * g
-    t1_direct = (-0.5j) * classical_pb(f, g)
+    t1_direct = (-0.5j) * super_poisson(f, g, SuperPBMatrix.canonical_even(1))
     t0_residual = (terms[0] - t0_direct).norm()
     t1_residual = (
         (terms[1] - t1_direct).norm() if len(terms) > 1 else t1_direct.norm()
@@ -223,11 +153,12 @@ class WignerGrid:
     def expectation(self, f, richardson_tol: float = RICHARDSON_TOL) -> float:
         """Phase space average with the dx dp/(2 pi hbar) measure.
 
-        ``f`` is a PhasePolynomial or an array on the grid.  A stride-2
-        subgrid recomputation guards against unresolved quadrature.
+        ``f`` is a ``SuperFunction(2, 0)`` or an array on the grid.  A
+        stride-2 subgrid recomputation guards against unresolved quadrature.
         """
-        if isinstance(f, PhasePolynomial):
-            fv = f.evaluate(self.xs[:, None], self.ps[None, :]).real
+        if isinstance(f, SuperFunction):
+            points = np.stack(np.meshgrid(self.xs, self.ps, indexing="ij"), axis=-1)
+            fv = f.evaluate(points).real
         else:
             fv = np.asarray(f)
         meas = self.dx * self.dp / (2 * np.pi * self.hbar)

@@ -41,7 +41,7 @@ from .measurement import (
     suppression_sweep,
     uniform_suppression,
 )
-from .moyal import PhasePolynomial, classical_limit_report, moyal_bracket, star
+from .moyal import classical_limit_report, moyal_bracket, star
 from .report import Report, merge
 from .states import (
     berezin_integral_coeffs,
@@ -428,16 +428,15 @@ def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL)
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("moyal", seed, meta={"samples": samples})
-    x = PhasePolynomial.x()
-    p = PhasePolynomial.p()
+    (x, p), _ = variables(2, 0)
 
     def rand_poly():
         terms = {}
         for _ in range(4):
-            terms[(int(rng.integers(3)), int(rng.integers(3)))] = complex(
+            terms[((int(rng.integers(3)), int(rng.integers(3))), 0)] = complex(
                 rng.normal(), rng.normal()
             )
-        return PhasePolynomial(terms)
+        return SuperFunction(2, 0, terms)
 
     hbar = 0.7
     worst = 0.0
@@ -451,15 +450,11 @@ def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL)
     worst = 0.0
     for hb in (0.3, 1.0, 2.0):
         br = moyal_bracket(p, x, hb)
-        worst = max(worst, (br - PhasePolynomial.scalar(1.0)).norm())
+        worst = max(worst, (br - 1.0).norm())
     rep.residual("canonicalBracketExact", worst, 1e-13)
 
     got = star(x * x, p * p, hbar)
-    want = (
-        x * x * p * p
-        + (2j * hbar) * (x * p)
-        + PhasePolynomial.scalar(-0.5 * hbar * hbar)
-    )
+    want = x * x * p * p + (2j * hbar) * (x * p) - 0.5 * hbar * hbar
     rep.residual("quadraticOracle", (got - want).norm(), 1e-13)
 
     limit = classical_limit_report(x * x * p, p * p * x)
@@ -574,8 +569,7 @@ def decoherence_suite(seed: int = 0, tol: float = 1e-7) -> Report:
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     fmat, amat = a + a.conj().T, b + b.conj().T
-    xx = PhasePolynomial.x()
-    pp = PhasePolynomial.p()
+    (xx, pp), _ = variables(2, 0)
     k = xx * xx + pp
     j = pp * pp * xx
     hbars = np.geomspace(1e-4, 1e-2, 5)

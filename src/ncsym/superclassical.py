@@ -45,12 +45,15 @@ class SuperFunction:
     def __post_init__(self) -> None:
         clean: dict[Key, complex] = {}
         for (exps, mask), c in self.terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != self.m:
                 raise SuperspaceError("exponent tuple has wrong length")
             if mask >> self.n:
                 raise SuperspaceError("generator mask out of range")
-            if abs(c) > SUPER_EPS:
+            size = abs(c)
+            if not size < np.inf:
+                raise SuperspaceError(f"non-finite coefficient {c}")
+            if size > SUPER_EPS:
                 clean[(exps, int(mask))] = complex(c)
         self.terms = clean
 
@@ -133,17 +136,19 @@ class SuperFunction:
             self.m, self.n, {k: np.conj(c) for k, c in self.terms.items()}
         )
 
-    def evaluate(self, x) -> complex:
-        """Value on the even body (all generators set to zero)."""
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        if x.shape != (self.m,):
+    def evaluate(self, x):
+        """Value on the even body (all generators set to zero).
+
+        ``x`` is one point, giving a complex, or an array of points along
+        its last axis, giving an array of values."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape[-1:] != (self.m,):
             raise SuperspaceError("point has wrong dimension")
-        total = 0.0 + 0.0j
+        total = np.zeros(x.shape[:-1], dtype=complex)
         for (exps, mask), c in self.terms.items():
-            if mask:
-                continue
-            total += c * np.prod(x**np.array(exps)) if self.m else c
-        return complex(total)
+            if not mask:
+                total = total + c * np.prod(x ** np.array(exps), axis=-1)
+        return complex(total) if x.ndim == 1 else total
 
 
 def variables(m: int, n: int):

@@ -161,9 +161,6 @@ class SymplecticStructure:
         pb = self.poisson(a, b)
         return max_abs(pb.coeffs - self.algebra.unit_coeffs)
 
-    def is_canonical_pair(self, a: Element, b: Element, tol: float = 1e-9) -> bool:
-        return self.canonical_pair_residual(a, b) <= tol
-
 
 def _commutator_cochain(
     alg: Superalgebra, family: DerivationFamily | None

@@ -48,9 +48,12 @@ SZ = M2.element([1, 0, 0, -1])
 
 def commutator_form(alg, fam):
     """omega(D_A, D_B) = [A, B] on the inner family (sources are stored)."""
-    return Cochain.from_function(
-        fam, 2, 0, lambda x, y: alg.supercommutator(x.source, y.source)
-    )
+    m = len(fam)
+    t = np.zeros((m, m, alg.dim), dtype=complex)
+    for i, j in product(range(m), repeat=2):
+        x, y = fam.members[i], fam.members[j]
+        t[i, j] = alg.supercommutator(x.source, y.source).coeffs
+    return Cochain(fam, 2, 0, t)
 
 
 def test_inner_derivation_oracle():

@@ -149,6 +149,15 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert "ncsym: --out directory does not exist" in capsys.readouterr().err
 
 
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    suite = mock.Mock(wraps=SUITES["gns"])
+    with mock.patch.dict(SUITES, gns=suite):
+        code = main(["gns", "--out", str(tmp_path)])
+    assert code == 2
+    assert suite.call_count == 0
+    assert f"ncsym: --out is a directory: {tmp_path}" in capsys.readouterr().err
+
+
 def test_calculus_battery_runs_on_an_explicit_matrix3():
     rep = suites.calculus_suite(seed=0, samples=1, only="m3")
     names = [c.name for c in rep.checks]

@@ -13,10 +13,9 @@ from ncsym.measurement import (
     suppression_sweep,
     uniform_suppression,
 )
-from ncsym.moyal import PhasePolynomial
+from ncsym.superclassical import variables
 
-X = PhasePolynomial.x()
-P = PhasePolynomial.p()
+(X, P), _ = variables(2, 0)
 
 
 def test_uniform_suppression_values():

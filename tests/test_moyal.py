@@ -1,12 +1,12 @@
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
 from ncsym.moyal import (
     MoyalError,
-    PhasePolynomial,
     WignerGrid,
     classical_limit_report,
-    classical_pb,
     moyal_bracket,
     oscillator_first_excited,
     oscillator_ground_state,
@@ -15,41 +15,117 @@ from ncsym.moyal import (
     star_terms,
     wigner_function,
 )
+from ncsym.superclassical import (
+    SuperFunction,
+    SuperPBMatrix,
+    even_derivative,
+    super_poisson,
+    variables,
+)
 
-X = PhasePolynomial.x()
-P = PhasePolynomial.p()
+(X, P), _ = variables(2, 0)
 HBAR = 0.7
+CANONICAL = SuperPBMatrix.canonical_even(1)
 
 
 def rand_poly(rng, deg=3):
     terms = {}
     for a in range(deg + 1):
         for b in range(deg + 1 - a):
-            terms[(a, b)] = complex(rng.standard_normal(), rng.standard_normal())
-    return PhasePolynomial(terms)
+            terms[((a, b), 0)] = complex(rng.standard_normal(), rng.standard_normal())
+    return SuperFunction(2, 0, terms)
+
+
+def dx(f):
+    return even_derivative(f, 0)
+
+
+def dp(f):
+    return even_derivative(f, 1)
+
+
+def reference_star_terms(f, g):
+    """The series terms built from explicit derivative chains, one
+    polynomial at a time: the oracle for the closed-form kernel."""
+    degree = min(
+        max((sum(e) for e, _ in h.terms), default=0) for h in (f, g)
+    )
+    out = []
+    for k in range(degree + 1):
+        acc = SuperFunction(2, 0, {})
+        for j in range(k + 1):
+            df = f
+            for _ in range(k - j):
+                df = dx(df)
+            for _ in range(j):
+                df = dp(df)
+            dg = g
+            for _ in range(k - j):
+                dg = dp(dg)
+            for _ in range(j):
+                dg = dx(dg)
+            acc = acc + ((-1) ** j * comb(k, j)) * (df * dg)
+        out.append(((0.5j) ** k / factorial(k)) * acc)
+    return out
+
+
+def test_star_terms_match_derivative_chain_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        f = rand_poly(rng, int(rng.integers(5)))
+        g = rand_poly(rng, int(rng.integers(5)))
+        got, want = star_terms(f, g), reference_star_terms(f, g)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a - b).norm() <= 1e-12 * max(1.0, b.norm())
+
+
+def test_canonical_super_poisson_is_the_phase_space_bracket():
+    assert (super_poisson(P, X, CANONICAL) - 1.0).norm() == 0.0
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        f, g = rand_poly(rng), rand_poly(rng)
+        want = dp(f) * dx(g) - dx(f) * dp(g)
+        got = super_poisson(f, g, CANONICAL)
+        assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
+
+
+@pytest.mark.parametrize("hbar", [float("nan"), float("inf"), 0.0, -0.5])
+def test_star_and_bracket_need_finite_positive_hbar(hbar):
+    with pytest.raises(MoyalError, match="hbar"):
+        star(X, P, hbar)
+    with pytest.raises(MoyalError, match="hbar"):
+        moyal_bracket(P, X, hbar)
+
+
+def test_star_rejects_other_superspaces():
+    (q,), (theta,) = variables(1, 1)
+    for bad in (q, theta, SuperFunction(2, 1, {((1, 0), 1): 1.0}), 2.0):
+        with pytest.raises(MoyalError):
+            star_terms(bad, X)
+        with pytest.raises(MoyalError):
+            star(X, bad, HBAR)
+        with pytest.raises(MoyalError):
+            moyal_bracket(bad, P, HBAR)
 
 
 def test_linear_star_oracles():
     xp = star(X, P, HBAR)
-    assert (xp - (X * P + PhasePolynomial.scalar(0.5j * HBAR))).norm() < 1e-14
+    assert (xp - (X * P + 0.5j * HBAR)).norm() < 1e-14
     px = star(P, X, HBAR)
-    assert (px - (X * P - PhasePolynomial.scalar(0.5j * HBAR))).norm() < 1e-14
+    assert (px - (X * P - 0.5j * HBAR)).norm() < 1e-14
 
 
 def test_moyal_bracket_of_p_and_x_is_one():
     for hb in (0.1, 0.7, 2.0):
         mb = moyal_bracket(P, X, hb)
-        assert (mb - PhasePolynomial.scalar(1.0)).norm() < 1e-13
+        assert (mb - 1.0).norm() < 1e-13
 
 
 def test_quadratic_star_oracle():
     # x^2 * p^2 = x^2 p^2 + 2 i hbar x p - hbar^2 / 2
     out = star(X * X, P * P, HBAR)
-    expect = (
-        X * X * P * P
-        + (2j * HBAR) * (X * P)
-        - PhasePolynomial.scalar(HBAR**2 / 2)
-    )
+    expect = X * X * P * P + (2j * HBAR) * (X * P) - HBAR**2 / 2
     assert (out - expect).norm() < 1e-13
 
 
@@ -74,7 +150,7 @@ def test_star_hermiticity():
 def test_moyal_bracket_reduces_to_classical():
     rng = np.random.default_rng(29)
     f, g = rand_poly(rng), rand_poly(rng)
-    pb = classical_pb(f, g)
+    pb = super_poisson(f, g, CANONICAL)
     hbars = np.geomspace(1e-4, 1e-1, 6)
     gaps = [(moyal_bracket(f, g, hb) - pb).norm() for hb in hbars]
     slope = np.polyfit(np.log(hbars), np.log(gaps), 1)[0]

@@ -183,6 +183,25 @@ def test_quartic_conservation():
         assert abs(h.evaluate(row).real - e0) < 1e-8
 
 
+def test_evaluate_on_an_array_of_points():
+    rng = np.random.default_rng(5)
+    f = random_superfunction(rng, 2, 1, max_exp=3)
+    points = rng.standard_normal((4, 3, 2))
+    values = f.evaluate(points)
+    assert values.shape == (4, 3)
+    for idx in np.ndindex(4, 3):
+        assert abs(values[idx] - f.evaluate(points[idx])) < 1e-12
+    assert isinstance(f.evaluate(points[0, 0]), complex)
+    with pytest.raises(SuperspaceError):
+        f.evaluate(points[..., :1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(SuperspaceError, match="non-finite"):
+        SuperFunction(2, 0, {((1, 0), 0): bad})
+
+
 def test_g3_state_is_unique():
     out = g3_unique_state()
     assert out["unique"]
