@@ -92,10 +92,25 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of dy/dt = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def rk4_trajectory(f, y0, times, steps_per_unit: float) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta for dy/dt = f(y) with y(0) = y0,
+    one row per requested time.
+
+    The times are visited in sorted order; the stretch of length |dt| from
+    the previous one takes max(1, ceil(|dt| * steps_per_unit)) equal steps."""
+    times = np.asarray(times, dtype=float)
+    y = np.asarray(y0, dtype=complex).reshape(-1).copy()
+    out = np.zeros((times.size, y.size), dtype=complex)
+    t_now = 0.0
+    for r in np.argsort(times):
+        n = max(1, int(np.ceil(abs(times[r] - t_now) * steps_per_unit)))
+        dt = (times[r] - t_now) / n
+        for _ in range(n):
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t_now = times[r]
+        out[r] = y
+    return out

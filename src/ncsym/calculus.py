@@ -850,19 +850,6 @@ class AlgebraIsomorphism:
             raise CalculusError("element not in the source algebra")
         return Element(self.target, self.matrix @ a.coeffs)
 
-    def apply_inverse(self, b: Element) -> Element:
-        if b.algebra is not self.target:
-            raise CalculusError("element not in the target algebra")
-        return Element(self.source, self.inverse_matrix @ b.coeffs)
-
-    def compose(self, other: "AlgebraIsomorphism") -> "AlgebraIsomorphism":
-        """self after other."""
-        if other.target is not self.source:
-            raise CalculusError("composition mismatch")
-        return AlgebraIsomorphism(
-            other.source, self.target, self.matrix @ other.matrix, verify=False
-        )
-
     @classmethod
     def flow(cls, x: Derivation, t: float) -> "AlgebraIsomorphism":
         """exp(t X) for an even derivation X; an automorphism of the algebra."""

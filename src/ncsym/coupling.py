@@ -34,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from ._linalg import bilinear, left_action, max_abs, rk4_step
+from ._linalg import bilinear, left_action, max_abs
 from .algebra import (
     Element,
     Superalgebra,
@@ -46,10 +45,9 @@ from .algebra import (
     tensor_algebra,
 )
 from .calculus import Cochain, Derivation, DerivationFamily
-from .symplectic import SymplecticStructure, canonical_form, quantum_form
+from .symplectic import HamiltonianSystem, SymplecticStructure, quantum_form
 
 LAMBDA_FIT_TOL = 1e-9
-PRODUCT_PB_TOL = 1e-10
 
 
 class CouplingError(ValueError):
@@ -111,10 +109,6 @@ def _structure_factor(ss: SymplecticStructure, label: str) -> FactorSpec:
 
 def quantum_factor(alg: Superalgebra, hbar: float, label: str | None = None) -> FactorSpec:
     return _structure_factor(quantum_form(alg, hbar), label or f"quantum(hbar={hbar})")
-
-
-def canonical_factor(alg: Superalgebra, label: str | None = None) -> FactorSpec:
-    return _structure_factor(canonical_form(alg), label or "canonical")
 
 
 def grassmann_classical_factor(n: int, label: str | None = None) -> FactorSpec:
@@ -283,47 +277,11 @@ def _product_omega(prod: Superalgebra, f1: FactorSpec, f2: FactorSpec):
 
 
 def coupled_evolution(
-    prod: ProductStructure,
-    h: Element,
-    observable: Element,
-    times,
-    method: str = "closedForm",
-    steps: int = 400,
+    prod: ProductStructure, h: Element, observable: Element, times
 ) -> np.ndarray:
-    """Heisenberg trajectory dE/dt = {H, E} on the product algebra.
-
-    Returns an array of coefficient vectors, one row per requested time.
-    """
-    if h.parity != 0:
-        raise CouplingError("hamiltonian must be even")
-    if max_abs(h.star().coeffs - h.coeffs) > 1e-9:
-        raise CouplingError("hamiltonian must be hermitian")
-    lmat = prod.poisson_operator(h)
+    """Heisenberg trajectory dE/dt = {H, E} on the product algebra, in
+    closed form: one row of coefficients per requested time."""
+    system = HamiltonianSystem(prod, h)
     times = np.asarray(times, dtype=float)
-    out = np.zeros((times.size, prod.algebra.dim), dtype=complex)
-    if method == "closedForm":
-        for r, t in enumerate(times):
-            out[r] = expm(t * lmat) @ observable.coeffs
-        return out
-    if method == "rk4":
-        order = np.argsort(times)
-        t_now = 0.0
-        y = observable.coeffs.astype(complex)
-        for r in order:
-            target = times[r]
-            n = max(1, int(np.ceil(abs(target - t_now) * steps / max(1.0, abs(times).max()))))
-            dt = (target - t_now) / n
-            for _ in range(n):
-                y = rk4_step(lambda v: lmat @ v, y, dt)
-            t_now = target
-            out[r] = y
-        return out
-    raise CouplingError(f"unknown method {method!r}")
-
-
-def evolve_functional(
-    prod: ProductStructure, h: Element, functional: np.ndarray, t: float
-) -> np.ndarray:
-    """Dual trajectory on functionals: <phi(t), E> = <phi, E(t)>."""
-    lmat = prod.poisson_operator(h)
-    return expm(t * lmat).T @ np.asarray(functional, dtype=complex)
+    rows = [system.evolve_heisenberg(observable, t).coeffs for t in times]
+    return np.array(rows, dtype=complex).reshape(times.size, prod.algebra.dim)

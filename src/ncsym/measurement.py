@@ -22,10 +22,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import _basis_vec, kron_element, matrix_algebra
-from .coupling import ProductStructure, evolve_functional, quantum_factor
+from .coupling import ProductStructure, quantum_factor
 from .moyal import moyal_bracket, star
 from .states import PObVM, make_state
 from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
+from .symplectic import HamiltonianSystem
 
 SUPPRESSION_SERIES_CUT = 1e-8
 CROSSCHECK_TOL = 1e-6
@@ -33,6 +34,13 @@ CROSSCHECK_TOL = 1e-6
 
 class MeasurementError(ValueError):
     pass
+
+
+def _check_positive(**values: float) -> None:
+    """Raise unless every value is finite and positive."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise MeasurementError(f"{name} must be finite and positive, got {value}")
 
 
 def uniform_suppression(kappa: float) -> float:
@@ -51,7 +59,7 @@ def profile_suppression(ks: np.ndarray, density: np.ndarray, u: float) -> float:
     ks = np.asarray(ks, dtype=float)
     density = np.asarray(density, dtype=float)
     total = _trapezoid(density, ks)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise MeasurementError(f"profile density integrates to {total:.6f}")
     return float(abs(_trapezoid(density * np.exp(1j * u * ks), ks)))
 
@@ -74,18 +82,21 @@ class MeasurementModel:
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lambdas, dtype=float)
+        if not np.all(np.isfinite(lam)):
+            raise MeasurementError("eigenvalues must be finite")
         if lam.size != np.unique(lam).size:
             raise MeasurementError("eigenvalues must be pairwise distinct")
         self.lambdas = lam
         c = np.asarray(self.amplitudes, dtype=complex)
         norm = np.linalg.norm(c)
-        if norm == 0:
-            raise MeasurementError("amplitudes must not vanish")
+        if not (np.isfinite(norm) and norm > 0):
+            raise MeasurementError("amplitudes must be finite and not all zero")
         if c.size != lam.size:
             raise MeasurementError("one amplitude per eigenvalue")
         self.amplitudes = c / norm
-        if self.tau <= 0 or self.hbar <= 0:
-            raise MeasurementError("tau and hbar must be positive")
+        _check_positive(tau=self.tau, hbar=self.hbar)
+        if not np.isfinite(self.k_mean):
+            raise MeasurementError(f"k_mean must be finite, got {self.k_mean}")
         # a vanishing coupling mean never separates the branches; keep the
         # model constructible but flag it
         self.degenerate_signal = self.k_mean == 0.0
@@ -207,7 +218,13 @@ def stern_gerlach(overrides: dict | None = None) -> dict:
         "velocity": 5.0e4,           # cm / s
         "hbar": 1.1e-27,             # erg s
     }
+    unknown = sorted(set(overrides or {}) - set(params))
+    if unknown:
+        raise MeasurementError(f"unknown Stern-Gerlach parameters: {unknown}")
     params.update(overrides or {})
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise MeasurementError(f"{key} must be finite, got {value}")
     if not params["z2"] > params["z1"]:
         raise MeasurementError("nonpositive geometry: need z2 > z1")
     if not params["x3"] > params["x2"] > params["x1"]:
@@ -246,9 +263,16 @@ def matrix_apparatus_crosscheck(
     bracket and functional evolution, and reads pointer probabilities
     through a positive observable resolution.
     """
-    lambdas = np.asarray(lambdas, dtype=int)
+    _check_positive(tau=tau, hbar=hbar)
+    if not pointer_dim >= 2:
+        raise MeasurementError(f"pointer_dim must be at least 2, got {pointer_dim}")
+    lambdas = np.asarray(lambdas, dtype=float)
+    if not np.array_equal(lambdas, np.round(lambdas)):
+        raise MeasurementError("eigenvalues must be integers (whole pointer cells)")
     c = np.asarray(amplitudes, dtype=complex)
-    c = c / np.linalg.norm(c)
+    norm = np.linalg.norm(c)
+    _check_positive(amplitude_norm=norm)
+    c = c / norm
     n, d = lambdas.size, int(pointer_dim)
     fmat = np.diag(lambdas.astype(float))
     q = np.arange(d)
@@ -275,7 +299,7 @@ def matrix_apparatus_crosscheck(
     phi0 = np.array(
         [np.trace(rho0 @ prod.algebra.rep_basis[i]) for i in range(prod.algebra.dim)]
     )
-    phi_t = evolve_functional(prod, h_el, phi0, tau)
+    phi_t = HamiltonianSystem(prod, h_el).evolve_functional(phi0, tau)
     state_t = make_state(prod.algebra, "functional", phi_t)
     effects = {}
     eye_sys = sys_alg.unit

@@ -30,13 +30,17 @@ import numpy as np
 
 from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
 
-MOYAL_SERIES_TOL = 1e-10
 WIGNER_NORMALIZATION_TOL = 1e-3
 RICHARDSON_TOL = 1e-3
 
 
 class MoyalError(ValueError):
     pass
+
+
+def _check_hbar(hbar: float) -> None:
+    if not (isfinite(hbar) and hbar > 0):
+        raise MoyalError(f"hbar must be finite and positive, got {hbar}")
 
 
 def _degree(f: SuperFunction) -> int:
@@ -81,12 +85,13 @@ def star_terms(f: SuperFunction, g: SuperFunction) -> list[SuperFunction]:
 
 
 def star(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunction:
-    if not (isfinite(hbar) and hbar > 0):
-        raise MoyalError(f"hbar must be finite and positive, got {hbar}")
-    total = SuperFunction(2, 0, {})
+    _check_hbar(hbar)
+    total = {}
     for k, term in enumerate(star_terms(f, g)):
-        total = total + (hbar**k) * term
-    return total
+        scale = hbar**k
+        for key, c in term.terms.items():
+            total[key] = total.get(key, 0.0) + c * scale
+    return SuperFunction(2, 0, total)
 
 
 def moyal_bracket(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunction:
@@ -164,7 +169,7 @@ class WignerGrid:
         meas = self.dx * self.dp / (2 * np.pi * self.hbar)
         full = float(np.sum(fv * self.values) * meas)
         half = float(np.sum(fv[::2, ::2] * self.values[::2, ::2]) * 4 * meas)
-        if abs(full - half) > richardson_tol * max(1.0, abs(full)):
+        if not abs(full - half) <= richardson_tol * max(1.0, abs(full)):
             raise MoyalError(
                 f"phase space quadrature unresolved: {full} vs {half} on the "
                 f"coarse grid"
@@ -188,14 +193,17 @@ def wigner_function(
     normalized so the dx dp/(2 pi hbar) integral is one.  The y quadrature
     runs over whole grid steps so psi(x +- y) stays on the sample grid.
     """
+    _check_hbar(hbar)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     xs = np.asarray(xs, dtype=float)
     nx = xs.size
     if psi.shape != xs.shape:
         raise MoyalError("wave function and grid differ in length")
+    if not np.all(np.isfinite(psi)):
+        raise MoyalError("wave function has non-finite samples")
     dx = float(xs[1] - xs[0])
     norm = np.sum(np.abs(psi) ** 2) * dx
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         if not normalize:
             raise MoyalError(f"wave function norm {norm:.6f} is not one")
         psi = psi / np.sqrt(norm)
@@ -214,20 +222,22 @@ def wigner_function(
     phase = np.exp(2j * np.outer(ps, ms * dx) / hbar)
     values = 2.0 * dx * (a @ phase.T)
     scale = max(1.0, np.abs(values).max())
-    if np.abs(values.imag).max() > 1e-9 * scale:
+    if not np.abs(values.imag).max() <= 1e-9 * scale:
         raise MoyalError("wigner symbol came out non-real")
     grid = WignerGrid(xs, ps, values.real, hbar)
     n = grid.normalization()
-    if abs(n - 1.0) > WIGNER_NORMALIZATION_TOL:
+    if not abs(n - 1.0) <= WIGNER_NORMALIZATION_TOL:
         raise MoyalError(f"wigner normalization {n:.6f} outside tolerance")
     return grid
 
 
 def oscillator_ground_state(xs: np.ndarray, hbar: float) -> np.ndarray:
+    _check_hbar(hbar)
     return (np.pi * hbar) ** (-0.25) * np.exp(-np.asarray(xs) ** 2 / (2 * hbar))
 
 
 def oscillator_first_excited(xs: np.ndarray, hbar: float) -> np.ndarray:
+    _check_hbar(hbar)
     xs = np.asarray(xs)
     return (
         (np.pi * hbar) ** (-0.25)
@@ -255,6 +265,7 @@ def star_integral(
     into three matrix products, so the cost is cubic in the grid size
     instead of quartic.  ``f`` and ``g`` are callables of (x, p) arrays.
     """
+    _check_hbar(hbar)
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     bigx, bigp = xi

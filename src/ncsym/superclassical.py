@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, rk4_step
+from ._linalg import max_abs, rk4_trajectory
 from .algebra import Element, Superalgebra, _shuffle_sign, grassmann_algebra
 from .states import StateError, cc_check, make_state
 
 SUPER_EPS = 1e-15
-FLOW_CONSERVATION_TOL = 1e-8
+HAMILTON_RK4_STEPS = 200
 
 Key = tuple[tuple[int, ...], int]
 
@@ -277,14 +277,9 @@ def super_poisson(f: SuperFunction, g: SuperFunction, w: SuperPBMatrix) -> Super
 # -- numeric flow on the even body ---------------------------------------------------
 
 
-def hamilton_rk4(
-    h: SuperFunction,
-    w: SuperPBMatrix,
-    x0,
-    times,
-    steps_per_unit: int = 200,
-) -> np.ndarray:
-    """Integrate d xi / dt = {H, xi} with fixed-step RK4.
+def hamilton_rk4(h: SuperFunction, w: SuperPBMatrix, x0, times) -> np.ndarray:
+    """Integrate d xi / dt = {H, xi} with fixed-step RK4, HAMILTON_RK4_STEPS
+    steps per unit time.
 
     Numeric trajectories live on the even body, so the bracket matrix must
     have no odd directions.
@@ -297,20 +292,7 @@ def hamilton_rk4(
     def rhs(x: np.ndarray) -> np.ndarray:
         return np.array([v.evaluate(x) for v in fields])
 
-    times = np.asarray(times, dtype=float)
-    out = np.zeros((times.size, w.m), dtype=complex)
-    order = np.argsort(times)
-    t_now = 0.0
-    y = np.asarray(x0, dtype=complex).reshape(-1).copy()
-    for r in order:
-        target = times[r]
-        nsteps = max(1, int(np.ceil(abs(target - t_now) * steps_per_unit)))
-        dt = (target - t_now) / nsteps
-        for _ in range(nsteps):
-            y = rk4_step(rhs, y, dt)
-        t_now = target
-        out[r] = y
-    return out
+    return rk4_trajectory(rhs, x0, times, HAMILTON_RK4_STEPS)
 
 
 # -- Berezin integration --------------------------------------------------------------
@@ -324,14 +306,6 @@ def berezin_integral(f: SuperFunction) -> SuperFunction:
     for a in range(f.n - 1, -1, -1):
         out = odd_derivative_left(out, a)
     return out
-
-
-def berezin_expectation(rho: SuperFunction, f: SuperFunction) -> complex:
-    """integral of f rho over the generators (purely odd superspace)."""
-    if rho.m or f.m:
-        raise SuperspaceError("expectations here are for purely odd superspace")
-    val = berezin_integral(f * rho)
-    return val.coefficient((), 0)
 
 
 # -- bridge to the finite Grassmann algebra ------------------------------------------

@@ -24,8 +24,10 @@ the same convention as the structure constants of the algebra.  So
 ``left_action(pb_tensor, h)``; the coupling factors and the product
 structure contract their tensors the same way.
 
-Dynamics: dA/dt = {H, A} with hermitian even H; in closed form
-A(t) = expm(t L_H) A with L_H the Poisson operator of H, equivalently
+Dynamics: dA/dt = {H, A} with hermitian even H, on this module's
+structures and on the product structures of :mod:`ncsym.coupling` alike;
+``HamiltonianSystem`` is the one flow.  In closed form A(t) = expm(t L_H) A
+with L_H the Poisson operator of H, equivalently
 A(t) = exp(iHt/hbar) A exp(-iHt/hbar) in a matrix realization.
 """
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import bilinear, left_action, max_abs, numerical_rank, rk4_step
+from ._linalg import bilinear, left_action, max_abs, numerical_rank
 from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,
@@ -47,6 +49,8 @@ CLOSED_TOL = 1e-10
 REALITY_TOL = 1e-10
 # Residual gate for solving i_Y omega = -dA.
 HAMILTONIAN_SOLVE_TOL = 1e-9
+# Largest |H* - H| coefficient a Hamiltonian may have.
+HERMITIAN_TOL = 1e-10
 
 
 class SymplecticError(ValueError):
@@ -215,9 +219,13 @@ def quantum_form(
 
 
 class HamiltonianSystem:
-    """A symplectic structure plus an even hermitian Hamiltonian."""
+    """dA/dt = {H, A} for an even hermitian Hamiltonian H.
 
-    def __init__(self, structure: SymplecticStructure, h: Element) -> None:
+    ``structure`` is any bracket holder with an ``algebra`` and a
+    ``poisson_operator``: a :class:`SymplecticStructure` or a
+    :class:`ncsym.coupling.ProductStructure`."""
+
+    def __init__(self, structure, h: Element) -> None:
         self.structure = structure
         self.algebra = structure.algebra
         if h.algebra is not self.algebra:
@@ -225,51 +233,19 @@ class HamiltonianSystem:
         if h.parity != 0:
             raise SymplecticError("hamiltonian must be even")
         herm = max_abs(h.star().coeffs - h.coeffs)
-        if herm > 1e-10:
+        if not herm <= HERMITIAN_TOL:
             raise SymplecticError(f"hamiltonian is not hermitian ({herm:.3e})")
         self.h = h
-        # spectrum information only exists in a matrix realization; finite
-        # dimension makes 'bounded below' automatic, the value is recorded
-        self.spectrum_min: float | None = None
-        if self.algebra.rep_basis is not None:
-            evals = np.linalg.eigvalsh(_hermitian_realization(h))
-            self.spectrum_min = float(evals[0])
         self.liouville = structure.poisson_operator(h)
 
     def heisenberg_matrix(self, t: float) -> np.ndarray:
         """expm(t L_H) acting on observable coefficients."""
         return expm(t * self.liouville)
 
-    def evolve_heisenberg(
-        self,
-        a: Element,
-        t: float,
-        method: str = "closedForm",
-        step: float | None = None,
-    ) -> Element:
-        """Observable evolution dA/dt = {H, A}."""
-        if method == "closedForm":
-            return Element(self.algebra, self.heisenberg_matrix(t) @ a.coeffs)
-        if method == "rk4":
-            n = max(1, int(round(abs(t) / (step or abs(t) / 1000 or 1e-3))))
-            dt = t / n
-            y = a.coeffs.copy()
-            lmat = self.liouville
-            for _ in range(n):
-                y = rk4_step(lambda v: lmat @ v, y, dt)
-            return Element(self.algebra, y)
-        raise SymplecticError(f"unknown method {method!r}")
+    def evolve_heisenberg(self, a: Element, t: float) -> Element:
+        """Observable evolution dA/dt = {H, A}, in closed form."""
+        return Element(self.algebra, self.heisenberg_matrix(t) @ a.coeffs)
 
     def evolve_functional(self, functional: np.ndarray, t: float) -> np.ndarray:
         """State evolution by duality: phi_t(A) = phi(A(t))."""
         return self.heisenberg_matrix(t).T @ np.asarray(functional, dtype=complex)
-
-
-def _hermitian_realization(h: Element) -> np.ndarray:
-    mat = h.realize()
-    defect = max_abs(mat - mat.conj().T)
-    if defect > 1e-8:
-        # graded algebras realize hermitian odd parts non-hermitianly; only
-        # the genuinely hermitian realization has a spectrum worth reporting
-        raise SymplecticError("realization of H is not hermitian")
-    return 0.5 * (mat + mat.conj().T)

@@ -109,8 +109,9 @@ def test_criterion_08_decoherence_and_matrix_apparatus():
 
 
 def test_criterion_09_evolution_duality_to_ten_seconds():
-    rep = evolve_suite(seed=SEED, tol=1e-8, tmax=10.0)
+    rep = evolve_suite(seed=SEED, tol=1e-8)
     assert rep.passed, _failures(rep)
+    assert rep.meta == {"tmax": 10.0}
     assert _check(rep, "coupled.duality").value <= 1e-8
     assert _check(rep, "coupled.densityOracle").value <= 1e-8
 

@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncsym._linalg import rk4_trajectory
 from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import check_superderivation, exterior_derivative, koszul_sign
 from ncsym.coupling import (
     CouplingError,
     ProductStructure,
+    _structure_factor,
     coupled_evolution,
-    evolve_functional,
-    canonical_factor,
     grassmann_classical_factor,
     product_symplectic,
     quantum_factor,
 )
-from ncsym.symplectic import SymplecticStructure
+from ncsym.symplectic import (
+    HamiltonianSystem,
+    SymplecticError,
+    SymplecticStructure,
+    canonical_form,
+)
 
 M2 = matrix_algebra(2)
 M3 = matrix_algebra(3)
+M11 = matrix_algebra(2, grading=(1, 1))
 SX = M2.element([0, 1, 1, 0])
 SY = M2.element([0, -1j, 1j, 0])
 SZ = M2.element([1, 0, 0, -1])
@@ -29,7 +35,8 @@ GCL2 = grassmann_classical_factor(2)
 
 def test_factor_lambda_values():
     assert abs(quantum_factor(M2, 0.5).lam - 0.5j) < 1e-12
-    assert abs(canonical_factor(M2).lam - (-1.0)) < 1e-12
+    canonical = _structure_factor(canonical_form(M2), "canonical")
+    assert abs(canonical.lam - (-1.0)) < 1e-12
     assert abs(GCL2.lam) < 1e-12
     assert GCL2.commutative and not QM2.commutative
     assert QM2.fit_residual < 1e-12
@@ -209,7 +216,8 @@ def test_coupled_oscillation_closed_form():
         w = 2.0 * g / hbar
         expected = np.cos(w * t) * sxi - np.sin(w * t) * syz
         assert np.abs(row - expected).max() < 1e-9
-    rk = coupled_evolution(prod, h, e0, times, method="rk4")
+    lmat = prod.poisson_operator(h)
+    rk = rk4_trajectory(lambda v: lmat @ v, e0.coeffs, times, 400 / 5.0)
     assert np.abs(rk - traj).max() < 1e-6
 
 
@@ -240,7 +248,7 @@ def test_functional_evolution_duality():
     rho = np.outer(psi, psi.conj())
     phi = np.array([np.trace(rho @ alg.rep_basis[k]) for k in range(alg.dim)])
     t = 0.9
-    lhs = evolve_functional(prod, h, phi, t) @ e.coeffs
+    lhs = HamiltonianSystem(prod, h).evolve_functional(phi, t) @ e.coeffs
     rhs = phi @ coupled_evolution(prod, h, e, [t])[0]
     assert abs(lhs - rhs) < 1e-10
     # Schroedinger picture oracle on the density matrix
@@ -249,3 +257,31 @@ def test_functional_evolution_duality():
     rho_t = u @ rho @ u.conj().T
     oracle = np.trace(rho_t @ alg.realize(e.coeffs))
     assert abs(lhs - oracle) < 1e-9
+
+
+def _graded_product_hamiltonian(kind):
+    prod = ProductStructure(quantum_factor(M11, 1.0), QM2)
+    alg = prod.algebra
+    odd = M11.basis_element(1) + M11.basis_element(1).star()
+    h = {
+        "even": kron_element(alg, M11.unit, SZ),
+        "odd": kron_element(alg, odd, M2.unit),
+        "nonHermitian": kron_element(alg, M11.unit, M2.element([0, 1j, 1, 0])),
+        # |H* - H| = 6e-10, above the 1e-10 gate
+        "nearlyHermitian": kron_element(alg, M11.unit, SZ + 3e-10j * M2.unit),
+    }[kind]
+    return prod, h, kron_element(alg, M11.basis_element(0), M2.unit)
+
+
+@pytest.mark.parametrize("kind", ["odd", "nonHermitian", "nearlyHermitian"])
+def test_coupled_flow_needs_an_even_hermitian_hamiltonian(kind):
+    prod, h, e = _graded_product_hamiltonian(kind)
+    with pytest.raises(SymplecticError):
+        HamiltonianSystem(prod, h)
+    with pytest.raises(SymplecticError):
+        coupled_evolution(prod, h, e, [0.5])
+
+
+def test_coupled_evolution_on_an_empty_time_grid():
+    prod, h, e = _graded_product_hamiltonian("even")
+    assert coupled_evolution(prod, h, e, []).shape == (0, prod.algebra.dim)

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-importing the package pulls in no heavy optional module."""
+"""Every name a module of the package imports is used in that module, every
+module-level constant is read somewhere in the package, and importing the
+package pulls in no heavy optional module."""
 from __future__ import annotations
 
 import ast
@@ -37,6 +38,38 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names that no module of ``sources`` reads."""
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    defined[t.id] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{mod}: {name}" for name, mod in defined.items() if name not in read)
+
+
+def test_checker_flags_a_dead_constant():
+    sources = {
+        "a": "TOL = 1e-9\nSTEPS: int = 4\nUNUSED = 2\nx = 1\n",
+        "b": "from a import TOL\nimport a\nprint(TOL, a.STEPS)\n",
+    }
+    assert dead_constants(sources) == ["a: UNUSED"]
+
+
+def test_every_constant_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_constants(sources) == []
 
 
 def test_package_import_leaves_scipy_sparse_out():

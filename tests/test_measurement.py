@@ -243,3 +243,68 @@ def test_hybrid_bracket_gap_scales_quadratically():
     gaps = np.array([hybrid_route_gap(fmat, amat, k, j, h) for h in hbars])
     slope = np.polyfit(np.log(hbars), np.log(gaps), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
+
+
+MODEL = dict(lambdas=[0.0, 1.0], amplitudes=[1.0, 1.0], k_mean=1.0, tau=1.0, hbar=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("hbar", float("nan")),
+        ("hbar", float("inf")),
+        ("hbar", 0.0),
+        ("tau", float("nan")),
+        ("tau", -1.0),
+        ("k_mean", float("nan")),
+        ("k_mean", float("inf")),
+        ("lambdas", [0.0, float("nan")]),
+        ("amplitudes", [1.0, float("nan")]),
+    ],
+)
+def test_model_rejects_non_finite_or_nonpositive_inputs(field, bad):
+    # a NaN would reach max(0.0, nan) = 0.0 and report a mixture
+    with pytest.raises(MeasurementError):
+        MeasurementModel(**{**MODEL, field: bad})
+
+
+def test_profile_with_nan_density_is_rejected():
+    ss = np.linspace(0.0, 1.0, 101)
+    dens = np.ones_like(ss)
+    dens[50] = np.nan
+    with pytest.raises(MeasurementError):
+        profile_suppression(ss, dens, 1.0)
+
+
+@pytest.mark.parametrize(
+    "key", ["magneticMoment", "fieldGradient", "velocity", "hbar", "z1", "x2"]
+)
+def test_stern_gerlach_rejects_non_finite_overrides(key):
+    with pytest.raises(MeasurementError, match=key):
+        stern_gerlach({key: float("nan")})
+    with pytest.raises(MeasurementError, match=key):
+        stern_gerlach({key: float("inf")})
+
+
+def test_stern_gerlach_rejects_unknown_override_keys():
+    with pytest.raises(MeasurementError, match="velocty"):
+        stern_gerlach({"velocty": 1.0e5})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tau": 0.0},
+        {"tau": float("nan")},
+        {"hbar": -1.0},
+        {"hbar": float("inf")},
+        {"pointer_dim": 0},
+        {"pointer_dim": 1},
+        {"lambdas": (0, 0.5)},
+        {"lambdas": (0, float("nan"))},
+        {"amplitudes": (0.0, 0.0)},
+    ],
+)
+def test_matrix_apparatus_rejects_bad_parameters(kwargs):
+    with pytest.raises(MeasurementError):
+        matrix_apparatus_crosscheck(**kwargs)

@@ -246,3 +246,35 @@ def test_integral_kernel_classical_slope():
         gaps.append(abs(val - first))
     slope = np.polyfit(np.log(hbars), np.log(np.array(gaps)), 1)[0]
     assert 1.6 < slope < 2.4
+
+
+BAD_HBARS = [float("nan"), float("inf"), 0.0, -0.5]
+
+
+@pytest.mark.parametrize("hbar", BAD_HBARS)
+def test_wigner_route_needs_finite_positive_hbar(hbar):
+    xs = np.linspace(-7.0, 7.0, 51)
+    psi = oscillator_ground_state(xs, 1.0)
+    with pytest.raises(MoyalError, match="hbar"):
+        wigner_function(psi, xs, hbar)
+    with pytest.raises(MoyalError, match="hbar"):
+        oscillator_ground_state(xs, hbar)
+    with pytest.raises(MoyalError, match="hbar"):
+        oscillator_first_excited(xs, hbar)
+    with pytest.raises(MoyalError, match="hbar"):
+        star_integral(lambda x, p: x + p, lambda x, p: x * p, (0.0, 0.0), xs, xs, hbar)
+
+
+def test_wigner_gates_fail_on_nan(monkeypatch):
+    xs = np.linspace(-7.0, 7.0, 51)
+    psi = oscillator_ground_state(xs, 1.0)
+    bad = psi.copy()
+    bad[25] = np.nan
+    with pytest.raises(MoyalError, match="non-finite"):
+        wigner_function(bad, xs, 1.0)
+    grid = wigner_function(psi, xs, 1.0)
+    with pytest.raises(MoyalError, match="unresolved"):
+        grid.expectation(np.full(grid.values.shape, np.nan))
+    monkeypatch.setattr(WignerGrid, "normalization", lambda self: float("nan"))
+    with pytest.raises(MoyalError, match="normalization"):
+        wigner_function(psi, xs, 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncsym._linalg import rk4_trajectory
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
@@ -201,7 +202,6 @@ def test_precession_oracle():
     evolved = hs.evolve_heisenberg(SX, t)
     oracle = np.cos(2 * t) * SX.coeffs - np.sin(2 * t) * SY.coeffs
     np.testing.assert_allclose(evolved.coeffs, oracle, atol=1e-10)
-    assert hs.spectrum_min == pytest.approx(-1.0)
 
 
 def test_evolution_matches_unitary_conjugation():
@@ -223,8 +223,26 @@ def test_rk4_matches_closed_form():
     a = M2.sample_element(rng)
     t = 2.0
     closed = hs.evolve_heisenberg(a, t)
-    stepped = hs.evolve_heisenberg(a, t, method="rk4", step=1e-3)
-    np.testing.assert_allclose(stepped.coeffs, closed.coeffs, atol=1e-8)
+    stepped = rk4_trajectory(lambda v: hs.liouville @ v, a.coeffs, [t], 1e3)[0]
+    np.testing.assert_allclose(stepped, closed.coeffs, atol=1e-8)
+
+
+def test_rk4_trajectory_visits_unsorted_times_in_order():
+    rng = np.random.default_rng(49)
+    h = M2.sample_element(rng, hermitian=True)
+    hs = HamiltonianSystem(quantum_form(M2, 1.0), h)
+    a = M2.sample_element(rng)
+    times = np.array([1.5, -0.4, 0.0, 0.7, -1.1])
+    order = np.argsort(times)
+
+    def f(v):
+        return hs.liouville @ v
+
+    shuffled = rk4_trajectory(f, a.coeffs, times, 100)
+    ordered = rk4_trajectory(f, a.coeffs, times[order], 100)
+    np.testing.assert_array_equal(shuffled[order], ordered)
+    closed = np.array([hs.evolve_heisenberg(a, t).coeffs for t in times])
+    np.testing.assert_allclose(shuffled, closed, atol=1e-6)
 
 
 def test_functional_duality():
