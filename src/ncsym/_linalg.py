@@ -11,11 +11,11 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``, columns of the result.
 
-    Rank is decided by singular values below ``rtol`` times the largest one.
-    An all-zero (or empty) matrix has a full null space.
+    Rank is decided by singular values below ``RANK_RTOL`` times the
+    largest one.  An all-zero (or empty) matrix has a full null space.
     """
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
@@ -26,18 +26,18 @@ def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(a.shape[1], dtype=complex)
-    rank = int(np.sum(s > rtol * smax))
+    rank = int(np.sum(s > RANK_RTOL * smax))
     return vh[rank:].conj().T
 
 
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def numerical_rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def lstsq_with_residual(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

@@ -48,6 +48,9 @@ from ._linalg import (
 # (associativity, unit, parity bookkeeping, involution axioms).
 STRUCTURE_TOL = 1e-12
 
+# Gate on the idempotence and completeness of coherent sector projectors.
+SECTOR_TOL = 1e-9
+
 # Decision threshold: an algebra counts as supercommutative when every basis
 # supercommutator is below this.
 SUPERCOMMUTATIVE_TOL = 1e-12
@@ -104,8 +107,8 @@ class Element:
     def star(self) -> "Element":
         return Element(self.algebra, self.algebra.star_coeffs(self.coeffs))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return max_abs(self.star().coeffs - self.coeffs) <= tol
+    def is_hermitian(self) -> bool:
+        return max_abs(self.star().coeffs - self.coeffs) <= 1e-12
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -332,7 +335,7 @@ class Superalgebra:
         self._center_cache = (out[0], out[1])
         return self._center_cache
 
-    def coherent_sectors(self, tol: float = 1e-9) -> list[CoherentSector]:
+    def coherent_sectors(self) -> list[CoherentSector]:
         """Decompose along the even center into coherent blocks.
 
         Builds a hermitian central element with generic spectrum, forms the
@@ -359,11 +362,11 @@ class Superalgebra:
             gaps = np.diff(sorted(lams))
             if gaps.size and min(gaps) < 1e-6:
                 continue
-            return self._sectors_from_central(z, lams, tol)
+            return self._sectors_from_central(z, lams)
         raise AlgebraError("failed to find a central element with simple spectrum")
 
     def _sectors_from_central(
-        self, z: np.ndarray, lams: list[float], tol: float
+        self, z: np.ndarray, lams: list[float]
     ) -> list[CoherentSector]:
         sectors = []
         check = np.zeros(self.dim, dtype=complex)
@@ -374,11 +377,11 @@ class Superalgebra:
                     continue
                 p = self.mul_coeffs(p, (z - mu * self.unit_coeffs) / (lam - mu))
             idem = max_abs(self.mul_coeffs(p, p) - p)
-            if idem > tol:
+            if idem > SECTOR_TOL:
                 raise AlgebraError(f"sector projector fails idempotence by {idem:.3e}")
             check = check + p
             sectors.append(self._corner_algebra(Element(self, p), len(sectors)))
-        if max_abs(check - self.unit_coeffs) > tol:
+        if max_abs(check - self.unit_coeffs) > SECTOR_TOL:
             raise AlgebraError("sector projectors do not resolve the unit")
         return sectors
 

@@ -60,6 +60,10 @@ DERIVATION_TOL = 1e-10
 CLOSURE_TOL = 1e-10
 # Gate for expanding a derivation over a family.
 EXPAND_TOL = 1e-9
+# Gate on the graded alternation and parity bookkeeping of a cochain tensor.
+COCHAIN_TOL = 1e-10
+# Largest *-isomorphism defect an AlgebraIsomorphism may have.
+ISOMORPHISM_TOL = 1e-9
 
 
 class CalculusError(ValueError):
@@ -125,7 +129,7 @@ def leibniz_defect(
 
 
 def check_superderivation(
-    alg: Superalgebra, matrix: np.ndarray, parity: int, tol: float = DERIVATION_TOL
+    alg: Superalgebra, matrix: np.ndarray, parity: int
 ) -> tuple[bool, float]:
     """Check the graded Leibniz condition for an operator of declared parity.
 
@@ -138,7 +142,7 @@ def check_superderivation(
     worst = max(max_abs(leibniz_defect(alg, xs, r, j)) for j in range(alg.dim))
     bad = (alg.parity[:, None] != (alg.parity[None, :] + r) % 2)
     worst = max(worst, max_abs(np.where(bad, xs[0], 0.0)))
-    return worst <= tol, worst
+    return worst <= DERIVATION_TOL, worst
 
 
 def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
@@ -418,8 +422,8 @@ class DerivationFamily:
         coeffs, res = self._expand_all(x.matrix[None])
         return coeffs[0], res
 
-    def expand_strict(self, x: Derivation, tol: float = EXPAND_TOL) -> np.ndarray:
-        return self._expand_all_strict(x.matrix[None], tol)[0]
+    def expand_strict(self, x: Derivation) -> np.ndarray:
+        return self._expand_all_strict(x.matrix[None])[0]
 
     def combination(self, coeffs: np.ndarray, parity: int) -> Derivation:
         mat = np.tensordot(coeffs, self.matrices, axes=1)
@@ -432,13 +436,12 @@ class DerivationFamily:
         coeffs = flat @ self._pinv.T
         return coeffs, max_abs(coeffs @ self._flat - flat)
 
-    def _expand_all_strict(
-        self, mats: np.ndarray, tol: float = EXPAND_TOL
-    ) -> np.ndarray:
+    def _expand_all_strict(self, mats: np.ndarray) -> np.ndarray:
         """Coefficients (k, m) of a stack of operators over the family;
-        raises when the worst one lies outside the family by more than tol."""
+        raises when the worst one lies outside the family by more than
+        EXPAND_TOL."""
         coeffs, worst = self._expand_all(mats)
-        if worst > tol:
+        if worst > EXPAND_TOL:
             raise CalculusError(f"derivation lies outside the family by {worst:.3e}")
         return coeffs
 
@@ -512,7 +515,6 @@ class Cochain:
         parity: int,
         tensor: np.ndarray,
         check: bool = True,
-        tol: float = 1e-10,
     ) -> None:
         self.family = family
         self.degree = int(degree)
@@ -525,10 +527,10 @@ class Cochain:
         self.tensor = t
         if check:
             res = self.symmetry_residual()
-            if res > tol:
+            if res > COCHAIN_TOL:
                 raise CalculusError(f"tensor violates graded alternation by {res:.3e}")
             res = self._parity_residual()
-            if res > tol:
+            if res > COCHAIN_TOL:
                 raise CalculusError(f"tensor violates parity bookkeeping by {res:.3e}")
 
     # -- bookkeeping checks
@@ -802,8 +804,6 @@ class AlgebraIsomorphism:
         source: Superalgebra,
         target: Superalgebra,
         matrix: np.ndarray,
-        verify: bool = True,
-        tol: float = 1e-9,
     ) -> None:
         self.source = source
         self.target = target
@@ -813,11 +813,9 @@ class AlgebraIsomorphism:
         if source.dim != target.dim:
             raise CalculusError("isomorphic algebras must have equal dimension")
         self._inv: np.ndarray | None = None
-        if verify:
-            res = self.verification_residuals()
-            worst = max(res.values())
-            if worst > tol:
-                raise CalculusError(f"not a *-isomorphism, worst defect {worst:.3e}")
+        worst = max(self.verification_residuals().values())
+        if worst > ISOMORPHISM_TOL:
+            raise CalculusError(f"not a *-isomorphism, worst defect {worst:.3e}")
 
     def verification_residuals(self) -> dict:
         p = self.matrix
@@ -875,23 +873,19 @@ def pushforward(iso: AlgebraIsomorphism, x: Derivation) -> Derivation:
     return Derivation(iso.target, mat, x.parity)
 
 
-def pullback(
-    iso: AlgebraIsomorphism,
-    omega: Cochain,
-    source_family: DerivationFamily | None = None,
-) -> Cochain:
-    """(phi* w)(X_1..X_p) = phi^{-1}[ w(phi_* X_1, .., phi_* X_p) ]."""
+def pullback(iso: AlgebraIsomorphism, omega: Cochain) -> Cochain:
+    """(phi* w)(X_1..X_p) = phi^{-1}[ w(phi_* X_1, .., phi_* X_p) ] for an
+    automorphism phi; the result lives on the family of w."""
     if omega.family.algebra is not iso.target:
         raise CalculusError("cochain does not live on the isomorphism target")
-    if source_family is None:
-        if iso.source is not iso.target:
-            raise CalculusError("need a source family for a non-automorphism")
-        source_family = omega.family
-    # column i: coefficients of phi_* X_i over the target family
-    pushed = iso.matrix @ source_family.matrices @ iso.inverse_matrix
-    s = omega.family._expand_all_strict(pushed).T
+    if iso.source is not iso.target:
+        raise CalculusError("pullback needs an automorphism")
+    fam = omega.family
+    # column i: coefficients of phi_* X_i over the family
+    pushed = iso.matrix @ fam.matrices @ iso.inverse_matrix
+    s = fam._expand_all_strict(pushed).T
     t = omega.tensor
     for ax in range(omega.degree):
         t = np.moveaxis(np.tensordot(s, t, axes=(0, ax)), 0, ax)
     t = np.einsum("...a,ba->...b", t, iso.inverse_matrix)
-    return Cochain(source_family, omega.degree, omega.parity, t, check=False)
+    return Cochain(fam, omega.degree, omega.parity, t, check=False)

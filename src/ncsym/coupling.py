@@ -77,24 +77,22 @@ class FactorSpec:
         return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
 
-def _fit_lambda(
-    alg: Superalgebra, pb: np.ndarray, tol: float = LAMBDA_FIT_TOL
-) -> tuple[complex, float, bool]:
+def _fit_lambda(alg: Superalgebra, pb: np.ndarray) -> tuple[complex, float, bool]:
     """Least squares for lam {e_i,e_j} = -[e_i,e_j]; raises if the bracket
     is not proportional to the supercommutator at all."""
     target = alg.swapped_structure() - alg.structure
     den = np.vdot(pb, pb).real
-    if den < tol * tol:
+    if den < LAMBDA_FIT_TOL * LAMBDA_FIT_TOL:
         raise CouplingError("factor bracket vanishes identically")
     lam = complex(np.vdot(pb, target) / den)
     residual = float(max_abs(lam * pb - target))
-    if residual > tol:
+    if residual > LAMBDA_FIT_TOL:
         raise CouplingError(
             f"factor bracket is not proportional to the supercommutator "
             f"(best fit lam = {lam:.6g}, residual {residual:.3e})"
         )
     commutative = bool(alg.is_supercommutative)
-    if commutative and abs(lam) > tol:
+    if commutative and abs(lam) > LAMBDA_FIT_TOL:
         raise CouplingError("supercommutative factor fitted a nonzero lam")
     return lam, residual, commutative
 
@@ -107,11 +105,11 @@ def _structure_factor(ss: SymplecticStructure, label: str) -> FactorSpec:
     )
 
 
-def quantum_factor(alg: Superalgebra, hbar: float, label: str | None = None) -> FactorSpec:
-    return _structure_factor(quantum_form(alg, hbar), label or f"quantum(hbar={hbar})")
+def quantum_factor(alg: Superalgebra, hbar: float) -> FactorSpec:
+    return _structure_factor(quantum_form(alg, hbar), f"quantum(hbar={hbar})")
 
 
-def grassmann_classical_factor(n: int, label: str | None = None) -> FactorSpec:
+def grassmann_classical_factor(n: int) -> FactorSpec:
     """A supercommutative factor: the Grassmann algebra on n generators with
     the odd canonical bracket {f, g} = -sum_a (right d_a f)(left d_a g),
     normalized so {theta_a, theta_b} = -delta_ab."""
@@ -129,7 +127,7 @@ def grassmann_classical_factor(n: int, label: str | None = None) -> FactorSpec:
         w[a, a] = -alg.unit_coeffs
     omega = Cochain(family, 2, 0, w)
     return FactorSpec(
-        label or f"grassmannClassical({n})", alg, pb, lam, res, comm,
+        f"grassmannClassical({n})", alg, pb, lam, res, comm,
         family=family, omega=omega,
     )
 
@@ -160,9 +158,7 @@ class CompatibilityReport:
         }
 
 
-def product_symplectic(
-    f1: FactorSpec, f2: FactorSpec, tol: float = LAMBDA_FIT_TOL
-) -> CompatibilityReport:
+def product_symplectic(f1: FactorSpec, f2: FactorSpec) -> CompatibilityReport:
     """Decide whether a product bracket exists and with which constant."""
     l1, l2 = f1.lam, f2.lam
     evidence = {
@@ -181,7 +177,7 @@ def product_symplectic(
             "NoneExistsMixed", None, (l1, l2),
             (f1.fit_residual, f2.fit_residual), evidence,
         )
-    if abs(l1 - l2) <= tol:
+    if abs(l1 - l2) <= LAMBDA_FIT_TOL:
         lam = 0.5 * (l1 + l2)
         return CompatibilityReport(
             "ExistsQuantum", lam, (l1, l2),
@@ -199,8 +195,8 @@ def product_symplectic(
 class ProductStructure:
     """The coupled system on tensor_algebra(f1.algebra, f2.algebra)."""
 
-    def __init__(self, f1: FactorSpec, f2: FactorSpec, tol: float = LAMBDA_FIT_TOL):
-        report = product_symplectic(f1, f2, tol)
+    def __init__(self, f1: FactorSpec, f2: FactorSpec):
+        report = product_symplectic(f1, f2)
         if not report.exists:
             raise CouplingError(
                 f"no product bracket for these factors: {report.verdict}"

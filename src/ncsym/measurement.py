@@ -30,6 +30,8 @@ from .symplectic import HamiltonianSystem
 
 SUPPRESSION_SERIES_CUT = 1e-8
 CROSSCHECK_TOL = 1e-6
+# Midpoint-rule nodes for a pointer readout averaged over its interval.
+POINTER_QUADRATURE_POINTS = 513
 
 
 class MeasurementError(ValueError):
@@ -179,7 +181,7 @@ class PointerObservable:
             raise MeasurementError(f"pointer position {z} is outside every interval")
         return self.values[lab]
 
-    def uniform_expectation(self, label: str, samples: int = 513) -> float:
+    def uniform_expectation(self, label: str) -> float:
         """Expected readout value for a branch spread uniformly over its
         interval.
 
@@ -188,7 +190,8 @@ class PointerObservable:
         integration anyway keeps the readout honest about what is being
         averaged."""
         a, b = self.intervals[label]
-        zs = a + (np.arange(samples) + 0.5) * (b - a) / samples
+        n = POINTER_QUADRATURE_POINTS
+        zs = a + (np.arange(n) + 0.5) * (b - a) / n
         vals = np.array([self.value(z) for z in zs])
         return float(vals.mean())
 

@@ -99,14 +99,10 @@ def moyal_bracket(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunct
     return (1j / hbar) * commutator
 
 
-def classical_limit_report(
-    f: SuperFunction, g: SuperFunction, hbars=None
-) -> dict:
+def classical_limit_report(f: SuperFunction, g: SuperFunction) -> dict:
     """Dual-route check of the first two series terms and the remainder
-    scaling exponent as hbar -> 0."""
-    hbars = np.asarray(
-        hbars if hbars is not None else np.geomspace(1e-4, 1e-1, 7), dtype=float
-    )
+    scaling exponent as hbar -> 0, fitted on seven hbars from 1e-4 to 0.1."""
+    hbars = np.geomspace(1e-4, 1e-1, 7)
     terms = star_terms(f, g)
     t0_direct = f * g
     t1_direct = (-0.5j) * super_poisson(f, g, SuperPBMatrix.canonical_even(1))
@@ -184,7 +180,6 @@ def wigner_function(
     psi: np.ndarray,
     xs: np.ndarray,
     hbar: float,
-    ps: np.ndarray | None = None,
     normalize: bool = True,
 ) -> WignerGrid:
     """Wigner symbol of a sampled wave function.
@@ -192,6 +187,7 @@ def wigner_function(
     W(x, p) = 2 * integral of conj(psi(x+y)) psi(x-y) exp(2ipy/hbar) dy,
     normalized so the dx dp/(2 pi hbar) integral is one.  The y quadrature
     runs over whole grid steps so psi(x +- y) stays on the sample grid.
+    The momentum grid is ``xs`` itself.
     """
     _check_hbar(hbar)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -207,9 +203,7 @@ def wigner_function(
         if not normalize:
             raise MoyalError(f"wave function norm {norm:.6f} is not one")
         psi = psi / np.sqrt(norm)
-    if ps is None:
-        ps = xs.copy()
-    ps = np.asarray(ps, dtype=float)
+    ps = xs.copy()
     mmax = nx - 1
     ms = np.arange(-mmax, mmax + 1)
     # a[j, m] = conj(psi(x_j + y_m)) psi(x_j - y_m), zero off the grid

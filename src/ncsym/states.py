@@ -26,6 +26,10 @@ from ._linalg import lstsq_with_residual, max_abs, nullspace
 from .algebra import Element, Superalgebra, _basis_vec
 
 STATE_TOL = 1e-10
+# Values closer than this count as equal in the separation check.
+SEPARATION_TOL = 1e-9
+# Random observable and state pairs the constructive separation check tries.
+CC_SPOT_CHECKS = 20
 # Relative eigenvalue threshold for GNS rank decisions.
 GNS_RANK_RTOL = 1e-10
 
@@ -67,9 +71,9 @@ class State:
             raise StateError(f"functional has no density in the realization ({res:.3e})")
         return rho_flat.reshape(n, n)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
+    def is_pure(self) -> bool:
         rho = self.density_matrix()
-        return max_abs(rho @ rho - rho) <= tol
+        return max_abs(rho @ rho - rho) <= 1e-9
 
 
 def gram_matrix(alg: Superalgebra, functional: np.ndarray) -> np.ndarray:
@@ -81,9 +85,7 @@ def gram_matrix(alg: Superalgebra, functional: np.ndarray) -> np.ndarray:
     return np.einsum("ai,ajb,b->ij", stars, alg.structure, f)
 
 
-def validate_state_functional(
-    alg: Superalgebra, functional: np.ndarray, tol: float = STATE_TOL
-) -> dict:
+def validate_state_functional(alg: Superalgebra, functional: np.ndarray) -> dict:
     """Normalization, hermiticity, odd-vanishing, Gram positivity.
 
     Returns an evidence dict; raises StateError with a witness description
@@ -94,7 +96,7 @@ def validate_state_functional(
     if abs(norm - 1.0) > 1e-9:
         raise StateError(f"state is not normalized, phi(1) = {norm}")
     odd = max_abs(f[alg.parity == 1])
-    if odd > tol:
+    if odd > STATE_TOL:
         idx = int(np.argmax(np.abs(f * (alg.parity == 1))))
         raise StateError(
             f"state does not vanish on the odd part (phi({alg.labels[idx]}) "
@@ -272,9 +274,7 @@ def cc_check(
     alg: Superalgebra,
     observables="full",
     pure_states="full",
-    tol: float = 1e-9,
     rng: np.random.Generator | None = None,
-    samples: int = 20,
 ) -> dict:
     """Do pure states separate observables and observables separate states?
 
@@ -282,24 +282,25 @@ def cc_check(
     them apart.  Clause (ii): for any two different states there is an
     observable telling them apart.  With ``"full"`` on both slots (matrix
     realizations only) the answer is constructive and spot-checked on random
-    pairs; with explicit lists both clauses are scanned pairwise and the
-    first unseparated pair is returned as a witness.
+    pairs (CC_SPOT_CHECKS of them); with explicit lists both clauses are
+    scanned pairwise and the first unseparated pair is returned as a
+    witness.  Values closer than SEPARATION_TOL count as equal.
     """
     rng = rng or np.random.default_rng(0)
     if isinstance(observables, str) and isinstance(pure_states, str):
         if alg.rep_basis is None:
             raise StateError("constructive mode needs a matrix realization")
         n = alg.rep_basis.shape[1]
-        for _ in range(samples):
+        for _ in range(CC_SPOT_CHECKS):
             a = alg.sample_element(rng, hermitian=True)
             b = alg.sample_element(rng, hermitian=True)
-            if max_abs(a.coeffs - b.coeffs) < tol:
+            if max_abs(a.coeffs - b.coeffs) < SEPARATION_TOL:
                 continue
             diff = a.realize() - b.realize()
             evals, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
             k = int(np.argmax(np.abs(evals)))
             phi = vector_state(alg, vecs[:, k])
-            if abs(phi.expectation(a) - phi.expectation(b)) <= tol:
+            if abs(phi.expectation(a) - phi.expectation(b)) <= SEPARATION_TOL:
                 return {
                     "verdict": False,
                     "clause": "statesSeparateObservables",
@@ -309,9 +310,9 @@ def cc_check(
             psi1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             psi2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             s1, s2 = vector_state(alg, psi1), vector_state(alg, psi2)
-            if max_abs(s1.functional - s2.functional) < tol:
+            if max_abs(s1.functional - s2.functional) < SEPARATION_TOL:
                 continue
-            sep = _separating_observable(alg, s1, s2, tol)
+            sep = _separating_observable(alg, s1, s2)
             if sep is None:
                 return {
                     "verdict": False,
@@ -325,10 +326,10 @@ def cc_check(
     states = list(pure_states)
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            if max_abs(obs[i].coeffs - obs[j].coeffs) < tol:
+            if max_abs(obs[i].coeffs - obs[j].coeffs) < SEPARATION_TOL:
                 continue
             if not any(
-                abs(phi.expectation(obs[i]) - phi.expectation(obs[j])) > tol
+                abs(phi.expectation(obs[i]) - phi.expectation(obs[j])) > SEPARATION_TOL
                 for phi in states
             ):
                 return {
@@ -339,10 +340,10 @@ def cc_check(
                 }
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if max_abs(states[i].functional - states[j].functional) < tol:
+            if max_abs(states[i].functional - states[j].functional) < SEPARATION_TOL:
                 continue
             if not any(
-                abs(states[i].expectation(a) - states[j].expectation(a)) > tol
+                abs(states[i].expectation(a) - states[j].expectation(a)) > SEPARATION_TOL
                 for a in obs
             ):
                 return {
@@ -354,13 +355,13 @@ def cc_check(
     return {"verdict": True, "witness": None, "mode": "scan"}
 
 
-def _separating_observable(alg, s1: State, s2: State, tol: float):
+def _separating_observable(alg, s1: State, s2: State):
     for i in range(alg.dim):
         e = alg.basis_element(i)
         h1 = 0.5 * (e + e.star())
         h2 = -0.5j * (e - e.star())
         for h in (h1, h2):
-            if abs(s1.expectation(h) - s2.expectation(h)) > tol:
+            if abs(s1.expectation(h) - s2.expectation(h)) > SEPARATION_TOL:
                 return h
     return None
 

@@ -337,7 +337,6 @@ def superfunction_from_element(e: Element) -> SuperFunction:
 
 def g3_unique_state(
     rng: np.random.Generator | None = None,
-    grid: int = 5,
     samples: int = 300,
 ) -> dict:
     """On the Grassmann algebra with three generators exactly one density is
@@ -346,7 +345,7 @@ def g3_unique_state(
     Normalization pins the top coefficient; vanishing on odd observables
     kills the scalar and degree-2 coefficients; hermiticity plus Gram
     positivity kills the degree-1 coefficients.  The scan below perturbs
-    every coefficient (grid and random directions) and counts the
+    every coefficient (a five-point grid and random directions) and counts the
     rejections, then runs the separation check with the witness observables
     1 + theta1 theta2 and 1 + 2 theta1 theta2.
     """
@@ -358,7 +357,7 @@ def g3_unique_state(
     rejected = {"grid": 0, "random": 0}
     tried = {"grid": 0, "random": 0}
     for idx in range(alg.dim):
-        for val in np.linspace(-1.0, 1.0, grid):
+        for val in np.linspace(-1.0, 1.0, 5):
             if val == 0.0:
                 continue
             for scale in (1.0, 1.0j):
@@ -387,7 +386,6 @@ def g3_unique_state(
     cc = cc_check(alg, obs, [state])
     return {
         "state": state,
-        "density": rho0,
         "unique": unique,
         "tried": tried,
         "rejected": rejected,

@@ -40,7 +40,6 @@ from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,
     Derivation,
-    DerivationFamily,
     exterior_derivative,
     _special_evidence,
 )
@@ -65,12 +64,7 @@ class SymplecticStructure:
     The declared reality is enforced at construction.
     """
 
-    def __init__(
-        self,
-        omega: Cochain,
-        kind: dict | None = None,
-        check: bool = True,
-    ) -> None:
+    def __init__(self, omega: Cochain, kind: dict | None = None) -> None:
         if omega.degree != 2 or omega.parity != 0:
             raise SymplecticError("symplectic form must be an even 2-cochain")
         self.omega = omega
@@ -80,23 +74,19 @@ class SymplecticStructure:
         m = len(self.family)
         dim = self.algebra.dim
         self._pairing = omega.tensor.reshape(m, m * dim)
-        self.closed_residual = None
         self.reality_residuals = omega.reality_residuals()
-        if check:
-            self.closed_residual = exterior_derivative(omega).norm()
-            if self.closed_residual > CLOSED_TOL:
-                raise SymplecticError(
-                    f"form is not closed, |d omega| = {self.closed_residual:.3e}"
-                )
-            declared = self.kind.get("reality")
-            if declared is not None:
-                defect = self.reality_residuals[declared]
-                if defect > REALITY_TOL:
-                    raise SymplecticError(
-                        f"form is not {declared} (defect {defect:.3e})"
-                    )
-            if numerical_rank(self._pairing) != m:
-                raise SymplecticError("form is degenerate on the family")
+        self.closed_residual = exterior_derivative(omega).norm()
+        if self.closed_residual > CLOSED_TOL:
+            raise SymplecticError(
+                f"form is not closed, |d omega| = {self.closed_residual:.3e}"
+            )
+        declared = self.kind.get("reality")
+        if declared is not None:
+            defect = self.reality_residuals[declared]
+            if defect > REALITY_TOL:
+                raise SymplecticError(f"form is not {declared} (defect {defect:.3e})")
+        if numerical_rank(self._pairing) != m:
+            raise SymplecticError("form is degenerate on the family")
         # i_Y omega = -d e_i for every basis element in one batch.  Y has the
         # parity of e_i since the form is even, and
         # (d e_i)(X_l) = (-1)**(e_l e_i) X_l(e_i).
@@ -166,20 +156,15 @@ class SymplecticStructure:
         return max_abs(pb.coeffs - self.algebra.unit_coeffs)
 
 
-def _commutator_cochain(
-    alg: Superalgebra, family: DerivationFamily | None
-) -> Cochain:
-    """The 2-cochain (D_A, D_B) -> [A, B] on a special algebra."""
-    info, inner = _special_evidence(alg)
+def _commutator_cochain(alg: Superalgebra) -> Cochain:
+    """The 2-cochain (D_A, D_B) -> [A, B] on the inner family of a special
+    algebra."""
+    info, fam = _special_evidence(alg)
     if not info["special"]:
         raise SymplecticError(
             "algebra is not special (trivial graded center + all "
             f"superderivations inner); evidence: {info}"
         )
-    fam = family if family is not None else inner
-    for x in fam.members:
-        if x.source is None:
-            raise SymplecticError("canonical form needs an inner family")
     # [A, B] = sum_uv a_u b_v [e_u, e_v] for every pair of sources at once
     sources = np.array([x.source.coeffs for x in fam.members])
     comm = alg.structure - alg.swapped_structure()
@@ -187,29 +172,23 @@ def _commutator_cochain(
     return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
 
 
-def canonical_form(
-    alg: Superalgebra, family: DerivationFamily | None = None
-) -> SymplecticStructure:
+def canonical_form(alg: Superalgebra) -> SymplecticStructure:
     """The commutator 2-form omega(D_A, D_B) = [A, B] on a special algebra.
 
     Well defined because [A + z, B + w] = [A, B] for central shifts z, w, so
     the value depends only on the derivations.  Imaginary: omega* = -omega.
     """
     return SymplecticStructure(
-        _commutator_cochain(alg, family),
+        _commutator_cochain(alg),
         {"kind": "canonical", "hbar": None, "reality": "imaginary"},
     )
 
 
-def quantum_form(
-    alg: Superalgebra,
-    hbar: float,
-    family: DerivationFamily | None = None,
-) -> SymplecticStructure:
+def quantum_form(alg: Superalgebra, hbar: float) -> SymplecticStructure:
     """omega_q = (-i hbar) omega_c; real, with {A,B} = (i/hbar)[A, B]."""
     if not (np.isfinite(hbar) and hbar > 0):
         raise SymplecticError(f"hbar must be finite and positive, got {hbar}")
-    omega = (-1j * hbar) * _commutator_cochain(alg, family)
+    omega = (-1j * hbar) * _commutator_cochain(alg)
     return SymplecticStructure(
         omega, {"kind": "quantum", "hbar": float(hbar), "reality": "real"}
     )

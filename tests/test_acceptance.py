@@ -37,7 +37,7 @@ def _check(report, name):
 
 def test_criterion_01_bracket_identities_at_1e9():
     t0 = time.perf_counter()
-    rep = identity_suite(seed=SEED, samples=200, tol=1e-9)
+    rep = identity_suite(seed=SEED, tol=1e-9)
     elapsed = time.perf_counter() - t0
     assert rep.passed, _failures(rep)
     assert {c.name.split(".")[0] for c in rep.checks} == {
@@ -55,7 +55,7 @@ def test_criterion_02_calculus_identities_at_1e10():
 
 
 def test_criterion_03_coupling_verdicts_and_bracket_routes():
-    rep = coupling_suite(seed=SEED, samples=100, tol=1e-12)
+    rep = coupling_suite(seed=SEED, tol=1e-12)
     assert rep.passed, _failures(rep)
     assert _check(rep, "productEqualsKronCommutator").value <= 1e-12
     assert _check(rep, "perturbedLambdaDetected").value >= 1e-3

@@ -458,7 +458,7 @@ def test_pushforward_pullback_composition_laws():
     u2 = expm(1j * M2.sample_element(rng, hermitian=True).realize())
     phi = AlgebraIsomorphism.unitary_conjugation(M2, u1)
     psi = AlgebraIsomorphism.unitary_conjugation(M2, u2)
-    both = AlgebraIsomorphism(M2, M2, psi.matrix @ phi.matrix, verify=False)
+    both = AlgebraIsomorphism(M2, M2, psi.matrix @ phi.matrix)
     x = inner_derivation(M2, M2.sample_element(rng))
     lhs = pushforward(both, x)
     rhs = pushforward(psi, pushforward(phi, x))

@@ -32,6 +32,12 @@ def test_flag_rejected_when_suite_lacks_it(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_coupling_takes_no_samples(capsys):
+    # the coupling battery runs on every basis pair, so there is no count
+    assert main(["coupling", "--samples", "5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_json_report_round_trip(tmp_path, capsys):
     out = tmp_path / "gns.json"
     assert main(["gns", "--seed", "3", "--out", str(out)]) == 0
@@ -97,7 +103,7 @@ def test_every_suite_passes_quickly(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["coupling", "--samples", "0"], ["verify", "--samples", "-5"]]
+    "argv", [["moyal-limit", "--samples", "0"], ["verify", "--samples", "-5"]]
 )
 def test_samples_below_one_is_usage_error(argv, capsys):
     assert main(argv) == 2

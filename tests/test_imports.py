@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-module-level constant is read somewhere in the package, and importing the
-package pulls in no heavy optional module."""
+module-level constant is read somewhere in the package, every defaulted
+parameter is set by some call, and importing the package pulls in no heavy
+optional module."""
 from __future__ import annotations
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ncsym"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ncsym"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,6 +72,132 @@ def test_checker_flags_a_dead_constant():
 def test_every_constant_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_constants(sources) == []
+
+
+def _defaulted_parameters(source: str):
+    """(qualified name, call name, positional names, defaulted names) for
+    every function in ``source``.  A method drops its self or cls slot and
+    an ``__init__`` is called by its class name."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = [p.arg for p in a.posonlyargs + a.args]
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if in_class and not static:
+                    pos = pos[1:]
+                defaulted = pos[len(pos) - len(a.defaults):] if a.defaults else []
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                name = prefix[-1] if child.name == "__init__" and in_class else child.name
+                out.append((".".join(prefix + [child.name]), name, pos, defaulted))
+                visit(child, prefix + [child.name], False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse(source), [], False)
+    return out
+
+
+def _cli_settings(cli_source: str, suites_source: str) -> dict[str, set]:
+    """The keys cli.main stores in its ``kwargs`` dict, directly or through
+    a loop over a tuple of names, for each suite function in ``SUITES``."""
+    keys, loops = set(), {}
+    for node in ast.walk(ast.parse(cli_source)):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops[getattr(node.target, "id", None)] = {
+                e.value for e in node.iter.elts if isinstance(e, ast.Constant)
+            }
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            if any(getattr(t, "id", None) == "kwargs" for t in node.targets):
+                keys.update(k.value for k in node.value.keys)
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "kwargs"
+        ):
+            key = node.slice
+            keys.update({key.value} if isinstance(key, ast.Constant) else loops.get(key.id, ()))
+    suites = set()
+    for node in ast.parse(suites_source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITES":
+            suites.update(v.id for v in node.value.values)
+    return {name: keys for name in suites}
+
+
+def dead_keywords(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions in ``sources`` that no call in
+    ``callers`` sets, by keyword, by position, or (for a suite) through a
+    ``cli.main`` kwargs key.  Calls match by name; ``cls(..)`` in a class
+    body calls that class."""
+    keywords: dict[str, set] = _cli_settings(
+        sources.get("cli.py", ""), sources.get("suites.py", "")
+    )
+    positions: dict[str, int] = {}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                name = cls if name == "cls" else name
+                starred = any(isinstance(a, ast.Starred) for a in child.args)
+                keywords.setdefault(name, set()).update(k.arg for k in child.keywords)
+                npos = float("inf") if starred else len(child.args)
+                positions[name] = max(positions.get(name, 0), npos)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for source in callers:
+        visit(ast.parse(source), None)
+    dead = []
+    for module, source in sources.items():
+        for qualname, name, pos, defaulted in _defaulted_parameters(source):
+            for param in defaulted:
+                by_keyword = {param, None} & keywords.get(name, set())
+                by_position = param in pos and pos.index(param) < positions.get(name, 0)
+                if not (by_keyword or by_position):
+                    dead.append(f"{module}: {qualname}({param}=)")
+    return sorted(dead)
+
+
+def test_checker_flags_a_dead_keyword():
+    sources = {
+        "a.py": (
+            "def f(x, y=1, z=2, *, w=3): pass\n"
+            "class C:\n"
+            "    def __init__(self, k=0, j=0): pass\n"
+            "    def m(self, q=1): pass\n"
+            "    @classmethod\n"
+            "    def make(cls): return cls(k=1)\n"
+        ),
+        "suites.py": "def s(seed=0, tol=1.0, n=3): pass\nSUITES = {'s': s}\n",
+        "cli.py": (
+            "def main():\n"
+            "    kwargs = {'seed': 0}\n"
+            "    for flag in ('tol',):\n"
+            "        kwargs[flag] = 1\n"
+        ),
+    }
+    callers = list(sources.values()) + ["f(0, 5)\nobj.m(2)\n"]
+    assert dead_keywords(sources, callers) == [
+        "a.py: C.__init__(j=)",
+        "a.py: f(w=)",
+        "a.py: f(z=)",
+        "suites.py: s(n=)",
+    ]
+
+
+def test_every_default_is_set_by_some_call():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [
+        path.read_text()
+        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    assert dead_keywords(sources, callers) == []
 
 
 def test_package_import_leaves_scipy_sparse_out():

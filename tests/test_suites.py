@@ -1,0 +1,113 @@
+"""The exact bracket batteries detect a corrupted bracket tensor, and the
+Grassmann density oracle reads the scanned state.
+
+Each corruption is a small change to a structure's ``pb_tensor``, made
+after construction so the Hamiltonian-solve gate still passes; the check
+it breaks must FAIL on every algebra of the battery."""
+import numpy as np
+import pytest
+from unittest import mock
+
+from ncsym import suites
+from ncsym.states import State
+
+EPS = 1e-6
+
+
+def _phase(alg, t):
+    # i{,} is no longer real; every multilinear axiom is homogeneous in t
+    return t * (1 + EPS * 1j)
+
+
+def _graded_symmetric_part(alg, t):
+    return t + EPS * (alg.structure + alg.swapped_structure())
+
+
+def _one_pair_scaled(alg, t):
+    # {e_a, e_b} and {e_b, e_a} on one pair with a nonzero bracket
+    a, b = np.argwhere(np.abs(t).max(axis=2) > 0.5)[0]
+    t = t.copy()
+    t[a, b] *= 1 + EPS
+    t[b, a] *= 1 + EPS
+    return t
+
+
+def _one_basis_element_rescaled(alg, t):
+    t = t.copy()
+    t[1] *= 1 + EPS
+    t[:, 1] *= 1 + EPS
+    return t
+
+
+def _unit_shifted(alg, t):
+    # Y_a + EPS conj(u_a) Id, so Y_1 = EPS |u|**2 Id
+    return t + EPS * np.einsum("a,bk->abk", np.conj(alg.unit_coeffs), np.eye(alg.dim))
+
+
+def _identity_report(corrupt):
+    build = suites.quantum_form
+
+    def corrupted(alg, hbar):
+        ss = build(alg, hbar)
+        ss.pb_tensor = corrupt(alg, ss.pb_tensor)
+        return ss
+
+    with mock.patch.object(suites, "quantum_form", corrupted):
+        return suites.identity_suite(seed=0)
+
+
+@pytest.mark.parametrize(
+    "axiom, corrupt",
+    [
+        ("antisymmetry", _graded_symmetric_part),
+        ("leibniz", _one_pair_scaled),
+        ("jacobi", _one_basis_element_rescaled),
+        ("reality", _phase),
+        ("unit", _unit_shifted),
+        ("hamiltonianBracket", _one_basis_element_rescaled),
+    ],
+)
+def test_identity_check_fails_on_a_corrupted_bracket(axiom, corrupt):
+    assert suites.identity_suite(seed=0).passed
+    rep = _identity_report(corrupt)
+    verdicts = {c.name: c.passed for c in rep.checks}
+    for label in ("matrix2", "matrix3", "graded11"):
+        assert verdicts[f"{label}.{axiom}"] is False, label
+
+
+def test_phase_corruption_breaks_only_reality():
+    failed = {c.name.split(".")[1] for c in _identity_report(_phase).checks if not c.passed}
+    assert failed == {"reality"}
+
+
+def test_product_bracket_check_fails_on_a_corrupted_bracket():
+    build = suites.ProductStructure
+
+    def corrupted(f1, f2):
+        prod = build(f1, f2)
+        prod.pb_tensor = prod.pb_tensor * (1 + 1e-10)
+        return prod
+
+    assert suites.coupling_suite(seed=0).passed
+    with mock.patch.object(suites, "ProductStructure", corrupted):
+        rep = suites.coupling_suite(seed=0)
+    check = next(c for c in rep.checks if c.name == "productEqualsKronCommutator")
+    assert not check.passed
+    assert check.value > suites.COUPLING_KRON_TOL
+
+
+def test_density_oracle_reads_the_scanned_state():
+    scan_state = suites.g3_unique_state
+
+    def corrupted(**kwargs):
+        scan = scan_state(**kwargs)
+        f = scan["state"].functional.copy()
+        f[-1] += EPS
+        scan["state"] = State(scan["state"].algebra, f)
+        return scan
+
+    with mock.patch.object(suites, "g3_unique_state", corrupted):
+        rep = suites.grassmann_suite(seed=0)
+    check = next(c for c in rep.checks if c.name == "g3DensityOracle")
+    assert not check.passed
+    assert check.value == pytest.approx(EPS)
