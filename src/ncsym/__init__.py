@@ -3,10 +3,10 @@
 The package is organized bottom up:
 
 * :mod:`ncsym.algebra` -- graded *-algebras by structure constants
-* :mod:`ncsym.calculus` -- derivations, graded differential forms, flows
+* :mod:`ncsym.calculus` -- derivations, graded differential forms, pullbacks
 * :mod:`ncsym.symplectic` -- symplectic structures, Poisson brackets, dynamics
 * :mod:`ncsym.coupling` -- products of symplectic algebras and hybrid brackets
-* :mod:`ncsym.states` -- states, transformations, GNS construction
+* :mod:`ncsym.states` -- states, separation checks, GNS construction
 * :mod:`ncsym.superclassical` -- functions of commuting and anticommuting
   variables, Berezin integration
 * :mod:`ncsym.moyal` -- star products, Moyal brackets, Wigner functions

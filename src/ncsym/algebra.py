@@ -28,7 +28,6 @@ sample, and returns the residual of each one.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,6 @@ import numpy as np
 
 from ._linalg import (
     bilinear,
-    greedy_independent,
     left_action,
     lstsq_with_residual,
     max_abs,
@@ -47,9 +45,6 @@ from ._linalg import (
 # Tolerance for the structural invariants checked at construction time
 # (associativity, unit, parity bookkeeping, involution axioms).
 STRUCTURE_TOL = 1e-12
-
-# Gate on the idempotence and completeness of coherent sector projectors.
-SECTOR_TOL = 1e-9
 
 # Decision threshold: an algebra counts as supercommutative when every basis
 # supercommutator is below this.
@@ -88,9 +83,9 @@ class Element:
 
     @property
     def parity(self) -> int | None:
-        """0 or 1 for homogeneous elements, None for mixed or zero tolerance
-        calls on genuinely mixed vectors.  The zero element reports parity 0.
-        """
+        """0 or 1 for a homogeneous element, None for one with both an even
+        and an odd part above STRUCTURE_TOL.  The zero element reports
+        parity 0."""
         alg = self.algebra
         even = max_abs(self.coeffs[alg.parity == 0])
         odd = max_abs(self.coeffs[alg.parity == 1])
@@ -100,15 +95,8 @@ class Element:
             return 1
         return None
 
-    def graded_part(self, parity: int) -> "Element":
-        mask = (self.algebra.parity == parity).astype(complex)
-        return Element(self.algebra, self.coeffs * mask)
-
     def star(self) -> "Element":
         return Element(self.algebra, self.algebra.star_coeffs(self.coeffs))
-
-    def is_hermitian(self) -> bool:
-        return max_abs(self.star().coeffs - self.coeffs) <= 1e-12
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -150,15 +138,6 @@ class Element:
             if abs(c) > 1e-14:
                 terms.append(f"({c:.6g})*{self.algebra.labels[i]}")
         return " + ".join(terms) if terms else "0"
-
-
-@dataclass
-class CoherentSector:
-    """One block of the coherent decomposition: a central projector together
-    with the corner algebra it cuts out."""
-
-    projector: Element
-    algebra: "Superalgebra"
 
 
 class Superalgebra:
@@ -313,7 +292,7 @@ class Superalgebra:
         eta = koszul_signs(self.parity, self.parity)
         return eta[:, :, None] * self.structure.transpose(1, 0, 2)
 
-    # -- center and sectors ----------------------------------------------------
+    # -- center ----------------------------------------------------------------
 
     def graded_center(self) -> tuple[list[Element], list[Element]]:
         """Bases of the even and odd parts of the graded center.
@@ -334,101 +313,6 @@ class Superalgebra:
             out.append([Element(self, col) for col in full.T])
         self._center_cache = (out[0], out[1])
         return self._center_cache
-
-    def coherent_sectors(self) -> list[CoherentSector]:
-        """Decompose along the even center into coherent blocks.
-
-        Builds a hermitian central element with generic spectrum, forms the
-        spectral projectors by Lagrange interpolation inside the algebra and
-        cuts the algebra down to each corner.  A trivial center yields a
-        single sector that shares this algebra object.
-        """
-        z0, _ = self.graded_center()
-        if len(z0) == 0:
-            raise AlgebraError("unital algebra must have a nontrivial even center")
-        if len(z0) == 1:
-            return [CoherentSector(projector=self.unit, algebra=self)]
-        herms = _independent_hermitian_span(self, z0)
-        rng = np.random.default_rng(20250825)
-        for _ in range(32):
-            w = rng.standard_normal(len(herms))
-            z = np.zeros(self.dim, dtype=complex)
-            for wi, h in zip(w, herms):
-                z += wi * h.coeffs
-            evals = np.linalg.eigvals(self.left_mult_matrix(z))
-            lams = _cluster_reals(evals)
-            if lams is None or len(lams) != len(herms):
-                continue
-            gaps = np.diff(sorted(lams))
-            if gaps.size and min(gaps) < 1e-6:
-                continue
-            return self._sectors_from_central(z, lams)
-        raise AlgebraError("failed to find a central element with simple spectrum")
-
-    def _sectors_from_central(
-        self, z: np.ndarray, lams: list[float]
-    ) -> list[CoherentSector]:
-        sectors = []
-        check = np.zeros(self.dim, dtype=complex)
-        for lam in lams:
-            p = self.unit_coeffs.copy()
-            for mu in lams:
-                if mu == lam:
-                    continue
-                p = self.mul_coeffs(p, (z - mu * self.unit_coeffs) / (lam - mu))
-            idem = max_abs(self.mul_coeffs(p, p) - p)
-            if idem > SECTOR_TOL:
-                raise AlgebraError(f"sector projector fails idempotence by {idem:.3e}")
-            check = check + p
-            sectors.append(self._corner_algebra(Element(self, p), len(sectors)))
-        if max_abs(check - self.unit_coeffs) > SECTOR_TOL:
-            raise AlgebraError("sector projectors do not resolve the unit")
-        return sectors
-
-    def _corner_algebra(self, p: Element, index: int) -> CoherentSector:
-        """Cut out the block p A p (= p A for central p) as its own algebra."""
-        cols = []
-        for t in (0, 1):
-            idx = np.flatnonzero(self.parity == t)
-            if idx.size == 0:
-                continue
-            block = self.left_mult_matrix(p.coeffs)[:, idx]
-            u, s, _ = np.linalg.svd(block, full_matrices=False)
-            rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-            for k in range(rank):
-                cols.append((t, u[:, k]))
-        basis = np.array([v for _, v in cols]).T  # (dim, k)
-        par = [t for t, _ in cols]
-        k = basis.shape[1]
-        struct = np.zeros((k, k, k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                prod = self.mul_coeffs(basis[:, a], basis[:, b])
-                x, res = lstsq_with_residual(basis, prod)
-                if res > 1e-9:
-                    raise AlgebraError("sector basis is not multiplicatively closed")
-                struct[a, b] = x
-        unit_x, res = lstsq_with_residual(basis, p.coeffs)
-        if res > 1e-9:
-            raise AlgebraError("sector projector does not lie in the sector")
-        inv = np.zeros((k, k), dtype=complex)
-        for a in range(k):
-            sa = self.star_coeffs(basis[:, a])
-            x, res = lstsq_with_residual(basis, sa)
-            if res > 1e-9:
-                raise AlgebraError("sector is not involution closed")
-            # star(sum_a c_a b_a) = sum_a conj(c_a) star(b_a): column a of the
-            # sector involution matrix is the expansion of star(b_a).
-            inv[:, a] = x
-        alg = Superalgebra(
-            structure=struct,
-            parity=par,
-            unit=unit_x,
-            involution=inv,
-            labels=[f"s{index}b{a}" for a in range(k)],
-            kind={"form": "sector", "parent": self.kind, "index": index},
-        )
-        return CoherentSector(projector=p, algebra=alg)
 
     # -- realization -----------------------------------------------------------
 
@@ -462,47 +346,6 @@ class Superalgebra:
         if hermitian:
             e = 0.5 * (e + e.star())
         return e
-
-    # -- serialization -----------------------------------------------------------
-
-    SCHEMA = "ncsym.algebra/1"
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "schema": self.SCHEMA,
-            "dim": self.dim,
-            "labels": self.labels,
-            "parity": [int(p) for p in self.parity],
-            "kind": self.kind,
-            "unit": _encode_array(self.unit_coeffs),
-            "involution": _encode_array(self.involution_matrix),
-            "structure": _encode_array(self.structure),
-        }
-        if self.rep_basis is not None:
-            d["realization"] = _encode_array(self.rep_basis)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Superalgebra":
-        if d.get("schema") != cls.SCHEMA:
-            raise AlgebraError(f"unknown schema {d.get('schema')!r}")
-        rep = _decode_array(d["realization"]) if "realization" in d else None
-        return cls(
-            structure=_decode_array(d["structure"]),
-            parity=d["parity"],
-            unit=_decode_array(d["unit"]),
-            involution=_decode_array(d["involution"]),
-            labels=d["labels"],
-            kind=d["kind"],
-            rep_basis=rep,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Superalgebra":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return f"Superalgebra(dim={self.dim}, kind={self.kind!r})"
@@ -671,29 +514,6 @@ def kron_element(prod: Superalgebra, x: Element, y: Element) -> Element:
     return Element(prod, np.kron(x.coeffs, y.coeffs))
 
 
-def direct_sum(a: Superalgebra, b: Superalgebra) -> Superalgebra:
-    da, db = a.dim, b.dim
-    dim = da + db
-    structure = np.zeros((dim, dim, dim), dtype=complex)
-    structure[:da, :da, :da] = a.structure
-    structure[da:, da:, da:] = b.structure
-    parity = np.concatenate([a.parity, b.parity])
-    unit = np.concatenate([a.unit_coeffs, b.unit_coeffs])
-    involution = np.zeros((dim, dim), dtype=complex)
-    involution[:da, :da] = a.involution_matrix
-    involution[da:, da:] = b.involution_matrix
-    labels = [f"L.{s}" for s in a.labels] + [f"R.{s}" for s in b.labels]
-    rep = None
-    if a.rep_basis is not None and b.rep_basis is not None:
-        na = a.rep_basis.shape[1]
-        nb = b.rep_basis.shape[1]
-        rep = np.zeros((dim, na + nb, na + nb), dtype=complex)
-        rep[:da, :na, :na] = a.rep_basis
-        rep[da:, na:, na:] = b.rep_basis
-    kind = {"form": "directSum", "parts": [a.kind, b.kind]}
-    return Superalgebra(structure, parity, unit, involution, labels, kind, rep)
-
-
 # -- helpers ----------------------------------------------------------------------
 
 
@@ -703,52 +523,9 @@ def _basis_vec(n: int, i: int) -> np.ndarray:
     return v
 
 
-def _encode_array(a: np.ndarray) -> list:
-    """Nested lists with complex entries as [re, im] pairs (exact floats)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim == 0:
-        return [float(a.real), float(a.imag)]
-    return [_encode_array(sub) for sub in a]
-
-
-def _decode_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _independent_hermitian_span(
-    alg: Superalgebra, vecs: list[Element]
-) -> list[Element]:
-    """Hermitian elements spanning the same space as ``vecs`` (assumed
-    involution invariant as a space)."""
-    cands = []
-    for v in vecs:
-        cands.append(0.5 * (v + v.star()))
-        cands.append(-0.5j * (v - v.star()))
-    keep = greedy_independent([cand.coeffs for cand in cands], 1e-12)[: len(vecs)]
-    if len(keep) != len(vecs):
-        raise AlgebraError("center is not spanned by hermitian elements")
-    return [cands[k] for k in keep]
-
-
 def _worst(mags: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Largest entry of an array of magnitudes and its index."""
     if mags.size == 0:
         return 0.0, ()
     at = np.unravel_index(int(np.argmax(mags)), mags.shape)
     return float(mags[at]), tuple(int(k) for k in at)
-
-
-def _cluster_reals(evals: np.ndarray) -> list[float] | None:
-    """Cluster eigenvalues of a (numerically) real-spectrum operator; None if
-    an eigenvalue has a sizable imaginary part."""
-    if max_abs(evals.imag) > 1e-7:
-        return None
-    vals = sorted(float(x) for x in evals.real)
-    clusters: list[list[float]] = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) < 1e-7:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [float(np.mean(c)) for c in clusters]

@@ -42,7 +42,6 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._linalg import (
     RANK_RTOL,
@@ -128,20 +127,31 @@ def leibniz_defect(
     return (xs @ lj - sign * (lj @ xs)) - left_action(alg.structure, xs[:, :, j])
 
 
+def superderivation_residuals(
+    alg: Superalgebra, matrices: np.ndarray, parity: int
+) -> np.ndarray:
+    """The residual of each operator in a stack (k, dim, dim) of declared
+    parity r: the worst entry of its Leibniz defect over every block of
+    :func:`leibniz_defect` and of its grading defect (matrix entries that
+    move between wrong parity sectors)."""
+    xs = np.asarray(matrices, dtype=complex)
+    r = int(parity) % 2
+    worst = np.zeros(len(xs))
+    for j in range(alg.dim):
+        worst = np.maximum(worst, np.abs(leibniz_defect(alg, xs, r, j)).max(axis=(1, 2)))
+    bad = (alg.parity[:, None] != (alg.parity[None, :] + r) % 2)
+    return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
+
+
 def check_superderivation(
     alg: Superalgebra, matrix: np.ndarray, parity: int
 ) -> tuple[bool, float]:
     """Check the graded Leibniz condition for an operator of declared parity.
 
-    Returns (ok, residual).  The residual includes both the Leibniz defect
-    of every block of :func:`leibniz_defect` and the grading defect (matrix
-    entries that move between wrong parity sectors).
+    Returns (ok, residual), the residual of
+    :func:`superderivation_residuals`.
     """
-    xs = np.asarray(matrix, dtype=complex)[None]
-    r = int(parity) % 2
-    worst = max(max_abs(leibniz_defect(alg, xs, r, j)) for j in range(alg.dim))
-    bad = (alg.parity[:, None] != (alg.parity[None, :] + r) % 2)
-    worst = max(worst, max_abs(np.where(bad, xs[0], 0.0)))
+    worst = float(superderivation_residuals(alg, np.asarray(matrix)[None], parity)[0])
     return worst <= DERIVATION_TOL, worst
 
 
@@ -317,17 +327,12 @@ def superderivation_dims(alg: Superalgebra) -> dict:
     return {"even": dims[0], "odd": dims[1]}
 
 
-def is_special(alg: Superalgebra) -> dict:
-    """A noncommutative algebra is 'special' when its graded center is the
-    scalars and every superderivation is inner.  Checked by comparing the
-    superderivation-space dimension with dim - 1; returns an evidence dict.
-    """
-    return _special_evidence(alg)[0]
-
-
 def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]:
-    """:func:`is_special`'s evidence dict and the inner family it counted
-    (None on a supercommutative algebra), both computed once per algebra."""
+    """Whether the algebra is 'special': its graded center is the scalars
+    and every superderivation is inner, which is checked by comparing the
+    superderivation-space dimension with dim - 1.  Returns the evidence dict
+    and the inner family it counted (None on a supercommutative algebra),
+    both computed once per algebra."""
     if getattr(alg, "_special_cache", None) is not None:
         return alg._special_cache
     z0, z1 = alg.graded_center()
@@ -370,7 +375,7 @@ class DerivationFamily:
 
     Cochains are stored by their values on tuples from this family, so the
     family plays the role of a (generally non-spanning) frame on the space
-    of derivations.  ``expand`` writes an arbitrary derivation in the frame.
+    of derivations.  ``expand_strict`` writes a derivation in the frame.
     """
 
     def __init__(
@@ -416,11 +421,6 @@ class DerivationFamily:
                 "no nonzero inner derivations (is the algebra supercommutative?)"
             )
         return cls(alg, members, verify=False)
-
-    def expand(self, x: Derivation) -> tuple[np.ndarray, float]:
-        """Coefficients of x over the family and the expansion residual."""
-        coeffs, res = self._expand_all(x.matrix[None])
-        return coeffs[0], res
 
     def expand_strict(self, x: Derivation) -> np.ndarray:
         return self._expand_all_strict(x.matrix[None])[0]
@@ -759,11 +759,6 @@ def exterior_derivative(omega: Cochain) -> Cochain:
     return Cochain(fam, p + 1, omega.parity, t, check=False)
 
 
-def differential(family: DerivationFamily, a: Element) -> Cochain:
-    """dA as a 1-cochain, (dA)(X) = (-1)**(e_X e_A) X(A)."""
-    return exterior_derivative(Cochain.zero_form(family, a))
-
-
 def random_cochain(
     family: DerivationFamily,
     degree: int,
@@ -792,7 +787,7 @@ def random_cochain(
     return out
 
 
-# -- isomorphisms, pushforward, pullback ------------------------------------------
+# -- isomorphisms and pullback -----------------------------------------------------
 
 
 class AlgebraIsomorphism:
@@ -849,13 +844,6 @@ class AlgebraIsomorphism:
         return Element(self.target, self.matrix @ a.coeffs)
 
     @classmethod
-    def flow(cls, x: Derivation, t: float) -> "AlgebraIsomorphism":
-        """exp(t X) for an even derivation X; an automorphism of the algebra."""
-        if x.parity % 2:
-            raise CalculusError("flows exist only for even derivations")
-        return cls(x.algebra, x.algebra, expm(t * x.matrix))
-
-    @classmethod
     def unitary_conjugation(cls, alg: Superalgebra, u: np.ndarray) -> "AlgebraIsomorphism":
         """A -> U A U^-1 on an algebra with a matrix realization."""
         u = np.asarray(u, dtype=complex)
@@ -865,12 +853,6 @@ class AlgebraIsomorphism:
             for i in range(alg.dim)
         ]
         return cls(alg, alg, np.array(cols).T)
-
-
-def pushforward(iso: AlgebraIsomorphism, x: Derivation) -> Derivation:
-    """(phi_* X)(B) = phi(X(phi^{-1}(B)))."""
-    mat = iso.matrix @ x.matrix @ iso.inverse_matrix
-    return Derivation(iso.target, mat, x.parity)
 
 
 def pullback(iso: AlgebraIsomorphism, omega: Cochain) -> Cochain:

@@ -147,16 +147,6 @@ class CompatibilityReport:
     def exists(self) -> bool:
         return self.verdict.startswith("Exists")
 
-    def to_json_dict(self) -> dict:
-        lam = None if self.lam is None else [self.lam.real, self.lam.imag]
-        return {
-            "verdict": self.verdict,
-            "lambda": lam,
-            "factorLambdas": [[l.real, l.imag] for l in self.factor_lambdas],
-            "factorResiduals": list(self.factor_residuals),
-            "evidence": self.evidence,
-        }
-
 
 def product_symplectic(f1: FactorSpec, f2: FactorSpec) -> CompatibilityReport:
     """Decide whether a product bracket exists and with which constant."""

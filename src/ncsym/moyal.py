@@ -2,13 +2,14 @@
 
 Phase space polynomials are ``SuperFunction(2, 0)`` objects: coordinate 0
 is x and coordinate 1 is p (``variables(2, 0)``).  The series star product
-below is exact to all orders because derivatives terminate; the
-``moyal-limit`` suite certifies it.  Two further routes live here, the
-Wigner transform of sampled wave functions (with the phase space measure
-dx dp / (2 pi hbar), so a pure state has an idempotent symbol) and a
-direct double quadrature of the star product integral kernel for rapidly
-decaying functions; ``tests/test_moyal.py`` cross-checks them against
-the series.
+below is exact to all orders because derivatives terminate.  Two further
+routes live here, the Wigner transform of sampled wave functions (with the
+phase space measure dx dp / (2 pi hbar), so a pure state has an idempotent
+symbol) and a direct double quadrature of the star product integral kernel
+for rapidly decaying functions.  The ``moyal-limit`` suite certifies all
+three: the series on polynomials, the Wigner symbols of the two lowest
+oscillator states against their closed forms, and the kernel on the
+ground-state symbol, which is a star projector.
 
 Series convention (Groenewold 1946, Moyal 1949): f * g = sum_k hbar**k
 T_k(f, g) with
@@ -151,11 +152,12 @@ class WignerGrid:
             np.sum(self.values) * self.dx * self.dp / (2 * np.pi * self.hbar)
         )
 
-    def expectation(self, f, richardson_tol: float = RICHARDSON_TOL) -> float:
+    def expectation(self, f) -> float:
         """Phase space average with the dx dp/(2 pi hbar) measure.
 
         ``f`` is a ``SuperFunction(2, 0)`` or an array on the grid.  A
-        stride-2 subgrid recomputation guards against unresolved quadrature.
+        stride-2 subgrid recomputation guards against unresolved quadrature:
+        the two must agree to RICHARDSON_TOL, relative above one.
         """
         if isinstance(f, SuperFunction):
             points = np.stack(np.meshgrid(self.xs, self.ps, indexing="ij"), axis=-1)
@@ -165,27 +167,20 @@ class WignerGrid:
         meas = self.dx * self.dp / (2 * np.pi * self.hbar)
         full = float(np.sum(fv * self.values) * meas)
         half = float(np.sum(fv[::2, ::2] * self.values[::2, ::2]) * 4 * meas)
-        if not abs(full - half) <= richardson_tol * max(1.0, abs(full)):
+        if not abs(full - half) <= RICHARDSON_TOL * max(1.0, abs(full)):
             raise MoyalError(
                 f"phase space quadrature unresolved: {full} vs {half} on the "
                 f"coarse grid"
             )
         return full
 
-    def minimum(self) -> float:
-        return float(self.values.min())
 
-
-def wigner_function(
-    psi: np.ndarray,
-    xs: np.ndarray,
-    hbar: float,
-    normalize: bool = True,
-) -> WignerGrid:
+def wigner_function(psi: np.ndarray, xs: np.ndarray, hbar: float) -> WignerGrid:
     """Wigner symbol of a sampled wave function.
 
     W(x, p) = 2 * integral of conj(psi(x+y)) psi(x-y) exp(2ipy/hbar) dy,
-    normalized so the dx dp/(2 pi hbar) integral is one.  The y quadrature
+    with psi first scaled to unit norm on the grid, so the
+    dx dp/(2 pi hbar) integral of W is one.  The y quadrature
     runs over whole grid steps so psi(x +- y) stays on the sample grid.
     The momentum grid is ``xs`` itself.
     """
@@ -198,11 +193,7 @@ def wigner_function(
     if not np.all(np.isfinite(psi)):
         raise MoyalError("wave function has non-finite samples")
     dx = float(xs[1] - xs[0])
-    norm = np.sum(np.abs(psi) ** 2) * dx
-    if not abs(norm - 1.0) <= 1e-6:
-        if not normalize:
-            raise MoyalError(f"wave function norm {norm:.6f} is not one")
-        psi = psi / np.sqrt(norm)
+    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
     ps = xs.copy()
     mmax = nx - 1
     ms = np.arange(-mmax, mmax + 1)

@@ -1,4 +1,5 @@
-"""States, state transformations, compatibility checks and the GNS build.
+"""States, observable-valued measures, compatibility checks and the GNS
+build.
 
 A state is a normalized positive even linear functional: phi(1) = 1,
 phi(A*A) >= 0, phi hermitian (phi(A*) = conj(phi(A))) and vanishing on odd
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import lstsq_with_residual, max_abs, nullspace
+from ._linalg import max_abs, nullspace
 from .algebra import Element, Superalgebra, _basis_vec
 
 STATE_TOL = 1e-10
@@ -57,23 +58,6 @@ class State:
         if a.algebra is not self.algebra:
             raise StateError("element lives in a different algebra")
         return complex(self.functional @ a.coeffs)
-
-    def density_matrix(self) -> np.ndarray:
-        """Reconstruct rho with phi(A) = Tr(rho A) in the realization."""
-        alg = self.algebra
-        if alg.rep_basis is None:
-            raise StateError("no matrix realization to carry a density matrix")
-        n = alg.rep_basis.shape[1]
-        # phi(e_k) = Tr(rho rep_k) is linear in rho; solve in the span
-        mat = np.array([alg.rep_basis[k].T.reshape(-1) for k in range(alg.dim)])
-        rho_flat, res = lstsq_with_residual(mat, self.functional)
-        if res > 1e-8:
-            raise StateError(f"functional has no density in the realization ({res:.3e})")
-        return rho_flat.reshape(n, n)
-
-    def is_pure(self) -> bool:
-        rho = self.density_matrix()
-        return max_abs(rho @ rho - rho) <= 1e-9
 
 
 def gram_matrix(alg: Superalgebra, functional: np.ndarray) -> np.ndarray:
@@ -182,50 +166,6 @@ def tracial_state(alg: Superalgebra) -> State:
         raise StateError("algebra has no matrix realization")
     n = alg.rep_basis.shape[1]
     return make_state(alg, "densityMatrix", np.eye(n) / n)
-
-
-# -- transforms -----------------------------------------------------------------
-
-
-def transform_state(phi: State, iso=None, generator=None, validate=True) -> State:
-    """Transport a state.
-
-    * ``iso``: an algebra isomorphism Phi; the transpose action
-      (new phi)(A) = phi(Phi(A)).
-    * ``generator``: a triple (structure, G, eps) performing the first-order
-      canonical transformation  delta phi(A) = eps * phi({G, A}).
-    """
-    if (iso is None) == (generator is None):
-        raise StateError("provide exactly one of iso= or generator=")
-    if iso is not None:
-        # the transpose action pulls a state on the target back to the source
-        if iso.target is not phi.algebra:
-            raise StateError("state must live on the isomorphism's target")
-        f = iso.matrix.T @ phi.functional
-        out = State(iso.source, f, dict(phi.meta))
-        if validate:
-            validate_state_functional(iso.source, f)
-        return out
-    structure, g, eps = generator
-    lmat = structure.poisson_operator(g)
-    f = phi.functional + float(eps) * (lmat.T @ phi.functional)
-    # first-order transforms can leave the state set at O(eps**2); keep the
-    # normalization exact and report positivity only on request
-    out = State(phi.algebra, f, dict(phi.meta))
-    if validate:
-        validate_state_functional(phi.algebra, f)
-    return out
-
-
-def transition_probability(phi1: State, phi2: State) -> float:
-    """w(phi1, phi2) = Tr(rho1 rho2); for pure states this is the squared
-    overlap of the representing vectors."""
-    r1 = phi1.density_matrix()
-    r2 = phi2.density_matrix()
-    w = np.trace(r1 @ r2)
-    if abs(w.imag) > 1e-9:
-        raise StateError("transition probability came out non-real")
-    return float(w.real)
 
 
 # -- positive operator valued measures --------------------------------------------
@@ -380,17 +320,6 @@ class GnsResult:
     reproduction_residual: float
     homomorphism_residual: float
     star_residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "irreducible": self.irreducible,
-            "commutantDimension": self.commutant_dimension,
-            "nullSpaceDimension": self.null_space_dimension,
-            "reproductionResidual": self.reproduction_residual,
-            "homomorphismResidual": self.homomorphism_residual,
-            "starResidual": self.star_residual,
-        }
 
 
 def gns(alg: Superalgebra, phi: State) -> GnsResult:

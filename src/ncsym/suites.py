@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from ._linalg import max_abs, rk4_trajectory
 from .algebra import grassmann_algebra, koszul_signs, matrix_algebra
 from .calculus import (
+    DERIVATION_TOL,
     AlgebraIsomorphism,
     DerivationFamily,
     check_superderivation,
@@ -22,6 +23,7 @@ from .calculus import (
     lie_derivative,
     pullback,
     random_cochain,
+    superderivation_residuals,
     wedge,
 )
 from .coupling import (
@@ -39,7 +41,15 @@ from .measurement import (
     suppression_sweep,
     uniform_suppression,
 )
-from .moyal import classical_limit_report, moyal_bracket, star
+from .moyal import (
+    classical_limit_report,
+    moyal_bracket,
+    oscillator_first_excited,
+    oscillator_ground_state,
+    star,
+    star_integral,
+    wigner_function,
+)
 from .report import Report, merge
 from .states import (
     berezin_integral_coeffs,
@@ -65,6 +75,12 @@ GNS_TOL = 1e-10
 MOYAL_ASSOC_TOL = 1e-10
 EVOLVE_TOL = 1e-8
 EVOLVE_TMAX = 10.0
+# The Wigner and integral kernel routes of moyal-limit: pinned tolerance,
+# phase space grids (span and points per axis) and the kernel's points xi.
+WIGNER_TOL = 1e-6
+WIGNER_SPAN, WIGNER_POINTS = 7.0, 101
+KERNEL_SPAN, KERNEL_POINTS = 6.0, 81
+KERNEL_XI = ((0.0, 0.0), (0.3, -0.5), (1.1, 0.4))
 
 
 ALGEBRA_ALIASES = {
@@ -251,7 +267,6 @@ def coupling_suite(
             lam=None if pair.lam is None else [pair.lam.real, pair.lam.imag],
         )
         return rep
-    rng = np.random.default_rng(seed)
     rep = Report("coupling", seed)
     hbar = 0.5
     q2 = quantum_factor(matrix_algebra(2), hbar)
@@ -286,23 +301,37 @@ def coupling_suite(
     worst = float((np.abs(via_pb - via_kron).max(axis=(2, 3)) / scale).max())
     rep.residual("productEqualsKronCommutator", worst, tol)
 
-    a = q2.algebra.sample_element(rng, hermitian=True)
-    b = q2b.algebra.sample_element(rng, hermitian=True)
-    op = prod.hamiltonian_operator(a, b)
-    ok, res = check_superderivation(prod.algebra, op, 0)
-    rep.add("threeTermOperatorIsDerivation", ok and res <= 1e-9, value=res, tolerance=1e-9)
-    ya = q2.structure.poisson_operator(a)
-    yb = q2b.structure.poisson_operator(b)
-    la = q2.algebra.left_mult_matrix(a.coeffs)
-    lb = q2b.algebra.left_mult_matrix(b.coeffs)
-    bad = np.kron(ya, lb) + np.kron(la, yb) + (lam + 0.1) * np.kron(ya, yb)
-    _, bad_res = check_superderivation(prod.algebra, bad, 0)
+    # the three-term operator of H = A (x) B is bilinear in (A, B), so the
+    # basis pairs of M2 x M2 cover every input; the same operator with
+    # lam + 0.1 in its last term must fail the Leibniz check
+    pairs, exact, shifted = [], [], []
+    for i, j in np.ndindex(q2.algebra.dim, q2b.algebra.dim):
+        a, b = q2.algebra.basis_element(i), q2b.algebra.basis_element(j)
+        pairs.append([q2.algebra.labels[i], q2b.algebra.labels[j]])
+        exact.append(prod.hamiltonian_operator(a, b))
+        ya = q2.structure.poisson_operator(a)
+        yb = q2b.structure.poisson_operator(b)
+        shifted.append(exact[-1] + 0.1 * np.kron(ya, yb))
+    exact = superderivation_residuals(palg, exact, 0)
+    shifted = superderivation_residuals(palg, shifted, 0)
+    k = int(np.argmax(exact))
+    rep.add(
+        "threeTermOperatorIsDerivation",
+        exact[k] <= DERIVATION_TOL,
+        value=exact[k],
+        tolerance=DERIVATION_TOL,
+        pairs=len(pairs),
+        at=pairs[k],
+    )
+    k = int(np.argmax(shifted))
     rep.add(
         "perturbedLambdaDetected",
-        bad_res >= 1e-3,
-        value=bad_res,
+        shifted[k] >= 1e-3,
+        value=shifted[k],
         tolerance=1e-3,
         direction="residual must exceed the tolerance",
+        pairs=len(pairs),
+        at=pairs[k],
     )
     return rep
 
@@ -411,7 +440,10 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Re
 
 def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL) -> Report:
     """Star product facts: associativity on random polynomials, the exact
-    canonical bracket, a quadratic oracle and the classical limit slope."""
+    canonical bracket, a quadratic oracle and the classical limit slope;
+    the Wigner symbols of the two lowest oscillator states against their
+    closed forms, and the integral kernel on the ground-state symbol, a
+    star projector."""
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     rep = Report("moyal", seed, meta={"samples": samples})
@@ -454,6 +486,31 @@ def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL)
         tolerance=0.05,
         target=2.0,
     )
+
+    # Wigner route: W0 = 2 exp(-r2) and W1 = 2 (2 r2 - 1) exp(-r2) with
+    # r2 = (x^2 + p^2) / hbar, on every grid point
+    xs = np.linspace(-WIGNER_SPAN, WIGNER_SPAN, WIGNER_POINTS)
+    xg, pg = np.meshgrid(xs, xs, indexing="ij")
+    r2 = (xg**2 + pg**2) / hbar
+    for name, psi, closed in (
+        ("wignerGroundState", oscillator_ground_state(xs, hbar), 2.0 * np.exp(-r2)),
+        ("wignerFirstExcited", oscillator_first_excited(xs, hbar),
+         2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)),
+    ):
+        gap = np.abs(wigner_function(psi, xs, hbar).values - closed)
+        at = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        rep.residual(name, gap[at], WIGNER_TOL, points=gap.size,
+                     at=[xs[at[0]], xs[at[1]]])
+
+    # integral kernel route: W0 * W0 = W0 at each point xi
+    def w0(x, p):
+        return 2.0 * np.exp(-(x**2 + p**2) / hbar)
+
+    ks = np.linspace(-KERNEL_SPAN, KERNEL_SPAN, KERNEL_POINTS)
+    gaps = [abs(star_integral(w0, w0, xi, ks, ks, hbar) - w0(*xi)) for xi in KERNEL_XI]
+    k = int(np.argmax(gaps))
+    rep.residual("kernelStarProjector", gaps[k], WIGNER_TOL, points=len(gaps),
+                 at=list(KERNEL_XI[k]))
     return rep
 
 

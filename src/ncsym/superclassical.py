@@ -1,11 +1,10 @@
 """Classical mechanics on superspace: polynomial superfunctions, graded
-Poisson brackets from a constant bracket matrix, Berezin integration,
-numeric flows on the even body, and the Grassmann state analysis.
+Poisson brackets from a constant bracket matrix, Berezin integration and
+the Grassmann state analysis.
 
 A superfunction on R^(m|n) is a polynomial in m commuting variables
 x_1..x_m and n anticommuting generators theta_1..theta_n, stored sparsely
-as {(exponent tuple, generator bitmask): coefficient}.  Conjugation fixes
-every variable and monomial and conjugates coefficients.
+as {(exponent tuple, generator bitmask): coefficient}.
 
 Bracket convention: with a constant matrix W (even-even block
 antisymmetric, odd-odd block symmetric, mixed blocks zero),
@@ -22,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, rk4_trajectory
-from .algebra import Element, Superalgebra, _shuffle_sign, grassmann_algebra
+from ._linalg import max_abs
+from .algebra import Element, _shuffle_sign, grassmann_algebra
 from .states import StateError, cc_check, make_state
 
 SUPER_EPS = 1e-15
-HAMILTON_RK4_STEPS = 200
 
 Key = tuple[tuple[int, ...], int]
 
@@ -130,11 +128,6 @@ class SuperFunction:
     def __rmul__(self, other):
         # scalars commute with everything
         return self * other
-
-    def conjugate(self) -> "SuperFunction":
-        return SuperFunction(
-            self.m, self.n, {k: np.conj(c) for k, c in self.terms.items()}
-        )
 
     def evaluate(self, x):
         """Value on the even body (all generators set to zero).
@@ -274,27 +267,6 @@ def super_poisson(f: SuperFunction, g: SuperFunction, w: SuperPBMatrix) -> Super
     return out
 
 
-# -- numeric flow on the even body ---------------------------------------------------
-
-
-def hamilton_rk4(h: SuperFunction, w: SuperPBMatrix, x0, times) -> np.ndarray:
-    """Integrate d xi / dt = {H, xi} with fixed-step RK4, HAMILTON_RK4_STEPS
-    steps per unit time.
-
-    Numeric trajectories live on the even body, so the bracket matrix must
-    have no odd directions.
-    """
-    if w.n != 0:
-        raise SuperspaceError("numeric flows need a purely even bracket")
-    coords = [SuperFunction.coordinate(w.m, 0, a) for a in range(w.m)]
-    fields = [super_poisson(h, xa, w) for xa in coords]
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return np.array([v.evaluate(x) for v in fields])
-
-    return rk4_trajectory(rhs, x0, times, HAMILTON_RK4_STEPS)
-
-
 # -- Berezin integration --------------------------------------------------------------
 
 
@@ -309,18 +281,6 @@ def berezin_integral(f: SuperFunction) -> SuperFunction:
 
 
 # -- bridge to the finite Grassmann algebra ------------------------------------------
-
-
-def element_from_superfunction(alg: Superalgebra, f: SuperFunction) -> Element:
-    if alg.kind.get("form") != "grassmann" or f.m:
-        raise SuperspaceError("need a purely odd superfunction and a Grassmann algebra")
-    n = int(alg.kind["n"])
-    if f.n != n:
-        raise SuperspaceError("generator count mismatch")
-    coeffs = np.zeros(alg.dim, dtype=complex)
-    for (_, mask), c in f.terms.items():
-        coeffs[mask] = c
-    return Element(alg, coeffs)
 
 
 def superfunction_from_element(e: Element) -> SuperFunction:

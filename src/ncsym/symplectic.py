@@ -5,13 +5,11 @@ a bracket-closed derivation family.  Nondegeneracy is meant relative to the
 family: the pairing Y -> i_Y omega must be injective on the family span and
 onto the differentials, which is what the Hamiltonian solve needs.
 
-The two stock structures on a 'special' algebra (trivial graded center, all
-superderivations inner):
-
-* the commutator form  omega_c(D_A, D_B) = [A, B], which is closed and
-  imaginary (omega* = -omega) and gives Poisson bracket {A, B} = [A, B];
-* the quantum form  omega_q = (-i hbar) omega_c, which is real and gives
-  {A, B} = (-i hbar)**-1 [A, B] = (i/hbar) [A, B].
+The stock structure on a 'special' algebra (trivial graded center, all
+superderivations inner) is the quantum form omega_q = (-i hbar) omega_c.
+Here omega_c(D_A, D_B) = [A, B] is the commutator cochain on the inner
+family, closed and imaginary (omega_c* = -omega_c).  So omega_q is real
+and gives {A, B} = (-i hbar)**-1 [A, B] = (i/hbar) [A, B].
 
 Every bracket is read off one tensor per structure.  Y_A is linear in A,
 so the Hamiltonian solve runs once per basis element at construction and
@@ -39,7 +37,6 @@ from ._linalg import bilinear, left_action, max_abs, numerical_rank
 from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,
-    Derivation,
     exterior_derivative,
     _special_evidence,
 )
@@ -59,8 +56,8 @@ class SymplecticError(ValueError):
 class SymplecticStructure:
     """An even, closed, family-nondegenerate 2-cochain with solve machinery.
 
-    ``kind`` records how the form was built: {"kind": "canonical" | "quantum"
-    | "custom", "hbar": float | None, "reality": "real" | "imaginary"}.
+    ``kind`` records how the form was built: {"kind": "quantum" | "custom",
+    "hbar": float | None, "reality": "real" | "imaginary"}.
     The declared reality is enforced at construction.
     """
 
@@ -133,9 +130,6 @@ class SymplecticStructure:
         self._check_solve(a)
         return a.coeffs @ self.hamiltonian_basis
 
-    def hamiltonian_derivation(self, a: Element) -> Derivation:
-        return self.family.combination(self.hamiltonian_coeffs(a), a.parity)
-
     def poisson(self, a: Element, b: Element) -> Element:
         """{A, B} = Y_A(B), extended bilinearly over parity parts of A.
 
@@ -150,15 +144,11 @@ class SymplecticStructure:
         self._check_solve(h)
         return left_action(self.pb_tensor, h.coeffs)
 
-    def canonical_pair_residual(self, a: Element, b: Element) -> float:
-        """How far {A, B} is from the unit."""
-        pb = self.poisson(a, b)
-        return max_abs(pb.coeffs - self.algebra.unit_coeffs)
-
 
 def _commutator_cochain(alg: Superalgebra) -> Cochain:
     """The 2-cochain (D_A, D_B) -> [A, B] on the inner family of a special
-    algebra."""
+    algebra.  Well defined because [A + z, B + w] = [A, B] for central
+    shifts z, w, so the value depends only on the derivations."""
     info, fam = _special_evidence(alg)
     if not info["special"]:
         raise SymplecticError(
@@ -170,18 +160,6 @@ def _commutator_cochain(alg: Superalgebra) -> Cochain:
     comm = alg.structure - alg.swapped_structure()
     t = np.tensordot(np.tensordot(sources, comm, axes=(1, 0)), sources, axes=(1, 1))
     return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
-
-
-def canonical_form(alg: Superalgebra) -> SymplecticStructure:
-    """The commutator 2-form omega(D_A, D_B) = [A, B] on a special algebra.
-
-    Well defined because [A + z, B + w] = [A, B] for central shifts z, w, so
-    the value depends only on the derivations.  Imaginary: omega* = -omega.
-    """
-    return SymplecticStructure(
-        _commutator_cochain(alg),
-        {"kind": "canonical", "hbar": None, "reality": "imaginary"},
-    )
 
 
 def quantum_form(alg: Superalgebra, hbar: float) -> SymplecticStructure:

@@ -1,4 +1,4 @@
-"""Structure-constant layer: products, grading, involution, center, sectors."""
+"""Structure-constant layer: products, grading, involution, center."""
 from __future__ import annotations
 
 import tracemalloc
@@ -14,7 +14,6 @@ from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
     Superalgebra,
-    direct_sum,
     grassmann_algebra,
     kron_element,
     matrix_algebra,
@@ -28,6 +27,24 @@ M3 = matrix_algebra(3)
 M11 = matrix_algebra(2, grading=(1, 1))
 G2 = grassmann_algebra(2)
 G3 = grassmann_algebra(3)
+
+
+def _block_sum(a, b):
+    """The direct sum a (+) b, assembled from zero off-diagonal blocks."""
+    da, dim = a.dim, a.dim + b.dim
+    structure = np.zeros((dim, dim, dim), dtype=complex)
+    structure[:da, :da, :da] = a.structure
+    structure[da:, da:, da:] = b.structure
+    involution = np.zeros((dim, dim), dtype=complex)
+    involution[:da, :da] = a.involution_matrix
+    involution[da:, da:] = b.involution_matrix
+    return Superalgebra(
+        structure,
+        np.concatenate([a.parity, b.parity]),
+        np.concatenate([a.unit_coeffs, b.unit_coeffs]),
+        involution,
+    )
+
 
 # Pauli matrices in the (E11, E12, E21, E22) coefficient basis.
 SX = M2.element([0, 1, 1, 0])
@@ -96,7 +113,7 @@ def test_graded_matrix_algebra_parity_and_star():
     np.testing.assert_allclose(e12.star().star().coeffs, e12.coeffs, atol=TOL)
     # odd hermitian element exists
     h = e12 + e12.star()
-    assert h.is_hermitian()
+    np.testing.assert_allclose(h.star().coeffs, h.coeffs, atol=TOL)
     assert h.parity == 1
     # anticommutator of the odd units is the identity
     comm = M11.supercommutator(e12, e21)
@@ -117,25 +134,19 @@ def test_graded_center():
 
 
 def test_direct_sum_center_and_sectors():
-    alg = direct_sum(M2, M3)
+    alg = _block_sum(M2, M3)
     z0, z1 = alg.graded_center()
     assert len(z0) == 2 and len(z1) == 0
-    sectors = alg.coherent_sectors()
-    dims = sorted(s.algebra.dim for s in sectors)
-    assert dims == [4, 9]
-    for sec in sectors:
-        p = sec.projector
-        np.testing.assert_allclose((p * p).coeffs, p.coeffs, atol=1e-9)
-        assert not sec.algebra.is_supercommutative
-        sz0, sz1 = sec.algebra.graded_center()
-        assert len(sz0) == 1 and len(sz1) == 0
-
-
-def test_simple_algebra_single_sector():
-    sectors = M2.coherent_sectors()
-    assert len(sectors) == 1
-    assert sectors[0].algebra is M2
-    np.testing.assert_allclose(sectors[0].projector.coeffs, M2.unit_coeffs, atol=TOL)
+    # the two block units are the central projectors that cut out the
+    # sectors M2 and M3: idempotent, summing to the unit, in the even center
+    center = np.array([z.coeffs for z in z0]).T
+    blocks = [np.concatenate([M2.unit_coeffs, np.zeros(9)]),
+              np.concatenate([np.zeros(4), M3.unit_coeffs])]
+    np.testing.assert_allclose(blocks[0] + blocks[1], alg.unit_coeffs, atol=TOL)
+    for p in blocks:
+        np.testing.assert_allclose(alg.mul_coeffs(p, p), p, atol=1e-9)
+        x = np.linalg.lstsq(center, p, rcond=None)[0]
+        np.testing.assert_allclose(center @ x, p, atol=1e-9)
 
 
 def test_tensor_koszul_sign():
@@ -157,19 +168,6 @@ def test_tensor_of_matrix_algebras_is_kronecker():
         lhs = (kron_element(prod, a, b) * kron_element(prod, c, d)).realize()
         rhs = np.kron(a.realize(), b.realize()) @ np.kron(c.realize(), d.realize())
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_json_round_trip_is_exact():
-    for alg in (M2, M11, G2, direct_sum(M2, M3)):
-        text = alg.to_json()
-        back = Superalgebra.from_json(text)
-        assert np.array_equal(back.structure, alg.structure)
-        assert np.array_equal(back.involution_matrix, alg.involution_matrix)
-        assert np.array_equal(back.unit_coeffs, alg.unit_coeffs)
-        assert list(back.parity) == list(alg.parity)
-        assert back.labels == alg.labels
-        assert back.kind == alg.kind
-        assert back.to_json() == text
 
 
 def _m2_data(**override) -> dict:
@@ -267,7 +265,7 @@ def test_antihomomorphism_defect_matches_pairwise_loop(involution):
 def test_associativity_is_exact_beyond_dim_64():
     # t1 t2 gains eps t3t4 and t2 t1 loses it: unit, grading and the star
     # still hold, and only triples such as (t1, t2, t1) see the defect
-    base = direct_sum(grassmann_algebra(6), matrix_algebra(1))
+    base = _block_sum(grassmann_algebra(6), matrix_algebra(1))
     assert base.dim == 65
     bad = base.structure.copy()
     bad[1, 2, 12] += 1e-3
@@ -332,8 +330,8 @@ def test_graded_center_of_m7_needs_no_dim4_matrix():
 def test_mixed_parity_element_reports_none():
     e = M11.element([1, 1, 0, 0])
     assert e.parity is None
-    assert e.graded_part(0).parity == 0
-    assert e.graded_part(1).parity == 1
+    assert M11.element(e.coeffs * (M11.parity == 0)).parity == 0
+    assert M11.element(e.coeffs * (M11.parity == 1)).parity == 1
 
 
 _coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

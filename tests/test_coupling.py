@@ -19,7 +19,7 @@ from ncsym.symplectic import (
     HamiltonianSystem,
     SymplecticError,
     SymplecticStructure,
-    canonical_form,
+    quantum_form,
 )
 
 M2 = matrix_algebra(2)
@@ -35,7 +35,9 @@ GCL2 = grassmann_classical_factor(2)
 
 def test_factor_lambda_values():
     assert abs(quantum_factor(M2, 0.5).lam - 0.5j) < 1e-12
-    canonical = _structure_factor(canonical_form(M2), "canonical")
+    # the commutator form omega_c = (i/hbar) omega_q has {A, B} = [A, B]
+    commutator = SymplecticStructure((1j / 0.5) * quantum_form(M2, 0.5).omega)
+    canonical = _structure_factor(commutator, "canonical")
     assert abs(canonical.lam - (-1.0)) < 1e-12
     assert abs(GCL2.lam) < 1e-12
     assert GCL2.commutative and not QM2.commutative

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 module-level constant is read somewhere in the package, every defaulted
-parameter is set by some call, and importing the package pulls in no heavy
-optional module."""
+parameter is set by some call, every function, method and class is reached
+from the command line or the benchmark, and importing the package pulls in
+no heavy optional module."""
 from __future__ import annotations
 
 import ast
@@ -198,6 +199,101 @@ def test_every_default_is_set_by_some_call():
         for path in sorted(folder.glob("*.py"))
     ]
     assert dead_keywords(sources, callers) == []
+
+
+def _names(nodes) -> set[str]:
+    """Every name and attribute name read or written anywhere in ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def dead_functions(sources: dict[str, str], roots: list[str]) -> list[str]:
+    """Functions, methods and classes of ``sources`` that no root reaches.
+
+    The roots are the module-level statements of ``sources`` and every name
+    in the ``roots`` sources (an entry point such as ``"main"``, or a module
+    that drives the package).  A reached function reaches the names its body
+    uses; a reached class reaches its bases, decorators, class-level
+    statements and dunder methods, which are never reported themselves.
+    Names match by their simple name, so a method counts as reached once any
+    reached code reads an attribute of that name."""
+    defs: dict[str, list] = {}
+
+    def scan(body, prefix):
+        """Register the defs of a module or class body; return the rest."""
+        rest = []
+        for node in body:
+            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if named and not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.setdefault(node.name, []).append((prefix + node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    node.rest = scan(node.body, prefix + node.name + ".")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                rest.append(node)
+        return rest
+
+    todo = _names(ast.parse(source) for source in roots)
+    for module, source in sources.items():
+        todo |= _names(scan(ast.parse(source).body, f"{module}: "))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, node in defs.get(name, ()):
+            if isinstance(node, ast.ClassDef):
+                todo |= _names(node.rest + node.bases + node.decorator_list) - reached
+            else:
+                todo |= _names([node]) - reached
+    return sorted(q for name, entries in defs.items() if name not in reached for q, _ in entries)
+
+
+def test_checker_flags_a_dead_function():
+    sources = {
+        "a.py": (
+            "LIMIT = limit()\n"
+            "def limit(): return 1\n"
+            "def used(): return _inner()\n"
+            "def _inner(): return 2\n"
+            "def chain(): return _only_chain()\n"
+            "def _only_chain(): return 3\n"
+            "def bench_only(): pass\n"
+            "class K(Base):\n"
+            "    SIZE = size()\n"
+            "    def __init__(self): self.live()\n"
+            "    def live(self): pass\n"
+            "    def dead_method(self): pass\n"
+            "class Base: pass\n"
+            "def size(): return 4\n"
+            "class Unused:\n"
+            "    def __repr__(self): return _for_repr()\n"
+            "def _for_repr(): return 'u'\n"
+        ),
+        "cli.py": "def main(): return used(), K()\ndef other(): chain()\n",
+    }
+    roots = ["main", "from a import bench_only\nbench_only()\n"]
+    assert dead_functions(sources, roots) == [
+        "a.py: K.dead_method",
+        "a.py: Unused",
+        "a.py: _for_repr",
+        "a.py: _only_chain",
+        "a.py: chain",
+        "cli.py: other",
+    ]
+
+
+def test_every_function_is_reached():
+    # roots: the console entry point ncsym.cli:main and the benchmark
+    # harness; the tests are not a root, so nothing lives only for them
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    roots = ["main"] + [p.read_text() for p in bench if not p.name.startswith("test_")]
+    assert dead_functions(sources, roots) == []
 
 
 def test_package_import_leaves_scipy_sparse_out():

@@ -36,6 +36,11 @@ def rand_poly(rng, deg=3):
     return SuperFunction(2, 0, terms)
 
 
+def conj(f):
+    """Complex conjugation, which fixes x and p: conjugate coefficients."""
+    return SuperFunction(f.m, f.n, {k: np.conj(c) for k, c in f.terms.items()})
+
+
 def dx(f):
     return even_derivative(f, 0)
 
@@ -142,8 +147,8 @@ def test_star_associativity():
 def test_star_hermiticity():
     rng = np.random.default_rng(23)
     f, g = rand_poly(rng), rand_poly(rng)
-    lhs = star(f, g, HBAR).conjugate()
-    rhs = star(g.conjugate(), f.conjugate(), HBAR)
+    lhs = conj(star(f, g, HBAR))
+    rhs = star(conj(g), conj(f), HBAR)
     assert (lhs - rhs).norm() < 1e-12 * max(1.0, lhs.norm())
 
 
@@ -187,15 +192,7 @@ def test_wigner_first_excited_is_negative_at_origin():
     r2 = (xg**2 + pg**2) / hb
     oracle = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
     assert np.abs(w.values - oracle).max() < 1e-6
-    assert w.minimum() < -1.9  # -2 at the origin
-
-
-def test_wigner_norm_gate():
-    xs = np.linspace(-7.0, 7.0, 201)
-    with pytest.raises(MoyalError):
-        wigner_function(
-            2.0 * oscillator_ground_state(xs, 1.0), xs, 1.0, normalize=False
-        )
+    assert w.values.min() < -1.9  # -2 at the origin
 
 
 def test_expectation_richardson_gate():
@@ -203,8 +200,8 @@ def test_expectation_richardson_gate():
     xs = np.linspace(-7.0, 7.0, 15)
     vals = np.cos(40.0 * xs[:, None] + 35.0 * xs[None, :]) + 1.0
     w = WignerGrid(xs, xs.copy(), vals, 1.0)
-    with pytest.raises(MoyalError):
-        w.expectation(X * X, richardson_tol=1e-6)
+    with pytest.raises(MoyalError, match="unresolved"):
+        w.expectation(X * X)
 
 
 def test_integral_kernel_projector_identity():

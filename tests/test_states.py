@@ -1,8 +1,6 @@
 import unittest
 
 import numpy as np
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
 from ncsym.algebra import grassmann_algebra, matrix_algebra
 from ncsym.calculus import AlgebraIsomorphism
@@ -13,11 +11,8 @@ from ncsym.states import (
     gns,
     make_state,
     tracial_state,
-    transform_state,
-    transition_probability,
     vector_state,
 )
-from ncsym.symplectic import quantum_form
 
 M2 = matrix_algebra(2)
 M3 = matrix_algebra(3)
@@ -25,7 +20,6 @@ M11 = matrix_algebra(2, grading=(1, 1))
 G2 = grassmann_algebra(2)
 
 KET0 = np.array([1.0, 0.0])
-KET1 = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
 
@@ -36,12 +30,9 @@ class StateBasicsTest(unittest.TestCase):
         sz = M2.element([1, 0, 0, -1])
         self.assertAlmostEqual(phi.expectation(sz).real, 0.4, places=12)
         self.assertAlmostEqual(phi.expectation(M2.unit).real, 1.0, places=12)
-        back = phi.density_matrix()
+        # phi(E_ab) = Tr(rho E_ab) = rho[b, a]
+        back = phi.functional.reshape(2, 2).T
         self.assertLess(np.abs(back - rho).max(), 1e-12)
-
-    def test_mixed_state_not_pure(self):
-        self.assertTrue(vector_state(M2, KET0).is_pure())
-        self.assertFalse(tracial_state(M2).is_pure())
 
     def test_negative_density_rejected(self):
         with self.assertRaises(StateError):
@@ -62,28 +53,6 @@ class StateBasicsTest(unittest.TestCase):
         f = np.array([1.0, 0.2, 0.2, 0.0], dtype=complex)
         with self.assertRaisesRegex(StateError, "odd"):
             make_state(M11, "functional", f)
-
-    def test_transition_probabilities(self):
-        s0 = vector_state(M2, KET0)
-        s1 = vector_state(M2, KET1)
-        sp = vector_state(M2, PLUS)
-        self.assertAlmostEqual(transition_probability(s0, s1), 0.0, places=12)
-        self.assertAlmostEqual(transition_probability(s0, sp), 0.5, places=12)
-        self.assertAlmostEqual(transition_probability(s0, s0), 1.0, places=12)
-
-    @settings(max_examples=25, deadline=None)
-    @seed(3)
-    @given(st.integers(0, 2**32 - 1))
-    def test_transition_symmetric_unit_interval(self, s):
-        rng = np.random.default_rng(s)
-        v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        s1, s2 = vector_state(M2, v1), vector_state(M2, v2)
-        w12 = transition_probability(s1, s2)
-        w21 = transition_probability(s2, s1)
-        self.assertAlmostEqual(w12, w21, places=10)
-        self.assertGreaterEqual(w12, -1e-12)
-        self.assertLessEqual(w12, 1.0 + 1e-12)
 
 
 class BerezinStateTest(unittest.TestCase):
@@ -109,24 +78,17 @@ class BerezinStateTest(unittest.TestCase):
 
 class TransformTest(unittest.TestCase):
     def test_isomorphism_transport(self):
+        # the transpose of an isomorphism Phi carries a state to the state
+        # A -> phi(Phi(A))
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         iso = AlgebraIsomorphism.unitary_conjugation(M2, h)
         phi = vector_state(M2, KET0)
-        moved = transform_state(phi, iso=iso)
+        moved = make_state(M2, "functional", iso.matrix.T @ phi.functional)
         sx = M2.element([0, 1, 1, 0])
         self.assertAlmostEqual(moved.expectation(sx).real, 1.0, places=12)
-        rho = moved.density_matrix()
+        # phi(E_ab) = Tr(rho E_ab) = rho[b, a]
+        rho = moved.functional.reshape(2, 2).T
         self.assertLess(np.abs(rho - np.full((2, 2), 0.5)).max(), 1e-12)
-
-    def test_infinitesimal_generator_transport(self):
-        ss = quantum_form(M2, 1.0)
-        phi = vector_state(M2, PLUS)
-        eps = 1e-3
-        sz = M2.element([1, 0, 0, -1])
-        sy = M2.element([0, -1j, 1j, 0])
-        moved = transform_state(phi, generator=(ss, sz, eps), validate=False)
-        # first-order rotation about z: <sy> grows like 2 eps <sx>
-        self.assertAlmostEqual(moved.expectation(sy).real, 2 * eps, places=9)
 
 
 class PObVMTest(unittest.TestCase):

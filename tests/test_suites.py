@@ -1,9 +1,10 @@
-"""The exact bracket batteries detect a corrupted bracket tensor, and the
-Grassmann density oracle reads the scanned state.
+"""The exact bracket batteries detect a corrupted bracket tensor, the
+coupling and moyal-limit rows detect a corrupted route, and the Grassmann
+density oracle reads the scanned state.
 
-Each corruption is a small change to a structure's ``pb_tensor``, made
-after construction so the Hamiltonian-solve gate still passes; the check
-it breaks must FAIL on every algebra of the battery."""
+Each bracket corruption is a small change to a structure's ``pb_tensor``,
+made after construction so the Hamiltonian-solve gate still passes; the
+check it breaks must FAIL on every algebra of the battery."""
 import numpy as np
 import pytest
 from unittest import mock
@@ -94,6 +95,58 @@ def test_product_bracket_check_fails_on_a_corrupted_bracket():
     check = next(c for c in rep.checks if c.name == "productEqualsKronCommutator")
     assert not check.passed
     assert check.value > suites.COUPLING_KRON_TOL
+
+
+def test_three_term_check_fails_on_a_shifted_lambda():
+    # the operator route with lam + 0.1 in place of the fitted lam
+    build = suites.ProductStructure
+
+    def shifted(f1, f2):
+        prod = build(f1, f2)
+        prod.lam = prod.lam + 0.1
+        return prod
+
+    with mock.patch.object(suites, "ProductStructure", shifted):
+        rep = suites.coupling_suite(seed=0)
+    check = next(c for c in rep.checks if c.name == "threeTermOperatorIsDerivation")
+    assert not check.passed
+    assert check.value > 1e-3
+
+
+def test_coupling_operator_rows_do_not_depend_on_the_seed():
+    rows = ("threeTermOperatorIsDerivation", "perturbedLambdaDetected")
+    reports = [suites.coupling_suite(seed=s) for s in (0, 3)]
+    first, second = ({c.name: c for c in r.checks if c.name in rows} for r in reports)
+    assert set(first) == set(rows)
+    for name in rows:
+        assert first[name].to_dict() == second[name].to_dict()
+        assert first[name].details["pairs"] == 16
+
+
+def _wrong_width(state):
+    return lambda xs, hbar: state(xs, 1.01 * hbar)
+
+
+def _shifted_point(kernel):
+    return lambda f, g, xi, xs, ps, hbar: kernel(f, g, (xi[0] + 1e-3, xi[1]), xs, ps, hbar)
+
+
+@pytest.mark.parametrize(
+    "row, target, corrupt",
+    [
+        ("wignerGroundState", "oscillator_ground_state", _wrong_width),
+        ("wignerFirstExcited", "oscillator_first_excited", _wrong_width),
+        ("kernelStarProjector", "star_integral", _shifted_point),
+    ],
+    ids=["wignerGroundState", "wignerFirstExcited", "kernelStarProjector"],
+)
+def test_moyal_route_rows_fail_on_a_corrupted_route(row, target, corrupt):
+    assert suites.moyal_suite(seed=0).passed
+    with mock.patch.object(suites, target, corrupt(getattr(suites, target))):
+        rep = suites.moyal_suite(seed=0)
+    assert {c.name for c in rep.checks if not c.passed} == {row}
+    check = next(c for c in rep.checks if c.name == row)
+    assert check.value > 10 * check.tolerance
 
 
 def test_density_oracle_reads_the_scanned_state():
