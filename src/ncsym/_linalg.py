@@ -74,6 +74,27 @@ def multiplicativity_defect(src: np.ndarray, p: np.ndarray, tgt: np.ndarray) -> 
     return image - np.tensordot(pushed, p, axes=(1, 0)).transpose(0, 2, 1)
 
 
+def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order and, for each, the sum of the
+    values that share it, added in the order given."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    total = np.zeros(uniq.size, dtype=complex)
+    np.add.at(total, inv, vals)
+    return uniq, total
+
+
+def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with left[a] == right[b], ordered by a and
+    then by b: a sort-merge join of two integer key arrays."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    count = np.searchsorted(ordered, left, "right") - lo
+    a = np.repeat(np.arange(left.size), count)
+    shift = np.repeat(lo - (np.cumsum(count) - count), count)
+    return a, order[shift + np.arange(a.size)]
+
+
 def greedy_independent(vectors, zero_tol: float) -> list[int]:
     """Indices kept by a greedy scan: skip a vector with max |entry| below
     ``zero_tol``, keep it when it raises the numerical rank of those kept."""

@@ -29,17 +29,19 @@ sample, and returns the residual of each one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ._linalg import (
     bilinear,
+    join,
     left_action,
     lstsq_with_residual,
     max_abs,
-    multiplicativity_defect,
     nullspace,
+    sum_by_key,
 )
 
 # Tolerance for the structural invariants checked at construction time
@@ -50,6 +52,11 @@ STRUCTURE_TOL = 1e-12
 # supercommutator is below this.
 SUPERCOMMUTATIVE_TOL = 1e-12
 
+# Products of nonzero constants that one block of keys of a sparse check in
+# Superalgebra.validate forms at once (more only when a single leading index
+# forms more).
+BLOCK_PRODUCTS = 1 << 18
+
 
 def koszul_sign(parity_a: int, parity_b: int) -> int:
     """The sign (-1)**(parity_a * parity_b)."""
@@ -59,6 +66,56 @@ def koszul_sign(parity_a: int, parity_b: int) -> int:
 class AlgebraError(ValueError):
     """Raised when structural data fails validation or an operation's
     preconditions are not met."""
+
+
+class Coo:
+    """A cube t[i, j, k] with sides ``dim`` stored by its nonzeros:
+    t[i[n], j[n], k[n]] = v[n], the keys (i, j, k) strictly increasing in
+    row-major order and no value zero.  Entries given twice are summed in
+    the order given, and zero sums are dropped; a non-finite value is
+    rejected.  Sums, differences and scalar multiples are Coo again."""
+
+    def __init__(self, dim: int, i, j, k, v) -> None:
+        self.dim = int(dim)
+        i, j, k = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (i, j, k))
+        for x in (i, j, k):
+            if x.shape != i.shape or (x.size and (x.min() < 0 or x.max() >= dim)):
+                raise AlgebraError("structure constant index out of range")
+        keys, total = sum_by_key((i * dim + j) * dim + k, np.broadcast_to(v, i.shape))
+        if not np.all(np.isfinite(total)):
+            raise AlgebraError("structure constants must be finite")
+        live = total != 0
+        ij, k = np.divmod(keys[live], dim)
+        i, j = np.divmod(ij, dim)
+        for name, x in zip("ijkv", (i, j, k, total[live])):
+            x.flags.writeable = False
+            setattr(self, name, x)
+
+    @classmethod
+    def of_dense(cls, cube: np.ndarray) -> "Coo":
+        cube = np.asarray(cube, dtype=complex)
+        i, j, k = np.nonzero(cube)
+        return cls(cube.shape[0], i, j, k, cube[i, j, k])
+
+    def dense(self) -> np.ndarray:
+        cube = np.zeros((self.dim,) * 3, dtype=complex)
+        cube[self.i, self.j, self.k] = self.v
+        return cube
+
+    def __add__(self, other: "Coo") -> "Coo":
+        return Coo(self.dim, *(np.concatenate([x, y]) for x, y in zip(self, other)))
+
+    def __neg__(self) -> "Coo":
+        return Coo(self.dim, self.i, self.j, self.k, -self.v)
+
+    def __sub__(self, other: "Coo") -> "Coo":
+        return self + (-other)
+
+    def __rmul__(self, scalar) -> "Coo":
+        return Coo(self.dim, self.i, self.j, self.k, scalar * self.v)
+
+    def __iter__(self):
+        return iter((self.i, self.j, self.k, self.v))
 
 
 @dataclass
@@ -97,9 +154,6 @@ class Element:
 
     def star(self) -> "Element":
         return Element(self.algebra, self.algebra.star_coeffs(self.coeffs))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def realize(self) -> np.ndarray:
         return self.algebra.realize(self.coeffs)
@@ -141,11 +195,15 @@ class Element:
 
 
 class Superalgebra:
-    """A finite-dimensional associative Z2-graded *-algebra over C."""
+    """A finite-dimensional associative Z2-graded *-algebra over C.
+
+    The structure constants are held once, as the :class:`Coo`
+    ``constants``; ``structure`` is the dense cube derived from it on first
+    use, for the per-call kernels."""
 
     def __init__(
         self,
-        structure: np.ndarray,
+        structure: Coo,
         parity: Sequence[int],
         unit: np.ndarray,
         involution: np.ndarray,
@@ -153,10 +211,10 @@ class Superalgebra:
         kind: dict | None = None,
         rep_basis: np.ndarray | None = None,
     ) -> None:
-        self.structure = np.asarray(structure, dtype=complex)
-        self.dim = self.structure.shape[0]
-        if self.structure.shape != (self.dim, self.dim, self.dim):
-            raise AlgebraError("structure constants must be a cube")
+        if not isinstance(structure, Coo):
+            raise AlgebraError("structure constants must be given as a Coo")
+        self.constants = structure
+        self.dim = structure.dim
         self.parity = np.asarray(parity, dtype=np.int8) % 2
         if self.parity.shape != (self.dim,):
             raise AlgebraError("parity vector length mismatch")
@@ -179,6 +237,13 @@ class Superalgebra:
         self._supercomm_cache: bool | None = None
         self.validate()
 
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """The dense cube c[i, j, k] of the constants, read-only."""
+        cube = self.constants.dense()
+        cube.flags.writeable = False
+        return cube
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> dict[str, float]:
@@ -188,47 +253,55 @@ class Superalgebra:
         antihomomorphism and, with a realization, realizationUnit and
         realizationMultiplicative.  Raises AlgebraError for the first one
         above STRUCTURE_TOL, naming the worst basis triple or pair where the
-        axiom has one.  No step holds more than a dim**3 array."""
-        c, n, m, u = self.structure, self.dim, self.involution_matrix, self.unit_coeffs
-        eye = np.eye(n)
-        right, left = c.reshape(n, n * n), c.reshape(n * n, n)
-        # per (i, j, k): worst coefficient of (e_i e_j) e_k - e_i (e_j e_k)
-        assoc = np.array([np.abs(
-            (c[i] @ right).reshape(n, n, n) - (left @ c[i]).reshape(n, n, n)
-        ).max(axis=2) for i in range(n)])
-        off_grade = ((self.parity[:, None] + self.parity) % 2)[:, :, None] != self.parity
-        # the star is a homomorphism from conj(A) into the graded opposite
-        # algebra, whose structure constants are swapped_structure()
-        antihom = multiplicativity_defect(np.conj(c), m, self.swapped_structure())
+        axiom has one.
+
+        Every check reads the nonzero constants; none builds the dense cube.
+        Associativity and the antihomomorphism join nonzeros on their shared
+        index and sum the products by key, one block of keys at a time.  A
+        block forms about BLOCK_PRODUCTS products, more only when one
+        leading pair (i, j) (associativity) or one first index
+        (antihomomorphism) forms more, which is at most about dim**3 for
+        dense constants.  Every other array is dim x dim, or dim x d x d for
+        a realization by d x d matrices."""
+        c, n, m, u = self.constants, self.dim, self.involution_matrix, self.unit_coeffs
+        par, eye = self.parity, np.eye(n)
+        left, right = (np.zeros((n, n), dtype=complex) for _ in range(2))
+        np.add.at(left, (c.k, c.j), u[c.i] * c.v)  # b -> u b
+        np.add.at(right, (c.k, c.i), u[c.j] * c.v)  # b -> b u
         checks = [
-            ("unit", max(max_abs(self.left_mult_matrix(u) - eye),
-                         max_abs(self.right_mult_matrix(u) - eye)),
+            ("unit", (max(max_abs(left - eye), max_abs(right - eye)), ()),
              "unit axiom fails by {err:.3e}"),
-            ("associativity", assoc, "associativity fails by {err:.3e} at {at}"),
-            ("grading", max_abs(np.where(off_grade, c, 0.0)),
+            ("associativity", _worst_sum(_associator(c), n, 3),
+             "associativity fails by {err:.3e} at {at}"),
+            ("grading", (max_abs(c.v[(par[c.i] + par[c.j]) % 2 != par[c.k]]), ()),
              "structure constants violate grading by {err:.3e}"),
-            ("involutive", max_abs(m @ np.conj(m) - eye),
+            ("involutive", (max_abs(m @ np.conj(m) - eye), ()),
              "involution not involutive, defect {err:.3e}"),
-            ("starFixesUnit", max_abs(self.star_coeffs(u) - u),
+            ("starFixesUnit", (max_abs(self.star_coeffs(u) - u), ()),
              "involution moves the unit by {err:.3e}"),
-            ("starGrading", max_abs(np.where(self.parity[:, None] != self.parity, m, 0.0)),
+            ("starGrading", (max_abs(np.where(par[:, None] != par, m, 0.0)), ()),
              "involution violates grading by {err:.3e}"),
-            ("antihomomorphism", np.abs(antihom).max(axis=2),
+            ("antihomomorphism", _worst_sum(_antihomomorphism_defect(c, par, m), n, 2),
              "involution is not a graded antihomomorphism at {at} ({err:.3e})"),
         ]
         if self.rep_basis is not None:
             rep = self.rep_basis
+            starts = np.searchsorted(c.i, np.arange(n + 1))
+            worst = np.zeros((n, n))
+            for i in range(n):
+                s = slice(starts[i], starts[i + 1])
+                # e_i e_j = sum_k c[i, j, k] e_k, from the nonzeros of row i
+                rhs = np.zeros_like(rep)
+                np.add.at(rhs, c.j[s], c.v[s, None, None] * rep[c.k[s]])
+                worst[i] = np.abs(rep[i] @ rep - rhs).max(axis=(1, 2))
             checks += [
-                ("realizationUnit", max_abs(self.realize(u) - np.eye(rep.shape[1])),
+                ("realizationUnit", (max_abs(self.realize(u) - np.eye(rep.shape[1])), ()),
                  "unit does not realize to identity ({err:.3e})"),
-                ("realizationMultiplicative", np.array([np.abs(
-                    rep[i] @ rep - np.tensordot(c[i], rep, axes=1)
-                ).max(axis=(1, 2)) for i in range(n)]),
+                ("realizationMultiplicative", _worst(worst),
                  "realization is not multiplicative at {at} ({err:.3e})"),
             ]
         residuals = {}
-        for key, defect, message in checks:
-            err, at = _worst(np.asarray(defect))
+        for key, (err, at), message in checks:
             if err > STRUCTURE_TOL:
                 names = ", ".join(self.labels[k] for k in at)
                 raise AlgebraError(message.format(err=err, at=f"({names})"))
@@ -246,10 +319,6 @@ class Superalgebra:
     @property
     def unit(self) -> Element:
         return Element(self, self.unit_coeffs)
-
-    @property
-    def zero(self) -> Element:
-        return Element(self, np.zeros(self.dim))
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return bilinear(self.structure, a, b)
@@ -283,14 +352,15 @@ class Superalgebra:
     @property
     def is_supercommutative(self) -> bool:
         if self._supercomm_cache is None:
-            comm = self.structure - self.swapped_structure()
-            self._supercomm_cache = max_abs(comm) <= SUPERCOMMUTATIVE_TOL
+            comm = self.constants - self.swapped_structure()
+            self._supercomm_cache = max_abs(comm.v) <= SUPERCOMMUTATIVE_TOL
         return self._supercomm_cache
 
-    def swapped_structure(self) -> np.ndarray:
+    def swapped_structure(self) -> Coo:
         """t[i, j] = (-1)**(e_i e_j) e_j e_i, so [e_i, e_j] = c[i, j] - t[i, j]."""
-        eta = koszul_signs(self.parity, self.parity)
-        return eta[:, :, None] * self.structure.transpose(1, 0, 2)
+        c, par = self.constants, self.parity
+        sign = np.where(par[c.i] & par[c.j], -1.0, 1.0)
+        return Coo(self.dim, c.j, c.i, c.k, sign * c.v)
 
     # -- center ----------------------------------------------------------------
 
@@ -302,12 +372,16 @@ class Superalgebra:
         """
         if self._center_cache is not None:
             return self._center_cache
-        comm = self.structure - self.swapped_structure()  # [e_i, e_j] = comm[i, j]
+        comm = self.constants - self.swapped_structure()  # [e_i, e_j] = comm[i, j]
         out: list[list[Element]] = []
         for t in (0, 1):
             idx = np.flatnonzero(self.parity == t)
             # row (j, k), column i: coefficient of e_k in [e_idx[i], e_j]
-            basis = nullspace(comm[idx].transpose(1, 2, 0).reshape(self.dim**2, idx.size))
+            system = np.zeros((self.dim**2, idx.size), dtype=complex)
+            pos = np.cumsum(self.parity == t) - 1  # column of each e_i of parity t
+            on = self.parity[comm.i] == t
+            system[comm.j[on] * self.dim + comm.k[on], pos[comm.i[on]]] = comm.v[on]
+            basis = nullspace(system)
             full = np.zeros((self.dim, basis.shape[1]), dtype=complex)
             full[idx] = basis
             out.append([Element(self, col) for col in full.T])
@@ -373,31 +447,16 @@ def matrix_algebra(n: int, grading: tuple[int, int] | None = None) -> Superalgeb
     else:
         block = np.zeros(n, dtype=int)
     dim = n * n
-
-    def bi(a: int, b: int) -> int:
-        return a * n + b
-
-    parity = np.zeros(dim, dtype=int)
-    for a in range(n):
-        for b in range(n):
-            parity[bi(a, b)] = (block[a] + block[b]) % 2
-    structure = np.zeros((dim, dim, dim), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                structure[bi(a, b), bi(b, d), bi(a, d)] = 1.0
+    row, col = np.divmod(np.arange(dim), n)  # E_ab is basis element a n + b
+    parity = (block[row] + block[col]) % 2
+    a, b, d = np.indices((n, n, n)).reshape(3, -1)
+    structure = Coo(dim, a * n + b, b * n + d, a * n + d, 1.0)  # E_ab E_bd = E_ad
     unit = np.zeros(dim, dtype=complex)
-    for a in range(n):
-        unit[bi(a, a)] = 1.0
+    unit[row == col] = 1.0
     involution = np.zeros((dim, dim), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            involution[bi(b, a), bi(a, b)] = 1j if parity[bi(a, b)] else 1.0
+    involution[col * n + row, np.arange(dim)] = np.where(parity, 1j, 1.0)
     labels = [f"E{a + 1}{b + 1}" for a in range(n) for b in range(n)]
-    rep = np.zeros((dim, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            rep[bi(a, b), a, b] = 1.0
+    rep = np.eye(dim, dtype=complex).reshape(dim, n, n)
     kind: dict = {"form": "matrix", "n": n}
     if grading is not None:
         kind = {"form": "gradedMatrix", "blocks": [int(grading[0]), int(grading[1])]}
@@ -417,12 +476,9 @@ def grassmann_algebra(n: int) -> Superalgebra:
         raise AlgebraError("need n >= 0")
     dim = 1 << n
     parity = np.array([bin(s).count("1") % 2 for s in range(dim)], dtype=int)
-    structure = np.zeros((dim, dim, dim), dtype=complex)
-    for s in range(dim):
-        for t in range(dim):
-            if s & t:
-                continue
-            structure[s, t, s | t] = _shuffle_sign(s, t)
+    pairs = [(s, t) for s in range(dim) for t in range(dim) if not s & t]
+    left, right = np.array(pairs).T
+    structure = Coo(dim, left, right, left | right, [_shuffle_sign(*pair) for pair in pairs])
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
     involution = np.eye(dim, dtype=complex)
@@ -472,15 +528,18 @@ def koszul_signs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.where(np.outer(pa, pb) % 2, -1.0, 1.0)
 
 
-def graded_kron(
-    a: Superalgebra, b: Superalgebra, ta: np.ndarray, tb: np.ndarray
-) -> np.ndarray:
+def graded_kron(a: Superalgebra, b: Superalgebra, ta: Coo, tb: Coo) -> Coo:
     """A product tensor on the Kronecker basis of a (x) b from product
     tensors on the factors, by the Koszul rule
-    (x (x) y) . (u (x) v) = (-1)**(e_y e_u) ta(x, u) (x) tb(y, v)."""
-    d = a.dim * b.dim
-    sign = koszul_signs(b.parity, a.parity)  # sign[j, k]: f_j moves past e_k
-    return np.einsum("jk,ikm,jln->ijklmn", sign, ta, tb).reshape(d, d, d)
+    (x (x) y) . (u (x) v) = (-1)**(e_y e_u) ta(x, u) (x) tb(y, v):
+    one entry for each pair of nonzeros."""
+    d = b.dim
+    x, y = (g.reshape(-1) for g in np.indices((ta.v.size, tb.v.size)))
+    sign = np.where(b.parity[tb.i[y]] & a.parity[ta.j[x]], -1.0, 1.0)
+    return Coo(
+        a.dim * d, ta.i[x] * d + tb.i[y], ta.j[x] * d + tb.j[y], ta.k[x] * d + tb.k[y],
+        sign * ta.v[x] * tb.v[y],
+    )
 
 
 def tensor_algebra(a: Superalgebra, b: Superalgebra) -> Superalgebra:
@@ -490,7 +549,7 @@ def tensor_algebra(a: Superalgebra, b: Superalgebra) -> Superalgebra:
     graded swap signs, so no extra phase appears).
     """
     parity = (a.parity[:, None] + b.parity[None, :]).reshape(-1) % 2
-    structure = graded_kron(a, b, a.structure, b.structure)
+    structure = graded_kron(a, b, a.constants, b.constants)
     unit = np.kron(a.unit_coeffs, b.unit_coeffs)
     involution = np.kron(a.involution_matrix, b.involution_matrix)
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
@@ -529,3 +588,112 @@ def _worst(mags: np.ndarray) -> tuple[float, tuple[int, ...]]:
         return 0.0, ()
     at = np.unravel_index(int(np.argmax(mags)), mags.shape)
     return float(mags[at]), tuple(int(k) for k in at)
+
+
+def _worst_sum(blocks, dim: int, width: int) -> tuple[float, tuple[int, ...]]:
+    """Largest |sum of the values that share a key| over blocks of (keys,
+    values), and its key's leading ``width`` digits in base ``dim`` (the
+    last digit, the output basis index, dropped).  The blocks hold disjoint,
+    increasing key ranges, so ties go to the smallest key, the entry
+    :func:`_worst` picks in a dense array."""
+    err, at = 0.0, ()
+    for keys, vals in blocks:
+        uniq, total = sum_by_key(keys, vals)
+        if uniq.size:
+            w = int(np.argmax(np.abs(total)))
+            if abs(total[w]) > err:
+                err = float(abs(total[w]))
+                at = tuple(int(x) for x in np.unravel_index(uniq[w] // dim, (dim,) * width))
+    return err, at
+
+
+def _index_blocks(cost: np.ndarray):
+    """Consecutive ranges [lo, hi) of indices into ``cost``, each costing
+    about BLOCK_PRODUCTS; one index may cost more."""
+    block = (np.cumsum(cost) - cost) // BLOCK_PRODUCTS
+    bounds = np.append(np.flatnonzero(np.diff(block, prepend=-1)), cost.size)
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _boxes(p0: int, p1: int, dim: int) -> list[tuple[int, int, int, int]]:
+    """Boxes (i0, i1, j0, j1), i0 <= i < i1 and j0 <= j < j1, that tile the
+    pairs with p0 <= i dim + j < p1."""
+    (ia, ja), (ib, jb) = divmod(p0, dim), divmod(p1, dim)
+    if ia == ib:
+        return [(ia, ia + 1, ja, jb)]
+    out = []
+    if ja:
+        out.append((ia, ia + 1, ja, dim))
+        ia += 1
+    if ib > ia:
+        out.append((ia, ib, 0, dim))
+    if jb:
+        out.append((ib, ib + 1, 0, jb))
+    return out
+
+
+def _associator(c: Coo):
+    """Blocks of (key, value), the values sharing key
+    ((i dim + j) dim + l) dim + m summing to the coefficient of e_m in
+    (e_i e_j) e_l - e_i (e_j e_l), from the products of nonzeros that share
+    an index: (e_i e_j) e_l = sum c[i,j,k] c[k,l,m] e_m and
+    e_i (e_j e_l) = sum c[j,l,k] c[i,k,m] e_m.  A block covers a range of
+    (i, j), so a dense c costs at most about dim**3 products per block."""
+    n = c.dim
+    pair = c.i * n + c.j
+    starts = np.searchsorted(c.i, np.arange(n + 1))
+    pair_starts = np.searchsorted(pair, np.arange(n * n + 1))
+    # products per (i, j): sum over c[i,j,k] of #c[k,.,.] on the left, and
+    # sum_k #c[i,k,.] #c[j,.,k] on the right
+    heads, tails = np.zeros((n, n)), np.zeros((n, n))
+    np.add.at(heads, (c.i, c.j), 1.0)
+    np.add.at(tails, (c.i, c.k), 1.0)
+    cost = np.bincount(pair, weights=np.diff(starts)[c.k], minlength=n * n)
+    for p0, p1 in _index_blocks(cost + (heads @ tails.T).reshape(-1)):
+        lo = pair_starts[p0]
+        a, b = join(c.k[lo:pair_starts[p1]], c.i)  # (i, j -> k)(k, l -> m)
+        a += lo
+        keys = [((c.i[a] * n + c.j[a]) * n + c.j[b]) * n + c.k[b]]
+        vals = [c.v[a] * c.v[b]]
+        for i0, i1, j0, j1 in _boxes(p0, p1, n):  # (j, l -> k)(i, k -> m)
+            b, a = join(c.j[starts[i0]:starts[i1]], c.k[starts[j0]:starts[j1]])
+            b += starts[i0]
+            a += starts[j0]
+            keys.append(((c.i[b] * n + c.i[a]) * n + c.j[a]) * n + c.k[b])
+            vals.append(-(c.v[a] * c.v[b]))
+        yield np.concatenate(keys), np.concatenate(vals)
+
+
+def _antihomomorphism_defect(c: Coo, par: np.ndarray, m: np.ndarray):
+    """Blocks of (key, value), the values sharing key (i dim + j) dim + k
+    summing to the coefficient of e_k in (e_i e_j)* - (e_i*)(e_j*), the
+    second product taken in the graded opposite algebra, whose constants
+    are t[a, b, k] = (-1)**(e_a e_b) c[b, a, k].  With star(e_a) =
+    sum_k m[k, a] e_k, from the nonzeros of c and m:
+    (e_i e_j)* = sum_a conj(c[i,j,a]) m[:, a] and
+    (e_i*)(e_j*) = sum_b m[b,j] X[i,b,:] with X[i,b,:] = sum_a m[a,i] t[a,b,:]."""
+    n = c.dim
+    rows, cols = np.nonzero(m)
+    w = m[rows, cols]
+    by_col = np.argsort(cols, kind="stable")
+    tv = np.where(par[c.i] & par[c.j], -1.0, 1.0) * c.v  # t[c.j, c.i, c.k]
+    starts = np.searchsorted(c.i, np.arange(n + 1))
+    col_starts = np.searchsorted(cols[by_col], np.arange(n + 1))
+    # products per i: conj(c[i,j,a]) m[k,a], then m[a,i] t[a,b,k] and the
+    # b contraction of each sum, at most max row count of m apiece
+    first = np.bincount(c.i, weights=np.bincount(cols, minlength=n)[c.k], minlength=n)
+    inner = np.bincount(cols, weights=np.bincount(c.j, minlength=n)[rows], minlength=n)
+    width = 1 + np.bincount(rows, minlength=n).max(initial=0)
+    for i0, i1 in _index_blocks(first + inner * width):
+        lo = starts[i0]
+        e, f = join(c.k[lo:starts[i1]], cols)
+        e += lo
+        keys = [(c.i[e] * n + c.j[e]) * n + rows[f]]
+        vals = [np.conj(c.v[e]) * w[f]]
+        g = by_col[col_starts[i0]:col_starts[i1]]  # m[a, i] for i in the block
+        p, e = join(rows[g], c.j)
+        x_key, x = sum_by_key((cols[g[p]] * n + c.i[e]) * n + c.k[e], w[g[p]] * tv[e])
+        p, f = join(x_key // n % n, rows)
+        keys.append((x_key[p] // (n * n) * n + cols[f]) * n + x_key[p] % n)
+        vals.append(-(w[f] * x[p]))
+        yield np.concatenate(keys), np.concatenate(vals)

@@ -50,6 +50,7 @@ from ._linalg import (
     max_abs,
     multiplicativity_defect,
     numerical_rank,
+    sum_by_key,
 )
 from .algebra import Element, Superalgebra, koszul_sign, koszul_signs
 
@@ -90,13 +91,6 @@ class Derivation:
 
     def __call__(self, a: Element) -> Element:
         return Element(self.algebra, self.matrix @ a.coeffs)
-
-    def star(self) -> "Derivation":
-        """The conjugate derivation A -> [X(A*)]*."""
-        m = self.algebra.involution_matrix
-        return Derivation(
-            self.algebra, m @ np.conj(self.matrix) @ np.conj(m), self.parity
-        )
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if other.algebra is not self.algebra or other.parity != self.parity:
@@ -199,8 +193,7 @@ def leibniz_system(
     allowed = alg.parity[:, None] == (alg.parity[None, :] + r) % 2
     cand = np.full((n, n), -1)
     cand[allowed] = np.arange(np.count_nonzero(allowed))
-    i, j, k = np.nonzero(alg.structure)
-    v = alg.structure[i, j, k]
+    i, j, k, v = alg.constants
     s = _sign(r * alg.parity)
     t = np.arange(n)[:, None]  # the free index, against every nonzero
     # (block, k, l), candidate (a, b), value; nonzero c[i, j, k] read as
@@ -219,9 +212,7 @@ def leibniz_system(
         vals.append(np.broadcast_to(val, keep.shape)[keep])
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     q = int(np.count_nonzero(allowed))
-    key, inv = np.unique(rows * q + cols, return_inverse=True)
-    total = np.zeros(key.size, dtype=complex)
-    np.add.at(total, inv, vals)
+    key, total = sum_by_key(rows * q + cols, vals)
     live = total != 0
     return key[live] // q, key[live] % q, total[live], q
 
@@ -572,20 +563,7 @@ class Cochain:
             raise CalculusError("0-form needs a homogeneous element")
         return cls(family, 0, par, a.coeffs.copy(), check=False)
 
-    # -- evaluation and arithmetic
-
-    def evaluate(self, *args) -> Element:
-        """Evaluate on derivations (or family coefficient vectors)."""
-        if len(args) != self.degree:
-            raise CalculusError(f"expected {self.degree} arguments")
-        t = self.tensor
-        for x in args:
-            vec = (
-                self.family.expand_strict(x) if isinstance(x, Derivation)
-                else np.asarray(x, dtype=complex)
-            )
-            t = np.tensordot(vec, t, axes=(0, 0))
-        return Element(self.family.algebra, t)
+    # -- arithmetic
 
     def _binary_check(self, other: "Cochain") -> None:
         if (

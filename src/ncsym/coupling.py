@@ -37,6 +37,7 @@ import numpy as np
 
 from ._linalg import bilinear, left_action, max_abs
 from .algebra import (
+    Coo,
     Element,
     Superalgebra,
     grassmann_algebra,
@@ -80,7 +81,7 @@ class FactorSpec:
 def _fit_lambda(alg: Superalgebra, pb: np.ndarray) -> tuple[complex, float, bool]:
     """Least squares for lam {e_i,e_j} = -[e_i,e_j]; raises if the bracket
     is not proportional to the supercommutator at all."""
-    target = alg.swapped_structure() - alg.structure
+    target = (alg.swapped_structure() - alg.constants).dense()
     den = np.vdot(pb, pb).real
     if den < LAMBDA_FIT_TOL * LAMBDA_FIT_TOL:
         raise CouplingError("factor bracket vanishes identically")
@@ -230,11 +231,10 @@ class ProductStructure:
 
 def _product_pb_tensor(f1: FactorSpec, f2: FactorSpec) -> np.ndarray:
     a1, a2 = f1.algebra, f2.algebra
-    sym1 = 0.5 * (a1.structure + a1.swapped_structure())
-    sym2 = 0.5 * (a2.structure + a2.swapped_structure())
-    return graded_kron(a1, a2, f1.pb_tensor, sym2) + graded_kron(
-        a1, a2, sym1, f2.pb_tensor
-    )
+    sym1 = 0.5 * (a1.constants + a1.swapped_structure())
+    sym2 = 0.5 * (a2.constants + a2.swapped_structure())
+    pb1, pb2 = Coo.of_dense(f1.pb_tensor), Coo.of_dense(f2.pb_tensor)
+    return (graded_kron(a1, a2, pb1, sym2) + graded_kron(a1, a2, sym1, pb2)).dense()
 
 
 def _product_omega(prod: Superalgebra, f1: FactorSpec, f2: FactorSpec):

@@ -32,7 +32,6 @@ import numpy as np
 from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
 
 WIGNER_NORMALIZATION_TOL = 1e-3
-RICHARDSON_TOL = 1e-3
 
 
 class MoyalError(ValueError):
@@ -152,28 +151,6 @@ class WignerGrid:
             np.sum(self.values) * self.dx * self.dp / (2 * np.pi * self.hbar)
         )
 
-    def expectation(self, f) -> float:
-        """Phase space average with the dx dp/(2 pi hbar) measure.
-
-        ``f`` is a ``SuperFunction(2, 0)`` or an array on the grid.  A
-        stride-2 subgrid recomputation guards against unresolved quadrature:
-        the two must agree to RICHARDSON_TOL, relative above one.
-        """
-        if isinstance(f, SuperFunction):
-            points = np.stack(np.meshgrid(self.xs, self.ps, indexing="ij"), axis=-1)
-            fv = f.evaluate(points).real
-        else:
-            fv = np.asarray(f)
-        meas = self.dx * self.dp / (2 * np.pi * self.hbar)
-        full = float(np.sum(fv * self.values) * meas)
-        half = float(np.sum(fv[::2, ::2] * self.values[::2, ::2]) * 4 * meas)
-        if not abs(full - half) <= RICHARDSON_TOL * max(1.0, abs(full)):
-            raise MoyalError(
-                f"phase space quadrature unresolved: {full} vs {half} on the "
-                f"coarse grid"
-            )
-        return full
-
 
 def wigner_function(psi: np.ndarray, xs: np.ndarray, hbar: float) -> WignerGrid:
     """Wigner symbol of a sampled wave function.
@@ -193,7 +170,12 @@ def wigner_function(psi: np.ndarray, xs: np.ndarray, hbar: float) -> WignerGrid:
     if not np.all(np.isfinite(psi)):
         raise MoyalError("wave function has non-finite samples")
     dx = float(xs[1] - xs[0])
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    norm2 = float(np.sum(np.abs(psi) ** 2) * dx)
+    if not (np.isfinite(norm2) and norm2 > 0):
+        raise MoyalError(
+            f"wave function norm**2 on the grid is {norm2}, not finite and positive"
+        )
+    psi = psi / np.sqrt(norm2)
     ps = xs.copy()
     mmax = nx - 1
     ms = np.arange(-mmax, mmax + 1)

@@ -19,7 +19,7 @@ Realizations accepted by :func:`make_state`:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class State:
 
     algebra: Superalgebra
     functional: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         f = np.asarray(self.functional, dtype=complex).reshape(-1)
@@ -107,7 +106,7 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
     if realization == "functional":
         f = np.asarray(data, dtype=complex)
         validate_state_functional(alg, f)
-        return State(alg, f, {"realization": "functional"})
+        return State(alg, f)
     if realization == "densityMatrix":
         rho = np.asarray(data, dtype=complex)
         if alg.rep_basis is None:
@@ -124,12 +123,11 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
             [np.trace(rho @ alg.rep_basis[k]) for k in range(alg.dim)]
         )
         validate_state_functional(alg, f)
-        return State(alg, f, {"realization": "densityMatrix"})
+        return State(alg, f)
     if realization == "berezinDensity":
         if alg.kind.get("form") != "grassmann":
             raise StateError("berezin densities need a Grassmann algebra")
         rho = data if isinstance(data, Element) else alg.element(data)
-        n = int(alg.kind["n"])
         f = np.array(
             [
                 berezin_integral_coeffs(
@@ -139,7 +137,7 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
             ]
         )
         validate_state_functional(alg, f)
-        return State(alg, f, {"realization": "berezinDensity", "generators": n})
+        return State(alg, f)
     raise StateError(f"unknown realization {realization!r}")
 
 

@@ -73,13 +73,6 @@ class SuperFunction:
 
     # -- structure ------------------------------------------------------------
 
-    @property
-    def parity(self) -> int | None:
-        ps = {bin(mask).count("1") % 2 for (_, mask) in self.terms}
-        if not ps:
-            return 0
-        return ps.pop() if len(ps) == 1 else None
-
     def coefficient(self, exps, mask) -> complex:
         return self.terms.get((tuple(exps), int(mask)), 0.0 + 0.0j)
 
@@ -128,20 +121,6 @@ class SuperFunction:
     def __rmul__(self, other):
         # scalars commute with everything
         return self * other
-
-    def evaluate(self, x):
-        """Value on the even body (all generators set to zero).
-
-        ``x`` is one point, giving a complex, or an array of points along
-        its last axis, giving an array of values."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-1:] != (self.m,):
-            raise SuperspaceError("point has wrong dimension")
-        total = np.zeros(x.shape[:-1], dtype=complex)
-        for (exps, mask), c in self.terms.items():
-            if not mask:
-                total = total + c * np.prod(x ** np.array(exps), axis=-1)
-        return complex(total) if x.ndim == 1 else total
 
 
 def variables(m: int, n: int):
@@ -225,14 +204,6 @@ class SuperPBMatrix:
     @classmethod
     def unit_odd(cls, n: int) -> "SuperPBMatrix":
         return cls(0, n, np.eye(n))
-
-    @classmethod
-    def direct(cls, pairs: int, n: int) -> "SuperPBMatrix":
-        m = 2 * pairs
-        w = np.zeros((m + n, m + n))
-        w[:m, :m] = cls.canonical_even(pairs).matrix.real
-        w[m:, m:] = np.eye(n)
-        return cls(m, n, w)
 
 
 def _derivative_right(f: SuperFunction, w: SuperPBMatrix, idx: int) -> SuperFunction:

@@ -157,7 +157,7 @@ def _commutator_cochain(alg: Superalgebra) -> Cochain:
         )
     # [A, B] = sum_uv a_u b_v [e_u, e_v] for every pair of sources at once
     sources = np.array([x.source.coeffs for x in fam.members])
-    comm = alg.structure - alg.swapped_structure()
+    comm = (alg.constants - alg.swapped_structure()).dense()
     t = np.tensordot(np.tensordot(sources, comm, axes=(1, 0)), sources, axes=(1, 1))
     return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
 

@@ -9,10 +9,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncsym._linalg import multiplicativity_defect, nullspace
+from ncsym import algebra
+from ncsym._linalg import max_abs, multiplicativity_defect, nullspace
 from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
+    Coo,
     Superalgebra,
     grassmann_algebra,
     kron_element,
@@ -32,9 +34,11 @@ G3 = grassmann_algebra(3)
 def _block_sum(a, b):
     """The direct sum a (+) b, assembled from zero off-diagonal blocks."""
     da, dim = a.dim, a.dim + b.dim
-    structure = np.zeros((dim, dim, dim), dtype=complex)
-    structure[:da, :da, :da] = a.structure
-    structure[da:, da:, da:] = b.structure
+    ca, cb = a.constants, b.constants
+    structure = Coo(
+        dim, *(np.concatenate([x, y + da]) for x, y in zip((ca.i, ca.j, ca.k), (cb.i, cb.j, cb.k))),
+        np.concatenate([ca.v, cb.v]),
+    )
     involution = np.zeros((dim, dim), dtype=complex)
     involution[:da, :da] = a.involution_matrix
     involution[da:, da:] = b.involution_matrix
@@ -86,7 +90,7 @@ def test_grassmann_products():
     t12 = t1 * t2
     np.testing.assert_allclose(t12.coeffs, [0, 0, 0, 1], atol=TOL)
     np.testing.assert_allclose((t2 * t1).coeffs, [0, 0, 0, -1], atol=TOL)
-    assert (t1 * t1).norm() <= TOL
+    assert max_abs((t1 * t1).coeffs) <= TOL
     # involution fixes monomials: (t1 t2)* = t1 t2
     np.testing.assert_allclose(t12.star().coeffs, t12.coeffs, atol=TOL)
     assert G2.is_supercommutative
@@ -157,7 +161,7 @@ def test_tensor_koszul_sign():
     a = th_left * th_right
     b = th_right * th_left
     np.testing.assert_allclose(b.coeffs, -a.coeffs, atol=TOL)
-    assert a.norm() > 0.5
+    assert max_abs(a.coeffs) > 0.5
 
 
 def test_tensor_of_matrix_algebras_is_kronecker():
@@ -172,16 +176,16 @@ def test_tensor_of_matrix_algebras_is_kronecker():
 
 def _m2_data(**override) -> dict:
     data = dict(
-        structure=M2.structure, parity=M2.parity, unit=M2.unit_coeffs,
+        structure=M2.constants, parity=M2.parity, unit=M2.unit_coeffs,
         involution=M2.involution_matrix, rep_basis=M2.rep_basis, labels=M2.labels,
     )
     return {**data, **override}
 
 
-def _nonassociative_m2() -> np.ndarray:
+def _nonassociative_m2() -> Coo:
     bad = M2.structure.copy()
     bad[1, 2, 3] += 0.5  # E12 E21 = E11 + 0.5 E22 is not associative
-    return bad
+    return Coo.of_dense(bad)
 
 
 G1 = grassmann_algebra(1)
@@ -197,7 +201,7 @@ BROKEN = {
     "starFixesUnit": (_m2_data(involution=-M2.involution_matrix), "moves the unit"),
     "starGrading": (
         dict(
-            structure=G1.structure, parity=G1.parity, unit=G1.unit_coeffs,
+            structure=G1.constants, parity=G1.parity, unit=G1.unit_coeffs,
             involution=[[1, 0.5], [0, -1]],
         ),
         "involution violates grading",
@@ -246,10 +250,19 @@ def test_multiplicativity_defect_matches_pairwise_loop(alg):
     )
 
 
+def _summed(blocks, shape) -> np.ndarray:
+    """The dense array of the values of (keys, values) blocks summed by key."""
+    out = np.zeros(np.prod(shape), dtype=complex)
+    for keys, vals in blocks:
+        np.add.at(out, keys, vals)
+    return out.reshape(shape)
+
+
 @pytest.mark.parametrize("involution", [M11.involution_matrix, np.eye(4)])
-def test_antihomomorphism_defect_matches_pairwise_loop(involution):
-    # (e_i e_j)* - (-1)**(e_i e_j) e_j* e_i*, as validate computes it and
-    # one basis pair at a time
+def test_antihomomorphism_defect_matches_pairwise_loop(involution, monkeypatch):
+    # (e_i e_j)* - (-1)**(e_i e_j) e_j* e_i*, as validate computes it from
+    # the nonzeros, one block of first indices at a time, and one basis
+    # pair at a time
     c, par = M11.structure, M11.parity
     loop = np.zeros_like(c)
     for i in range(4):
@@ -258,7 +271,30 @@ def test_antihomomorphism_defect_matches_pairwise_loop(involution):
             loop[i, j] = involution @ np.conj(c[i, j]) - sign * np.einsum(
                 "a,b,abk->k", involution[:, j], involution[:, i], c
             )
-    got = multiplicativity_defect(np.conj(c), involution, M11.swapped_structure())
+    monkeypatch.setattr(algebra, "BLOCK_PRODUCTS", 2)
+    got = _summed(algebra._antihomomorphism_defect(M11.constants, par, involution), (4, 4, 4))
+    np.testing.assert_allclose(got, loop, atol=1e-12)
+    swapped = M11.swapped_structure().dense()
+    dense = multiplicativity_defect(np.conj(c), involution, swapped)
+    np.testing.assert_allclose(dense, loop, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 5])
+def test_associator_matches_triple_loop(budget, monkeypatch):
+    # a random cube, a third of its entries nonzero, against
+    # (e_i e_j) e_l - e_i (e_j e_l) one basis triple at a time
+    rng = np.random.default_rng(9)
+    n = 5
+    c = (rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)) * (
+        rng.random((n,) * 3) < 0.3
+    )
+    loop = np.zeros((n,) * 4, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                loop[i, j, l] = c[i, j] @ c[:, l] - c[j, l] @ c[i]
+    monkeypatch.setattr(algebra, "BLOCK_PRODUCTS", budget)
+    got = _summed(algebra._associator(Coo.of_dense(c)), (n,) * 4)
     np.testing.assert_allclose(got, loop, atol=1e-12)
 
 
@@ -271,7 +307,7 @@ def test_associativity_is_exact_beyond_dim_64():
     bad[1, 2, 12] += 1e-3
     bad[2, 1, 12] -= 1e-3
     with pytest.raises(AlgebraError, match="associativity fails by 2.000e-03"):
-        Superalgebra(bad, base.parity, base.unit_coeffs, base.involution_matrix)
+        Superalgebra(Coo.of_dense(bad), base.parity, base.unit_coeffs, base.involution_matrix)
 
 
 AXIOMS = [
@@ -301,6 +337,58 @@ def test_grassmann6_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 100e6
+
+
+def test_grassmann7_validates_with_associativity_exactly_zero():
+    residuals = grassmann_algebra(7).validate()
+    assert residuals["associativity"] == 0.0
+    assert max(residuals.values()) == 0.0
+
+
+@pytest.mark.parametrize("build", [lambda: grassmann_algebra(8), lambda: matrix_algebra(8)],
+                         ids=["G8", "M8"])
+def test_dim_256_and_64_build_and_validate_below_64_mb(build):
+    # the dense cubes alone would be 268 MB (G8) and 4 MB (M8); the sparse
+    # checks hold no dim**3 array
+    tracemalloc.start()
+    try:
+        alg = build()
+        alg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "structure" not in vars(alg)  # the dense cube was never built
+    assert peak < 64 * 2**20
+
+
+def test_moved_grassmann_constant_is_named_at_its_size():
+    # t1 t2 = (1 + 1e-3) t1t2: the first basis triple the moved product
+    # enters with a defect is (t1, t2, t3)
+    g4 = grassmann_algebra(4)
+    c = g4.constants
+    moved = (c.i == 1) & (c.j == 2) & (c.k == 3)
+    assert moved.sum() == 1
+    bad = Coo(g4.dim, c.i, c.j, c.k, c.v + 1e-3 * moved)
+    with pytest.raises(AlgebraError, match=r"associativity fails by 1\.000e-03 at \(t1, t2, t3\)"):
+        Superalgebra(bad, g4.parity, g4.unit_coeffs, g4.involution_matrix, g4.labels)
+
+
+def test_constructor_takes_the_sparse_form_only():
+    with pytest.raises(AlgebraError, match="Coo"):
+        Superalgebra(M2.structure, M2.parity, M2.unit_coeffs, M2.involution_matrix)
+    with pytest.raises(AlgebraError, match="out of range"):
+        Coo(2, [0], [0], [2], [1.0])
+    with pytest.raises(AlgebraError, match="finite"):
+        Coo(2, [0], [0], [1], [np.nan])
+
+
+def test_coo_sums_duplicates_drops_zeros_and_sorts():
+    c = Coo(3, [2, 0, 0, 1], [0, 1, 1, 1], [1, 2, 2, 0], [5.0, 1.0, 2.0, 0.0])
+    assert (c.i.tolist(), c.j.tolist(), c.k.tolist(), c.v.tolist()) == (
+        [0, 2], [1, 0], [2, 1], [3.0, 5.0]
+    )
+    np.testing.assert_array_equal(Coo.of_dense(c.dense()).v, c.v)
+    assert not M3.structure.flags.writeable
 
 
 @pytest.mark.parametrize("shape, rank", [((40, 6), 4), ((3, 6), 3)], ids=["tall", "wide"])

@@ -213,44 +213,143 @@ def _names(nodes) -> set[str]:
     return out
 
 
+def _annotated_class(annotation, classes) -> str | None:
+    """The one class of ``classes`` that an annotation names, as ``C``,
+    ``"C"``, ``C | None`` or ``list[C]``; None when it names none or two."""
+    found = set()
+    for sub in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(sub, ast.Name) and sub.id in classes:
+            found.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found |= set(sub.value.replace("|", " ").split()) & set(classes)
+    return found.pop() if len(found) == 1 else None
+
+
 def dead_functions(sources: dict[str, str], roots: list[str]) -> list[str]:
     """Functions, methods and classes of ``sources`` that no root reaches.
 
     The roots are the module-level statements of ``sources`` and every name
     in the ``roots`` sources (an entry point such as ``"main"``, or a module
-    that drives the package).  A reached function reaches the names its body
+    that drives the package).  A reached function reaches what its body
     uses; a reached class reaches its bases, decorators, class-level
     statements and dunder methods, which are never reported themselves.
-    Names match by their simple name, so a method counts as reached once any
-    reached code reads an attribute of that name."""
-    defs: dict[str, list] = {}
 
-    def scan(body, prefix):
+    A name or module attribute reaches the function or class of that name.
+    A method matches as ``Class.method``: reading ``x.method`` reaches the
+    method of the class that ``x`` holds where the code shows it (``self``
+    or ``cls`` in the class's own methods, the class name itself, a
+    parameter or class field annotated with the class, or a name bound by
+    assignment or a for loop to such a value, to a constructor call or to a
+    call whose return annotation names the class; an element of a
+    ``list[C]`` counts as a C).  A receiver of unknown class stands for the
+    classes that known receivers of that method name reach, or for every
+    class defining it when no known receiver does."""
+    defs: dict = {}  # function or class name, or (class, method) -> [(label, node)]
+    owners: dict[str, set] = {}  # method name -> the classes defining it
+    classes: dict[str, ast.ClassDef] = {}
+
+    def scan(body, prefix, cls=None):
         """Register the defs of a module or class body; return the rest."""
         rest = []
         for node in body:
             named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if named:
+                node.cls = cls
             if named and not (node.name.startswith("__") and node.name.endswith("__")):
-                defs.setdefault(node.name, []).append((prefix + node.name, node))
+                key = node.name if cls is None else (cls, node.name)
+                defs.setdefault(key, []).append((prefix + node.name, node))
+                if cls is not None:
+                    owners.setdefault(node.name, set()).add(cls)
                 if isinstance(node, ast.ClassDef):
-                    node.rest = scan(node.body, prefix + node.name + ".")
+                    classes[node.name] = node
+                    node.rest = scan(node.body, prefix + node.name + ".", node.name)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 rest.append(node)
         return rest
 
-    todo = _names(ast.parse(source) for source in roots)
+    module_rest = []
     for module, source in sources.items():
-        todo |= _names(scan(ast.parse(source).body, f"{module}: "))
-    reached = set()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for _, node in defs.get(name, ()):
+        module_rest += scan(ast.parse(source).body, f"{module}: ")
+    fields = {
+        (name, stmt.target.id): _annotated_class(stmt.annotation, classes)
+        for name, node in classes.items() for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+    def returns(key):
+        """The class a call of the def at ``key`` returns, if annotated."""
+        for _, node in defs.get(key, ()):
             if isinstance(node, ast.ClassDef):
-                todo |= _names(node.rest + node.bases + node.decorator_list) - reached
-            else:
-                todo |= _names([node]) - reached
-    return sorted(q for name, entries in defs.items() if name not in reached for q, _ in entries)
+                return node.name
+            return _annotated_class(node.returns, classes)
+        return None
+
+    def infer(expr, env):
+        """The class an expression holds, or None when the code does not show it."""
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id, expr.id if expr.id in classes else None)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            return returns(expr.func.id)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
+            owner = infer(expr.func.value, env)
+            return owner and returns((owner, expr.func.attr))
+        if isinstance(expr, ast.Attribute):
+            owner = infer(expr.value, env)
+            return owner and (fields.get((owner, expr.attr)) or returns((owner, expr.attr)))
+        if isinstance(expr, ast.Subscript):
+            return infer(expr.value, env)
+        return None
+
+    def uses(nodes, cls=None) -> set:
+        """Names, and (class or None, attribute) pairs, that ``nodes`` read."""
+        out = set()
+        for node in nodes:
+            env = {}
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for k, arg in enumerate(sub.args.posonlyargs + sub.args.args):
+                        own = cls if sub is node and k == 0 else None
+                        env[arg.arg] = _annotated_class(arg.annotation, classes) or own
+            for _ in range(2):  # a binding may use one that comes later in the walk
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
+                        target, value = sub.targets[0], sub.value
+                    elif isinstance(sub, (ast.For, ast.comprehension)):
+                        target, value = sub.target, sub.iter
+                    else:
+                        continue
+                    if isinstance(target, ast.Name) and infer(value, env):
+                        env[target.id] = infer(value, env)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    out.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    out |= {sub.attr, (infer(sub.value, env), sub.attr)}
+        return out
+
+    todo = uses([ast.parse(source) for source in roots]) | uses(module_rest)
+    reached: set = set()
+    unknown: set = set()  # method names read on receivers of unknown class
+    while todo:
+        key = todo.pop()
+        if isinstance(key, tuple) and key[0] is None:
+            unknown.add(key[1])
+        elif key not in reached:
+            reached.add(key)
+            for _, node in defs.get(key, ()):
+                if isinstance(node, ast.ClassDef):
+                    todo |= uses(node.rest + node.bases + node.decorator_list, node.name)
+                else:
+                    todo |= uses([node], node.cls)
+        if not todo:
+            # names with known receivers first, then the rest to every owner
+            known = {m: owners.get(m, set()) & {k[0] for k in reached if k[1:] == (m,)}
+                     for m in unknown}
+            todo = {(c, m) for m in unknown for c in known[m]} - reached
+            if not todo:
+                todo = {(c, m) for m in unknown if not known[m] for c in owners.get(m, ())}
+                todo -= reached
+    return sorted(q for key, entries in defs.items() if key not in reached for q, _ in entries)
 
 
 def test_checker_flags_a_dead_function():
@@ -273,12 +372,26 @@ def test_checker_flags_a_dead_function():
             "class Unused:\n"
             "    def __repr__(self): return _for_repr()\n"
             "def _for_repr(): return 'u'\n"
+            # same-name methods: Grid.mean is read on no Grid, and
+            # State.direct only shares its name with a local variable
+            "class Grid:\n"
+            "    def mean(self): return 0\n"
+            "class State:\n"
+            "    def mean(self): return 1\n"
+            "    def spread(self): return 2\n"
+            "    def direct(self): return 3\n"
+            "def make() -> State: return State()\n"
+            "def scan(s: State, many):\n"
+            "    direct = make().spread()\n"
+            "    return s.mean(), [x.mean() for x in many], direct\n"
         ),
-        "cli.py": "def main(): return used(), K()\ndef other(): chain()\n",
+        "cli.py": "def main(): return used(), K(), Grid(), scan\ndef other(): chain()\n",
     }
     roots = ["main", "from a import bench_only\nbench_only()\n"]
     assert dead_functions(sources, roots) == [
+        "a.py: Grid.mean",
         "a.py: K.dead_method",
+        "a.py: State.direct",
         "a.py: Unused",
         "a.py: _for_repr",
         "a.py: _only_chain",

@@ -21,7 +21,7 @@ def _phase(alg, t):
 
 
 def _graded_symmetric_part(alg, t):
-    return t + EPS * (alg.structure + alg.swapped_structure())
+    return t + EPS * (alg.constants + alg.swapped_structure()).dense()
 
 
 def _one_pair_scaled(alg, t):

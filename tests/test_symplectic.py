@@ -153,7 +153,7 @@ def test_bracket_tensor_solves_the_hamiltonian_system(alg):
         via_parts = np.zeros(alg.dim, dtype=complex)
         for t in (0, 1):
             part = alg.element(a.coeffs * (alg.parity == t))
-            if part.norm() == 0.0:
+            if max_abs(part.coeffs) == 0.0:
                 continue
             y = hamiltonian_derivation(ss, part)
             d_part = exterior_derivative(Cochain.zero_form(ss.family, part))
