@@ -53,7 +53,7 @@ def lstsq_with_residual(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
 def bilinear(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_ij a_i b_j t[i, j, :] for a product tensor, where t[i, j, k] is
     the coefficient of e_k in the product of e_i and e_j."""
-    return np.einsum("i,j,ijk->k", a, b, t)
+    return left_action(t, a) @ b
 
 
 def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -97,14 +97,29 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def greedy_independent(vectors, zero_tol: float) -> list[int]:
     """Indices kept by a greedy scan: skip a vector with max |entry| below
-    ``zero_tol``, keep it when it raises the numerical rank of those kept."""
+    ``zero_tol``, keep it when it raises the numerical rank of those kept.
+
+    The kept vectors are factored incrementally by Gram-Schmidt, applied
+    twice to stay orthogonal to working precision.  A vector raises the rank
+    when its distance from their span exceeds RANK_RTOL times the largest
+    norm among them and it."""
     kept: list[int] = []
+    scale = 0.0
+    # orthonormal rows spanning the kept vectors, in its first len(kept) rows
+    basis = np.empty((len(vectors), np.size(vectors[0]) if vectors else 0), dtype=complex)
     for idx, v in enumerate(vectors):
         if max_abs(v) < zero_tol:
             continue
-        s = np.linalg.svd(np.array([vectors[k] for k in kept] + [v]), compute_uv=False)
-        if s[-1] > RANK_RTOL * s[0]:
+        r = np.asarray(v, dtype=complex)
+        q = basis[: len(kept)]
+        for _ in range(2):
+            r = r - (q.conj() @ r) @ q
+        norm = np.linalg.norm(v)
+        dist = np.linalg.norm(r)
+        if dist > RANK_RTOL * max(scale, norm):
+            basis[len(kept)] = r / dist
             kept.append(idx)
+            scale = max(scale, norm)
     return kept
 
 

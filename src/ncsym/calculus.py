@@ -369,27 +369,22 @@ class DerivationFamily:
     of derivations.  ``expand_strict`` writes a derivation in the frame.
     """
 
-    def __init__(
-        self,
-        algebra: Superalgebra,
-        members: list[Derivation],
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, algebra: Superalgebra, members: list[Derivation]) -> None:
         self.algebra = algebra
         self.members = list(members)
         self.parities = np.array([x.parity for x in self.members], dtype=int)
         if not self.members:
             raise CalculusError("derivation family must not be empty")
-        for x in self.members:
-            if x.algebra is not algebra:
-                raise CalculusError("family member on a different algebra")
-            if verify:
-                ok, res = check_superderivation(algebra, x.matrix, x.parity)
-                if not ok:
-                    raise CalculusError(
-                        f"family member fails the derivation condition ({res:.3e})"
-                    )
+        if any(x.algebra is not algebra for x in self.members):
+            raise CalculusError("family member on a different algebra")
         self.matrices = np.array([x.matrix for x in self.members])
+        for t in np.unique(self.parities):
+            stack = self.matrices[self.parities == t]
+            res = max_abs(superderivation_residuals(algebra, stack, t))
+            if res > DERIVATION_TOL:
+                raise CalculusError(
+                    f"family member fails the derivation condition ({res:.3e})"
+                )
         self._flat = self.matrices.reshape(len(self.members), -1)
         if numerical_rank(self._flat) != len(self.members):
             raise CalculusError("family members are linearly dependent")
@@ -411,7 +406,7 @@ class DerivationFamily:
             raise CalculusError(
                 "no nonzero inner derivations (is the algebra supercommutative?)"
             )
-        return cls(alg, members, verify=False)
+        return cls(alg, members)
 
     def expand_strict(self, x: Derivation) -> np.ndarray:
         return self._expand_all_strict(x.matrix[None])[0]

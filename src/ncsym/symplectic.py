@@ -27,6 +27,14 @@ structures and on the product structures of :mod:`ncsym.coupling` alike;
 ``HamiltonianSystem`` is the one flow.  In closed form A(t) = expm(t L_H) A
 with L_H the Poisson operator of H, equivalently
 A(t) = exp(iHt/hbar) A exp(-iHt/hbar) in a matrix realization.
+
+The closed form runs through one eigendecomposition L_H = V diag(w) V^-1
+per system, so expm(t L_H) = V diag(exp(t w)) V^-1 for every t.  The
+eigenvector method is reliable only for a well-conditioned V (Moler and
+Van Loan, SIAM Rev. 45 (2003) 3), so the decomposition is used only when
+its relative reconstruction residual is at most EIG_RESIDUAL_TOL and
+cond(V) is at most EIG_COND_MAX.  A Liouvillian that fails the gate, such
+as a nilpotent one, is exponentiated by ``scipy.linalg.expm`` at each t.
 """
 from __future__ import annotations
 
@@ -41,12 +49,20 @@ from .calculus import (
     _special_evidence,
 )
 
+# |d omega| and the reality defect may be at most these times max(1, |omega|)
 CLOSED_TOL = 1e-10
 REALITY_TOL = 1e-10
 # Residual gate for solving i_Y omega = -dA.
 HAMILTONIAN_SOLVE_TOL = 1e-9
 # Largest |H* - H| coefficient a Hamiltonian may have.
 HERMITIAN_TOL = 1e-10
+# Gate on the eigendecomposition of L_H: relative reconstruction residual
+# and condition number of the eigenvector matrix.
+EIG_RESIDUAL_TOL = 1e-12
+EIG_COND_MAX = 1e4
+# Largest |t| |L_H| (max-abs entry) a flow is evaluated at: past 1/eps no
+# digit of the phase t w survives.
+MAX_PHASE = 1.0 / np.finfo(float).eps
 
 
 class SymplecticError(ValueError):
@@ -73,14 +89,15 @@ class SymplecticStructure:
         self._pairing = omega.tensor.reshape(m, m * dim)
         self.reality_residuals = omega.reality_residuals()
         self.closed_residual = exterior_derivative(omega).norm()
-        if self.closed_residual > CLOSED_TOL:
+        scale = max(1.0, omega.norm())
+        if self.closed_residual > CLOSED_TOL * scale:
             raise SymplecticError(
                 f"form is not closed, |d omega| = {self.closed_residual:.3e}"
             )
         declared = self.kind.get("reality")
         if declared is not None:
             defect = self.reality_residuals[declared]
-            if defect > REALITY_TOL:
+            if defect > REALITY_TOL * scale:
                 raise SymplecticError(f"form is not {declared} (defect {defect:.3e})")
         if numerical_rank(self._pairing) != m:
             raise SymplecticError("form is degenerate on the family")
@@ -194,10 +211,29 @@ class HamiltonianSystem:
             raise SymplecticError(f"hamiltonian is not hermitian ({herm:.3e})")
         self.h = h
         self.liouville = structure.poisson_operator(h)
+        self._scale = max_abs(self.liouville)
+        # (V, w, V^-1) when the decomposition passes its gate, else None;
+        # the residual is not formed (inf) when cond(V) already fails
+        self.eigen = None
+        w, v = np.linalg.eig(self.liouville)
+        self.eig_cond = float(np.linalg.cond(v))
+        self.eig_residual = np.inf
+        if self.eig_cond <= EIG_COND_MAX:
+            vinv = np.linalg.inv(v)
+            self.eig_residual = max_abs((v * w) @ vinv - self.liouville) / max(1.0, self._scale)
+            if self.eig_residual <= EIG_RESIDUAL_TOL:
+                self.eigen = (v, w, vinv)
 
     def heisenberg_matrix(self, t: float) -> np.ndarray:
-        """expm(t L_H) acting on observable coefficients."""
-        return expm(t * self.liouville)
+        """expm(t L_H) acting on observable coefficients; raises for a time
+        that is not finite or at which the phase t L_H has lost every digit."""
+        t = float(t)
+        if not np.isfinite(t) or abs(t) * self._scale > MAX_PHASE:
+            raise SymplecticError(f"cannot evolve to time {t} (|L_H| = {self._scale:.3e})")
+        if self.eigen is None:
+            return expm(t * self.liouville)
+        v, w, vinv = self.eigen
+        return (v * np.exp(t * w)) @ vinv
 
     def evolve_heisenberg(self, a: Element, t: float) -> Element:
         """Observable evolution dA/dt = {H, A}, in closed form."""

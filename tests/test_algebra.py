@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncsym import algebra
-from ncsym._linalg import max_abs, multiplicativity_defect, nullspace
+from ncsym._linalg import bilinear, max_abs, multiplicativity_defect, nullspace
 from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
@@ -236,6 +236,20 @@ def _pairwise_multiplicativity(src, p, tgt):
         for j in range(n):
             out[i, j] = p @ src[i, j] - np.einsum("a,b,abk->k", p[:, i], p[:, j], tgt)
     return out
+
+
+@pytest.mark.parametrize("dim", [1, 9, 36])
+def test_bilinear_matches_the_three_operand_einsum(dim):
+    rng = np.random.default_rng(dim)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    t, a, b = draw(dim, dim, dim), draw(dim), draw(dim)
+    want = np.einsum("i,j,ijk->k", a, b, t)
+    # the sums run in another order: allow dim**2 roundings of the terms
+    scale = np.einsum("i,j,ijk->k", abs(a), abs(b), abs(t))
+    assert np.all(abs(bilinear(t, a, b) - want) <= dim**2 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("alg", [M11, matrix_algebra(3, grading=(2, 1)), G3])

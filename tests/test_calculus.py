@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncsym import calculus
-from ncsym._linalg import max_abs
+from ncsym._linalg import RANK_RTOL, greedy_independent, max_abs
 from ncsym.algebra import Coo, Superalgebra, grassmann_algebra, matrix_algebra, tensor_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
@@ -203,6 +203,60 @@ def test_inner_family_sizes_and_parities():
     assert list(FAM2.parities) == [0, 0, 0]
     assert len(FAM11) == 3
     assert sorted(FAM11.parities) == [0, 1, 1]
+
+
+def svd_greedy_independent(vectors, zero_tol):
+    """Reference scan: keep a vector when the smallest singular value of the
+    kept ones stacked with it exceeds RANK_RTOL times the largest."""
+    kept = []
+    for idx, v in enumerate(vectors):
+        if max_abs(v) < zero_tol:
+            continue
+        s = np.linalg.svd(np.array([vectors[k] for k in kept] + [v]), compute_uv=False)
+        if s[-1] > RANK_RTOL * s[0]:
+            kept.append(idx)
+    return kept
+
+
+LADDER = {
+    **{f"M{n}": (n, None) for n in range(2, 8)},
+    "M1-1": (2, (1, 1)),
+    "M2-1": (3, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("label", list(LADDER) + ["G3", "G4", "G5"])
+def test_greedy_independent_keeps_the_members_the_svd_scan_keeps(label):
+    # inner derivations of the basis, then (where cheap) left and right
+    # multiplications, which are dependent on them and on each other in part;
+    # a Grassmann algebra has no nonzero inner derivation
+    alg = grassmann_algebra(int(label[1])) if label[0] == "G" else matrix_algebra(*LADDER[label])
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    vectors = [inner_derivation(alg, e).matrix.reshape(-1) for e in basis]
+    if alg.dim <= 32:
+        vectors += [alg.left_mult_matrix(e.coeffs).reshape(-1) for e in basis]
+        vectors += [alg.right_mult_matrix(e.coeffs).reshape(-1) for e in basis]
+    kept = greedy_independent(vectors, 1e-14)
+    assert kept == svd_greedy_independent(vectors, 1e-14)
+    assert kept
+
+
+def test_inner_family_rejects_an_inner_derivation_moved_by_1e6(monkeypatch):
+    alg = matrix_algebra(3)
+    assert len(DerivationFamily.inner_family(alg)) == 8
+    build = calculus.inner_derivation
+
+    def moved(alg_, a):
+        x = build(alg_, a)
+        if a.coeffs[1] == 1:
+            matrix = x.matrix.copy()
+            matrix[2, 5] += 1e-6
+            x = Derivation(alg_, matrix, x.parity, x.source)
+        return x
+
+    monkeypatch.setattr(calculus, "inner_derivation", moved)
+    with pytest.raises(CalculusError, match=r"fails the derivation condition \(1\.0"):
+        DerivationFamily.inner_family(alg)
 
 
 def test_family_expand_and_bracket_closure():

@@ -82,6 +82,12 @@ def test_coupling_pair_query(capsys):
     assert "NoneExistsMixed" in out
 
 
+def test_coupling_pair_query_at_large_hbar(capsys):
+    # the closedness and reality gates scale with |omega| = hbar
+    assert main(["coupling", "--left", "quantum:1e6", "--right", "quantum:1e6"]) == 0
+    assert "ExistsQuantum" in capsys.readouterr().out
+
+
 def test_coupling_pair_query_needs_both_tokens(capsys):
     assert main(["coupling", "--left", "quantum:1.0"]) == 2
     assert "both factor tokens" in capsys.readouterr().err

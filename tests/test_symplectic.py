@@ -18,7 +18,7 @@ from ncsym.calculus import (
     pullback,
     random_cochain,
 )
-from ncsym.coupling import ProductStructure, quantum_factor
+from ncsym.coupling import ProductStructure, coupled_evolution, quantum_factor
 from ncsym.symplectic import (
     HamiltonianSystem,
     SymplecticError,
@@ -45,6 +45,22 @@ WC2 = SymplecticStructure(
 def hamiltonian_derivation(ss, a):
     """Y_A as a derivation, from the family coefficients of the solve."""
     return ss.family.combination(ss.hamiltonian_coeffs(a), a.parity)
+
+
+def test_closedness_and_reality_gates_scale_with_the_form():
+    # at hbar = 1e6 the round-off in d omega and omega* - omega exceeds the
+    # absolute 1e-10 but not 1e-10 |omega|
+    for n in (2, 3, 4):
+        ss = quantum_form(matrix_algebra(n), 1e6)
+        assert ss.omega.norm() == pytest.approx(1e6)
+        assert ss.closed_residual <= 1e-10 * ss.omega.norm()
+    assert ss.closed_residual > 1e-10
+    # a defect of 1e-9 |omega| in d omega still fails
+    rng = np.random.default_rng(50)
+    bump = random_cochain(ss.family, 2, 0, rng)
+    bump = (1e-9 * ss.omega.norm() / exterior_derivative(bump).norm()) * bump
+    with pytest.raises(SymplecticError, match="not closed"):
+        SymplecticStructure(ss.omega + bump, ss.kind)
 
 
 def test_reality_tags():
@@ -279,6 +295,66 @@ def test_hamiltonian_must_be_hermitian_and_even():
     odd = M11.basis_element(1) + M11.basis_element(1).star()
     with pytest.raises(SymplecticError):
         HamiltonianSystem(wq11, odd)
+
+
+TIMES = np.linspace(0.0, 2.0, 21)
+
+
+def structure(label):
+    if label == "M4":
+        return quantum_form(matrix_algebra(4), HBAR)
+    if label == "M2-1":
+        return quantum_form(matrix_algebra(3, grading=(2, 1)), HBAR)
+    right = matrix_algebra(int(label[-1]))
+    return ProductStructure(quantum_factor(M2, HBAR), quantum_factor(right, HBAR))
+
+
+@pytest.mark.parametrize("label", ["M4", "M2-1", "M2xM3", "M2xM2"])
+def test_heisenberg_matrix_matches_expm_on_the_grid(label):
+    ss = structure(label)
+    h = ss.algebra.sample_element(np.random.default_rng(51), parity=0, hermitian=True)
+    hs = HamiltonianSystem(ss, h)
+    assert hs.eigen is not None
+    assert hs.eig_residual <= 1e-12 and hs.eig_cond <= 1e4
+    for t in TIMES:
+        want = expm(t * hs.liouville)
+        np.testing.assert_allclose(hs.heisenberg_matrix(t), want, rtol=0, atol=1e-12)
+
+
+class NilpotentBracket:
+    """A bracket holder on M2 whose Poisson operator is one Jordan block."""
+
+    algebra = M2
+
+    def poisson_operator(self, h):
+        return np.eye(M2.dim, k=1, dtype=complex)
+
+
+def test_a_nilpotent_flow_is_exponentiated_by_expm():
+    hs = HamiltonianSystem(NilpotentBracket(), M2.unit)
+    assert hs.eigen is None and hs.eig_cond > 1e4
+    for t in TIMES:
+        np.testing.assert_array_equal(hs.heisenberg_matrix(t), expm(t * hs.liouville))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e300])
+@pytest.mark.parametrize("route", ["heisenberg", "functional", "coupled"])
+def test_a_time_the_flow_cannot_reach_is_rejected(route, t):
+    hs = HamiltonianSystem(WQ2, SZ)
+    prod = structure("M2xM2")
+    h = prod.algebra.sample_element(np.random.default_rng(52), hermitian=True)
+    calls = {
+        "heisenberg": lambda: hs.evolve_heisenberg(SX, t),
+        "functional": lambda: hs.evolve_functional(SX.coeffs, t),
+        "coupled": lambda: coupled_evolution(prod, h, prod.algebra.unit, [0.5, t]),
+    }
+    with pytest.raises(SymplecticError, match="cannot evolve to time"):
+        calls[route]()
+
+
+def test_a_central_hamiltonian_evolves_at_any_finite_time():
+    hs = HamiltonianSystem(WQ2, M2.unit)
+    np.testing.assert_array_equal(hs.heisenberg_matrix(1e300), np.eye(M2.dim))
 
 
 def test_hamiltonian_flow_preserves_form():
