@@ -3,6 +3,8 @@
 The package is organized bottom up:
 
 * :mod:`ncsym.algebra` -- graded *-algebras by structure constants
+* :mod:`ncsym.leibniz` -- the graded Leibniz system: superderivation spaces
+  and residuals
 * :mod:`ncsym.calculus` -- derivations, graded differential forms, pullbacks
 * :mod:`ncsym.symplectic` -- symplectic structures, Poisson brackets, dynamics
 * :mod:`ncsym.coupling` -- products of symplectic algebras and hybrid brackets

@@ -95,6 +95,66 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, order[shift + np.arange(a.size)]
 
 
+# Largest gather, in entries, formed at once by a sparse product: a block of
+# segment_sums, or of commutators expanded by DerivationFamily.bracket.
+GATHER_ENTRIES = 1 << 14
+
+
+def segment_sums(keys: np.ndarray, idx: np.ndarray, vals: np.ndarray, src: np.ndarray):
+    """The products of a sparse operator, block by block of its entries.
+
+    The entries (keys[e], idx[e], vals[e]) are sorted by key.  Yields
+    ``(key, sums)`` per block: the distinct keys of the block and, for each,
+    the sum of vals[e] * src[idx[e]] over its entries, added in order.  A
+    block gathers at most ``GATHER_ENTRIES`` entries of src, or one key's
+    rows when that key alone has more, and no key spans two blocks."""
+    total = keys.size
+    if total == 0:
+        return
+    new_key = np.empty(total, dtype=bool)
+    new_key[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_key[1:])
+    starts = np.flatnonzero(new_key)
+    per = max(1, GATHER_ENTRIES // max(1, src[0].size))
+    bounds = [0, total]
+    if total > per:
+        cuts = np.append(starts, total)
+        bounds = np.unique(np.append(cuts[np.searchsorted(cuts, np.arange(0, total, per))], total))
+    scale = (-1,) + (1,) * (src.ndim - 1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = src[idx[lo:hi]]
+        block *= vals[lo:hi].reshape(scale)
+        first, last = (0, starts.size) if len(bounds) == 2 else np.searchsorted(starts, [lo, hi])
+        if last - first == hi - lo:
+            yield keys[lo:hi], block
+            continue
+        # each key's first product, then its r-th ones for all keys at once
+        heads = starts[first:last] - lo
+        sums = block[heads]
+        owner = np.cumsum(new_key[lo:hi]) - 1
+        rank = np.arange(hi - lo) - heads[owner]
+        for r in range(1, rank.max() + 1):
+            at = np.flatnonzero(rank == r)
+            sums[owner[at]] += block[at]
+        yield keys[lo + heads], sums
+
+
+def column_components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """Connected-component label of each of the q columns in the bipartite
+    graph of the entries, rows numbered from 0: min-label propagation, with
+    pointer jumping."""
+    label = np.arange(q)
+    while True:
+        row_min = np.full(rows.max(initial=-1) + 1, q)
+        np.minimum.at(row_min, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, row_min[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def greedy_independent(vectors, zero_tol: float) -> list[int]:
     """Indices kept by a greedy scan: skip a vector with max |entry| below
     ``zero_tol``, keep it when it raises the numerical rank of those kept.

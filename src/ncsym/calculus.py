@@ -25,14 +25,28 @@ Sign conventions (all checked by the test suite):
   a_i = e_Xi (e_w + sum of earlier argument parities) on the action terms and
   b_ij = e_Xj (parities strictly between i and j) on the bracket terms.
 
-Sign tensors: ``exterior_derivative`` and ``wedge`` never loop over index
-tuples.  Each term is one contraction of whole tensors, moved into its
-argument slots, times a sign tensor built by broadcasting the family
-parities along the slot axes, e.g. (-1)**(a + a_i) for the action term in
-slot a.  The wedge signs depend on an index tuple only through its parity
-pattern, so each permutation gets a table over the 2**(p+q) patterns,
-filled by ``graded_permutation_sign`` once per (p, q, parity of the second
-factor) and indexed by the family parities on every call.
+Sign tensors and sparse operators: ``exterior_derivative`` and ``wedge``
+never loop over index tuples.  In ``wedge`` each term is one contraction of
+whole tensors, moved into its argument slots, times a sign tensor.  The
+wedge signs depend on an index tuple only through its parity pattern, so
+each permutation gets a table over the 2**(p+q) patterns, filled by
+``graded_permutation_sign`` once per (p, q, parity of the second factor)
+and indexed by the family parities on every call.  The differential, the
+Leibniz check and the family bracket run on sparse operators instead,
+since the structure constants, the family matrices and the bracket table
+are mostly zeros (0.8%, 1.5% and 1.9% nonzero on M5):
+
+* ``superderivation_residuals`` (in :mod:`ncsym.leibniz`) multiplies a
+  stack of operators by the sparse Leibniz system, row block by row block;
+* ``DerivationFamily.bracket`` forms the commutators from the nonzero
+  entries of the member matrices;
+* ``differential_chunks`` contracts the cochain with the nonzero entries of
+  the member matrices (action terms) and of the bracket table (bracket
+  terms), one slice of the first slot at a time, and adds each term,
+  signed by (-1)**(a + a_i) or (-1)**(b + b_ij) broadcast from the family
+  parities, only where its sparse product reaches.  ``exterior_derivative``
+  joins the slices; the closedness check of a symplectic form takes their
+  maximum one slice at a time.
 """
 from __future__ import annotations
 
@@ -44,15 +58,18 @@ from math import factorial
 import numpy as np
 
 from ._linalg import (
-    RANK_RTOL,
+    GATHER_ENTRIES,
+    column_components,
     greedy_independent,
-    left_action,
+    join,
     max_abs,
     multiplicativity_defect,
     numerical_rank,
+    segment_sums,
     sum_by_key,
 )
 from .algebra import Element, Superalgebra, koszul_sign, koszul_signs
+from .leibniz import superderivation_dims, superderivation_residuals
 
 # Residual threshold for the superderivation (graded Leibniz) condition.
 DERIVATION_TOL = 1e-10
@@ -110,45 +127,6 @@ class Derivation:
         return self + (-1.0) * other
 
 
-def leibniz_defect(
-    alg: Superalgebra, xs: np.ndarray, parity: int, j: int
-) -> np.ndarray:
-    """Block j of the graded Leibniz defect, X L_j - (-1)**(r e_j) L_j X -
-    L(X e_j) with L_j left multiplication by e_j, for each X in the stack
-    ``xs`` (q, dim, dim) of operators of parity r."""
-    lj = alg.structure[j].T
-    sign = koszul_sign(parity, int(alg.parity[j]))
-    return (xs @ lj - sign * (lj @ xs)) - left_action(alg.structure, xs[:, :, j])
-
-
-def superderivation_residuals(
-    alg: Superalgebra, matrices: np.ndarray, parity: int
-) -> np.ndarray:
-    """The residual of each operator in a stack (k, dim, dim) of declared
-    parity r: the worst entry of its Leibniz defect over every block of
-    :func:`leibniz_defect` and of its grading defect (matrix entries that
-    move between wrong parity sectors)."""
-    xs = np.asarray(matrices, dtype=complex)
-    r = int(parity) % 2
-    worst = np.zeros(len(xs))
-    for j in range(alg.dim):
-        worst = np.maximum(worst, np.abs(leibniz_defect(alg, xs, r, j)).max(axis=(1, 2)))
-    bad = (alg.parity[:, None] != (alg.parity[None, :] + r) % 2)
-    return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
-
-
-def check_superderivation(
-    alg: Superalgebra, matrix: np.ndarray, parity: int
-) -> tuple[bool, float]:
-    """Check the graded Leibniz condition for an operator of declared parity.
-
-    Returns (ok, residual), the residual of
-    :func:`superderivation_residuals`.
-    """
-    worst = float(superderivation_residuals(alg, np.asarray(matrix)[None], parity)[0])
-    return worst <= DERIVATION_TOL, worst
-
-
 def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
     """The supercommutator map B -> [A, B] for homogeneous A."""
     par = a.parity
@@ -170,152 +148,6 @@ def lie_bracket(x: Derivation, y: Derivation) -> Derivation:
     if x.source is not None and y.source is not None:
         src = x.algebra.supercommutator(x.source, y.source)
     return Derivation(x.algebra, mat, (x.parity + y.parity) % 2, src)
-
-
-def leibniz_system(
-    alg: Superalgebra, parity: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The stacked Leibniz system of parity r on the grading-respecting unit
-    candidates E_ab, as sparse entries ``(rows, cols, vals, q)``.
-
-    Row j dim**2 + k dim + l is entry (k, l) of block j of
-    :func:`leibniz_defect`, column c the c-th candidate (row-major in (a, b))
-    of the q candidates.  For E_ab, block j is
-
-        +d_ka c[j,l,b] - s_j c[j,a,k] d_lb - d_jb c[a,l,k],  s_j = (-1)**(r e_j),
-
-    so every entry comes from one nonzero structure constant and one free
-    index: assembly costs O(nnz dim).  The three terms are summed in that
-    order, as ``leibniz_defect`` sums them, and exact zeros are dropped.
-    """
-    n = alg.dim
-    r = int(parity) % 2
-    allowed = alg.parity[:, None] == (alg.parity[None, :] + r) % 2
-    cand = np.full((n, n), -1)
-    cand[allowed] = np.arange(np.count_nonzero(allowed))
-    i, j, k, v = alg.constants
-    s = _sign(r * alg.parity)
-    t = np.arange(n)[:, None]  # the free index, against every nonzero
-    # (block, k, l), candidate (a, b), value; nonzero c[i, j, k] read as
-    # c[j,l,b], c[j,a,k] and c[a,l,k] in turn
-    terms = [
-        ((i, t, j), (t, k), v),
-        ((i, k, t), (j, t), -s[i] * v),
-        ((t, k, j), (i, t), -v),
-    ]
-    rows, cols, vals = [], [], []
-    for (bj, bk, bl), (a, b), val in terms:
-        col = cand[a, b]
-        keep = col >= 0
-        rows.append(((bj * n + bk) * n + bl)[keep])
-        cols.append(col[keep])
-        vals.append(np.broadcast_to(val, keep.shape)[keep])
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    q = int(np.count_nonzero(allowed))
-    key, total = sum_by_key(rows * q + cols, vals)
-    live = total != 0
-    return key[live] // q, key[live] % q, total[live], q
-
-
-# Largest dense block, in entries, formed at once by superderivation_dims;
-# taller components are folded into a triangular factor row chunk by chunk.
-_BLOCK_ENTRIES = 1 << 18
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
-    """Connected-component label of each of the q columns in the bipartite
-    graph of the entries, rows numbered from 0: min-label propagation, with
-    pointer jumping."""
-    label = np.arange(q)
-    while True:
-        row_min = np.full(rows.max(initial=-1) + 1, q)
-        np.minimum.at(row_min, rows, label[cols])
-        new = label.copy()
-        np.minimum.at(new, cols, row_min[rows])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
-def _block_singular_values(
-    comp: np.ndarray, lrow: np.ndarray, lcol: np.ndarray, vals: np.ndarray,
-    g: int, nr: int, nc: int,
-) -> np.ndarray:
-    """Singular values (g, min(nr, nc)) of g stacked (nr, nc) blocks given by
-    their entries (block, row, column, value).  A stack above
-    ``_BLOCK_ENTRIES`` is first folded, row chunk by chunk, into its
-    triangular factor, R <- qr([R; chunk]).R, which has the same singular
-    values."""
-    step = max(nc, _BLOCK_ENTRIES // (g * nc))
-    tri = np.zeros((g, 0, nc), dtype=complex)
-    for lo in range(0, nr, step):
-        hi = min(lo + step, nr)
-        sel = (lrow >= lo) & (lrow < hi)
-        chunk = np.zeros((g, hi - lo, nc), dtype=complex)
-        chunk[comp[sel], lrow[sel] - lo, lcol[sel]] = vals[sel]
-        if hi - lo == nr:
-            return np.linalg.svd(chunk, compute_uv=False)
-        tri = np.linalg.qr(np.concatenate([tri, chunk], axis=1), mode="r")
-    return np.linalg.svd(tri, compute_uv=False)
-
-
-def _local_index(comp: np.ndarray) -> np.ndarray:
-    """Position of each item among the items of its component, in order."""
-    order = np.argsort(comp, kind="stable")
-    ranked = comp[order]
-    local = np.empty(comp.size, dtype=int)
-    local[order] = np.arange(comp.size) - np.searchsorted(ranked, ranked)
-    return local
-
-
-def superderivation_dims(alg: Superalgebra) -> dict:
-    """Dimensions of the even and odd superderivation spaces.
-
-    Per parity r, the superderivations are the null space of the stacked
-    Leibniz system of :func:`leibniz_system`: every block e_j of the defect,
-    on every grading-respecting unit candidate E_ab.  Permuted, that system
-    is block diagonal: the connected components of its bipartite (equation,
-    candidate) graph are independent subsystems (Pothen & Fan, ACM TOMS 16
-    (1990) 303).  Components of equal shape are stacked, at most
-    ``_BLOCK_ENTRIES`` entries at a time, and their singular values taken
-    in one batched SVD.  All ranks use one cutoff, ``RANK_RTOL`` times the
-    largest singular value over all components, which is the stacked
-    system's own cutoff: the singular values of a block-diagonal matrix are
-    the union of its blocks'.  The dimension is the number of candidates
-    minus that rank.  A dense algebra forms one component of up to dim**3
-    rows, folded into a triangular factor chunk by chunk, so memory stays
-    O(dim**4).
-    """
-    dims = {}
-    for r in (0, 1):
-        rows, cols, vals, q = leibniz_system(alg, r)
-        _, rows = np.unique(rows, return_inverse=True)
-        _, comp = np.unique(_components(rows, cols, q), return_inverse=True)
-        ecomp = comp[cols]
-        row_comp = np.zeros(rows.max(initial=-1) + 1, dtype=int)
-        row_comp[rows] = ecomp
-        ncomp = comp.max(initial=-1) + 1
-        nr = np.bincount(row_comp, minlength=ncomp)
-        nc = np.bincount(comp, minlength=ncomp)
-        lrow, lcol = _local_index(row_comp)[rows], _local_index(comp)[cols]
-        svals = [np.zeros(0)]
-        # candidates no equation touches (no rows) add nothing to the rank
-        for h, w in np.unique(np.stack([nr, nc])[:, nr > 0], axis=1).T:
-            members = np.flatnonzero((nr == h) & (nc == w))
-            pos = np.full(ncomp, -1)
-            pos[members] = np.arange(members.size)
-            epos = pos[ecomp]
-            per = max(1, _BLOCK_ENTRIES // (h * w))
-            for b0 in range(0, members.size, per):
-                sel = (epos >= b0) & (epos < b0 + per)
-                g = min(per, members.size - b0)
-                svals.append(_block_singular_values(
-                    epos[sel] - b0, lrow[sel], lcol[sel], vals[sel], g, h, w
-                ).reshape(-1))
-        s = np.concatenate(svals)
-        dims[r] = q - int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))
-    return {"even": dims[0], "odd": dims[1]}
 
 
 def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]:
@@ -367,7 +199,9 @@ class DerivationFamily:
     Cochains are stored by their values on tuples from this family, so the
     family plays the role of a (generally non-spanning) frame on the space
     of derivations.  ``expand_strict`` writes a derivation in the frame.
-    """
+
+    The member matrices are also kept sparsely, as their nonzero entries,
+    and so is the bracket table once built."""
 
     def __init__(self, algebra: Superalgebra, members: list[Derivation]) -> None:
         self.algebra = algebra
@@ -381,15 +215,36 @@ class DerivationFamily:
         for t in np.unique(self.parities):
             stack = self.matrices[self.parities == t]
             res = max_abs(superderivation_residuals(algebra, stack, t))
-            if res > DERIVATION_TOL:
+            if not res <= DERIVATION_TOL:
                 raise CalculusError(
                     f"family member fails the derivation condition ({res:.3e})"
                 )
-        self._flat = self.matrices.reshape(len(self.members), -1)
-        if numerical_rank(self._flat) != len(self.members):
+        m = len(self.members)
+        # (member, row, column, value) of every nonzero, in row-major order
+        nz = np.nonzero(self.matrices)
+        self._entries = nz + (self.matrices[nz],)
+        self._flat = self.matrices.reshape(m, -1)
+        # the matrix entries some member uses
+        self._support = support = np.flatnonzero(np.any(self._flat != 0, axis=0))
+        frame = self._flat[:, support]
+        if numerical_rank(frame) != m:
             raise CalculusError("family members are linearly dependent")
-        self._pinv = np.linalg.pinv(self._flat.T)
+        # members with disjoint supports are orthogonal, so the
+        # pseudo-inverse is block diagonal over the connected components of
+        # the (entry, member) graph, and zero off the support; its round-off
+        # between components is set to the exact zero, which keeps
+        # expansions (and the bracket table) as sparse as the family
+        member, entry = np.nonzero(frame)
+        comp = column_components(entry, member, m)
+        entry_comp = np.empty(support.size, dtype=int)
+        entry_comp[entry] = comp[member]
+        pinv = np.linalg.pinv(frame.T)
+        pinv[comp[:, None] != entry_comp[None, :]] = 0.0
+        self._pinv = np.zeros_like(self._flat)
+        self._pinv[:, support] = pinv
         self._bracket: np.ndarray | None = None
+        # (pair i m + j, k, f[i, j, k]) of every nonzero of the bracket table
+        self._bracket_entries: tuple | None = None
         self._star: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -427,26 +282,71 @@ class DerivationFamily:
         raises when the worst one lies outside the family by more than
         EXPAND_TOL."""
         coeffs, worst = self._expand_all(mats)
-        if worst > EXPAND_TOL:
+        if not worst <= EXPAND_TOL:
             raise CalculusError(f"derivation lies outside the family by {worst:.3e}")
         return coeffs
 
     @property
     def bracket(self) -> np.ndarray:
-        """Structure constants f[i, j, k] with [X_i, X_j] = sum_k f[i,j,k] X_k."""
+        """Structure constants f[i, j, k] with [X_i, X_j] = sum_k f[i,j,k] X_k.
+
+        The commutators are formed from the sparse member matrices: every
+        product of an entry (i, r, t) of X_i with an entry (j, t, c) of X_j
+        adds to [X_i, X_j] and, times -(-1)**(e_i e_j), to [X_j, X_i].  Only
+        the pairs whose commutator is not zero are expanded, a block of
+        them at a time."""
         if self._bracket is None:
-            mats = self.matrices
-            sign = koszul_signs(self.parities, self.parities)[:, :, None, None]
-            f = np.empty((len(self),) * 3, dtype=complex)
-            worst = 0.0
-            # one X_i at a time: its m commutators, m dim**2 entries
-            for i, x in enumerate(mats):
-                f[i], res = self._expand_all(x @ mats - sign[i] * (mats @ x))
-                worst = max(worst, res)
-            if worst > CLOSURE_TOL:
+            m, n = len(self), self.algebra.dim
+            mem, row, col, val = self._entries
+            a, b = join(col, row)
+            i, j = mem[a], mem[b]
+            entry = row[a] * n + col[b]
+            prod = val[a] * val[b]
+            sign = koszul_signs(self.parities, self.parities)[i, j]
+            key, total = sum_by_key(
+                np.r_[(i * m + j) * n * n + entry, (j * m + i) * n * n + entry],
+                np.r_[prod, -sign * prod],
+            )
+            live = total != 0
+            pair, entry = np.divmod(key[live], n * n)
+            total = total[live]
+            # expanded on the support; a commutator entry off it is
+            # residual as it stands
+            support = self._support
+            frame, pinv = self._flat[:, support], self._pinv[:, support]
+            slot = np.full(n * n, -1)
+            slot[support] = np.arange(support.size)
+            slot = slot[entry]
+            on = slot >= 0
+            worst = max_abs(total[~on])
+            pairs, at = np.unique(pair, return_inverse=True)
+            f = np.zeros((m * m, m), dtype=complex)
+            per = max(1, GATHER_ENTRIES // support.size)
+            for lo in range(0, pairs.size, per):
+                hi = min(lo + per, pairs.size)
+                e0, e1 = np.searchsorted(at, [lo, hi])
+                sel = np.flatnonzero(on[e0:e1]) + e0
+                block = np.zeros((hi - lo, support.size), dtype=complex)
+                block[at[sel] - lo, slot[sel]] = total[sel]
+                coeffs = block @ pinv.T
+                fit = coeffs @ frame
+                fit -= block
+                worst = np.maximum(worst, max_abs(fit))
+                f[pairs[lo:hi]] = coeffs
+            if not worst <= CLOSURE_TOL:
                 raise CalculusError(f"family is not bracket closed ({worst:.3e})")
+            f = f.reshape(m, m, m)
+            nz = np.nonzero(f)
+            self._bracket_entries = (nz[0] * m + nz[1], nz[2], f[nz])
             self._bracket = f
         return self._bracket
+
+    @property
+    def bracket_entries(self) -> tuple:
+        """The nonzeros of the bracket table as (i m + j, k, f[i, j, k]),
+        sorted."""
+        self.bracket
+        return self._bracket_entries
 
     @property
     def star_matrix(self) -> np.ndarray:
@@ -512,6 +412,8 @@ class Cochain:
             raise CalculusError(f"cochain tensor has wrong shape {t.shape}")
         self.tensor = t
         if check:
+            if not np.all(np.isfinite(t)):
+                raise CalculusError("cochain tensor must be finite")
             res = self.symmetry_residual()
             if res > COCHAIN_TOL:
                 raise CalculusError(f"tensor violates graded alternation by {res:.3e}")
@@ -705,31 +607,111 @@ def interior(x: Derivation, omega: Cochain) -> Cochain:
     return Cochain(fam, omega.degree - 1, out_par, t, check=False)
 
 
+# Largest slice of a differential, in entries, formed at once: d(omega) is
+# computed slice by slice of its first slot.  d of a 2-cochain on M5
+# (24**3 * 25 entries) is one slice.
+_CHUNK_ENTRIES = 1 << 19
+
+
+def _parity_sum(slot_par: list[np.ndarray], rest: list[int], over) -> np.ndarray:
+    """The sum of the parities of the slots ``over``, broadcasting over the
+    axes (key, *rest): slot s runs along the axis of its place in rest."""
+    total = np.zeros((1,) * (len(rest) + 1), dtype=int)
+    for q, slot in enumerate(rest):
+        if slot in over:
+            shape = [1] * (len(rest) + 1)
+            shape[q + 1] = -1
+            total = total + slot_par[slot].reshape(shape)
+    return total
+
+
+def _scatter(
+    t: np.ndarray, axes: tuple, index: tuple, sums: np.ndarray,
+    base: int, odd: np.ndarray, exponent: np.ndarray,
+) -> None:
+    """t[index on its ``axes``] += (-1)**(base + odd * exponent) * sums,
+    with one row of sums per index tuple, running over the other axes of t
+    in order; ``odd`` is 0 or 1 per row, ``exponent`` broadcasts over
+    (row, *other slot axes) and is None when no row is odd."""
+    view = t.transpose(axes + tuple(i for i in range(t.ndim) if i not in axes))
+    update = sums.reshape((-1,) + view.shape[len(axes):])
+    if exponent is not None and odd.any() and (exponent % 2).any():
+        sign = np.where(odd.reshape((-1,) + (1,) * (exponent.ndim - 1)), _sign(exponent), 1.0)
+        update = update * sign.reshape(sign.shape + (1,) * (update.ndim - sign.ndim))
+    if base % 2:
+        view[index] -= update
+    else:
+        view[index] += update
+
+
+def differential_chunks(omega: Cochain):
+    """The tensor of d(omega), one slice t[lo:hi] of its first slot at a
+    time, each of at most ``_CHUNK_ENTRIES`` entries (or one row).
+
+    The terms are those of the module docstring, contracted through the
+    sparse member matrices and the sparse bracket table of the family.  In
+    a slice, the action term in slot 0 applies members lo..hi to omega, and
+    those in slots 1..p apply every member to omega[lo:hi], one product for
+    all of them (and for slot 0 too when the slice is the whole first
+    slot).  The bracket terms w([X_a, X_b], ..) contract slot a of
+    omega (omega[lo:hi] when a > 0, table rows lo..hi when a = 0) once per
+    a, shared by every b.  Each term is added, signed, only at the entries
+    its sparse product reaches."""
+    fam = omega.family
+    p, par = omega.degree, omega.parity
+    m, n = len(fam), fam.algebra.dim
+    fp = fam.parities
+    if p:
+        pair, k, fval = fam.bracket_entries
+    mem, row, col, val = fam._entries
+    act_key = mem * n + row
+    graded = bool(fp.any())
+    w = omega.tensor
+    step = max(1, _CHUNK_ENTRIES // (m**p * n))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        t = np.zeros((hi - lo,) + (m,) * p + (n,), dtype=complex)
+        slot_par = [fp[lo:hi]] + [fp] * p
+        # action in slot a: X_ia(w(other arguments)), with a_i of the
+        # docstring.  Slot 0 applies members lo..hi to w and slots 1..p
+        # every member to w[lo:hi], with w's algebra axis first: one product
+        # when the slice is the whole first slot.
+        whole = hi - lo == m
+        e0, e1 = np.searchsorted(mem, [lo, hi])
+        products = [(range(p + 1) if whole else (0,), e0, e1, w)]
+        if p and not whole:
+            products.append((range(1, p + 1), 0, mem.size, w[lo:hi]))
+        for slots, e0, e1, src in products:
+            for key, sums in segment_sums(act_key[e0:e1], col[e0:e1], val[e0:e1], src.reshape(-1, n).T):
+                x, r = np.divmod(key, n)
+                for a in slots:
+                    rest = [s for s in range(p + 1) if s != a]
+                    exponent = par + _parity_sum(slot_par, rest, range(a)) if graded else None
+                    _scatter(t, (a, p + 1), (x - lo if a == 0 else x, r), sums, a, fp[x], exponent)
+        # bracket terms: w([X_ia, X_ib], other arguments), with b_ij
+        for a in range(p):
+            if a == 0:
+                f0, f1 = np.searchsorted(pair, [lo * m, hi * m])
+                entries = (pair[f0:f1] - lo * m, k[f0:f1], fval[f0:f1])
+                src = w.reshape(m, -1)
+            else:
+                entries = (pair, k, fval)
+                src = np.moveaxis(w[lo:hi], a, 0).reshape(m, -1)
+            for key, sums in segment_sums(*entries, src):
+                x, y = np.divmod(key, m)
+                for b in range(a + 1, p + 1):
+                    rest = [s for s in range(p + 1) if s not in (a, b)]
+                    exponent = _parity_sum(slot_par, rest, range(a + 1, b)) if graded else None
+                    _scatter(t, (a, b), (x, y), sums, b, fp[y], exponent)
+        yield t
+
+
 def exterior_derivative(omega: Cochain) -> Cochain:
     """The Chevalley-Eilenberg differential with the graded weights of the
-    module docstring: p+1 action terms and p(p+1)/2 bracket terms, each a
-    whole-tensor contraction moved into its slots and signed."""
-    fam = omega.family
-    p = omega.degree
-    # the bracket table is built (once per family) before the output exists,
-    # so its temporaries never stack on it
-    f = fam.bracket if p else None
-    e = _slot_parities(fam, p + 1)
-    # act[i, j_1..j_p] = X_i(w(X_j1..X_jp)); in slot a it is the action term
-    act = np.moveaxis(np.tensordot(fam.matrices, omega.tensor, axes=(2, p)), 1, -1)
-    t = np.zeros((len(fam),) * (p + 1) + act.shape[-1:], dtype=complex)
-    for a in range(p + 1):
-        t += _sign(a + e[a] * (omega.parity + sum(e[:a]))) * np.moveaxis(act, 0, a)
-    del act
-    for a in range(p + 1):
-        for b in range(a + 1, p + 1):
-            # w([X_a, X_b], ..) with the other arguments in order
-            term = np.moveaxis(
-                np.tensordot(f, omega.tensor, axes=(2, a)), (0, 1), (a, b)
-            )
-            term *= _sign(b + e[b] * sum(e[a + 1:b]))
-            t += term
-    return Cochain(fam, p + 1, omega.parity, t, check=False)
+    module docstring: the slices of :func:`differential_chunks`, joined."""
+    parts = list(differential_chunks(omega))
+    t = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return Cochain(omega.family, omega.degree + 1, omega.parity, t, check=False)
 
 
 def random_cochain(

@@ -8,29 +8,35 @@ from math import factorial
 import numpy as np
 import pytest
 
-from ncsym import calculus
-from ncsym._linalg import RANK_RTOL, greedy_independent, max_abs
-from ncsym.algebra import Coo, Superalgebra, grassmann_algebra, matrix_algebra, tensor_algebra
+from ncsym import _linalg, calculus, leibniz
+from ncsym._linalg import RANK_RTOL, greedy_independent, left_action, max_abs
+from ncsym.algebra import (
+    Coo,
+    Superalgebra,
+    grassmann_algebra,
+    koszul_sign,
+    matrix_algebra,
+    tensor_algebra,
+)
 from ncsym.calculus import (
     AlgebraIsomorphism,
     CalculusError,
     Cochain,
     Derivation,
     DerivationFamily,
-    check_superderivation,
     exterior_derivative,
     graded_permutation_sign,
     inner_derivation,
     interior,
-    leibniz_defect,
-    leibniz_system,
     lie_bracket,
     lie_derivative,
     pullback,
     random_cochain,
     superderivation_dims,
+    superderivation_residuals,
     wedge,
 )
+from ncsym.leibniz import leibniz_system
 from ncsym.symplectic import quantum_form
 
 TOL = 1e-10
@@ -55,6 +61,16 @@ def commutator_form(alg, fam):
     return Cochain(fam, 2, 0, t)
 
 
+def leibniz_defect(alg, xs, parity, j):
+    """Block j of the graded Leibniz defect, X L_j - (-1)**(r e_j) L_j X -
+    L(X e_j) with L_j left multiplication by e_j, for each X in the stack
+    ``xs`` (q, dim, dim) of operators of parity r: the dense reference for
+    the sparse Leibniz system."""
+    lj = alg.structure[j].T
+    sign = koszul_sign(parity, int(alg.parity[j]))
+    return (xs @ lj - sign * (lj @ xs)) - left_action(alg.structure, xs[:, :, j])
+
+
 def differential(fam, a):
     """dA as a 1-cochain, (dA)(X) = (-1)**(e_X e_A) X(A)."""
     return exterior_derivative(Cochain.zero_form(fam, a))
@@ -75,8 +91,7 @@ def test_inner_derivation_oracle():
     d = inner_derivation(M2, SZ)
     # [sigma_z, sigma_x] = 2i sigma_y
     np.testing.assert_allclose(d(SX).coeffs, 2j * SY.coeffs, atol=TOL)
-    ok, res = check_superderivation(M2, d.matrix, 0)
-    assert ok and res < TOL
+    assert superderivation_residuals(M2, [d.matrix], 0)[0] < TOL
 
 
 def test_transpose_map_is_not_a_derivation():
@@ -84,9 +99,7 @@ def test_transpose_map_is_not_a_derivation():
     t = np.zeros((4, 4))
     t[0, 0] = t[3, 3] = 1.0
     t[1, 2] = t[2, 1] = 1.0
-    ok, res = check_superderivation(M2, t, 0)
-    assert not ok
-    assert res > 0.5
+    assert superderivation_residuals(M2, [t], 0)[0] > 0.5
 
 
 def test_superderivation_dimensions():
@@ -142,19 +155,75 @@ SOLVE_ALGEBRAS = {
 
 @pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
 def test_sparse_leibniz_system_equals_the_dense_defect_stack(alg):
+    # every unit candidate E_ab is a column, off the parity sector too
     n = alg.dim
+    xs = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     for r in (0, 1):
-        rows, cols = np.nonzero(alg.parity[:, None] == (alg.parity[None, :] + r) % 2)
-        xs = np.zeros((rows.size, n, n), dtype=complex)
-        xs[np.arange(rows.size), rows, cols] = 1.0
         dense = np.concatenate([
-            leibniz_defect(alg, xs, r, j).reshape(rows.size, n * n).T for j in range(n)
+            leibniz_defect(alg, xs, r, j).reshape(n * n, n * n).T for j in range(n)
         ])
-        i, j, v, q = leibniz_system(alg, r)
-        assert q == rows.size and np.all(v != 0)
-        sparse = np.zeros((n**3, q), dtype=complex)
+        i, j, v = (np.concatenate(x) for x in zip(*leibniz_system(alg, r)))
+        assert np.all(v != 0) and np.all(np.diff(i * n * n + j) > 0)
+        sparse = np.zeros((n**3, n * n), dtype=complex)
         sparse[i, j] = v
         assert np.array_equal(sparse, dense)
+
+
+def dense_superderivation_residuals(alg, xs, parity):
+    """The dense reference for superderivation_residuals: the worst entry of
+    every block of leibniz_defect, and the grading defect, per operator."""
+    xs = np.asarray(xs, dtype=complex)
+    worst = np.max(
+        [np.abs(leibniz_defect(alg, xs, parity, j)).max(axis=(1, 2)) for j in range(alg.dim)],
+        axis=0,
+    )
+    bad = alg.parity[:, None] != (alg.parity[None, :] + parity) % 2
+    return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
+def test_sparse_leibniz_residuals_match_the_dense_reference(alg, monkeypatch):
+    # each defect entry sums 3 dim products of a structure constant and an
+    # operator entry, so the two orders of summation agree within
+    # dim eps times 3 dim |c| |X|
+    n = alg.dim
+    rng = np.random.default_rng(70)
+    cmax = np.abs(alg.constants.v).max()
+    for r in (0, 1):
+        sector = alg.parity[:, None] == (alg.parity[None, :] + r) % 2
+        noise = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        stacks = [
+            np.array([inner_derivation(alg, alg.basis_element(i)).matrix for i in range(n)
+                      if alg.parity[i] == r]).reshape(-1, n, n),
+            noise,
+            np.where(sector, 0.0, noise),  # off the sector only
+            np.where(sector, noise, 0.0) + 1e-3 * np.where(sector, 0.0, noise),
+        ]
+        for xs in stacks:
+            got = superderivation_residuals(alg, xs, r)
+            want = dense_superderivation_residuals(alg, xs, r)
+            scale = 3 * n * cmax * max_abs(xs)
+            assert got.shape == (len(xs),)
+            assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * scale)
+            # row blocks of a few dozen entries, assembled one block j at a
+            # time: the same sums in the same order
+            monkeypatch.setattr(_linalg, "GATHER_ENTRIES", 256)
+            monkeypatch.setattr(leibniz, "_ASSEMBLY_ENTRIES", 1)
+            assert np.array_equal(superderivation_residuals(alg, xs, r), got)
+            monkeypatch.undo()
+
+
+def test_a_member_with_one_off_sector_entry_of_1e6_is_rejected():
+    alg = matrix_algebra(3, grading=(2, 1))
+    fam = DerivationFamily.inner_family(alg)
+    x = fam.members[0]
+    off = np.argwhere(alg.parity[:, None] != (alg.parity[None, :] + x.parity) % 2)
+    bad = x.matrix.copy()
+    bad[tuple(off[0])] += 1e-6
+    assert superderivation_residuals(alg, [bad], x.parity)[0] >= 1e-6
+    members = [Derivation(alg, bad, x.parity)] + fam.members[1:]
+    with pytest.raises(CalculusError, match="derivation condition"):
+        DerivationFamily(alg, members)
 
 
 def test_dense_basis_superderivations_are_inner():
@@ -165,9 +234,11 @@ def test_dense_basis_superderivations_are_inner():
 @pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
 def test_chunked_reduction_keeps_the_dimensions(alg, monkeypatch):
     # a tiny block budget folds every component's rows into a triangular
-    # factor, chunk by chunk, before its SVD
+    # factor, chunk by chunk, before its SVD; the system is assembled one
+    # block j at a time
     want = superderivation_dims(alg)
-    monkeypatch.setattr(calculus, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(leibniz, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(leibniz, "_ASSEMBLY_ENTRIES", 1)
     assert superderivation_dims(alg) == want
 
 
@@ -649,6 +720,31 @@ def test_exterior_derivative_matches_loop(name, degree):
         got = exterior_derivative(omega)
         assert (got.degree, got.parity) == (degree + 1, parity)
         assert _rel_gap(got.tensor, loop_exterior_derivative(omega)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
+def test_sliced_differential_matches_loop(name, monkeypatch):
+    # one row of the first slot per slice, and sparse products gathered a
+    # few entries at a time
+    monkeypatch.setattr(calculus, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(_linalg, "GATHER_ENTRIES", 8)
+    fam = ORACLE_FAMILIES[name]
+    rng = np.random.default_rng(45)
+    for degree in (0, 1, 2, 3):
+        for parity in _parities(name):
+            omega = random_cochain(fam, degree, parity, rng)
+            slices = list(calculus.differential_chunks(omega))
+            assert [t.shape[0] for t in slices] == [1] * len(fam)
+            got = exterior_derivative(omega)
+            assert _rel_gap(got.tensor, loop_exterior_derivative(omega)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_cochain_is_rejected(bad):
+    t = commutator_form(M2, FAM2).tensor.copy()
+    t[0, 1, 0], t[1, 0, 0] = bad, -bad
+    with pytest.raises(CalculusError, match="finite"):
+        Cochain(FAM2, 2, 0, t)
 
 
 @pytest.mark.parametrize(

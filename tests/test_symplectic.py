@@ -1,16 +1,21 @@
 """Symplectic forms, Poisson brackets, Hamiltonian flows: pinned oracles."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncsym import calculus, symplectic
 from ncsym._linalg import max_abs, rk4_trajectory
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
+    CalculusError,
     Cochain,
     DerivationFamily,
+    differential_chunks,
     exterior_derivative,
     inner_derivation,
     interior,
@@ -61,6 +66,84 @@ def test_closedness_and_reality_gates_scale_with_the_form():
     bump = (1e-9 * ss.omega.norm() / exterior_derivative(bump).norm()) * bump
     with pytest.raises(SymplecticError, match="not closed"):
         SymplecticStructure(ss.omega + bump, ss.kind)
+
+
+CLOSED_FORMS = {
+    **{f"M{n}": (lambda n=n: quantum_form(matrix_algebra(n), 0.7).omega) for n in range(2, 7)},
+    "M1-1": lambda: quantum_form(M11, 0.7).omega,
+    "M2-1": lambda: quantum_form(matrix_algebra(3, grading=(2, 1)), 0.7).omega,
+    "M2xM3": lambda: ProductStructure(
+        quantum_factor(M2, 0.7), quantum_factor(M3, 0.7)
+    ).omega,
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_streamed_closed_residual_is_the_norm_of_d_omega(name):
+    omega = CLOSED_FORMS[name]()
+    ss = SymplecticStructure(omega)
+    assert ss.closed_residual == exterior_derivative(omega).norm()
+    assert ss.closed_residual <= 1e-10 * max(1.0, omega.norm())
+    if name == "M6":
+        # 35**3 * 36 entries: more than one slice
+        assert len(list(differential_chunks(omega))) > 1
+
+
+def test_a_defect_in_the_last_slice_of_m7_is_not_closed():
+    ss = quantum_form(matrix_algebra(7), 0.7)
+    fam, omega = ss.family, ss.omega
+    m, dim = len(fam), fam.algebra.dim
+    step = max(1, calculus._CHUNK_ENTRIES // (m * m * dim))
+    lo = (m - 1) // step * step
+    assert lo > 0
+    # an alternating 2-cochain on the members of the last slice only
+    rng = np.random.default_rng(51)
+    t = np.zeros((m, m, dim), dtype=complex)
+    a = rng.standard_normal((m - lo, m - lo, dim))
+    t[lo:, lo:] = a - a.transpose(1, 0, 2)
+    bump = Cochain(fam, 2, 0, t)
+    parts = [max_abs(part) for part in differential_chunks(bump)]
+    # d(bump) reaches every slice, but its largest entries lie in the last
+    # one, so at 1.05 times the gate only the last slice fails it
+    assert parts[-1] > 1.1 * max(parts[:-1])
+    gate = symplectic.CLOSED_TOL * max(1.0, omega.norm())
+    for size in (1e-9 * omega.norm(), 1.05 * gate):
+        with pytest.raises(SymplecticError, match="not closed"):
+            SymplecticStructure(omega + (size / parts[-1]) * bump, ss.kind)
+
+
+def test_quantum_form_of_m7_peaks_below_60_mb():
+    # d omega (48**3 * 49 entries, 87 MB) is streamed slice by slice, never
+    # held whole
+    tracemalloc.start()
+    try:
+        ss = quantum_form(matrix_algebra(7), 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ss.closed_residual <= 1e-10
+    assert peak <= 60 * 2**20
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_a_nan_in_d_omega_fails_the_closedness_gate(where, monkeypatch):
+    # NaN must not drop out of the running maximum, wherever it comes
+    def slices(omega):
+        parts = [np.zeros((1, 3, 3, 4)), np.zeros((2, 3, 3, 4))]
+        parts[where][0, 0, 0, 0] = np.nan
+        yield from parts
+
+    monkeypatch.setattr(symplectic, "differential_chunks", slices)
+    with pytest.raises(SymplecticError, match="not closed"):
+        SymplecticStructure(WQ2.omega, WQ2.kind)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_form_is_rejected_before_the_gates(bad):
+    t = WQ2.omega.tensor.copy()
+    t[0, 1, 0], t[1, 0, 0] = bad, -bad
+    with pytest.raises(CalculusError, match="finite"):
+        SymplecticStructure(Cochain(WQ2.family, 2, 0, t), WQ2.kind)
 
 
 def test_reality_tags():
