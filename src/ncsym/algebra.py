@@ -37,7 +37,6 @@ import numpy as np
 from ._linalg import (
     bilinear,
     join,
-    left_action,
     lstsq_with_residual,
     max_abs,
     nullspace,
@@ -265,9 +264,7 @@ class Superalgebra:
         a realization by d x d matrices."""
         c, n, m, u = self.constants, self.dim, self.involution_matrix, self.unit_coeffs
         par, eye = self.parity, np.eye(n)
-        left, right = (np.zeros((n, n), dtype=complex) for _ in range(2))
-        np.add.at(left, (c.k, c.j), u[c.i] * c.v)  # b -> u b
-        np.add.at(right, (c.k, c.i), u[c.j] * c.v)  # b -> b u
+        left, right = self.left_mult_matrix(u), self.right_mult_matrix(u)
         checks = [
             ("unit", (max(max_abs(left - eye), max_abs(right - eye)), ()),
              "unit axiom fails by {err:.3e}"),
@@ -324,12 +321,18 @@ class Superalgebra:
         return bilinear(self.structure, a, b)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> a b on coefficient vectors."""
-        return left_action(self.structure, np.asarray(a, dtype=complex))
+        """Matrix of b -> a b on coefficient vectors, L[k, j] = sum_i a_i
+        c[i, j, k], scattered from the nonzero constants."""
+        c, out = self.constants, np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(out, (c.k, c.j), np.asarray(a, dtype=complex)[c.i] * c.v)
+        return out
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> b a on coefficient vectors."""
-        return np.einsum("j,ijk->ki", np.asarray(a, dtype=complex), self.structure)
+        """Matrix of b -> b a on coefficient vectors, R[k, i] = sum_j a_j
+        c[i, j, k], scattered from the nonzero constants."""
+        c, out = self.constants, np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(out, (c.k, c.i), np.asarray(a, dtype=complex)[c.j] * c.v)
+        return out
 
     def star_coeffs(self, a: np.ndarray) -> np.ndarray:
         return self.involution_matrix @ np.conj(np.asarray(a, dtype=complex))

@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--algebra", choices=("m2", "m3", "g11", "all"), default="all",
                 help="restrict the battery to one algebra preset",
             )
-        if name == "stern-gerlach":
-            p.add_argument("--preset", default="paper", help="scenario preset")
         if name == "coupling":
             p.add_argument("--left", default=None, help="factor token, e.g. quantum:1.0")
             p.add_argument("--right", default=None, help="factor token, e.g. commutative")
@@ -76,8 +74,6 @@ def main(argv=None) -> int:
         return 2
     if args.suite == "verify" and args.algebra != "all":
         kwargs["algebra"] = args.algebra
-    if args.suite == "stern-gerlach":
-        kwargs["preset"] = args.preset
     if args.suite == "coupling" and (args.left or args.right):
         kwargs["left"] = args.left
         kwargs["right"] = args.right

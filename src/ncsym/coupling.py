@@ -45,7 +45,6 @@ from .algebra import (
     graded_kron,
     tensor_algebra,
 )
-from .calculus import Cochain, Derivation, DerivationFamily
 from .symplectic import HamiltonianSystem, SymplecticStructure, quantum_form
 
 LAMBDA_FIT_TOL = 1e-9
@@ -71,11 +70,6 @@ class FactorSpec:
     fit_residual: float
     commutative: bool
     structure: SymplecticStructure | None = None
-    family: DerivationFamily | None = None
-    omega: Cochain | None = None
-
-    def poisson(self, a: Element, b: Element) -> Element:
-        return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
 
 def _fit_lambda(alg: Superalgebra, pb: np.ndarray) -> tuple[complex, float, bool]:
@@ -100,10 +94,7 @@ def _fit_lambda(alg: Superalgebra, pb: np.ndarray) -> tuple[complex, float, bool
 
 def _structure_factor(ss: SymplecticStructure, label: str) -> FactorSpec:
     lam, res, comm = _fit_lambda(ss.algebra, ss.pb_tensor)
-    return FactorSpec(
-        label, ss.algebra, ss.pb_tensor, lam, res, comm,
-        structure=ss, family=ss.family, omega=ss.omega,
-    )
+    return FactorSpec(label, ss.algebra, ss.pb_tensor, lam, res, comm, structure=ss)
 
 
 def quantum_factor(alg: Superalgebra, hbar: float) -> FactorSpec:
@@ -121,16 +112,7 @@ def grassmann_classical_factor(n: int) -> FactorSpec:
     for right, left in zip(dr, dl):
         pb -= np.einsum("pi,qj,pqk->ijk", right, left, alg.structure, optimize=True)
     lam, res, comm = _fit_lambda(alg, pb)
-    members = [Derivation(alg, m, 1) for m in dl]
-    family = DerivationFamily(alg, members)
-    w = np.zeros((n, n, dim), dtype=complex)
-    for a in range(n):
-        w[a, a] = -alg.unit_coeffs
-    omega = Cochain(family, 2, 0, w)
-    return FactorSpec(
-        f"grassmannClassical({n})", alg, pb, lam, res, comm,
-        family=family, omega=omega,
-    )
+    return FactorSpec(f"grassmannClassical({n})", alg, pb, lam, res, comm)
 
 
 # -- compatibility verdict ------------------------------------------------------
@@ -198,10 +180,6 @@ class ProductStructure:
         self.lam = report.lam
         self.algebra = tensor_algebra(f1.algebra, f2.algebra)
         self.pb_tensor = _product_pb_tensor(f1, f2)
-        self.family = None
-        self.omega = None
-        if f1.family is not None and f2.family is not None:
-            self.family, self.omega = _product_omega(self.algebra, f1, f2)
 
     def poisson(self, a: Element, b: Element) -> Element:
         return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
@@ -235,28 +213,6 @@ def _product_pb_tensor(f1: FactorSpec, f2: FactorSpec) -> np.ndarray:
     sym2 = 0.5 * (a2.constants + a2.swapped_structure())
     pb1, pb2 = Coo.of_dense(f1.pb_tensor), Coo.of_dense(f2.pb_tensor)
     return (graded_kron(a1, a2, pb1, sym2) + graded_kron(a1, a2, sym1, pb2)).dense()
-
-
-def _product_omega(prod: Superalgebra, f1: FactorSpec, f2: FactorSpec):
-    a1, a2 = f1.algebra, f2.algebra
-    members: list[Derivation] = []
-    for x in f1.family.members:
-        members.append(Derivation(prod, np.kron(x.matrix, np.eye(a2.dim)), x.parity))
-    for y in f2.family.members:
-        signs = np.where(a1.parity.astype(bool), -1.0, 1.0) if y.parity else np.ones(a1.dim)
-        members.append(Derivation(prod, np.kron(np.diag(signs), y.matrix), y.parity))
-    family = DerivationFamily(prod, members)
-    m1, m2 = len(f1.family), len(f2.family)
-    w = np.zeros((m1 + m2, m1 + m2, prod.dim), dtype=complex)
-    w1 = f1.omega.tensor
-    w2 = f2.omega.tensor
-    for i in range(m1):
-        for j in range(m1):
-            w[i, j] = np.kron(w1[i, j], a2.unit_coeffs)
-    for i in range(m2):
-        for j in range(m2):
-            w[m1 + i, m1 + j] = np.kron(a1.unit_coeffs, w2[i, j])
-    return family, Cochain(family, 2, 0, w)
 
 
 # -- coupled dynamics ----------------------------------------------------------

@@ -3,13 +3,13 @@ discrete matrix apparatus cross-check and the hybrid interaction bracket.
 
 The measured observable has eigenvalues lambda_j; the apparatus couples
 through an impulsive interaction over a time tau, and the apparatus ready
-state is a density profile over a dimensionless unit interval.  Each
+state is the uniform density on a dimensionless unit interval.  Each
 off-diagonal term of the final state carries the oscillatory integral
 |int rho_0(s) exp(i kappa s) ds| with
 
     kappa_jk = |eta_jk| / hbar,    eta_jk = (lambda_k - lambda_j) <K> tau,
 
-which for the uniform profile is |2 sin(kappa/2) / kappa|, bounded by
+which for that density is |2 sin(kappa/2) / kappa|, bounded by
 min(1, 2/kappa).  The same action eta separates the pointer branches, so
 one number controls both: |eta| >> hbar makes the pointer resolve the
 outcomes and simultaneously kills the interference.
@@ -30,6 +30,8 @@ from .symplectic import HamiltonianSystem
 
 SUPPRESSION_SERIES_CUT = 1e-8
 CROSSCHECK_TOL = 1e-6
+# Largest off-diagonal residual that still counts as a statistical mixture.
+MIXTURE_TOL = 1e-7
 # Midpoint-rule nodes for a pointer readout averaged over its interval.
 POINTER_QUADRATURE_POINTS = 513
 
@@ -53,19 +55,6 @@ def uniform_suppression(kappa: float) -> float:
     return abs(2.0 * np.sin(0.5 * kappa) / kappa)
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def profile_suppression(ks: np.ndarray, density: np.ndarray, u: float) -> float:
-    """|characteristic function| of a sampled K-density at frequency u."""
-    ks = np.asarray(ks, dtype=float)
-    density = np.asarray(density, dtype=float)
-    total = _trapezoid(density, ks)
-    if not abs(total - 1.0) <= 1e-6:
-        raise MeasurementError(f"profile density integrates to {total:.6f}")
-    return float(abs(_trapezoid(density * np.exp(1j * u * ks), ks)))
-
-
 def suppression_sweep(kappas) -> np.ndarray:
     return np.array([uniform_suppression(k) for k in np.asarray(kappas, dtype=float)])
 
@@ -80,7 +69,6 @@ class MeasurementModel:
     k_mean: float
     tau: float
     hbar: float
-    profile: tuple | None = None  # optional (s, density) samples, s dimensionless
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lambdas, dtype=float)
@@ -113,17 +101,14 @@ class MeasurementModel:
     def interference_magnitude(self, j: int, k: int) -> float:
         if j == k:
             raise MeasurementError("interference needs two distinct branches")
-        if self.profile is not None:
-            ss, dens = self.profile
-            return profile_suppression(ss, dens, self.kappa(j, k))
         return uniform_suppression(self.kappa(j, k))
 
-    def reduced_final_state(self, tol: float = 1e-7) -> dict:
+    def reduced_final_state(self) -> dict:
         """Pointer-traced density after the interaction.
 
         Diagonal entries are exactly |c_j|**2; every off-diagonal entry is
         bounded by |c_j c_k| times the interference magnitude.  The verdict
-        says whether the result is a statistical mixture at tolerance tol
+        says whether the result is a statistical mixture at MIXTURE_TOL
         (and whether the pointer actually separates the branches).
         """
         n = self.lambdas.size
@@ -141,7 +126,7 @@ class MeasurementModel:
         return {
             "probabilities": probs,
             "offDiagonalResidual": float(residual),
-            "mixtureVerdict": bool(residual <= tol),
+            "mixtureVerdict": bool(residual <= MIXTURE_TOL),
             "pointerResolved": bool(pointer_ok),
             "signalRatios": ratios,
         }
@@ -199,7 +184,7 @@ class PointerObservable:
 # -- the Stern-Gerlach numbers (CGS) ------------------------------------------------
 
 
-def stern_gerlach(overrides: dict | None = None) -> dict:
+def stern_gerlach() -> dict:
     """Order-of-magnitude audit of a silver-atom beam apparatus, CGS units.
 
     Geometry is given by stations along the beam axis: the magnet gap runs
@@ -221,20 +206,6 @@ def stern_gerlach(overrides: dict | None = None) -> dict:
         "velocity": 5.0e4,           # cm / s
         "hbar": 1.1e-27,             # erg s
     }
-    unknown = sorted(set(overrides or {}) - set(params))
-    if unknown:
-        raise MeasurementError(f"unknown Stern-Gerlach parameters: {unknown}")
-    params.update(overrides or {})
-    for key, value in params.items():
-        if not np.isfinite(value):
-            raise MeasurementError(f"{key} must be finite, got {value}")
-    if not params["z2"] > params["z1"]:
-        raise MeasurementError("nonpositive geometry: need z2 > z1")
-    if not params["x3"] > params["x2"] > params["x1"]:
-        raise MeasurementError("nonpositive geometry: need x3 > x2 > x1")
-    for key in ("magneticMoment", "fieldGradient", "velocity", "hbar"):
-        if params[key] <= 0:
-            raise MeasurementError(f"nonpositive geometry: {key} must be positive")
     tau = (params["x3"] - params["x1"]) / params["velocity"]
     eta = (
         params["magneticMoment"]
@@ -249,16 +220,12 @@ def stern_gerlach(overrides: dict | None = None) -> dict:
 # -- discrete matrix apparatus -------------------------------------------------------
 
 
-def matrix_apparatus_crosscheck(
-    lambdas=(0, 1),
-    amplitudes=(0.6, 0.8j),
-    pointer_dim: int = 3,
-    tau: float = 0.9,
-    hbar: float = 1.0,
-) -> dict:
+def matrix_apparatus_crosscheck() -> dict:
     """A finite apparatus where the measurement dynamics is exact.
 
-    The pointer is a cyclic register of size d.  With K diagonalized by the
+    The pointer is a cyclic register of size d = 3 and the measured
+    observable F has eigenvalues 0 and 1 with amplitudes (0.6, 0.8i); the
+    interaction runs for tau = 0.9 at hbar = 1.  With K diagonalized by the
     discrete Fourier basis at frequencies nu_q = 2 pi hbar q / (tau d), the
     coupled evolution exp(-i tau (F (x) K) / hbar) shifts the pointer by
     exactly lambda_j (mod d) on branch j.  The check runs the same dynamics
@@ -266,18 +233,12 @@ def matrix_apparatus_crosscheck(
     bracket and functional evolution, and reads pointer probabilities
     through a positive observable resolution.
     """
-    _check_positive(tau=tau, hbar=hbar)
-    if not pointer_dim >= 2:
-        raise MeasurementError(f"pointer_dim must be at least 2, got {pointer_dim}")
-    lambdas = np.asarray(lambdas, dtype=float)
-    if not np.array_equal(lambdas, np.round(lambdas)):
-        raise MeasurementError("eigenvalues must be integers (whole pointer cells)")
-    c = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(c)
-    _check_positive(amplitude_norm=norm)
-    c = c / norm
-    n, d = lambdas.size, int(pointer_dim)
-    fmat = np.diag(lambdas.astype(float))
+    lambdas = np.array([0.0, 1.0])
+    c = np.array([0.6, 0.8j])
+    c = c / np.linalg.norm(c)
+    tau, hbar = 0.9, 1.0
+    n, d = lambdas.size, 3
+    fmat = np.diag(lambdas)
     q = np.arange(d)
     w = np.exp(2j * np.pi * np.outer(q, q) / d) / np.sqrt(d)
     kmat = w @ np.diag(2 * np.pi * hbar * q / (tau * d)) @ w.conj().T

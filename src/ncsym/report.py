@@ -69,7 +69,7 @@ class CheckResult:
 class Report:
     suite: str
     seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list, init=False)
     meta: dict = field(default_factory=dict)
 
     @property

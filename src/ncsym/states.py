@@ -29,8 +29,6 @@ from .algebra import Element, Superalgebra, _basis_vec
 STATE_TOL = 1e-10
 # Values closer than this count as equal in the separation check.
 SEPARATION_TOL = 1e-9
-# Random observable and state pairs the constructive separation check tries.
-CC_SPOT_CHECKS = 20
 # Relative eigenvalue threshold for GNS rank decisions.
 GNS_RANK_RTOL = 1e-10
 
@@ -208,60 +206,15 @@ class PObVM:
 # -- compatibility (separation) check ----------------------------------------------
 
 
-def cc_check(
-    alg: Superalgebra,
-    observables="full",
-    pure_states="full",
-    rng: np.random.Generator | None = None,
-) -> dict:
+def cc_check(obs: list[Element], states: list[State]) -> dict:
     """Do pure states separate observables and observables separate states?
 
     Clause (i): for any two different observables there is a state telling
     them apart.  Clause (ii): for any two different states there is an
-    observable telling them apart.  With ``"full"`` on both slots (matrix
-    realizations only) the answer is constructive and spot-checked on random
-    pairs (CC_SPOT_CHECKS of them); with explicit lists both clauses are
-    scanned pairwise and the first unseparated pair is returned as a
-    witness.  Values closer than SEPARATION_TOL count as equal.
+    observable telling them apart.  Both clauses are scanned pairwise over
+    the given observables and pure states, and the first unseparated pair is
+    returned as a witness.  Values closer than SEPARATION_TOL count as equal.
     """
-    rng = rng or np.random.default_rng(0)
-    if isinstance(observables, str) and isinstance(pure_states, str):
-        if alg.rep_basis is None:
-            raise StateError("constructive mode needs a matrix realization")
-        n = alg.rep_basis.shape[1]
-        for _ in range(CC_SPOT_CHECKS):
-            a = alg.sample_element(rng, hermitian=True)
-            b = alg.sample_element(rng, hermitian=True)
-            if max_abs(a.coeffs - b.coeffs) < SEPARATION_TOL:
-                continue
-            diff = a.realize() - b.realize()
-            evals, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-            k = int(np.argmax(np.abs(evals)))
-            phi = vector_state(alg, vecs[:, k])
-            if abs(phi.expectation(a) - phi.expectation(b)) <= SEPARATION_TOL:
-                return {
-                    "verdict": False,
-                    "clause": "statesSeparateObservables",
-                    "witness": "eigenvector state failed to separate",
-                    "mode": "constructive",
-                }
-            psi1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            s1, s2 = vector_state(alg, psi1), vector_state(alg, psi2)
-            if max_abs(s1.functional - s2.functional) < SEPARATION_TOL:
-                continue
-            sep = _separating_observable(alg, s1, s2)
-            if sep is None:
-                return {
-                    "verdict": False,
-                    "clause": "observablesSeparateStates",
-                    "witness": "hermitian basis failed to separate",
-                    "mode": "constructive",
-                }
-        return {"verdict": True, "witness": None, "mode": "constructive"}
-
-    obs = list(observables)
-    states = list(pure_states)
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
             if max_abs(obs[i].coeffs - obs[j].coeffs) < SEPARATION_TOL:
@@ -274,7 +227,6 @@ def cc_check(
                     "verdict": False,
                     "clause": "statesSeparateObservables",
                     "witness": {"observables": [i, j]},
-                    "mode": "scan",
                 }
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -288,20 +240,8 @@ def cc_check(
                     "verdict": False,
                     "clause": "observablesSeparateStates",
                     "witness": {"states": [i, j]},
-                    "mode": "scan",
                 }
-    return {"verdict": True, "witness": None, "mode": "scan"}
-
-
-def _separating_observable(alg, s1: State, s2: State):
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        h1 = 0.5 * (e + e.star())
-        h2 = -0.5j * (e - e.star())
-        for h in (h1, h2):
-            if abs(s1.expectation(h) - s2.expectation(h)) > SEPARATION_TOL:
-                return h
-    return None
+    return {"verdict": True, "witness": None}
 
 
 # -- GNS construction ---------------------------------------------------------------

@@ -437,33 +437,30 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Re
     return rep
 
 
-def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL) -> Report:
-    """Star product facts: associativity on random polynomials, the exact
-    canonical bracket, a quadratic oracle and the classical limit slope;
-    the Wigner symbols of the two lowest oscillator states against their
-    closed forms, and the integral kernel on the ground-state symbol, a
-    star projector."""
-    _require_samples(samples)
-    rng = np.random.default_rng(seed)
-    rep = Report("moyal", seed, meta={"samples": samples})
+def moyal_suite(seed: int = 0, tol: float = MOYAL_ASSOC_TOL) -> Report:
+    """Star product facts: associativity on every triple of monomials, the
+    exact canonical bracket, a quadratic oracle and the classical limit
+    slope; the Wigner symbols of the two lowest oscillator states against
+    their closed forms, and the integral kernel on the ground-state symbol,
+    a star projector."""
+    rep = Report("moyal", seed)
     (x, p), _ = variables(2, 0)
 
-    def rand_poly():
-        terms = {}
-        for _ in range(4):
-            terms[((int(rng.integers(3)), int(rng.integers(3))), 0)] = complex(
-                rng.normal(), rng.normal()
-            )
-        return SuperFunction(2, 0, terms)
-
+    # the associator (f * g) * h - f * (g * h) is trilinear, so every triple
+    # of the monomials x^a p^b with a, b <= 2 covers every polynomial with
+    # those exponents; the 81 pair products are formed once
     hbar = 0.7
-    worst = 0.0
-    for _ in range(samples):
-        f, g, h = rand_poly(), rand_poly(), rand_poly()
-        lhs = star(star(f, g, hbar), h, hbar)
-        rhs = star(f, star(g, h, hbar), hbar)
-        worst = max(worst, (lhs - rhs).norm() / max(1.0, lhs.norm()))
-    rep.residual("associativity", worst, tol)
+    exps = [(a, b) for a in range(3) for b in range(3)]
+    monos = [SuperFunction(2, 0, {(e, 0): 1.0}) for e in exps]
+    pairs = [[star(f, g, hbar) for g in monos] for f in monos]
+    residuals = np.zeros((len(monos),) * 3)
+    for i, j, k in np.ndindex(residuals.shape):
+        lhs = star(pairs[i][j], monos[k], hbar)
+        rhs = star(monos[i], pairs[j][k], hbar)
+        residuals[i, j, k] = (lhs - rhs).norm() / max(1.0, lhs.norm())
+    at = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+    rep.residual("associativity", residuals[at], tol, triples=residuals.size,
+                 at=[list(exps[t]) for t in at])
 
     worst = 0.0
     for hb in (0.3, 1.0, 2.0):
@@ -513,11 +510,9 @@ def moyal_suite(seed: int = 0, samples: int = 100, tol: float = MOYAL_ASSOC_TOL)
     return rep
 
 
-def stern_gerlach_suite(seed: int = 0, preset: str = "paper") -> Report:
+def stern_gerlach_suite(seed: int = 0) -> Report:
     """The beam-apparatus magnitude audit and the pointer readout."""
-    if preset != "paper":
-        raise ValueError(f"unknown preset {preset!r} (only 'paper' is defined)")
-    rep = Report("sternGerlach", seed, meta={"preset": preset})
+    rep = Report("sternGerlach", seed, meta={"preset": "paper"})
     out = stern_gerlach()
     rep.add(
         "tauWindow",
@@ -599,9 +594,7 @@ def decoherence_suite(seed: int = 0, tol: float = 1e-7) -> Report:
         "probabilitiesExact", max_abs(probs - np.abs(amps) ** 2), 1e-15
     )
 
-    cross = matrix_apparatus_crosscheck(
-        lambdas=(0, 1), amplitudes=(0.6, 0.8j), pointer_dim=3, tau=0.9
-    )
+    cross = matrix_apparatus_crosscheck()
     rep.residual("matrixApparatusRouteGap", cross["routeGap"], 1e-6)
     rep.residual(
         "matrixApparatusProbabilities",

@@ -314,7 +314,7 @@ def g3_unique_state(
     unique = rejected == tried
     e12 = alg.element([0, 0, 0, 1, 0, 0, 0, 0])  # theta1 theta2
     obs = [alg.unit + e12, alg.unit + 2.0 * e12]
-    cc = cc_check(alg, obs, [state])
+    cc = cc_check(obs, [state])
     return {
         "state": state,
         "unique": unique,

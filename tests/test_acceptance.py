@@ -85,7 +85,7 @@ def test_criterion_05_unique_state_on_three_odd_generators():
 
 
 def test_criterion_06_star_product_and_classical_limit():
-    rep = moyal_suite(seed=SEED, samples=100, tol=1e-10)
+    rep = moyal_suite(seed=SEED, tol=1e-10)
     assert rep.passed, _failures(rep)
     assert _check(rep, "canonicalBracketExact").value <= 1e-13
     slope = _check(rep, "classicalSlope").value

@@ -77,6 +77,36 @@ def test_matrix_realization_matches_products():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alg",
+    [M3, matrix_algebra(3, grading=(2, 1)), grassmann_algebra(4),
+     tensor_algebra(M2, M3)],
+    ids=["M3", "M2-1", "G4", "M2xM3"],
+)
+def test_multiplication_matrices_match_the_dense_cube(alg):
+    # L[k, j] = sum_i a_i c[i, j, k] and R[k, i] = sum_j a_j c[i, j, k],
+    # on every basis vector and on random vectors
+    cube = alg.constants.dense()
+    rng = np.random.default_rng(6)
+    vectors = list(np.eye(alg.dim)) + [
+        rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim) for _ in range(3)
+    ]
+    for a in vectors:
+        np.testing.assert_allclose(
+            alg.left_mult_matrix(a), np.einsum("i,ijk->kj", a, cube), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            alg.right_mult_matrix(a), np.einsum("j,ijk->ki", a, cube), rtol=0, atol=1e-12
+        )
+    b = vectors[-1]
+    np.testing.assert_allclose(
+        alg.left_mult_matrix(vectors[-2]) @ b, alg.mul_coeffs(vectors[-2], b), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        alg.right_mult_matrix(vectors[-2]) @ b, alg.mul_coeffs(b, vectors[-2]), atol=1e-12
+    )
+
+
 def test_ungraded_star_is_conjugate_transpose():
     rng = np.random.default_rng(4)
     a = M2.sample_element(rng)

@@ -38,6 +38,12 @@ def test_coupling_takes_no_samples(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_moyal_limit_takes_no_samples(capsys):
+    # associativity runs on every monomial triple, so there is no count
+    assert main(["moyal-limit", "--samples", "5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_json_report_round_trip(tmp_path, capsys):
     out = tmp_path / "gns.json"
     assert main(["gns", "--seed", "3", "--out", str(out)]) == 0
@@ -94,8 +100,12 @@ def test_coupling_pair_query_needs_both_tokens(capsys):
 
 
 def test_unknown_preset_is_usage_error(capsys):
-    assert main(["stern-gerlach", "--preset", "upside-down"]) == 2
-    assert "preset" in capsys.readouterr().err
+    # the paper scenario is the only one, so the suite takes no --preset
+    for preset in ("upside-down", "paper"):
+        with pytest.raises(SystemExit) as exc:
+            main(["stern-gerlach", "--preset", preset])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
 
 
 def test_every_suite_passes_quickly(capsys):
@@ -109,7 +119,7 @@ def test_every_suite_passes_quickly(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["moyal-limit", "--samples", "0"], ["verify", "--samples", "-5"]]
+    "argv", [["grassmann", "--samples", "0"], ["verify", "--samples", "-5"]]
 )
 def test_samples_below_one_is_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 module-level constant is read somewhere in the package, every defaulted
-parameter is set by some call, every function, method and class is reached
-from the command line or the benchmark, and importing the package pulls in
-no heavy optional module."""
+parameter and dataclass field is set by some call outside the tests, every
+function, method and class is reached from the command line or the
+benchmark, and importing the package pulls in no heavy optional module."""
 from __future__ import annotations
 
 import ast
@@ -75,15 +75,40 @@ def test_every_constant_is_read():
     assert dead_constants(sources) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d, "id", None) == "dataclass"
+        or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _init_false(value) -> bool:
+    """True for a ``field(..., init=False)`` default, which no call sets."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords
+    )
+
+
 def _defaulted_parameters(source: str):
     """(qualified name, call name, positional names, defaulted names) for
     every function in ``source``.  A method drops its self or cls slot and
-    an ``__init__`` is called by its class name."""
+    an ``__init__`` is called by its class name, as is a dataclass, whose
+    annotated fields are its parameters."""
     out = []
 
     def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [
+                        f for f in child.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                        and not _init_false(f.value)
+                    ]
+                    pos = [f.target.id for f in fields]
+                    defaulted = [f.target.id for f in fields if f.value is not None]
+                    out.append((".".join(prefix + [child.name]), child.name, pos, defaulted))
                 visit(child, prefix + [child.name], True)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
@@ -127,6 +152,15 @@ def _cli_settings(cli_source: str, suites_source: str) -> dict[str, set]:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITES":
             suites.update(v.id for v in node.value.values)
     return {name: keys for name in suites}
+
+
+def caller_sources(root: Path) -> list[str]:
+    """The modules whose calls count as uses: the package and the benchmark
+    harness without its tests, so nothing lives only for the tests."""
+    paths = sorted((root / "src" / "ncsym").glob("*.py")) + [
+        p for p in sorted((root / "perfbench").glob("*.py")) if not p.name.startswith("test_")
+    ]
+    return [p.read_text() for p in paths]
 
 
 def dead_keywords(sources: dict[str, str], callers: list[str]) -> list[str]:
@@ -173,6 +207,15 @@ def test_checker_flags_a_dead_keyword():
             "    def m(self, q=1): pass\n"
             "    @classmethod\n"
             "    def make(cls): return cls(k=1)\n"
+            "@dataclass\n"
+            "class D:\n"
+            "    x: int\n"
+            "    y: int = 0\n"
+            "    z: list = field(default_factory=list)\n"
+            "    w: int = 1\n"
+            "    v: list = field(default_factory=list, init=False)\n"
+            "D(1, 2)\n"
+            "D(0, w=3)\n"
         ),
         "suites.py": "def s(seed=0, tol=1.0, n=3): pass\nSUITES = {'s': s}\n",
         "cli.py": (
@@ -185,20 +228,33 @@ def test_checker_flags_a_dead_keyword():
     callers = list(sources.values()) + ["f(0, 5)\nobj.m(2)\n"]
     assert dead_keywords(sources, callers) == [
         "a.py: C.__init__(j=)",
+        "a.py: D(z=)",
         "a.py: f(w=)",
         "a.py: f(z=)",
         "suites.py: s(n=)",
     ]
 
 
+def test_checker_ignores_calls_from_tests(tmp_path):
+    # a default that only a test sets, in tests/ or in perfbench's own
+    # tests, is flagged; one the harness sets is not
+    files = {
+        "src/ncsym/a.py": "def f(x, k=1, j=2): pass\n",
+        "perfbench/run.py": "from ncsym.a import f\nf(0, j=3)\n",
+        "perfbench/test_run.py": "from ncsym.a import f\nf(0, k=3)\n",
+        "tests/test_a.py": "from ncsym.a import f\nf(0, 5)\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    sources = {"a.py": files["src/ncsym/a.py"]}
+    assert dead_keywords(sources, caller_sources(tmp_path)) == ["a.py: f(k=)"]
+
+
 def test_every_default_is_set_by_some_call():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    callers = [
-        path.read_text()
-        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
-        for path in sorted(folder.glob("*.py"))
-    ]
-    assert dead_keywords(sources, callers) == []
+    assert dead_keywords(sources, caller_sources(ROOT)) == []
 
 
 def _names(nodes) -> set[str]:

@@ -8,7 +8,6 @@ from ncsym.measurement import (
     hybrid_interaction_bracket,
     hybrid_route_gap,
     matrix_apparatus_crosscheck,
-    profile_suppression,
     stern_gerlach,
     suppression_sweep,
     uniform_suppression,
@@ -34,21 +33,6 @@ def test_suppression_bound_and_large_argument():
     assert uniform_suppression(1e8) <= 1e-7
 
 
-def test_profile_quadrature_matches_closed_form():
-    # the flat ready density on the dimensionless unit interval
-    ss = np.linspace(-0.5, 0.5, 20001)
-    dens = np.ones_like(ss)
-    for kappa in (0.3, 1.7, 4.0, 12.0):
-        got = profile_suppression(ss, dens, kappa)
-        assert got == pytest.approx(uniform_suppression(kappa), abs=1e-6)
-
-
-def test_profile_must_be_normalized():
-    ks = np.linspace(0.0, 1.0, 101)
-    with pytest.raises(MeasurementError):
-        profile_suppression(ks, np.full_like(ks, 2.0), 1.0)
-
-
 def test_model_kappa_eta_and_reduced_state():
     model = MeasurementModel(
         lambdas=[-1.0, 1.0],
@@ -59,14 +43,17 @@ def test_model_kappa_eta_and_reduced_state():
     )
     assert model.eta(0, 1) == pytest.approx(2.0 * 5e4 * 2e-3)
     assert model.kappa(0, 1) == pytest.approx(abs(model.eta(0, 1)) / 1e-2)
-    rep = model.reduced_final_state(tol=1e-4)
+    rep = model.reduced_final_state()
     assert rep["probabilities"] == pytest.approx([0.36, 0.64])
     kappa = model.kappa(0, 1)
     assert rep["offDiagonalResidual"] <= 0.6 * 0.8 * min(1.0, 2.0 / kappa) + 1e-15
-    assert rep["mixtureVerdict"]
+    # kappa = 2e4 leaves an interference term near 1.5e-5, above the 1e-7
+    # mixture tolerance, although the pointer resolves the branches
+    assert rep["offDiagonalResidual"] > 1e-7
+    assert not rep["mixtureVerdict"]
     assert rep["pointerResolved"]
     assert rep["signalRatios"] == pytest.approx([kappa])
-    # a smaller hbar pushes kappa past 1e8 and the default verdict holds
+    # a smaller hbar pushes kappa past 1e8 and the verdict holds
     sharp = MeasurementModel(
         lambdas=[-1.0, 1.0],
         amplitudes=[0.6, 0.8],
@@ -120,24 +107,6 @@ def test_model_eigenstate_input_has_no_interference():
     assert rep["mixtureVerdict"]
 
 
-def test_model_sampled_profile_matches_closed_form():
-    ss = np.linspace(-0.5, 0.5, 4001)
-    sampled = MeasurementModel(
-        lambdas=[0.0, 1.0],
-        amplitudes=[1.0, 1.0],
-        k_mean=1.5,
-        tau=1.0,
-        hbar=1.0,
-        profile=(ss, np.ones_like(ss)),
-    )
-    closed = MeasurementModel(
-        lambdas=[0.0, 1.0], amplitudes=[1.0, 1.0], k_mean=1.5, tau=1.0, hbar=1.0
-    )
-    got = sampled.interference_magnitude(0, 1)
-    want = closed.interference_magnitude(0, 1)
-    assert got == pytest.approx(want, abs=1e-6)
-
-
 def test_pointer_observable_classify_and_expectations():
     pointer = PointerObservable(
         {"down": (-3.0, -1.0), "up": (1.0, 3.0)},
@@ -178,39 +147,12 @@ def test_stern_gerlach_magnitudes():
     assert 1e7 <= out["ratio"] <= 1e9
 
 
-def test_stern_gerlach_override():
-    out = stern_gerlach({"velocity": 1.0e5})
-    assert out["tau"] == pytest.approx(2.3e-4, rel=1e-9)
-
-
-def test_stern_gerlach_rejects_bad_geometry():
-    with pytest.raises(MeasurementError):
-        stern_gerlach({"z1": 0.05, "z2": -0.05})
-    with pytest.raises(MeasurementError):
-        stern_gerlach({"x2": 30.0})
-    with pytest.raises(MeasurementError):
-        stern_gerlach({"velocity": -5.0e4})
-
-
 def test_matrix_apparatus_exact_shift():
-    out = matrix_apparatus_crosscheck(
-        lambdas=(0, 1), amplitudes=(0.6, 0.8j), pointer_dim=3, tau=0.9
-    )
+    out = matrix_apparatus_crosscheck()
     assert out["direct"] == pytest.approx([0.36, 0.64, 0.0], abs=1e-10)
     assert out["bracketRoute"] == pytest.approx(out["expected"], abs=1e-8)
     assert out["routeGap"] <= 1e-6
     assert out["agrees"]
-
-
-def test_matrix_apparatus_wraps_modulo_pointer_size():
-    out = matrix_apparatus_crosscheck(
-        lambdas=(1, 4), amplitudes=(1.0, 1.0), pointer_dim=3, tau=0.4
-    )
-    # both eigenvalues shift to position 1 mod 3, so the pointer cannot
-    # distinguish them and all weight lands on one cell
-    assert out["expected"] == pytest.approx([0.0, 1.0, 0.0])
-    assert out["direct"] == pytest.approx(out["expected"], abs=1e-10)
-    assert out["routeGap"] <= 1e-6
 
 
 def test_hybrid_bracket_routes_agree_at_leading_order():
@@ -268,43 +210,3 @@ def test_model_rejects_non_finite_or_nonpositive_inputs(field, bad):
         MeasurementModel(**{**MODEL, field: bad})
 
 
-def test_profile_with_nan_density_is_rejected():
-    ss = np.linspace(0.0, 1.0, 101)
-    dens = np.ones_like(ss)
-    dens[50] = np.nan
-    with pytest.raises(MeasurementError):
-        profile_suppression(ss, dens, 1.0)
-
-
-@pytest.mark.parametrize(
-    "key", ["magneticMoment", "fieldGradient", "velocity", "hbar", "z1", "x2"]
-)
-def test_stern_gerlach_rejects_non_finite_overrides(key):
-    with pytest.raises(MeasurementError, match=key):
-        stern_gerlach({key: float("nan")})
-    with pytest.raises(MeasurementError, match=key):
-        stern_gerlach({key: float("inf")})
-
-
-def test_stern_gerlach_rejects_unknown_override_keys():
-    with pytest.raises(MeasurementError, match="velocty"):
-        stern_gerlach({"velocty": 1.0e5})
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"tau": 0.0},
-        {"tau": float("nan")},
-        {"hbar": -1.0},
-        {"hbar": float("inf")},
-        {"pointer_dim": 0},
-        {"pointer_dim": 1},
-        {"lambdas": (0, 0.5)},
-        {"lambdas": (0, float("nan"))},
-        {"amplitudes": (0.0, 0.0)},
-    ],
-)
-def test_matrix_apparatus_rejects_bad_parameters(kwargs):
-    with pytest.raises(MeasurementError):
-        matrix_apparatus_crosscheck(**kwargs)

@@ -112,21 +112,27 @@ class PObVMTest(unittest.TestCase):
 
 
 class SeparationTest(unittest.TestCase):
-    def test_full_matrix_algebra_separates(self):
-        out = cc_check(M2, "full", "full", rng=np.random.default_rng(11))
-        self.assertTrue(out["verdict"])
-        self.assertEqual(out["mode"], "constructive")
-
     def test_single_state_fails_to_separate(self):
         # one state cannot tell two observables with equal expectation apart
         rho = G2.element([0, 0, 0, -1.0])
         phi = make_state(G2, "berezinDensity", rho)
         a = G2.unit + G2.basis_element(3)
         b = G2.unit + 2.0 * G2.basis_element(3)
-        out = cc_check(G2, [a, b], [phi])
+        out = cc_check([a, b], [phi])
         self.assertFalse(out["verdict"])
         self.assertEqual(out["clause"], "statesSeparateObservables")
         self.assertEqual(out["witness"], {"observables": [0, 1]})
+
+    def test_observables_must_separate_states(self):
+        # the unit has expectation 1 in every state; sigma_z tells |0> and
+        # |+> apart
+        states = [vector_state(M2, KET0), vector_state(M2, PLUS)]
+        out = cc_check([M2.unit], states)
+        self.assertFalse(out["verdict"])
+        self.assertEqual(out["clause"], "observablesSeparateStates")
+        self.assertEqual(out["witness"], {"states": [0, 1]})
+        sz = M2.element([1, 0, 0, -1])
+        self.assertTrue(cc_check([M2.unit, sz], states)["verdict"])
 
 
 class GnsTest(unittest.TestCase):

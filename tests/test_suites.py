@@ -1,5 +1,6 @@
 """The exact bracket batteries detect a corrupted bracket tensor, the
-coupling and moyal-limit rows detect a corrupted route, and the Grassmann
+coupling and moyal-limit rows detect a corrupted route, moyal-limit's
+associativity row detects a corrupted star product weight, and the Grassmann
 density oracle reads the scanned state.
 
 Each bracket corruption is a small change to a structure's ``pb_tensor``,
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from unittest import mock
 
-from ncsym import suites
+from ncsym import moyal, suites
 from ncsym.states import State
 
 EPS = 1e-6
@@ -147,6 +148,27 @@ def test_moyal_route_rows_fail_on_a_corrupted_route(row, target, corrupt):
     assert {c.name for c in rep.checks if not c.passed} == {row}
     check = next(c for c in rep.checks if c.name == row)
     assert check.value > 10 * check.tolerance
+
+
+def test_moyal_associativity_fails_on_a_perturbed_star_weight():
+    # the top-order weight of xp * xp is -2; with -1 the series is no
+    # longer associative, and only monomial triples through xp * xp see it
+    weights = moyal._pair_weights
+
+    def perturbed(a1, b1, a2, b2):
+        out = weights(a1, b1, a2, b2)
+        if (a1, b1, a2, b2) == (1, 1, 1, 1):
+            k, w = out[-1]
+            out = out[:-1] + ((k, w + 1),)
+        return out
+
+    with mock.patch.object(moyal, "_pair_weights", perturbed):
+        rep = suites.moyal_suite(seed=0)
+    assert {c.name for c in rep.checks if not c.passed} == {"associativity"}
+    check = next(c for c in rep.checks if c.name == "associativity")
+    assert check.value > 10 * check.tolerance
+    assert check.details["triples"] == 729
+    assert [1, 1] in check.details["at"]
 
 
 def test_density_oracle_reads_the_scanned_state():

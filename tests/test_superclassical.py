@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncsym._linalg import rk4_trajectory
+from ncsym._linalg import bilinear, rk4_trajectory
 from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
 from ncsym.calculus import Derivation, superderivation_residuals
 from ncsym.coupling import grassmann_classical_factor
@@ -175,7 +175,7 @@ def test_factor_bracket_matches_superspace_bracket():
     for _ in range(10):
         a = gcl.algebra.sample_element(rng)
         b = gcl.algebra.sample_element(rng)
-        lhs = gcl.poisson(a, b).coeffs
+        lhs = bilinear(gcl.pb_tensor, a.coeffs, b.coeffs)
         sf = super_poisson(
             superfunction_from_element(a), superfunction_from_element(b), w
         )

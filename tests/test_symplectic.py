@@ -30,6 +30,7 @@ from ncsym.symplectic import (
     SymplecticStructure,
     quantum_form,
 )
+from test_coupling import product_form
 
 M2 = matrix_algebra(2)
 M3 = matrix_algebra(3)
@@ -72,9 +73,9 @@ CLOSED_FORMS = {
     **{f"M{n}": (lambda n=n: quantum_form(matrix_algebra(n), 0.7).omega) for n in range(2, 7)},
     "M1-1": lambda: quantum_form(M11, 0.7).omega,
     "M2-1": lambda: quantum_form(matrix_algebra(3, grading=(2, 1)), 0.7).omega,
-    "M2xM3": lambda: ProductStructure(
-        quantum_factor(M2, 0.7), quantum_factor(M3, 0.7)
-    ).omega,
+    "M2xM3": lambda: product_form(
+        ProductStructure(quantum_factor(M2, 0.7), quantum_factor(M3, 0.7))
+    )[1],
 }
 
 
@@ -265,7 +266,7 @@ def test_bracket_tensor_solves_the_hamiltonian_system(alg):
 def _product_form_structures():
     prod = ProductStructure(quantum_factor(M2, 1.0), quantum_factor(M2, 1.0))
     ss = SymplecticStructure(
-        prod.omega, {"kind": "quantum", "hbar": 1.0, "reality": "real"}
+        product_form(prod)[1], {"kind": "quantum", "hbar": 1.0, "reality": "real"}
     )
     return prod, ss
 
