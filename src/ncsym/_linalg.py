@@ -65,15 +65,6 @@ def left_action(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return flat.reshape(a.shape[:-1] + t.shape[1:]).swapaxes(-1, -2)
 
 
-def multiplicativity_defect(src: np.ndarray, p: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """d[i, j, k], the coefficient of e_k in P(e_i e_j) - (P e_i)(P e_j),
-    for the linear map with columns P[:, i] = P e_i from the algebra with
-    product tensor ``src`` to the one with product tensor ``tgt``."""
-    image = np.tensordot(src, p, axes=(2, 1))
-    pushed = np.tensordot(p, tgt, axes=(0, 0))  # [i, b, k]: (P e_i) e_b
-    return image - np.tensordot(pushed, p, axes=(1, 0)).transpose(0, 2, 1)
-
-
 def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in increasing order and, for each, the sum of the
     values that share it, added in the order given."""

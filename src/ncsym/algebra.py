@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import (
-    bilinear,
     join,
     lstsq_with_residual,
     max_abs,
@@ -197,8 +196,8 @@ class Superalgebra:
     """A finite-dimensional associative Z2-graded *-algebra over C.
 
     The structure constants are held once, as the :class:`Coo`
-    ``constants``; ``structure`` is the dense cube derived from it on first
-    use, for the per-call kernels."""
+    ``constants``; every product is a scatter of their nonzeros into the
+    multiplication matrices of a stack of elements."""
 
     def __init__(
         self,
@@ -232,13 +231,13 @@ class Superalgebra:
         )
         if self.rep_basis is not None and self.rep_basis.shape[0] != self.dim:
             raise AlgebraError("realization basis count mismatch")
-        self._center_cache: tuple[list[Element], list[Element]] | None = None
         self._supercomm_cache: bool | None = None
         self.validate()
 
     @cached_property
     def structure(self) -> np.ndarray:
-        """The dense cube c[i, j, k] of the constants, read-only."""
+        """The dense cube c[i, j, k] of the constants, read-only: a view
+        for oracles that contract the whole cube; no package code reads it."""
         cube = self.constants.dense()
         cube.flags.writeable = False
         return cube
@@ -283,18 +282,10 @@ class Superalgebra:
         ]
         if self.rep_basis is not None:
             rep = self.rep_basis
-            starts = np.searchsorted(c.i, np.arange(n + 1))
-            worst = np.zeros((n, n))
-            for i in range(n):
-                s = slice(starts[i], starts[i + 1])
-                # e_i e_j = sum_k c[i, j, k] e_k, from the nonzeros of row i
-                rhs = np.zeros_like(rep)
-                np.add.at(rhs, c.j[s], c.v[s, None, None] * rep[c.k[s]])
-                worst[i] = np.abs(rep[i] @ rep - rhs).max(axis=(1, 2))
             checks += [
                 ("realizationUnit", (max_abs(self.realize(u) - np.eye(rep.shape[1])), ()),
                  "unit does not realize to identity ({err:.3e})"),
-                ("realizationMultiplicative", _worst(worst),
+                ("realizationMultiplicative", _worst(realization_defects(c, rep)),
                  "realization is not multiplicative at {at} ({err:.3e})"),
             ]
         residuals = {}
@@ -318,21 +309,27 @@ class Superalgebra:
         return Element(self, self.unit_coeffs)
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return bilinear(self.structure, a, b)
+        return self.left_mult_matrix(a) @ b
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> a b on coefficient vectors, L[k, j] = sum_i a_i
-        c[i, j, k], scattered from the nonzero constants."""
-        c, out = self.constants, np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (c.k, c.j), np.asarray(a, dtype=complex)[c.i] * c.v)
-        return out
+        """Matrix of b -> a b, L[k, j] = sum_i a_i c[i, j, k]; a stack of
+        vectors (..., dim) gives the stack of their matrices."""
+        return self._mult_matrices(a, self.constants.i, self.constants.j)
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> b a on coefficient vectors, R[k, i] = sum_j a_j
-        c[i, j, k], scattered from the nonzero constants."""
-        c, out = self.constants, np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (c.k, c.i), np.asarray(a, dtype=complex)[c.j] * c.v)
-        return out
+        """Matrix of b -> b a, R[k, i] = sum_j a_j c[i, j, k]; a stack of
+        vectors (..., dim) gives the stack of their matrices."""
+        return self._mult_matrices(a, self.constants.j, self.constants.i)
+
+    def _mult_matrices(self, a: np.ndarray, by: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """M[..., c.k[e], col[e]] = sum of a[..., by[e]] c.v[e] over the
+        nonzero constants e, in their order: one scatter for the whole stack."""
+        c, n = self.constants, self.dim
+        rows = np.asarray(a, dtype=complex).reshape(-1, n)
+        keys = (c.k * n + col) + n * n * np.arange(rows.shape[0])[:, None]
+        out = np.zeros(rows.shape[0] * n * n, dtype=complex)
+        np.add.at(out, keys.reshape(-1), (rows[:, by] * c.v).reshape(-1))
+        return out.reshape(np.shape(a)[:-1] + (n, n))
 
     def star_coeffs(self, a: np.ndarray) -> np.ndarray:
         return self.involution_matrix @ np.conj(np.asarray(a, dtype=complex))
@@ -373,8 +370,6 @@ class Superalgebra:
         z of parity t is central when [z, e_j] = 0 for every basis element,
         with the supercommutator taken at parities (t, parity_j).
         """
-        if self._center_cache is not None:
-            return self._center_cache
         comm = self.constants - self.swapped_structure()  # [e_i, e_j] = comm[i, j]
         out: list[list[Element]] = []
         for t in (0, 1):
@@ -388,8 +383,7 @@ class Superalgebra:
             full = np.zeros((self.dim, basis.shape[1]), dtype=complex)
             full[idx] = basis
             out.append([Element(self, col) for col in full.T])
-        self._center_cache = (out[0], out[1])
-        return self._center_cache
+        return out[0], out[1]
 
     # -- realization -----------------------------------------------------------
 
@@ -577,6 +571,22 @@ def kron_element(prod: Superalgebra, x: Element, y: Element) -> Element:
 
 
 # -- helpers ----------------------------------------------------------------------
+
+
+def realization_defects(c: Coo, rep: np.ndarray) -> np.ndarray:
+    """worst[i, j] = max |rep[i] rep[j] - sum_k c[i, j, k] rep[k]|, how far
+    the matrices rep[k] are from multiplying like the basis they stand for,
+    on each basis pair, from the nonzeros of one row i at a time."""
+    n = c.dim
+    starts = np.searchsorted(c.i, np.arange(n + 1))
+    worst = np.zeros((n, n))
+    for i in range(n):
+        s = slice(starts[i], starts[i + 1])
+        # e_i e_j = sum_k c[i, j, k] e_k, from the nonzeros of row i
+        rhs = np.zeros_like(rep)
+        np.add.at(rhs, c.j[s], c.v[s, None, None] * rep[c.k[s]])
+        worst[i] = np.abs(rep[i] @ rep - rhs).max(axis=(1, 2))
+    return worst
 
 
 def _basis_vec(n: int, i: int) -> np.ndarray:

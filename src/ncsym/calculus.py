@@ -26,8 +26,9 @@ Sign conventions (all checked by the test suite):
   b_ij = e_Xj (parities strictly between i and j) on the bracket terms.
 
 Sign tensors and sparse operators: ``exterior_derivative`` and ``wedge``
-never loop over index tuples.  In ``wedge`` each term is one contraction of
-whole tensors, moved into its argument slots, times a sign tensor.  The
+never loop over index tuples.  ``wedge`` forms the product of its factors
+once, from the multiplication matrices of the lower-degree one; each term
+moves it into its argument slots and multiplies it by a sign tensor.  The
 wedge signs depend on an index tuple only through its parity pattern, so
 each permutation gets a table over the 2**(p+q) patterns, filled by
 ``graded_permutation_sign`` once per (p, q, parity of the second factor)
@@ -63,7 +64,6 @@ from ._linalg import (
     greedy_independent,
     join,
     max_abs,
-    multiplicativity_defect,
     numerical_rank,
     segment_sums,
     sum_by_key,
@@ -154,10 +154,7 @@ def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]
     """Whether the algebra is 'special': its graded center is the scalars
     and every superderivation is inner, which is checked by comparing the
     superderivation-space dimension with dim - 1.  Returns the evidence dict
-    and the inner family it counted (None on a supercommutative algebra),
-    both computed once per algebra."""
-    if getattr(alg, "_special_cache", None) is not None:
-        return alg._special_cache
+    and the inner family it counted (None on a supercommutative algebra)."""
     z0, z1 = alg.graded_center()
     if alg.is_supercommutative:
         result = {
@@ -167,8 +164,7 @@ def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]
             "inner_dim": 0,
             "supercommutative": True,
         }
-        alg._special_cache = (result, None)
-        return alg._special_cache
+        return result, None
     sder = superderivation_dims(alg)
     fam = DerivationFamily.inner_family(alg)
     inner_dim = len(fam)
@@ -186,8 +182,7 @@ def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]
         "inner_dim": inner_dim,
         "supercommutative": bool(alg.is_supercommutative),
     }
-    alg._special_cache = (result, fam)
-    return alg._special_cache
+    return result, fam
 
 
 # -- derivation families ------------------------------------------------------
@@ -556,15 +551,14 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     fam = alpha.family
     p, q = alpha.degree, beta.degree
     n = p + q
-    # prod[j_1..j_p, l_1..l_q] = alpha(X_j..) beta(X_l..) in the algebra; the
-    # lower-degree factor meets the structure constants first, so no
+    # prod[j_1..j_p, l_1..l_q] = alpha(X_j..) beta(X_l..) in the algebra,
+    # from the multiplication matrices of the lower-degree factor, so no
     # intermediate outgrows the product
-    a, b, c = alpha.tensor, beta.tensor, fam.algebra.structure
+    a, b, alg = alpha.tensor, beta.tensor, fam.algebra
     if p <= q:
-        prod = np.tensordot(np.tensordot(a, c, axes=(p, 0)), b, axes=(p, q))
+        prod = np.moveaxis(np.tensordot(alg.left_mult_matrix(a), b, axes=(p + 1, q)), p, -1)
     else:
-        prod = np.tensordot(a, np.tensordot(c, b, axes=(1, q)), axes=(p, 0))
-    prod = np.moveaxis(prod, p, -1)
+        prod = np.tensordot(a, alg.right_mult_matrix(b), axes=(p, q + 1))
     t = np.zeros_like(prod)
     for axes, table in _wedge_sign_tables(p, q, beta.parity):
         sign = table[np.ix_(*[fam.parities] * n)]
@@ -777,9 +771,7 @@ class AlgebraIsomorphism:
             np.where(tgt.parity[:, None] != src.parity[None, :], p, 0.0)
         )
         return {
-            "multiplicative": max_abs(
-                multiplicativity_defect(src.structure, p, tgt.structure)
-            ),
+            "multiplicative": max_abs(multiplicativity_defect(src, p, tgt)),
             "unit": max_abs(p @ src.unit_coeffs - tgt.unit_coeffs),
             "star": max_abs(
                 p @ src.involution_matrix - tgt.involution_matrix @ np.conj(p)
@@ -808,6 +800,16 @@ class AlgebraIsomorphism:
             for i in range(alg.dim)
         ]
         return cls(alg, alg, np.array(cols).T)
+
+
+def multiplicativity_defect(src: Superalgebra, p: np.ndarray, tgt: Superalgebra) -> np.ndarray:
+    """d[i, j, k], the coefficient of e_k in P(e_i e_j) - (P e_i)(P e_j),
+    for the linear map with columns P[:, i] = P e_i from ``src`` to ``tgt``,
+    from the nonzero constants of ``src`` and the products in ``tgt``."""
+    c = src.constants
+    image = np.zeros((src.dim, src.dim, tgt.dim), dtype=complex)
+    np.add.at(image, (c.i, c.j), c.v[:, None] * p[:, c.k].T)
+    return image - (tgt.left_mult_matrix(p.T) @ p).transpose(0, 2, 1)
 
 
 def pullback(iso: AlgebraIsomorphism, omega: Cochain) -> Cochain:

@@ -110,7 +110,9 @@ def grassmann_classical_factor(n: int) -> FactorSpec:
     dl, dr = grassmann_derivative_matrices(alg)
     pb = np.zeros((dim, dim, dim), dtype=complex)
     for right, left in zip(dr, dl):
-        pb -= np.einsum("pi,qj,pqk->ijk", right, left, alg.structure, optimize=True)
+        # pb[i, j] -= (right d e_i)(left d e_j), from the multiplication
+        # matrices of the columns of the right derivative
+        pb -= (alg.left_mult_matrix(right.T) @ left).transpose(0, 2, 1)
     lam, res, comm = _fit_lambda(alg, pb)
     return FactorSpec(f"grassmannClassical({n})", alg, pb, lam, res, comm)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import max_abs, nullspace
-from .algebra import Element, Superalgebra, _basis_vec
+from .algebra import Element, Superalgebra, realization_defects
 
 STATE_TOL = 1e-10
 # Values closer than this count as equal in the separation check.
@@ -60,10 +60,12 @@ class State:
 def gram_matrix(alg: Superalgebra, functional: np.ndarray) -> np.ndarray:
     """G[i, j] = phi(e_i* e_j)."""
     f = np.asarray(functional, dtype=complex)
-    # star(e_i) expanded on the basis, then one contraction with the
-    # structure tensor: G[i, j] = sum_ab star_i[a] c[a, j, b] f[b]
-    stars = alg.involution_matrix  # column i holds star(e_i)
-    return np.einsum("ai,ajb,b->ij", stars, alg.structure, f)
+    # phi(e_a e_j) = sum_b c[a, j, b] f[b], scattered from the nonzero
+    # constants; column i of the involution matrix holds star(e_i)
+    c = alg.constants
+    values = np.zeros((alg.dim, alg.dim), dtype=complex)
+    np.add.at(values, (c.i, c.j), c.v * f[c.k])
+    return alg.involution_matrix.T @ values
 
 
 def validate_state_functional(alg: Superalgebra, functional: np.ndarray) -> dict:
@@ -126,14 +128,8 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
         if alg.kind.get("form") != "grassmann":
             raise StateError("berezin densities need a Grassmann algebra")
         rho = data if isinstance(data, Element) else alg.element(data)
-        f = np.array(
-            [
-                berezin_integral_coeffs(
-                    alg, alg.mul_coeffs(_basis_vec(alg.dim, i), rho.coeffs)
-                )
-                for i in range(alg.dim)
-            ]
-        )
+        products = alg.right_mult_matrix(rho.coeffs)  # column i: e_i rho
+        f = np.array([berezin_integral_coeffs(alg, col) for col in products.T])
         validate_state_functional(alg, f)
         return State(alg, f)
     raise StateError(f"unknown realization {realization!r}")
@@ -279,28 +275,17 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
     sqrt_s = np.sqrt(s)
     down = sqrt_s[:, None] * v.conj().T        # xi: C^dim -> C^d
     lift = v / sqrt_s[None, :]                 # section: C^d -> C^dim
-    ops = [down @ alg.left_mult_matrix(_basis_vec(alg.dim, k)) @ lift
-           for k in range(alg.dim)]
+    ops = down @ alg.left_mult_matrix(np.eye(alg.dim)) @ lift
     chi = down @ alg.unit_coeffs
-
-    def rep(coeffs: np.ndarray) -> np.ndarray:
-        return np.tensordot(coeffs, np.array(ops), axes=1)
-
     # diagnostics: state reproduction, homomorphism, star compatibility
     rep_res = 0.0
     for k in range(alg.dim):
         val = chi.conj() @ (ops[k] @ chi)
         rep_res = max(rep_res, abs(val - phi.functional[k]))
-    hom_res = 0.0
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = ops[i] @ ops[j]
-            rhs = rep(alg.structure[i, j])
-            hom_res = max(hom_res, max_abs(lhs - rhs))
-    star_res = 0.0
-    for k in range(alg.dim):
-        lhs = rep(alg.star_coeffs(_basis_vec(alg.dim, k)))
-        star_res = max(star_res, max_abs(lhs - ops[k].conj().T))
+    hom_res = max_abs(realization_defects(alg.constants, ops))
+    # column k of the involution matrix holds star(e_k)
+    starred = np.tensordot(alg.involution_matrix.T, ops, axes=1)
+    star_res = max_abs(starred - ops.conj().transpose(0, 2, 1))
     # commutant: all T with [pi(e_k), T] = 0
     eye = np.eye(d)
     rows = []
@@ -309,7 +294,7 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
     comm_dim = nullspace(np.vstack(rows)).shape[1]
     return GnsResult(
         dimension=d,
-        operators=ops,
+        operators=list(ops),
         cyclic_vector=chi,
         irreducible=(comm_dim == 1),
         commutant_dimension=int(comm_dim),

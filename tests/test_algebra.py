@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncsym import algebra
-from ncsym._linalg import bilinear, max_abs, multiplicativity_defect, nullspace
+from ncsym._linalg import bilinear, max_abs, nullspace
 from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
@@ -21,6 +21,7 @@ from ncsym.algebra import (
     matrix_algebra,
     tensor_algebra,
 )
+from ncsym.calculus import multiplicativity_defect
 
 TOL = 1e-12
 
@@ -98,12 +99,27 @@ def test_multiplication_matrices_match_the_dense_cube(alg):
         np.testing.assert_allclose(
             alg.right_mult_matrix(a), np.einsum("j,ijk->ki", a, cube), rtol=0, atol=1e-12
         )
-    b = vectors[-1]
+    # a stack of vectors gives the stack of their matrices
+    for shape in [(3,), (2, 2)]:
+        stack = rng.standard_normal(shape + (alg.dim,)) + 1j * rng.standard_normal(
+            shape + (alg.dim,)
+        )
+        left, right = alg.left_mult_matrix(stack), alg.right_mult_matrix(stack)
+        assert left.shape == right.shape == shape + (alg.dim, alg.dim)
+        for at in np.ndindex(*shape):
+            a = stack[at]
+            np.testing.assert_allclose(
+                left[at], np.einsum("i,ijk->kj", a, cube), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                right[at], np.einsum("j,ijk->ki", a, cube), rtol=0, atol=1e-12
+            )
+    a, b = vectors[-2:]
     np.testing.assert_allclose(
-        alg.left_mult_matrix(vectors[-2]) @ b, alg.mul_coeffs(vectors[-2], b), atol=1e-12
+        alg.mul_coeffs(a, b), np.einsum("i,j,ijk->k", a, b, cube), rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        alg.right_mult_matrix(vectors[-2]) @ b, alg.mul_coeffs(b, vectors[-2]), atol=1e-12
+        alg.right_mult_matrix(a) @ b, alg.mul_coeffs(b, a), atol=1e-12
     )
 
 
@@ -288,7 +304,7 @@ def test_multiplicativity_defect_matches_pairwise_loop(alg):
     shape = (alg.dim, alg.dim)
     p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     np.testing.assert_allclose(
-        multiplicativity_defect(alg.structure, p, alg.structure),
+        multiplicativity_defect(alg, p, alg),
         _pairwise_multiplicativity(alg.structure, p, alg.structure),
         atol=1e-12,
     )
@@ -319,7 +335,7 @@ def test_antihomomorphism_defect_matches_pairwise_loop(involution, monkeypatch):
     got = _summed(algebra._antihomomorphism_defect(M11.constants, par, involution), (4, 4, 4))
     np.testing.assert_allclose(got, loop, atol=1e-12)
     swapped = M11.swapped_structure().dense()
-    dense = multiplicativity_defect(np.conj(c), involution, swapped)
+    dense = _pairwise_multiplicativity(np.conj(c), involution, swapped)
     np.testing.assert_allclose(dense, loop, atol=1e-12)
 
 

@@ -1,17 +1,23 @@
 """The exact bracket batteries detect a corrupted bracket tensor, the
 coupling and moyal-limit rows detect a corrupted route, moyal-limit's
 associativity row detects a corrupted star product weight, and the Grassmann
-density oracle reads the scanned state.
+density oracle reads the scanned state.  A suite run leaves no cyclic
+garbage, and no package code reads the dense cube of structure constants.
 
 Each bracket corruption is a small change to a structure's ``pb_tensor``,
 made after construction so the Hamiltonian-solve gate still passes; the
 check it breaks must FAIL on every algebra of the battery."""
+import gc
+
 import numpy as np
 import pytest
 from unittest import mock
 
 from ncsym import moyal, suites
-from ncsym.states import State
+from ncsym.algebra import Superalgebra, matrix_algebra
+from ncsym.calculus import AlgebraIsomorphism, DerivationFamily, random_cochain, wedge
+from ncsym.coupling import grassmann_classical_factor
+from ncsym.states import State, gns, make_state
 
 EPS = 1e-6
 
@@ -186,3 +192,39 @@ def test_density_oracle_reads_the_scanned_state():
     check = next(c for c in rep.checks if c.name == "g3DensityOracle")
     assert not check.passed
     assert check.value == pytest.approx(EPS)
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_a_suite_run_leaves_no_cyclic_garbage(name):
+    # nothing a suite keeps points back at an algebra, so reference
+    # counting frees every algebra it builds
+    run = suites.SUITES[name]
+    run(seed=0)  # fill the module-level caches first
+    gc.collect()
+    gc.disable()
+    try:
+        run(seed=0)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+
+
+def _dense_cube(alg):
+    raise AssertionError("package code read the dense structure cube")
+
+
+def test_no_package_code_reads_the_dense_cube(monkeypatch):
+    monkeypatch.setattr(Superalgebra, "structure", property(_dense_cube))
+    for name, run in suites.SUITES.items():
+        assert run(seed=0).passed, name
+    rng = np.random.default_rng(0)
+    fam = DerivationFamily.inner_family(matrix_algebra(2, grading=(1, 1)))
+    one, two = random_cochain(fam, 1, 1, rng), random_cochain(fam, 2, 0, rng)
+    assert wedge(one, two).degree == wedge(two, one).degree == 3
+    m2 = matrix_algebra(2)
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    assert gns(m2, make_state(m2, "densityMatrix", rho)).dimension == 4
+    grassmann_classical_factor(3)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    AlgebraIsomorphism.unitary_conjugation(m2, u)
