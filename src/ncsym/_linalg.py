@@ -179,25 +179,31 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def rk4_trajectory(f, y0, times, steps_per_unit: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta for dy/dt = f(y) with y(0) = y0,
-    one row per requested time.
+def rk4_trajectory(lmat, y0, times, steps_per_unit: float) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta for the linear flow dy/dt = L y
+    with y(0) = y0, one row per requested time.
 
     The times are visited in sorted order; the stretch of length |dt| from
-    the previous one takes max(1, ceil(|dt| * steps_per_unit)) equal steps."""
+    the previous one takes max(1, ceil(|dt| * steps_per_unit)) equal steps.
+    On a linear flow one RK4 step is exactly y <- P(dt L) y with
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so P is formed once per stretch
+    and each step is one matrix-vector product.  Raises ValueError when
+    ``steps_per_unit`` is not finite and positive or a time is not finite."""
+    if not (np.isfinite(steps_per_unit) and steps_per_unit > 0):
+        raise ValueError(f"steps_per_unit must be finite and positive, got {steps_per_unit}")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    ident = np.eye(lmat.shape[0])
     y = np.asarray(y0, dtype=complex).reshape(-1).copy()
     out = np.zeros((times.size, y.size), dtype=complex)
     t_now = 0.0
     for r in np.argsort(times):
         n = max(1, int(np.ceil(abs(times[r] - t_now) * steps_per_unit)))
-        dt = (times[r] - t_now) / n
+        z = ((times[r] - t_now) / n) * lmat
+        step = ident + z @ (ident + z @ (ident + z @ (ident + z / 4) / 3) / 2)
         for _ in range(n):
-            k1 = f(y)
-            k2 = f(y + 0.5 * dt * k1)
-            k3 = f(y + 0.5 * dt * k2)
-            k4 = f(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = step @ y
         t_now = times[r]
         out[r] = y
     return out

@@ -114,6 +114,7 @@ def test_criterion_09_evolution_duality_to_ten_seconds():
     assert rep.meta == {"tmax": 10.0}
     assert _check(rep, "coupled.duality").value <= 1e-8
     assert _check(rep, "coupled.densityOracle").value <= 1e-8
+    assert _check(rep, "coupled.rk4MatchesClosedForm").value <= 1e-6
 
 
 def test_criterion_10_reports_deterministic_per_seed():

@@ -268,7 +268,7 @@ def test_coupled_oscillation_closed_form():
         expected = np.cos(w * t) * sxi - np.sin(w * t) * syz
         assert np.abs(row - expected).max() < 1e-9
     lmat = prod.poisson_operator(h)
-    rk = rk4_trajectory(lambda v: lmat @ v, e0.coeffs, times, 400 / 5.0)
+    rk = rk4_trajectory(lmat, e0.coeffs, times, 400 / 5.0)
     assert np.abs(rk - traj).max() < 1e-6
 
 

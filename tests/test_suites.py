@@ -194,6 +194,20 @@ def test_density_oracle_reads_the_scanned_state():
     assert check.value == pytest.approx(EPS)
 
 
+def test_rk4_row_fails_on_a_perturbed_generator(monkeypatch):
+    # only the RK4 row reads the stepped trajectory, so a wrong generator shows there alone
+    stepper = suites.rk4_trajectory
+    monkeypatch.setattr(
+        suites, "rk4_trajectory", lambda lmat, *args: stepper((1 + 1e-4) * lmat, *args)
+    )
+    rep = suites.evolve_suite(seed=0)
+    verdicts = {c.name: c.passed for c in rep.checks}
+    assert verdicts.pop("coupled.rk4MatchesClosedForm") is False
+    assert len(verdicts) == 4 and all(verdicts.values())
+    check = next(c for c in rep.checks if c.name == "coupled.rk4MatchesClosedForm")
+    assert check.value > 10 * check.tolerance
+
+
 @pytest.mark.parametrize("name", list(suites.SUITES))
 def test_a_suite_run_leaves_no_cyclic_garbage(name):
     # nothing a suite keeps points back at an algebra, so reference

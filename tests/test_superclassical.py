@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncsym._linalg import bilinear, rk4_trajectory
+from ncsym._linalg import bilinear
 from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
 from ncsym.calculus import Derivation, superderivation_residuals
 from ncsym.coupling import grassmann_classical_factor
@@ -42,10 +42,29 @@ def body_value(f, x):
 
 
 def hamilton_flow(h, w, x0, times):
-    """d xi / dt = {H, xi} on the even body, 200 RK4 steps per unit time."""
+    """d xi / dt = {H, xi} on the even body, one row per time of the
+    increasing ``times``: the four-stage classical RK4, since the flow is
+    nonlinear, with max(1, ceil(200 dt)) equal steps on each stretch dt."""
     coords = [SuperFunction.coordinate(w.m, 0, a) for a in range(w.m)]
     fields = [super_poisson(h, xa, w) for xa in coords]
-    return rk4_trajectory(lambda x: np.array([body_value(v, x) for v in fields]), x0, times, 200)
+
+    def f(x):
+        return np.array([body_value(v, x) for v in fields])
+
+    x = np.asarray(x0, dtype=complex)
+    rows, t_now = [], 0.0
+    for t in times:
+        n = max(1, int(np.ceil((t - t_now) * 200)))
+        dt = (t - t_now) / n
+        for _ in range(n):
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rows.append(x)
+        t_now = t
+    return np.array(rows)
 
 
 def random_superfunction(rng, m, n, parity=None, max_exp=2):

@@ -332,7 +332,7 @@ def test_rk4_matches_closed_form():
     a = M2.sample_element(rng)
     t = 2.0
     closed = hs.evolve_heisenberg(a, t)
-    stepped = rk4_trajectory(lambda v: hs.liouville @ v, a.coeffs, [t], 1e3)[0]
+    stepped = rk4_trajectory(hs.liouville, a.coeffs, [t], 1e3)[0]
     np.testing.assert_allclose(stepped, closed.coeffs, atol=1e-8)
 
 
@@ -343,15 +343,58 @@ def test_rk4_trajectory_visits_unsorted_times_in_order():
     a = M2.sample_element(rng)
     times = np.array([1.5, -0.4, 0.0, 0.7, -1.1])
     order = np.argsort(times)
-
-    def f(v):
-        return hs.liouville @ v
-
-    shuffled = rk4_trajectory(f, a.coeffs, times, 100)
-    ordered = rk4_trajectory(f, a.coeffs, times[order], 100)
+    shuffled = rk4_trajectory(hs.liouville, a.coeffs, times, 100)
+    ordered = rk4_trajectory(hs.liouville, a.coeffs, times[order], 100)
     np.testing.assert_array_equal(shuffled[order], ordered)
     closed = np.array([hs.evolve_heisenberg(a, t).coeffs for t in times])
     np.testing.assert_allclose(shuffled, closed, atol=1e-6)
+
+
+def _random_generator(seed):
+    rng = np.random.default_rng(seed)
+    lmat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    return lmat, y0
+
+
+def test_rk4_step_is_the_four_stage_step():
+    lmat, y0 = _random_generator(50)
+    dt = 0.1
+    k1 = lmat @ y0
+    k2 = lmat @ (y0 + 0.5 * dt * k1)
+    k3 = lmat @ (y0 + 0.5 * dt * k2)
+    k4 = lmat @ (y0 + dt * k3)
+    expected = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    stepped = rk4_trajectory(lmat, y0, [dt], 1.0)[0]
+    assert np.linalg.norm(stepped - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_rk4_error_falls_as_the_fourth_power_of_the_step():
+    # an RK4 and not the exponential: halving the step cuts the error 16-fold
+    lmat, y0 = _random_generator(50)
+    exact = expm(lmat) @ y0
+    errors = [
+        np.linalg.norm(rk4_trajectory(lmat, y0, [1.0], n)[0] - exact) for n in (50, 100, 200)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+@pytest.mark.parametrize(
+    "rate, times, name",
+    [
+        (0.0, [10.0], "steps_per_unit"),
+        (-5.0, [10.0], "steps_per_unit"),
+        (float("nan"), [10.0], "steps_per_unit"),
+        (float("inf"), [10.0], "steps_per_unit"),
+        (100.0, [1.0, float("nan")], "times"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "nan-time"],
+)
+def test_rk4_trajectory_rejects_bad_rates_and_times(rate, times, name):
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match=name):
+        rk4_trajectory(rotation, [1.0, 0.0], times, rate)
 
 
 def test_functional_duality():
