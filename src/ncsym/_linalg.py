@@ -1,6 +1,6 @@
 """Small linear-algebra helpers shared across the package.
 
-Everything here is a thin, opinionated wrapper around numpy/scipy with the
+Everything here is a thin, opinionated wrapper around numpy with the
 thresholds used throughout the library pinned in one place.
 """
 from __future__ import annotations
@@ -179,6 +179,16 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def taylor_polynomial(z: np.ndarray, degree: int) -> np.ndarray:
+    """sum_{k <= degree} z^k / k! for a square matrix z and degree >= 1, by
+    Horner: I + z (I + z (... (I + z / degree) ...) / 2)."""
+    ident = np.eye(z.shape[0])
+    p = ident + z / degree
+    for k in range(degree - 1, 0, -1):
+        p = ident + z @ p / k
+    return p
+
+
 def rk4_trajectory(lmat, y0, times, steps_per_unit: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta for the linear flow dy/dt = L y
     with y(0) = y0, one row per requested time.
@@ -186,24 +196,50 @@ def rk4_trajectory(lmat, y0, times, steps_per_unit: float) -> np.ndarray:
     The times are visited in sorted order; the stretch of length |dt| from
     the previous one takes max(1, ceil(|dt| * steps_per_unit)) equal steps.
     On a linear flow one RK4 step is exactly y <- P(dt L) y with
-    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so P is formed once per stretch
-    and each step is one matrix-vector product.  Raises ValueError when
-    ``steps_per_unit`` is not finite and positive or a time is not finite."""
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the Taylor polynomial of degree
+    4, so P is formed once per stretch and each step is one matrix-vector
+    product.  Raises ValueError when ``steps_per_unit`` is not finite and
+    positive or a time is not finite."""
     if not (np.isfinite(steps_per_unit) and steps_per_unit > 0):
         raise ValueError(f"steps_per_unit must be finite and positive, got {steps_per_unit}")
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    ident = np.eye(lmat.shape[0])
     y = np.asarray(y0, dtype=complex).reshape(-1).copy()
     out = np.zeros((times.size, y.size), dtype=complex)
     t_now = 0.0
     for r in np.argsort(times):
         n = max(1, int(np.ceil(abs(times[r] - t_now) * steps_per_unit)))
-        z = ((times[r] - t_now) / n) * lmat
-        step = ident + z @ (ident + z @ (ident + z @ (ident + z / 4) / 3) / 2)
+        step = taylor_polynomial(((times[r] - t_now) / n) * lmat, 4)
         for _ in range(n):
             y = step @ y
         t_now = times[r]
         out[r] = y
     return out
+
+
+# expm scales its argument to 1-norm below EXPM_NORM, where the Taylor
+# polynomial of degree EXPM_DEGREE has relative backward error at the unit
+# roundoff (Bader, Blanes and Casas, "Computing the matrix exponential with
+# an optimized Taylor polynomial approximation", Mathematics 7 (2019)).
+EXPM_DEGREE = 18
+EXPM_NORM = 1.09
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix, by scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005)): the Taylor polynomial of degree
+    EXPM_DEGREE at a / 2^s, with 2^s the least power of two that brings the
+    1-norm below EXPM_NORM, squared s times."""
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1) / EXPM_NORM)[1]))
+    e = taylor_polynomial(a / 2.0**s, EXPM_DEGREE)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(i h) for a hermitian matrix h, as V diag(exp(i w)) V^H from its
+    eigendecomposition h = V diag(w) V^H."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._linalg import expi_hermitian
 from .algebra import _basis_vec, kron_element, matrix_algebra
 from .coupling import ProductStructure, quantum_factor
 from .moyal import moyal_bracket, star
@@ -246,7 +246,7 @@ def matrix_apparatus_crosscheck() -> dict:
 
     # direct route
     psi0 = np.kron(c, _basis_vec(d, 0))
-    psi_t = expm(-1j * tau * hmat / hbar) @ psi0
+    psi_t = expi_hermitian(-tau * hmat / hbar) @ psi0
     direct = np.zeros(d)
     for m in range(d):
         block = psi_t.reshape(n, d)[:, m]

@@ -8,9 +8,8 @@ acceptance tests both call these functions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
-from ._linalg import max_abs, rk4_trajectory
+from ._linalg import expi_hermitian, max_abs, rk4_trajectory
 from .algebra import grassmann_algebra, koszul_signs, matrix_algebra
 from .calculus import (
     DERIVATION_TOL,
@@ -188,7 +187,7 @@ def calculus_suite(
         # odd cochains vanish on an algebra with no odd part: sample none
         parities = (0, 1) if np.any(alg.parity) else (0,)
         gen = alg.sample_element(rng, parity=0, hermitian=True)
-        iso = AlgebraIsomorphism.unitary_conjugation(alg, expm(1j * gen.realize()))
+        iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
         for _ in range(samples):
             for degree in (0, 1, 2):
                 for parity in parities:
@@ -633,9 +632,10 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
     times = np.linspace(0.0, EVOLVE_TMAX, 21)
 
     # single factor: a random hermitian Hamiltonian on the 2x2 algebra
-    alg = matrix_algebra(2)
     hbar = 0.7
-    structure = quantum_form(alg, hbar)
+    q = quantum_factor(matrix_algebra(2), hbar)
+    alg = q.algebra
+    structure = q.structure
     h = alg.sample_element(rng, hermitian=True)
     obs = alg.sample_element(rng, hermitian=True)
     hmat = h.realize()
@@ -650,16 +650,14 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
         via_obs = complex(np.dot(phi0, heis))
         via_fun = complex(np.dot(system.evolve_functional(phi0, t), obs.coeffs))
         worst_dual = max(worst_dual, abs(via_obs - via_fun))
-        u = expm(-1j * t * hmat / hbar)
+        u = expi_hermitian(-t * hmat / hbar)
         oracle = np.trace(u @ rho0 @ u.conj().T @ omat)
         worst_oracle = max(worst_oracle, abs(via_obs - oracle))
     rep.residual("singleFactor.duality", worst_dual, tol)
     rep.residual("singleFactor.densityOracle", worst_oracle, tol)
 
     # coupled pair under a random hermitian product Hamiltonian
-    prod = ProductStructure(
-        quantum_factor(matrix_algebra(2), hbar), quantum_factor(matrix_algebra(2), hbar)
-    )
+    prod = ProductStructure(q, q)
     palg = prod.algebra
     h = palg.sample_element(rng, hermitian=True)
     obs = palg.sample_element(rng, hermitian=True)
@@ -676,7 +674,7 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
         via_obs = complex(np.dot(phi0, traj[r]))
         via_fun = complex(np.dot(system.evolve_functional(phi0, t), obs.coeffs))
         worst_dual = max(worst_dual, abs(via_obs - via_fun))
-        u = expm(-1j * t * hmat / hbar)
+        u = expi_hermitian(-t * hmat / hbar)
         oracle = np.trace(u @ rho0 @ u.conj().T @ omat)
         worst_oracle = max(worst_oracle, abs(via_obs - oracle))
     rep.residual("coupled.duality", worst_dual, tol)

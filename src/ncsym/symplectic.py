@@ -34,14 +34,13 @@ eigenvector method is reliable only for a well-conditioned V (Moler and
 Van Loan, SIAM Rev. 45 (2003) 3), so the decomposition is used only when
 its relative reconstruction residual is at most EIG_RESIDUAL_TOL and
 cond(V) is at most EIG_COND_MAX.  A Liouvillian that fails the gate, such
-as a nilpotent one, is exponentiated by ``scipy.linalg.expm`` at each t.
+as a nilpotent one, is exponentiated by ``_linalg.expm`` at each t.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
-from ._linalg import bilinear, left_action, max_abs, numerical_rank
+from ._linalg import bilinear, expm, left_action, max_abs, numerical_rank
 from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,

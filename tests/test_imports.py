@@ -465,16 +465,40 @@ def test_every_function_is_reached():
     assert dead_functions(sources, roots) == []
 
 
-def test_package_import_leaves_scipy_sparse_out():
-    # scipy.sparse costs tens of ms of import time and MBs of memory; the
-    # package needs none of it, so a fresh interpreter must not load it
-    code = (
-        "import sys, ncsym, ncsym.suites\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
-    )
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this tree."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # scipy costs about 0.3 s of import time, more than a suite's checks;
+    # numpy is the only runtime dependency, so no scipy module may load
+    code = (
+        "import sys, ncsym, ncsym.suites, ncsym.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_every_suite_runs_with_scipy_blocked():
+    # a finder ahead of every other refuses scipy, as on a numpy-only install
+    code = (
+        "import contextlib, io, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'blocked: {name}')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from ncsym import cli\n"
+        "from ncsym.suites import SUITES\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = {name: cli.main([name]) for name in SUITES}\n"
+        "print(codes)\n"
+    )
+    codes = ast.literal_eval(run_fresh(code))
+    assert len(codes) == 8 and codes == dict.fromkeys(codes, 0), codes

@@ -1,14 +1,15 @@
 """Symplectic forms, Poisson brackets, Hamiltonian flows: pinned oracles."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ncsym import calculus, symplectic
-from ncsym._linalg import max_abs, rk4_trajectory
+from ncsym import _linalg, calculus, symplectic
+from ncsym._linalg import expi_hermitian, max_abs, rk4_trajectory
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
@@ -448,20 +449,66 @@ def test_heisenberg_matrix_matches_expm_on_the_grid(label):
         np.testing.assert_allclose(hs.heisenberg_matrix(t), want, rtol=0, atol=1e-12)
 
 
-class NilpotentBracket:
-    """A bracket holder on M2 whose Poisson operator is one Jordan block."""
+class JordanBracket:
+    """A bracket holder on M2 whose Poisson operator is one Jordan block
+    with eigenvalue ``ev``."""
 
     algebra = M2
 
+    def __init__(self, ev):
+        self.ev = ev
+
     def poisson_operator(self, h):
-        return np.eye(M2.dim, k=1, dtype=complex)
+        return self.ev * np.eye(M2.dim) + np.eye(M2.dim, k=1, dtype=complex)
 
 
 def test_a_nilpotent_flow_is_exponentiated_by_expm():
-    hs = HamiltonianSystem(NilpotentBracket(), M2.unit)
+    hs = HamiltonianSystem(JordanBracket(0.0), M2.unit)
     assert hs.eigen is None and hs.eig_cond > 1e4
     for t in TIMES:
-        np.testing.assert_array_equal(hs.heisenberg_matrix(t), expm(t * hs.liouville))
+        # L^4 = 0, so exp(tL) is the finite series sum_{k <= 3} (tL)^k / k!
+        tl = t * hs.liouville
+        exact = sum(np.linalg.matrix_power(tl, k) / math.factorial(k) for k in range(4))
+        np.testing.assert_allclose(hs.heisenberg_matrix(t), exact, rtol=1e-15, atol=1e-15)
+
+
+# t up to 50 brings the 1-norm of t L near 100, so expm squares 7 times
+LONG_TIMES = np.linspace(0.0, 50.0, 26)
+
+
+def fallback_error(hs, times):
+    """Largest error of ``heisenberg_matrix`` against scipy's expm on the
+    times, relative to the largest entry of the exponential."""
+    worst = 0.0
+    for t in times:
+        want = expm(t * hs.liouville)
+        worst = max(worst, max_abs(hs.heisenberg_matrix(t) - want) / max_abs(want))
+    return worst
+
+
+def test_the_expm_fallback_matches_scipy_on_a_jordan_block():
+    # eigenvalue i: exp(tL) = exp(it) (I + tN + ...) turns and grows as t^3
+    hs = HamiltonianSystem(JordanBracket(1j), M2.unit)
+    assert hs.eigen is None
+    assert fallback_error(hs, LONG_TIMES) <= 1e-13
+
+
+def test_the_expm_fallback_fails_at_a_lower_taylor_degree(monkeypatch):
+    # the degree-8 polynomial misses about 1e-6 of exp at 1-norm 1.09, so
+    # the check above must see a Taylor degree that is too low
+    monkeypatch.setattr(_linalg, "EXPM_DEGREE", 8)
+    hs = HamiltonianSystem(JordanBracket(1j), M2.unit)
+    assert fallback_error(hs, LONG_TIMES) > 1e-13
+
+
+def test_expi_hermitian_matches_scipy():
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 4, 6):
+        for _ in range(5):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = 3.0 * (a + a.conj().T)
+            # unitary: every entry is at most 1, so atol is relative
+            np.testing.assert_allclose(expi_hermitian(h), expm(1j * h), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e300])
