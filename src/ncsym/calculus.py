@@ -7,7 +7,12 @@ A derivation of parity r is a linear map X on the algebra with
 stored as a matrix acting on coefficient vectors.  Cochains of degree p are
 graded-alternating p-linear maps from derivations to the algebra; they are
 represented densely by their values on every index tuple of a fixed
-derivation family, a tensor of shape (m, .., m, dim).
+derivation family, a tensor of shape (m, .., m, dim).  A stack of cochains
+of one degree and parity is one tensor with stack axes between the slots
+and the algebra axis, (m, .., m) + S + (dim,); the differential, interior
+product, Lie derivative and pullback take a whole stack in one call, so
+their fixed cost is paid once per stack.  ``wedge`` and symplectic forms
+take lone cochains only.
 
 Sign conventions (all checked by the test suite):
 
@@ -387,7 +392,13 @@ def parity_sector(family: DerivationFamily, degree: int, parity: int) -> np.ndar
 
 class Cochain:
     """A graded-alternating p-linear map from a derivation family into the
-    algebra, stored densely as values on every family index tuple."""
+    algebra, stored densely as values on every family index tuple.
+
+    The tensor may also carry a stack of such maps, all of one degree and
+    parity: its shape is then (m,) * p + S + (dim,), with the stack axes S
+    between the argument slots and the algebra axis.  ``d``, ``interior``,
+    ``lie_derivative``, ``pullback`` and ``star`` act on every member of
+    the stack at once; a lone cochain is the empty stack S = ()."""
 
     def __init__(
         self,
@@ -403,7 +414,8 @@ class Cochain:
         m = len(family)
         dim = family.algebra.dim
         t = np.asarray(tensor, dtype=complex)
-        if t.shape != (m,) * self.degree + (dim,):
+        p = self.degree
+        if t.ndim < p + 1 or t.shape[:p] != (m,) * p or t.shape[-1] != dim:
             raise CalculusError(f"cochain tensor has wrong shape {t.shape}")
         self.tensor = t
         if check:
@@ -433,19 +445,34 @@ class Cochain:
             )
         return worst
 
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """The shape of the stack axes; () for a lone cochain."""
+        return self.tensor.shape[self.degree : -1]
+
     def _parity_residual(self) -> float:
         sector = parity_sector(self.family, self.degree, self.parity)
+        sector = np.expand_dims(sector, tuple(range(self.degree, self.tensor.ndim - 1)))
         return max_abs(np.where(sector, 0.0, self.tensor))
 
     # -- construction helpers
 
     @classmethod
-    def zero(cls, family: DerivationFamily, degree: int, parity: int) -> "Cochain":
-        m = len(family)
-        dim = family.algebra.dim
-        return cls(
-            family, degree, parity, np.zeros((m,) * degree + (dim,)), check=False
-        )
+    def stacked(cls, cochains: list["Cochain"]) -> "Cochain":
+        """The cochains, of one family, degree and parity, along a new last
+        stack axis."""
+        first = cochains[0]
+        for c in cochains[1:]:
+            first._binary_check(c)
+        t = np.stack([c.tensor for c in cochains], axis=-2)
+        return cls(first.family, first.degree, first.parity, t, check=False)
+
+    def member(self, k: int) -> "Cochain":
+        """Entry k along the last stack axis."""
+        if not self.stack:
+            raise CalculusError("a lone cochain has no stack members")
+        t = self.tensor[..., k, :]
+        return Cochain(self.family, self.degree, self.parity, t, check=False)
 
     @classmethod
     def zero_form(cls, family: DerivationFamily, a: Element) -> "Cochain":
@@ -514,11 +541,12 @@ class Cochain:
         }
 
 
-def _slot_parities(family: DerivationFamily, slots: int) -> list[np.ndarray]:
-    """The family parities along each slot axis of a (m, .., m, dim) tensor
-    with ``slots`` argument axes; entry c broadcasts over every other axis."""
+def _slot_parities(family: DerivationFamily, slots: int, ndim: int) -> list[np.ndarray]:
+    """The family parities along each slot axis of a tensor of ``ndim`` axes
+    with ``slots`` argument axes first; entry c broadcasts over every other
+    axis."""
     fp = family.parities
-    return [fp.reshape((1,) * c + (-1,) + (1,) * (slots - c)) for c in range(slots)]
+    return [fp.reshape((1,) * c + (-1,) + (1,) * (ndim - 1 - c)) for c in range(slots)]
 
 
 def _sign(exponent) -> np.ndarray:
@@ -548,6 +576,8 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     """Graded wedge product; see the module docstring for the convention."""
     if alpha.family is not beta.family:
         raise CalculusError("wedge needs a common derivation family")
+    if alpha.stack or beta.stack:
+        raise CalculusError("wedge takes lone cochains, not stacks")
     fam = alpha.family
     p, q = alpha.degree, beta.degree
     n = p + q
@@ -583,7 +613,7 @@ def lie_derivative(y: Derivation, target):
     brackets = y.matrix @ fam.matrices - (signs * fam.matrices) @ y.matrix
     b = fam._expand_all_strict(brackets).T
     out = np.einsum("...a,ba->...b", omega.tensor, y.matrix)
-    e = _slot_parities(fam, p)
+    e = _slot_parities(fam, p, omega.tensor.ndim)
     for j in range(p):
         tj = np.moveaxis(np.tensordot(b, omega.tensor, axes=(0, j)), 0, j)
         out = out - _sign(y.parity * (omega.parity + sum(e[:j]))) * tj
@@ -595,7 +625,7 @@ def interior(x: Derivation, omega: Cochain) -> Cochain:
     fam = omega.family
     out_par = (omega.parity + x.parity) % 2
     if omega.degree == 0:
-        return Cochain.zero(fam, 0, out_par)
+        return Cochain(fam, 0, out_par, np.zeros_like(omega.tensor), check=False)
     vec = fam.expand_strict(x)
     t = np.tensordot(vec, omega.tensor, axes=(0, 0))
     return Cochain(fam, omega.degree - 1, out_par, t, check=False)
@@ -661,10 +691,10 @@ def differential_chunks(omega: Cochain):
     act_key = mem * n + row
     graded = bool(fp.any())
     w = omega.tensor
-    step = max(1, _CHUNK_ENTRIES // (m**p * n))
+    step = max(1, _CHUNK_ENTRIES // w.size)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        t = np.zeros((hi - lo,) + (m,) * p + (n,), dtype=complex)
+        t = np.zeros((hi - lo,) + w.shape, dtype=complex)
         slot_par = [fp[lo:hi]] + [fp] * p
         # action in slot a: X_ia(w(other arguments)), with a_i of the
         # docstring.  Slot 0 applies members lo..hi to w and slots 1..p
@@ -681,7 +711,7 @@ def differential_chunks(omega: Cochain):
                 for a in slots:
                     rest = [s for s in range(p + 1) if s != a]
                     exponent = par + _parity_sum(slot_par, rest, range(a)) if graded else None
-                    _scatter(t, (a, p + 1), (x - lo if a == 0 else x, r), sums, a, fp[x], exponent)
+                    _scatter(t, (a, t.ndim - 1), (x - lo if a == 0 else x, r), sums, a, fp[x], exponent)
         # bracket terms: w([X_ia, X_ib], other arguments), with b_ij
         for a in range(p):
             if a == 0:

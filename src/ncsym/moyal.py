@@ -29,7 +29,7 @@ from math import comb, factorial, isfinite, perm
 
 import numpy as np
 
-from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
+from .superclassical import SUPER_EPS, SuperFunction, SuperPBMatrix, super_poisson
 
 WIGNER_NORMALIZATION_TOL = 1e-3
 
@@ -68,29 +68,36 @@ def _pair_weights(a1: int, b1: int, a2: int, b2: int) -> tuple[tuple[int, int], 
     return tuple(out)
 
 
-def star_terms(f: SuperFunction, g: SuperFunction) -> list[SuperFunction]:
-    """All hbar-order terms of the series star product (finitely many),
-    from one pass over pairs of monomials."""
+def _series(f: SuperFunction, g: SuperFunction) -> list[dict]:
+    """The hbar-order terms of the series star product (finitely many) as
+    coefficient dicts, from one pass over pairs of monomials."""
     orders = [{} for _ in range(min(_degree(f), _degree(g)) + 1)]
     for ((a1, b1), _), c1 in f.terms.items():
         for ((a2, b2), _), c2 in g.terms.items():
             for k, weight in _pair_weights(a1, b1, a2, b2):
                 key = ((a1 + a2 - k, b1 + b2 - k), 0)
                 orders[k][key] = orders[k].get(key, 0.0) + c1 * c2 * weight
-    out = []
     for k, acc in enumerate(orders):
         scale = (0.5j) ** k / factorial(k)
-        out.append(SuperFunction(2, 0, {key: c * scale for key, c in acc.items()}))
-    return out
+        for key in acc:
+            acc[key] *= scale
+    return orders
+
+
+def star_terms(f: SuperFunction, g: SuperFunction) -> list[SuperFunction]:
+    """All hbar-order terms of the series star product."""
+    return [SuperFunction(2, 0, acc) for acc in _series(f, g)]
 
 
 def star(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunction:
     _check_hbar(hbar)
     total = {}
-    for k, term in enumerate(star_terms(f, g)):
+    for k, acc in enumerate(_series(f, g)):
         scale = hbar**k
-        for key, c in term.terms.items():
-            total[key] = total.get(key, 0.0) + c * scale
+        for key, c in acc.items():
+            # drop what star_terms drops, so the sums match it bit for bit
+            if not abs(c) <= SUPER_EPS:
+                total[key] = total.get(key, 0.0) + c * scale
     return SuperFunction(2, 0, total)
 
 

@@ -98,7 +98,11 @@ class SuperFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1.0) * self._binary(other)
+        other = self._binary(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0.0) - c
+        return SuperFunction(self.m, self.n, out)
 
     def __neg__(self):
         return (-1.0) * self

@@ -79,6 +79,8 @@ class SymplecticStructure:
     def __init__(self, omega: Cochain, kind: dict | None = None) -> None:
         if omega.degree != 2 or omega.parity != 0:
             raise SymplecticError("symplectic form must be an even 2-cochain")
+        if omega.stack:
+            raise SymplecticError("symplectic form must be one cochain, not a stack")
         self.omega = omega
         self.family = omega.family
         self.algebra = omega.family.algebra

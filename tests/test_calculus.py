@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 from itertools import permutations, product
 from math import factorial
 
@@ -37,7 +38,7 @@ from ncsym.calculus import (
     wedge,
 )
 from ncsym.leibniz import leibniz_system
-from ncsym.symplectic import quantum_form
+from ncsym.symplectic import SymplecticError, SymplecticStructure, quantum_form
 
 TOL = 1e-10
 
@@ -797,3 +798,66 @@ def test_cochain_kernels_memory_is_a_small_multiple_of_the_output():
         out, peak = _traced_peak(fn)
         assert out.tensor.shape == (24, 24, 24, 25)
         assert peak <= 4 * out.tensor.nbytes
+
+
+# -- stacks: one call on a stack is its members' calls, one by one -------------
+
+STACK_FAMILIES = {"M2": FAM2, **ORACLE_FAMILIES}
+
+
+def _stack_kernels(fam, iso):
+    """d, the pullback, the involution, and the interior product and Lie
+    derivative along an even member and (on a graded algebra) an odd one."""
+    kernels = {"d": exterior_derivative, "pullback": partial(pullback, iso), "star": Cochain.star}
+    for parity in np.unique(fam.parities):
+        x = next(x for x in fam.members if x.parity == parity)
+        kernels[f"interior{parity}"] = partial(interior, x)
+        kernels[f"lie{parity}"] = partial(lie_derivative, x)
+    return kernels
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_a_stack_equals_its_members_one_by_one(name, degree):
+    fam = STACK_FAMILIES[name]
+    alg = fam.algebra
+    rng = np.random.default_rng(70 + degree)
+    gen = alg.sample_element(rng, parity=0, hermitian=True)
+    iso = AlgebraIsomorphism.unitary_conjugation(alg, _linalg.expi_hermitian(gen.realize()))
+    for parity in (0, 1) if np.any(alg.parity) else (0,):
+        lone = [random_cochain(fam, degree, parity, rng) for _ in range(5)]
+        stack = Cochain.stacked(lone)
+        assert stack.stack == (5,)
+        # the stacked tensor passes the alternation and parity gates
+        Cochain(fam, degree, parity, stack.tensor)
+        assert all(np.array_equal(stack.member(k).tensor, w.tensor) for k, w in enumerate(lone))
+        for kernel, run in _stack_kernels(fam, iso).items():
+            got = run(stack)
+            want = np.stack([run(w).tensor for w in lone], axis=-2)
+            assert got.stack == (5,), kernel
+            assert got.tensor.shape == want.shape, kernel
+            if kernel in ("pullback", "star"):
+                # their tensordots may take another BLAS path on a stack
+                assert _rel_gap(got.tensor, want) <= 1e-15
+            else:
+                assert np.array_equal(got.tensor, want), kernel
+
+
+def test_a_stack_with_a_bad_shape_is_rejected():
+    t = commutator_form(M2, FAM2).tensor
+    with pytest.raises(CalculusError, match="wrong shape"):
+        Cochain(FAM2, 2, 0, np.stack([t, t], axis=-1))
+    with pytest.raises(CalculusError, match="no stack members"):
+        Cochain(FAM2, 2, 0, t).member(0)
+
+
+def test_wedge_and_symplectic_forms_reject_a_stack():
+    rng = np.random.default_rng(75)
+    one = random_cochain(FAM2, 1, 0, rng)
+    stack = Cochain.stacked([one, one])
+    for alpha, beta in ((stack, one), (one, stack)):
+        with pytest.raises(CalculusError, match="not stacks"):
+            wedge(alpha, beta)
+    form = quantum_form(M2, 1.0).omega
+    with pytest.raises(SymplecticError, match="not a stack"):
+        SymplecticStructure(Cochain.stacked([form, form]))

@@ -1,19 +1,22 @@
 """The exact bracket batteries detect a corrupted bracket tensor, the
 coupling and moyal-limit rows detect a corrupted route, moyal-limit's
 associativity row detects a corrupted star product weight, and the Grassmann
-density oracle reads the scanned state.  A suite run leaves no cyclic
+density oracle reads the scanned state.  The calculus battery checks every
+member of its cochain stacks, takes each differential once per stack, and
+holds its memory flat in the sample count.  A suite run leaves no cyclic
 garbage, and no package code reads the dense cube of structure constants.
 
 Each bracket corruption is a small change to a structure's ``pb_tensor``,
 made after construction so the Hamiltonian-solve gate still passes; the
 check it breaks must FAIL on every algebra of the battery."""
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 from unittest import mock
 
-from ncsym import moyal, suites
+from ncsym import calculus, moyal, suites
 from ncsym.algebra import Superalgebra, matrix_algebra
 from ncsym.calculus import AlgebraIsomorphism, DerivationFamily, random_cochain, wedge
 from ncsym.coupling import grassmann_classical_factor
@@ -206,6 +209,60 @@ def test_rk4_row_fails_on_a_perturbed_generator(monkeypatch):
     assert len(verdicts) == 4 and all(verdicts.values())
     check = next(c for c in rep.checks if c.name == "coupled.rk4MatchesClosedForm")
     assert check.value > 10 * check.tolerance
+
+
+def test_the_last_member_of_every_stack_is_checked(monkeypatch):
+    # d moved by EPS on the last cochain of every stack and on nothing else
+    d = suites.exterior_derivative
+
+    def shifted(omega):
+        out = d(omega)
+        if out.stack:
+            out.tensor[..., -1, :] += EPS
+        return out
+
+    assert suites.verify_suite(seed=0).passed
+    monkeypatch.setattr(suites, "exterior_derivative", shifted)
+    rep = suites.verify_suite(seed=0)
+    failed = {c.name for c in rep.checks if not c.passed}
+    for label in ("matrix2", "graded11"):
+        for row in ("ddZero", "cartan", "pullbackDifferential"):
+            assert f"calculus.{label}.{row}" in failed
+
+
+def test_the_calculus_battery_takes_each_differential_once_per_stack(monkeypatch):
+    # per degree and parity: d w, d d w, d of the pullback and d of the
+    # interior products; per sample: the random 2-cochains and the wedge
+    # rows; one call per draw would be 156 calls.
+    d = calculus.exterior_derivative
+    calls = []
+
+    def counted(omega):
+        calls.append(omega.degree)
+        return d(omega)
+
+    monkeypatch.setattr(calculus, "exterior_derivative", counted)
+    monkeypatch.setattr(suites, "exterior_derivative", counted)
+    for seed in range(5):
+        calls.clear()
+        assert suites.calculus_suite(seed).passed
+        assert len(calls) <= 80, seed
+
+
+def _calculus_peak(samples):
+    tracemalloc.start()
+    try:
+        suites.calculus_suite(0, samples=samples, only="m3")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_calculus_battery_memory_is_flat_in_samples():
+    # stacks are cut into blocks, so doubling the samples adds only the draws
+    peak_64, peak_128 = _calculus_peak(64), _calculus_peak(128)
+    assert peak_128 <= 32e6
+    assert peak_128 <= 1.15 * peak_64
 
 
 @pytest.mark.parametrize("name", list(suites.SUITES))
