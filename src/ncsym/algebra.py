@@ -115,6 +115,26 @@ class Coo:
     def __iter__(self):
         return iter((self.i, self.j, self.k, self.v))
 
+    def left_mult(self, a: np.ndarray) -> np.ndarray:
+        """L[..., k, j] = sum_i a[..., i] t[i, j, k]: for structure
+        constants, the matrix of b -> a b, stacked like ``a``."""
+        return self._scatter(a, self.i, self.j)
+
+    def right_mult(self, a: np.ndarray) -> np.ndarray:
+        """R[..., k, i] = sum_j a[..., j] t[i, j, k]: for structure
+        constants, the matrix of b -> b a, stacked like ``a``."""
+        return self._scatter(a, self.j, self.i)
+
+    def _scatter(self, a: np.ndarray, by: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """M[..., k[e], col[e]] = sum of a[..., by[e]] v[e] over the
+        nonzeros e, in their order: one scatter for the whole stack."""
+        n = self.dim
+        rows = np.asarray(a, dtype=complex).reshape(-1, n)
+        keys = (self.k * n + col) + n * n * np.arange(rows.shape[0])[:, None]
+        out = np.zeros(rows.shape[0] * n * n, dtype=complex)
+        np.add.at(out, keys.reshape(-1), (rows[:, by] * self.v).reshape(-1))
+        return out.reshape(np.shape(a)[:-1] + (n, n))
+
 
 @dataclass
 class Element:
@@ -312,24 +332,14 @@ class Superalgebra:
         return self.left_mult_matrix(a) @ b
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> a b, L[k, j] = sum_i a_i c[i, j, k]; a stack of
-        vectors (..., dim) gives the stack of their matrices."""
-        return self._mult_matrices(a, self.constants.i, self.constants.j)
+        """Matrix of b -> a b; a stack of vectors (..., dim) gives the
+        stack of their matrices."""
+        return self.constants.left_mult(a)
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of b -> b a, R[k, i] = sum_j a_j c[i, j, k]; a stack of
-        vectors (..., dim) gives the stack of their matrices."""
-        return self._mult_matrices(a, self.constants.j, self.constants.i)
-
-    def _mult_matrices(self, a: np.ndarray, by: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """M[..., c.k[e], col[e]] = sum of a[..., by[e]] c.v[e] over the
-        nonzero constants e, in their order: one scatter for the whole stack."""
-        c, n = self.constants, self.dim
-        rows = np.asarray(a, dtype=complex).reshape(-1, n)
-        keys = (c.k * n + col) + n * n * np.arange(rows.shape[0])[:, None]
-        out = np.zeros(rows.shape[0] * n * n, dtype=complex)
-        np.add.at(out, keys.reshape(-1), (rows[:, by] * c.v).reshape(-1))
-        return out.reshape(np.shape(a)[:-1] + (n, n))
+        """Matrix of b -> b a; a stack of vectors (..., dim) gives the
+        stack of their matrices."""
+        return self.constants.right_mult(a)
 
     def star_coeffs(self, a: np.ndarray) -> np.ndarray:
         return self.involution_matrix @ np.conj(np.asarray(a, dtype=complex))

@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import expi_hermitian
 from .algebra import _basis_vec, kron_element, matrix_algebra
 from .coupling import ProductStructure, quantum_factor
-from .moyal import moyal_bracket, star
+from .moyal import hbar_orders, moyal_bracket, star, star_terms
 from .states import PObVM, make_state
 from .superclassical import SuperFunction, SuperPBMatrix, super_poisson
 from .symplectic import HamiltonianSystem
@@ -306,8 +306,8 @@ def hybrid_interaction_bracket(
     ``route="star"`` is the exact product bracket: the matrix bracket pairs
     with the symmetrized star product and the matrix symmetric product
     pairs with the Moyal bracket.  ``route="classical"`` replaces both
-    phase space combinations by their hbar -> 0 limits; the relative gap
-    between the routes closes at second order in hbar.  Entries of the
+    phase space combinations by their hbar -> 0 limits, so the routes
+    share their hbar**-1 and hbar**0 orders.  Entries of the
     returned object array are phase space polynomials.
     """
     fmat = np.asarray(fmat, dtype=complex)
@@ -330,14 +330,38 @@ def hybrid_interaction_bracket(
     return out
 
 
-def hybrid_route_gap(fmat, amat, kpoly, jpoly, hbar: float) -> float:
-    """Relative max-coefficient gap between the two bracket routes."""
-    a = hybrid_interaction_bracket(fmat, amat, kpoly, jpoly, hbar, "star")
-    b = hybrid_interaction_bracket(fmat, amat, kpoly, jpoly, hbar, "classical")
-    gap = 0.0
-    scale = 0.0
-    for r in range(a.shape[0]):
-        for s in range(a.shape[1]):
-            gap = max(gap, (a[r, s] - b[r, s]).norm())
-            scale = max(scale, a[r, s].norm())
-    return gap / max(scale, 1e-300)
+def hybrid_order_report(fmat, amat, kpoly, jpoly) -> dict:
+    """The hbar orders of both bracket routes, read off by ``hbar_orders``
+    from hbar**-1 to hbar**2 (both routes times hbar are polynomials of
+    degree at most three in hbar when K or J has degree two or less).
+
+    The hbar**-1 and hbar**0 orders must agree between the routes; the
+    star route's hbar**1 order must be i[F, A] S_2, with S_2 the
+    symmetrized order-2 star term, and its hbar**2 order must vanish, as
+    must every classical order above hbar**0.  ``residual`` is the worst of
+    these, relative to max(1, the largest star order); ``orderOneSize`` is
+    the hbar**1 order on the same scale, which is zero when [F, A] S_2 is.
+    """
+    kj, jk = star_terms(kpoly, jpoly), star_terms(jpoly, kpoly)
+    if len(kj) > 3:
+        raise MeasurementError("the star series of K and J has more than three orders")
+    sym2 = 0.5 * (kj[2] + jk[2]) if len(kj) == 3 else SuperFunction(2, 0)
+    fmat = np.asarray(fmat, dtype=complex)
+    amat = np.asarray(amat, dtype=complex)
+
+    def route(name):
+        return lambda hb: list(
+            hybrid_interaction_bracket(fmat, amat, kpoly, jpoly, hb, name).flat
+        )
+
+    quantum = hbar_orders(route("star"), lowest=-1)
+    classical = hbar_orders(route("classical"), lowest=-1)
+    want = [1j * c * sym2 for c in (fmat @ amat - amat @ fmat).flat]
+    gaps = [(q - c).norm() for n in (0, 1) for q, c in zip(quantum[n], classical[n])]
+    gaps += [(q - w).norm() for q, w in zip(quantum[2], want)]
+    gaps += [f.norm() for f in quantum[3] + classical[2] + classical[3]]
+    scale = max(1.0, max(f.norm() for order in quantum for f in order))
+    return {
+        "residual": max(gaps) / scale,
+        "orderOneSize": max(f.norm() for f in quantum[2]) / scale,
+    }

@@ -11,6 +11,17 @@ three: the series on polynomials, the Wigner symbols of the two lowest
 oscillator states against their closed forms, and the kernel on the
 ground-state symbol, which is a star projector.
 
+Two tools serve the exact checks of the series.  ``star_table`` writes the
+star product of the monomials x^a p^b on a grid of exponents, at one hbar,
+as one sorted ``algebra.Coo`` of constants built from the same integer
+weights as ``star``; associativity then runs on all monomial triples at
+once through the table's left and right multiplication matrices, the
+scatter kernel that ``Superalgebra`` products use.  ``hbar_orders`` reads
+the coefficients of a route that is a finite Laurent polynomial in hbar,
+as every star product of polynomials is, from its values at four hbars
+by one Vandermonde solve, so each order can be checked exactly instead of
+through a fitted log-log slope.
+
 Series convention (Groenewold 1946, Moyal 1949): f * g = sum_k hbar**k
 T_k(f, g) with
 
@@ -29,6 +40,7 @@ from math import comb, factorial, isfinite, perm
 
 import numpy as np
 
+from .algebra import Coo
 from .superclassical import SUPER_EPS, SuperFunction, SuperPBMatrix, super_poisson
 
 WIGNER_NORMALIZATION_TOL = 1e-3
@@ -106,32 +118,97 @@ def moyal_bracket(f: SuperFunction, g: SuperFunction, hbar: float) -> SuperFunct
     return (1j / hbar) * commutator
 
 
+def star_table(hbar: float, side: int) -> Coo:
+    """The star product of the monomials m_u = x^a p^b, u = a side + b with
+    a, b < side, at one hbar, as constants t[u, v, w] of m_u * m_v = sum_w
+    t[u, v, w] m_w: every pair whose product keeps both exponents below
+    ``side``, and no pair whose product leaves that grid."""
+    _check_hbar(hbar)
+    # the order-k factors of star's sums, (i/2)**k / k! and hbar**k, in its order
+    scale = [(0.5j) ** k / factorial(k) for k in range(side)]
+    power = [hbar**k for k in range(side)]
+    rows = []
+    for a1 in range(side):
+        for b1 in range(side):
+            for a2 in range(side - a1):
+                for b2 in range(side - b1):
+                    for order, weight in _pair_weights(a1, b1, a2, b2):
+                        rows.append((
+                            a1 * side + b1,
+                            a2 * side + b2,
+                            (a1 + a2 - order) * side + b1 + b2 - order,
+                            weight * scale[order] * power[order],
+                        ))
+    i, j, k, v = zip(*rows)
+    return Coo(side * side, i, j, k, v)
+
+
+def associator_residuals(hbar: float, exps: list[tuple[int, int]]) -> np.ndarray:
+    """r[i, j, k] = |(m_i m_j) m_k - m_i (m_j m_k)| / max(1, |(m_i m_j) m_k|)
+    for the monomials m_i = x^a p^b, (a, b) = exps[i], with | | the largest
+    coefficient.  Every triple multiplies on the table of exponents up to
+    three times the largest in ``exps``, so no term is truncated; the left
+    and right multiplication matrices of the monomials contract one first
+    factor at a time, and the pair m_i m_j is column m_i of R_j."""
+    side = 3 * max(max(e) for e in exps) + 1
+    table = star_table(hbar, side)
+    at = np.array([a * side + b for a, b in exps])
+    basis = np.eye(side * side)[at]
+    # R_k for one monomial at a time: the scatter's buffers scale with its stack
+    right = np.empty((len(exps), side * side, side * side), dtype=complex)
+    for k, e in enumerate(basis):
+        right[k] = table.right_mult(e)
+    later = right[:, :, at]  # later[k, :, j] = m_j m_k
+    out = np.empty((len(exps),) * 3)
+    for i in range(len(exps)):
+        lhs = np.tensordot(right[:, :, at[i]], right, axes=(1, 2))  # [j, k, w]
+        rhs = (table.left_mult(basis[i]) @ later).transpose(2, 0, 1)
+        out[i] = np.abs(lhs - rhs).max(axis=2) / np.maximum(1.0, np.abs(lhs).max(axis=2))
+    return out
+
+
+# hbar nodes of the order rows: a Laurent polynomial with as many orders as
+# nodes is fixed by its values there
+ORDER_HBARS = (0.25, 0.5, 0.75, 1.0)
+
+
+def hbar_orders(route, lowest: int = 0) -> list[list[SuperFunction]]:
+    """The coefficients A_n, n = lowest .. lowest + 3, of a route whose
+    value route(hbar), a list of phase space polynomials, is
+    sum_n hbar**n A_n: the route evaluated at ORDER_HBARS and one
+    Vandermonde solve.  Entry n - lowest is the list of A_n."""
+    values = [route(hb) for hb in ORDER_HBARS]
+    keys = sorted({key for polys in values for f in polys for key in f.terms})
+    grid = np.array([[[f.terms.get(key, 0.0) for key in keys] for f in polys] for polys in values])
+    hbars = np.array(ORDER_HBARS)
+    scaled = (grid * hbars[:, None, None] ** -lowest).reshape(len(hbars), -1)
+    orders = np.linalg.solve(np.vander(hbars, increasing=True), scaled).reshape(grid.shape)
+    return [[SuperFunction(2, 0, dict(zip(keys, row))) for row in coeffs] for coeffs in orders]
+
+
 def classical_limit_report(f: SuperFunction, g: SuperFunction) -> dict:
-    """Dual-route check of the first two series terms and the remainder
-    scaling exponent as hbar -> 0, fitted on seven hbars from 1e-4 to 0.1."""
-    hbars = np.geomspace(1e-4, 1e-1, 7)
+    """Dual-route check of the first two series terms, and the hbar orders
+    of star(f, g, hbar) read off by ``hbar_orders`` against fg and
+    -(i/2){f, g}, relative to max(1, the largest order).  The four orders
+    are the whole series only when f or g has degree three or less, so
+    anything else is rejected."""
     terms = star_terms(f, g)
+    if len(terms) > len(ORDER_HBARS):
+        raise MoyalError(f"the star series has more than {len(ORDER_HBARS)} orders")
     t0_direct = f * g
     t1_direct = (-0.5j) * super_poisson(f, g, SuperPBMatrix.canonical_even(1))
     t0_residual = (terms[0] - t0_direct).norm()
     t1_residual = (
         (terms[1] - t1_direct).norm() if len(terms) > 1 else t1_direct.norm()
     )
-    remainders = []
-    for hb in hbars:
-        r = star(f, g, hb) - t0_direct - hb * t1_direct
-        remainders.append(r.norm())
-    remainders = np.array(remainders)
-    if np.all(remainders > 0):
-        slope = np.polyfit(np.log(hbars), np.log(remainders), 1)[0]
-    else:
-        slope = float("inf")  # remainder vanished identically: low degree
+    orders = [c for (c,) in hbar_orders(lambda hb: [star(f, g, hb)])]
+    scale = max(1.0, max(c.norm() for c in orders))
     return {
         "term0Residual": float(t0_residual),
         "term1Residual": float(t1_residual),
-        "hbars": hbars.tolist(),
-        "remainders": remainders.tolist(),
-        "slope": float(slope),
+        "orderResidual": max((orders[0] - t0_direct).norm(), (orders[1] - t1_direct).norm())
+        / scale,
+        "orderTwoSize": orders[2].norm() / scale,
     }
 
 

@@ -35,13 +35,14 @@ from .coupling import (
 from .measurement import (
     MeasurementModel,
     PointerObservable,
-    hybrid_route_gap,
+    hybrid_order_report,
     matrix_apparatus_crosscheck,
     stern_gerlach,
     suppression_sweep,
     uniform_suppression,
 )
 from .moyal import (
+    associator_residuals,
     classical_limit_report,
     moyal_bracket,
     oscillator_first_excited,
@@ -75,6 +76,9 @@ GNS_TOL = 1e-10
 MOYAL_ASSOC_TOL = 1e-10
 EVOLVE_TOL = 1e-8
 EVOLVE_TMAX = 10.0
+# The exact hbar-order rows: pinned tolerance on the order residuals, and the
+# relative size the first order beyond the classical limit must exceed.
+ORDER_TOL, ORDER_FLOOR = 1e-12, 1e-8
 # The Wigner and integral kernel routes of moyal-limit: pinned tolerance,
 # phase space grids (span and points per axis) and the kernel's points xi.
 WIGNER_TOL = 1e-6
@@ -480,16 +484,10 @@ def moyal_suite(seed: int = 0, tol: float = MOYAL_ASSOC_TOL) -> Report:
 
     # the associator (f * g) * h - f * (g * h) is trilinear, so every triple
     # of the monomials x^a p^b with a, b <= 2 covers every polynomial with
-    # those exponents; the 81 pair products are formed once
+    # those exponents
     hbar = 0.7
     exps = [(a, b) for a in range(3) for b in range(3)]
-    monos = [SuperFunction(2, 0, {(e, 0): 1.0}) for e in exps]
-    pairs = [[star(f, g, hbar) for g in monos] for f in monos]
-    residuals = np.zeros((len(monos),) * 3)
-    for i, j, k in np.ndindex(residuals.shape):
-        lhs = star(pairs[i][j], monos[k], hbar)
-        rhs = star(monos[i], pairs[j][k], hbar)
-        residuals[i, j, k] = (lhs - rhs).norm() / max(1.0, lhs.norm())
+    residuals = associator_residuals(hbar, exps)
     at = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
     rep.residual("associativity", residuals[at], tol, triples=residuals.size,
                  at=[list(exps[t]) for t in at])
@@ -508,11 +506,11 @@ def moyal_suite(seed: int = 0, tol: float = MOYAL_ASSOC_TOL) -> Report:
     rep.residual("termZeroResidual", limit["term0Residual"], 1e-12)
     rep.residual("termOneResidual", limit["term1Residual"], 1e-12)
     rep.add(
-        "classicalSlope",
-        abs(limit["slope"] - 2.0) <= 0.05,
-        value=limit["slope"],
-        tolerance=0.05,
-        target=2.0,
+        "classicalOrders",
+        limit["orderResidual"] <= ORDER_TOL and limit["orderTwoSize"] > ORDER_FLOOR,
+        value=limit["orderResidual"],
+        tolerance=ORDER_TOL,
+        orderTwoSize=limit["orderTwoSize"],
     )
 
     # Wigner route: W0 = 2 exp(-r2) and W1 = 2 (2 r2 - 1) exp(-r2) with
@@ -638,17 +636,13 @@ def decoherence_suite(seed: int = 0, tol: float = 1e-7) -> Report:
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     fmat, amat = a + a.conj().T, b + b.conj().T
     (xx, pp), _ = variables(2, 0)
-    k = xx * xx + pp
-    j = pp * pp * xx
-    hbars = np.geomspace(1e-4, 1e-2, 5)
-    gaps = np.array([hybrid_route_gap(fmat, amat, k, j, h) for h in hbars])
-    slope = float(np.polyfit(np.log(hbars), np.log(gaps), 1)[0])
+    orders = hybrid_order_report(fmat, amat, xx * xx + pp, pp * pp * xx)
     rep.add(
         "hybridBracketOrder",
-        abs(slope - 2.0) <= 0.1,
-        value=slope,
-        tolerance=0.1,
-        target=2.0,
+        orders["residual"] <= ORDER_TOL and orders["orderOneSize"] > ORDER_FLOOR,
+        value=orders["residual"],
+        tolerance=ORDER_TOL,
+        orderOneSize=orders["orderOneSize"],
     )
     return rep
 

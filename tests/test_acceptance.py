@@ -88,8 +88,9 @@ def test_criterion_06_star_product_and_classical_limit():
     rep = moyal_suite(seed=SEED, tol=1e-10)
     assert rep.passed, _failures(rep)
     assert _check(rep, "canonicalBracketExact").value <= 1e-13
-    slope = _check(rep, "classicalSlope").value
-    assert abs(slope - 2.0) <= 0.05
+    orders = _check(rep, "classicalOrders")
+    assert orders.value <= 1e-12
+    assert orders.details["orderTwoSize"] > 1e-8
 
 
 def test_criterion_07_stern_gerlach_magnitudes():
@@ -106,6 +107,7 @@ def test_criterion_08_decoherence_and_matrix_apparatus():
     assert _check(rep, "magnitudeAtKappa1e8").value <= 1e-7
     assert _check(rep, "probabilitiesExact").value <= 1e-15
     assert _check(rep, "matrixApparatusRouteGap").value <= 1e-6
+    assert _check(rep, "hybridBracketOrder").value <= 1e-12
 
 
 def test_criterion_09_evolution_duality_to_ten_seconds():

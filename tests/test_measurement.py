@@ -6,7 +6,7 @@ from ncsym.measurement import (
     MeasurementModel,
     PointerObservable,
     hybrid_interaction_bracket,
-    hybrid_route_gap,
+    hybrid_order_report,
     matrix_apparatus_crosscheck,
     stern_gerlach,
     suppression_sweep,
@@ -173,7 +173,7 @@ def test_hybrid_bracket_routes_agree_at_leading_order():
         hybrid_interaction_bracket(fmat, amat, k, j, hbar, "diagonal")
 
 
-def test_hybrid_bracket_gap_scales_quadratically():
+def test_hybrid_bracket_orders_are_exact():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -181,10 +181,14 @@ def test_hybrid_bracket_gap_scales_quadratically():
     amat = b + b.conj().T
     k = X * X + P
     j = P * P * X
-    hbars = np.geomspace(1e-4, 1e-2, 5)
-    gaps = np.array([hybrid_route_gap(fmat, amat, k, j, h) for h in hbars])
-    slope = np.polyfit(np.log(hbars), np.log(gaps), 1)[0]
-    assert slope == pytest.approx(2.0, abs=0.05)
+    orders = hybrid_order_report(fmat, amat, k, j)
+    assert orders["residual"] <= 1e-12
+    assert orders["orderOneSize"] > 1e-8
+    # a commuting pair has no hbar**1 order: nothing beyond the classical
+    # limit is left for the row to certify
+    assert hybrid_order_report(fmat, fmat, k, j)["orderOneSize"] <= 1e-14
+    with pytest.raises(MeasurementError, match="three orders"):
+        hybrid_order_report(fmat, amat, j * X, j)
 
 
 MODEL = dict(lambdas=[0.0, 1.0], amplitudes=[1.0, 1.0], k_mean=1.0, tau=1.0, hbar=1.0)

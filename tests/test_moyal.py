@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from ncsym.moyal import (
     MoyalError,
     WignerGrid,
+    associator_residuals,
     classical_limit_report,
+    hbar_orders,
     moyal_bracket,
     oscillator_first_excited,
     oscillator_ground_state,
     star,
     star_integral,
+    star_table,
     star_terms,
     wigner_function,
 )
@@ -168,7 +172,74 @@ def test_classical_limit_report():
     rep = classical_limit_report(f, g)
     assert rep["term0Residual"] < 1e-12
     assert rep["term1Residual"] < 1e-12
-    assert abs(rep["slope"] - 2.0) < 0.05
+    assert rep["orderResidual"] <= 1e-12
+    assert rep["orderTwoSize"] > 1e-8
+    # four hbar nodes fix four orders; a fifth would alias onto them
+    with pytest.raises(MoyalError, match="more than 4 orders"):
+        classical_limit_report(rand_poly(rng, 4), rand_poly(rng, 4))
+
+
+def test_hbar_orders_recover_a_laurent_polynomial():
+    rng = np.random.default_rng(37)
+    coeffs = [rand_poly(rng) for _ in range(4)]
+    orders = hbar_orders(
+        lambda hb: [sum((hb**n * c for n, c in zip(range(-1, 3), coeffs)), X * 0.0)],
+        lowest=-1,
+    )
+    for (got,), want in zip(orders, coeffs):
+        assert (got - want).norm() <= 1e-12
+
+
+GRID = 7  # exponents 0..6 of x and of p
+
+
+def test_star_table_matches_star_on_every_grid_pair():
+    table = star_table(HBAR, GRID)
+    cube = table.dense()
+    exps = [(a, b) for a in range(GRID) for b in range(GRID)]
+    on_grid = 0
+    for u, (a1, b1) in enumerate(exps):
+        for v, (a2, b2) in enumerate(exps):
+            if a1 + a2 >= GRID or b1 + b2 >= GRID:
+                assert not cube[u, v].any()
+                continue
+            on_grid += 1
+            f = SuperFunction(2, 0, {((a1, b1), 0): 1.0})
+            g = SuperFunction(2, 0, {((a2, b2), 0): 1.0})
+            want = np.zeros(GRID * GRID, dtype=complex)
+            for ((a, b), _), c in star(f, g, HBAR).terms.items():
+                want[a * GRID + b] = c
+            assert np.abs(cube[u, v] - want).max() <= 1e-15
+    assert on_grid == 28**2 and table.v.size == 2348
+    keys = (table.i * GRID**2 + table.j) * GRID**2 + table.k
+    assert np.all(np.diff(keys) > 0)
+
+
+def test_associator_residuals_match_the_triple_loop():
+    # the reference: every triple through star on SuperFunction dicts
+    exps = [(a, b) for a in range(3) for b in range(3)]
+    monos = [SuperFunction(2, 0, {(e, 0): 1.0}) for e in exps]
+    pairs = [[star(f, g, HBAR) for g in monos] for f in monos]
+    want = np.zeros((9, 9, 9))
+    for i, j, k in np.ndindex(want.shape):
+        lhs = star(pairs[i][j], monos[k], HBAR)
+        rhs = star(monos[i], pairs[j][k], HBAR)
+        want[i, j, k] = (lhs - rhs).norm() / max(1.0, lhs.norm())
+    got = associator_residuals(HBAR, exps)
+    assert got.shape == (9, 9, 9)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_associator_residuals_peak_near_one_megabyte():
+    exps = [(a, b) for a in range(3) for b in range(3)]
+    associator_residuals(HBAR, exps)  # fill the weight cache first
+    tracemalloc.start()
+    try:
+        associator_residuals(HBAR, exps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def phase_average(w, values):

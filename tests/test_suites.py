@@ -1,6 +1,7 @@
 """The exact bracket batteries detect a corrupted bracket tensor, the
 coupling and moyal-limit rows detect a corrupted route, moyal-limit's
-associativity row detects a corrupted star product weight, and the Grassmann
+associativity row detects a corrupted star product weight, the exact
+hbar-order rows detect a star product shifted at order 0 or 1, and the Grassmann
 density oracle reads the scanned state.  The calculus battery checks every
 member of its cochain stacks, takes each differential once per stack, and
 holds its memory flat in the sample count.  A suite run leaves no cyclic
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from unittest import mock
 
-from ncsym import calculus, moyal, suites
+from ncsym import calculus, measurement, moyal, suites
 from ncsym.algebra import Superalgebra, matrix_algebra
 from ncsym.calculus import AlgebraIsomorphism, DerivationFamily, random_cochain, wedge
 from ncsym.coupling import grassmann_classical_factor
@@ -178,6 +179,34 @@ def test_moyal_associativity_fails_on_a_perturbed_star_weight():
     assert check.value > 10 * check.tolerance
     assert check.details["triples"] == 729
     assert [1, 1] in check.details["at"]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize(
+    "suite, module, row",
+    [("moyal-limit", moyal, "classicalOrders"), ("decoherence", measurement, "hybridBracketOrder")],
+    ids=["classicalOrders", "hybridBracketOrder"],
+)
+def test_order_rows_fail_on_a_perturbed_star(monkeypatch, suite, module, row, order):
+    # star plus EPS hbar**order f g: the shift is commutative, so the Moyal
+    # bracket and the rows it feeds stay exact and only the order row sees it
+    star = module.star
+    monkeypatch.setattr(
+        module, "star", lambda f, g, hbar: star(f, g, hbar) + (EPS * hbar**order) * (f * g)
+    )
+    rep = suites.SUITES[suite](seed=0)
+    assert {c.name for c in rep.checks if not c.passed} == {row}
+    check = next(c for c in rep.checks if c.name == row)
+    assert check.value > 10 * check.tolerance
+
+
+@pytest.mark.parametrize("seed", [1304, 1058951390])
+def test_hybrid_bracket_order_passes_where_a_slope_fit_bent(seed):
+    # a small [F, A] here bent the old log-log fit to 1.70 and 1.85
+    rep = suites.decoherence_suite(seed=seed)
+    assert rep.passed
+    check = next(c for c in rep.checks if c.name == "hybridBracketOrder")
+    assert check.details["orderOneSize"] > 1e-4
 
 
 def test_density_oracle_reads_the_scanned_state():
