@@ -11,8 +11,8 @@ derivation family, a tensor of shape (m, .., m, dim).  A stack of cochains
 of one degree and parity is one tensor with stack axes between the slots
 and the algebra axis, (m, .., m) + S + (dim,); the differential, interior
 product, Lie derivative and pullback take a whole stack in one call, so
-their fixed cost is paid once per stack.  ``wedge`` and symplectic forms
-take lone cochains only.
+their fixed cost is paid once per stack, and ``wedge`` wedges two stacks
+of one shape member by member.
 
 Sign conventions (all checked by the test suite):
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import numpy as np
@@ -457,22 +457,32 @@ class Cochain:
 
     # -- construction helpers
 
-    @classmethod
-    def stacked(cls, cochains: list["Cochain"]) -> "Cochain":
-        """The cochains, of one family, degree and parity, along a new last
-        stack axis."""
-        first = cochains[0]
-        for c in cochains[1:]:
-            first._binary_check(c)
-        t = np.stack([c.tensor for c in cochains], axis=-2)
-        return cls(first.family, first.degree, first.parity, t, check=False)
-
-    def member(self, k: int) -> "Cochain":
-        """Entry k along the last stack axis."""
+    def member(self, k) -> "Cochain":
+        """Entry k along the last stack axis (an index array or a slice: a stack)."""
         if not self.stack:
             raise CalculusError("a lone cochain has no stack members")
         t = self.tensor[..., k, :]
         return Cochain(self.family, self.degree, self.parity, t, check=False)
+
+    @classmethod
+    def basis(cls, family: DerivationFamily, degree: int, parity: int) -> "Cochain":
+        """The graded-alternating cochains of one degree and parity as one
+        basis stack: e_k on an index tuple i_1 <= .. <= i_p (repeating only
+        odd members) and on its permutations, with their graded signs."""
+        fp, m = family.parities, len(family)
+        sector = parity_sector(family, degree, parity)
+        units = [
+            (idx, k)
+            for idx in combinations_with_replacement(range(m), degree)
+            if all(i < j or fp[i] for i, j in zip(idx, idx[1:]))
+            for k in np.flatnonzero(sector[idx])
+        ]
+        t = np.zeros((m,) * degree + (len(units), family.algebra.dim), dtype=complex)
+        for u, (idx, k) in enumerate(units):
+            for perm in permutations(range(degree)):
+                sign = graded_permutation_sign(perm, fp[list(idx)])
+                t[tuple(idx[s] for s in perm) + (u, k)] = sign
+        return cls(family, degree, parity, t)
 
     @classmethod
     def zero_form(cls, family: DerivationFamily, a: Element) -> "Cochain":
@@ -573,27 +583,39 @@ def _wedge_sign_tables(p: int, q: int, beta_parity: int) -> tuple:
 
 
 def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
-    """Graded wedge product; see the module docstring for the convention."""
+    """Graded wedge product; see the module docstring for the convention.
+    Two stacks of one shape are wedged member by member."""
     if alpha.family is not beta.family:
         raise CalculusError("wedge needs a common derivation family")
-    if alpha.stack or beta.stack:
-        raise CalculusError("wedge takes lone cochains, not stacks")
-    fam = alpha.family
-    p, q = alpha.degree, beta.degree
-    n = p + q
-    # prod[j_1..j_p, l_1..l_q] = alpha(X_j..) beta(X_l..) in the algebra,
-    # from the multiplication matrices of the lower-degree factor, so no
-    # intermediate outgrows the product
-    a, b, alg = alpha.tensor, beta.tensor, fam.algebra
+    if alpha.stack != beta.stack:
+        raise CalculusError(f"wedge needs one stack shape, not {alpha.stack} and {beta.stack}")
+    fam, p, q = alpha.family, alpha.degree, beta.degree
+    n, m, alg = p + q, len(fam), fam.algebra
+    size, dim = int(np.prod(alpha.stack)), alg.dim
+    # prod[s, j_1..j_p, l_1..l_q] = alpha_s(X_j..) beta_s(X_l..) in the
+    # algebra for member s, from the multiplication matrices of the
+    # lower-degree factor, so no intermediate outgrows the product
+    a = alpha.tensor.reshape(m**p, size, dim).swapaxes(0, 1)
+    b = beta.tensor.reshape(m**q, size, dim).swapaxes(0, 1)
     if p <= q:
-        prod = np.moveaxis(np.tensordot(alg.left_mult_matrix(a), b, axes=(p + 1, q)), p, -1)
+        prod = alg.left_mult_matrix(a).reshape(size, -1, dim) @ b.swapaxes(1, 2)
+        prod = prod.reshape(size, m**p, dim, m**q).swapaxes(2, 3)
     else:
-        prod = np.tensordot(a, alg.right_mult_matrix(b), axes=(p, q + 1))
-    t = np.zeros_like(prod)
+        prod = a @ alg.right_mult_matrix(b).reshape(size, -1, dim).swapaxes(1, 2)
+    # slots first and contiguous, so a permuted view reads whole (s, dim) runs
+    prod = np.ascontiguousarray(prod.reshape(size, m**p, m**q, dim).transpose(1, 2, 0, 3))
+    prod = prod.reshape((m,) * n + (size, dim))
+    t = np.zeros(prod.shape, dtype=complex)
     for axes, table in _wedge_sign_tables(p, q, beta.parity):
         sign = table[np.ix_(*[fam.parities] * n)]
-        t += sign[..., None] * prod.transpose(*axes, n)
+        moved = prod.transpose(*axes, n, n + 1)
+        if np.all(sign == sign.flat[0]):
+            # one sign for every index tuple: added in place
+            (np.add if sign.flat[0] > 0 else np.subtract)(t, moved, out=t)
+        else:
+            t += sign[..., None, None] * moved
     t /= factorial(p) * factorial(q)
+    t = t.reshape((m,) * n + alpha.stack + (dim,))
     return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 
 

@@ -1,7 +1,7 @@
 """Batch command line runner for the check suites.
 
-Usage:  ncsym SUITE [--seed N] [--tol X] [--samples N] [--out PATH]
-                    [--format json|csv]
+Usage:  ncsym SUITE [--seed N] [--tol X] [--out PATH] [--format json|csv]
+        ncsym grassmann [--samples N]   (the one sampled check, the state scan)
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for a
 usage problem.  Human-readable pass/fail lines go to stdout; the canonical
@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc[0] if doc else None)
         p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
         p.add_argument("--tol", type=float, default=None, help="override the main tolerance")
-        p.add_argument("--samples", type=int, default=None, help="override the sample count")
+        p.add_argument("--samples", type=int, default=None, help="grassmann state scan size")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", dest="fmt",

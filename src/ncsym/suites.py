@@ -19,10 +19,8 @@ from .calculus import (
     DerivationFamily,
     exterior_derivative,
     interior,
-    lie_bracket,
     lie_derivative,
     pullback,
-    random_cochain,
     superderivation_residuals,
     wedge,
 )
@@ -71,6 +69,8 @@ from .symplectic import HamiltonianSystem, quantum_form
 
 IDENTITY_TOL = 1e-9
 CALCULUS_TOL = 1e-10
+CALCULUS_ROWS = ("ddZero", "cartan", "lieBracket", "wedgeLeibniz", "pullbackWedge",
+                 "pullbackDifferential")
 COUPLING_KRON_TOL = 1e-12
 GNS_TOL = 1e-10
 MOYAL_ASSOC_TOL = 1e-10
@@ -93,12 +93,6 @@ ALGEBRA_ALIASES = {
     "m11": "graded11",
     "g11": "graded11",
 }
-
-
-def _require_samples(samples: int) -> None:
-    """No sampled check may pass on zero samples."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
 def _bracket_case_algebras(only: str | None = None):
@@ -164,53 +158,68 @@ def identity_suite(
     return rep
 
 
-def _calculus_stack_rows(worst: dict, iso, draws: list) -> None:
-    """The ddZero, cartan, lieBracket and pullbackDifferential rows of the
-    draws (w, x, y) of one degree and parity.  d, d of the interior products
-    i_x w (stacked by their parity) and the pullbacks run on stacks of the
-    draws, a block at a time so that d(d w) of a block stays within the
-    differential's chunk bound; the Lie derivatives run per draw."""
-    fam, degree = draws[0][0].family, draws[0][0].degree
-    per = max(1, _CHUNK_ENTRIES // (len(fam) ** (degree + 2) * fam.algebra.dim))
-    for lo in range(0, len(draws), per):
-        block = draws[lo : lo + per]
-        stack = Cochain.stacked([w for w, _, _ in block])
-        d_stack = exterior_derivative(stack)
-        dd_stack = exterior_derivative(d_stack)
-        d_inner = {}
-        if degree > 0:
-            for x_parity in (0, 1):
-                at = [k for k, (_, x, _) in enumerate(block) if x.parity == x_parity]
-                if at:
-                    inner = Cochain.stacked([interior(block[k][1], block[k][0]) for k in at])
-                    d = exterior_derivative(inner)
-                    d_inner.update((k, d.member(j)) for j, k in enumerate(at))
-        if degree <= 1:
-            gap = pullback(iso, d_stack) - exterior_derivative(pullback(iso, stack))
-        for k, (w, x, y) in enumerate(block):
-            scale = max(1.0, w.norm())
-            dw = d_stack.member(k)
-            worst["ddZero"] = max(worst["ddZero"], dd_stack.member(k).norm() / scale)
-            eta = -1.0 if (x.parity and w.parity) else 1.0
-            lxw = lie_derivative(x, w)
+def _note(rows: dict, name: str, gap: np.ndarray, count: int) -> None:
+    """Fold a residual's largest entry and its count of basis inputs into a row."""
+    worst, evaluated = rows[name]
+    rows[name] = (max(worst, max_abs(gap)), evaluated + count)
+
+
+def _calculus_stack_rows(rows: dict, iso, basis: Cochain) -> None:
+    """The ddZero, cartan, lieBracket and pullbackDifferential rows on the
+    basis stack of one degree and parity: Cartan for every family member X,
+    [L_X, L_Y] = L_[X, Y] for every ordered member pair ([X, Y] from the
+    family's bracket table).  Every kernel runs on blocks of the stack, so
+    that d(d w) of a block stays within the differential's chunk bound."""
+    fam, degree = basis.family, basis.degree
+    members, m = fam.members, len(fam)
+    sign = koszul_signs(fam.parities, fam.parities).reshape((m, m) + (1,) * (degree + 2))
+    per = max(1, _CHUNK_ENTRIES // (m ** (degree + 2) * fam.algebra.dim))
+    for lo in range(0, basis.stack[0], per):
+        w = basis.member(slice(lo, lo + per))
+        count = w.stack[0]
+        dw = exterior_derivative(w)
+        _note(rows, "ddZero", exterior_derivative(dw).tensor, count)
+        lw = [lie_derivative(x, w) for x in members]
+        for x, lxw in zip(members, lw):
             homotopy = interior(x, dw)
-            if degree > 0:
-                homotopy = homotopy + d_inner[k]
-            cartan = homotopy - eta * lxw
-            worst["cartan"] = max(worst["cartan"], cartan.norm() / scale)
-            sxy = -1.0 if (x.parity and y.parity) else 1.0
-            lhs = lie_derivative(lie_bracket(x, y), w)
-            rhs = lie_derivative(x, lie_derivative(y, w)) - sxy * lie_derivative(y, lxw)
-            worst["lieBracket"] = max(worst["lieBracket"], (lhs - rhs).norm() / scale)
-            if degree <= 1:
-                worst["pullbackDifferential"] = max(
-                    worst["pullbackDifferential"], gap.member(k).norm() / scale
-                )
+            if degree:
+                homotopy = homotopy + exterior_derivative(interior(x, w))
+            eta = -1.0 if (x.parity and w.parity) else 1.0
+            _note(rows, "cartan", (homotopy - eta * lxw).tensor, count)
+        # llw[a, b] = L_Xa L_Xb w against L_[Xa, Xb] w = f[a, b, c] L_Xc w
+        llw = np.array([[lie_derivative(x, v).tensor for v in lw] for x in members])
+        lhs = np.tensordot(fam.bracket, np.array([v.tensor for v in lw]), axes=1)
+        _note(rows, "lieBracket", lhs - (llw - sign * llw.swapaxes(0, 1)), m * m * count)
+        if degree <= 1:
+            gap = pullback(iso, dw) - exterior_derivative(pullback(iso, w))
+            _note(rows, "pullbackDifferential", gap.tensor, count)
+
+
+def _wedge_rows(rows: dict, iso, ones: list[Cochain]) -> None:
+    """wedgeLeibniz and pullbackWedge on every pair of basis 1-cochains of
+    every two parities, as two stacks of factors, in blocks whose d stays
+    within the chunk bound; d and the pullbacks of the basis run once."""
+    fam = ones[0].family
+    per = max(1, _CHUNK_ENTRIES // (len(fam) ** 3 * fam.algebra.dim))
+    d_ones = [exterior_derivative(c) for c in ones]
+    pulled = [pullback(iso, c) for c in ones]
+    for s, t in np.ndindex(len(ones), len(ones)):
+        nb = ones[t].stack[0]
+        pairs = np.arange(ones[s].stack[0] * nb)
+        for lo in range(0, pairs.size, per):
+            i, j = np.divmod(pairs[lo : lo + per], nb)
+            a, b = ones[s].member(i), ones[t].member(j)
+            ab = wedge(a, b)
+            leibniz = exterior_derivative(ab) - (
+                wedge(d_ones[s].member(i), b) - wedge(a, d_ones[t].member(j))
+            )
+            _note(rows, "wedgeLeibniz", leibniz.tensor, i.size)
+            hom = pullback(iso, ab) - wedge(pulled[s].member(i), pulled[t].member(j))
+            _note(rows, "pullbackWedge", hom.tensor, i.size)
 
 
 def calculus_suite(
     seed: int = 0,
-    samples: int = 4,
     tol: float = CALCULUS_TOL,
     only: str | None = None,
 ) -> Report:
@@ -219,55 +228,28 @@ def calculus_suite(
     Lie derivatives representing the derivation bracket, and pullback
     along automorphisms acting as a homomorphism commuting with d.
 
-    Every sample draws a cochain (w, x, y) per degree and parity, then a
-    pair of 1-cochains for the wedge rows.  All draws are made first; d,
-    d of the interior products and the pullbacks then run once per degree
-    and parity on the stack of its draws (in blocks of bounded size), and
-    every draw is checked on its own member of the stack."""
-    _require_samples(samples)
+    Each identity is linear in its cochain and family members (the wedge
+    rows bilinear in their pair), so it runs exactly on the basis stacks of
+    degree p <= 2, every member and member pair, and every pair of basis
+    1-cochains; each row records how many inputs it evaluated.  The
+    automorphism is drawn from the seed."""
     rng = np.random.default_rng(seed)
-    rep = Report("calculus", seed, meta={"samples": samples})
+    rep = Report("calculus", seed)
     # by default the battery runs on matrix2 and graded11; matrix3 by name
     cases = [c for c in _bracket_case_algebras(only) if only or c[0] != "matrix3"]
     for label, alg in cases:
         fam = DerivationFamily.inner_family(alg)
-        worst = {
-            "ddZero": 0.0,
-            "cartan": 0.0,
-            "lieBracket": 0.0,
-            "wedgeLeibniz": 0.0,
-            "pullbackWedge": 0.0,
-            "pullbackDifferential": 0.0,
-        }
-        members = fam.members
-        # odd cochains vanish on an algebra with no odd part: sample none
-        parities = (0, 1) if np.any(alg.parity) else (0,)
+        rows = dict.fromkeys(CALCULUS_ROWS, (0.0, 0))
         gen = alg.sample_element(rng, parity=0, hermitian=True)
         iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
-        draws = {(degree, parity): [] for degree in (0, 1, 2) for parity in parities}
-        pairs = []
-        for _ in range(samples):
-            for degree in (0, 1, 2):
-                for parity in parities:
-                    w = random_cochain(fam, degree, parity, rng)
-                    x = members[int(rng.integers(len(members)))]
-                    y = members[int(rng.integers(len(members)))]
-                    draws[degree, parity].append((w, x, y))
-            a = random_cochain(fam, 1, parities[int(rng.integers(len(parities)))], rng)
-            b = random_cochain(fam, 1, parities[int(rng.integers(len(parities)))], rng)
-            pairs.append((a, b))
-        for batch in draws.values():
-            _calculus_stack_rows(worst, iso, batch)
-        for a, b in pairs:
-            scale = max(1.0, a.norm() * b.norm())
-            dab = exterior_derivative(wedge(a, b)) - (
-                wedge(exterior_derivative(a), b) - wedge(a, exterior_derivative(b))
-            )
-            worst["wedgeLeibniz"] = max(worst["wedgeLeibniz"], dab.norm() / scale)
-            hom = pullback(iso, wedge(a, b)) - wedge(pullback(iso, a), pullback(iso, b))
-            worst["pullbackWedge"] = max(worst["pullbackWedge"], hom.norm() / scale)
-        for name, value in worst.items():
-            rep.residual(f"{label}.{name}", value, tol)
+        # odd cochains vanish on an algebra with no odd part
+        parities = (0, 1) if np.any(alg.parity) else (0,)
+        bases = {(p, t): Cochain.basis(fam, p, t) for p in (0, 1, 2) for t in parities}
+        for basis in bases.values():
+            _calculus_stack_rows(rows, iso, basis)
+        _wedge_rows(rows, iso, [bases[1, t] for t in parities])
+        for name, (value, evaluated) in rows.items():
+            rep.residual(f"{label}.{name}", value, tol, evaluated=evaluated)
     return rep
 
 
@@ -411,7 +393,6 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Re
     integral against the algebraic route on every basis element of G3, and
     uniqueness of the state on three anticommuting generators, with its
     density recovered from the scanned state through the Berezin pairing."""
-    _require_samples(samples)
     rep = Report("grassmann", seed, meta={"samples": samples})
 
     (q, p), _ = variables(2, 0)
@@ -716,21 +697,12 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
 
 def verify_suite(
     seed: int = 0,
-    samples: int | None = None,
     tol: float | None = None,
     algebra: str | None = None,
 ) -> Report:
-    """The identity and calculus batteries in one report; ``samples``
-    reaches the calculus battery, since the identity battery is exact."""
-    ident = identity_suite(
-        seed, tol=tol if tol is not None else IDENTITY_TOL, only=algebra
-    )
-    calc = calculus_suite(
-        seed,
-        samples=4 if samples is None else samples,
-        tol=tol if tol is not None else CALCULUS_TOL,
-        only=algebra,
-    )
+    """The identity and calculus batteries in one report, both exact."""
+    ident = identity_suite(seed, tol=IDENTITY_TOL if tol is None else tol, only=algebra)
+    calc = calculus_suite(seed, tol=CALCULUS_TOL if tol is None else tol, only=algebra)
     return merge([ident, calc], "verify", seed)
 
 

@@ -284,6 +284,8 @@ def g3_unique_state(
     rejections, then runs the separation check with the witness observables
     1 + theta1 theta2 and 1 + 2 theta1 theta2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng or np.random.default_rng(20250825)
     alg = grassmann_algebra(3)
     rho0 = np.zeros(alg.dim, dtype=complex)

@@ -805,6 +805,14 @@ def test_cochain_kernels_memory_is_a_small_multiple_of_the_output():
 STACK_FAMILIES = {"M2": FAM2, **ORACLE_FAMILIES}
 
 
+def _stacked(cochains):
+    """The cochains, of one degree and parity, along a new last stack axis;
+    the stacked tensor passes the alternation and parity gates."""
+    first = cochains[0]
+    t = np.stack([c.tensor for c in cochains], axis=-2)
+    return Cochain(first.family, first.degree, first.parity, t)
+
+
 def _stack_kernels(fam, iso):
     """d, the pullback, the involution, and the interior product and Lie
     derivative along an even member and (on a graded algebra) an odd one."""
@@ -826,10 +834,8 @@ def test_a_stack_equals_its_members_one_by_one(name, degree):
     iso = AlgebraIsomorphism.unitary_conjugation(alg, _linalg.expi_hermitian(gen.realize()))
     for parity in (0, 1) if np.any(alg.parity) else (0,):
         lone = [random_cochain(fam, degree, parity, rng) for _ in range(5)]
-        stack = Cochain.stacked(lone)
+        stack = _stacked(lone)
         assert stack.stack == (5,)
-        # the stacked tensor passes the alternation and parity gates
-        Cochain(fam, degree, parity, stack.tensor)
         assert all(np.array_equal(stack.member(k).tensor, w.tensor) for k, w in enumerate(lone))
         for kernel, run in _stack_kernels(fam, iso).items():
             got = run(stack)
@@ -851,13 +857,62 @@ def test_a_stack_with_a_bad_shape_is_rejected():
         Cochain(FAM2, 2, 0, t).member(0)
 
 
-def test_wedge_and_symplectic_forms_reject_a_stack():
-    rng = np.random.default_rng(75)
-    one = random_cochain(FAM2, 1, 0, rng)
-    stack = Cochain.stacked([one, one])
-    for alpha, beta in ((stack, one), (one, stack)):
-        with pytest.raises(CalculusError, match="not stacks"):
-            wedge(alpha, beta)
+def test_symplectic_forms_reject_a_stack():
     form = quantum_form(M2, 1.0).omega
     with pytest.raises(SymplecticError, match="not a stack"):
-        SymplecticStructure(Cochain.stacked([form, form]))
+        SymplecticStructure(_stacked([form, form]))
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_a_wedge_of_stacks_equals_its_members_one_by_one(name, p, q):
+    fam = STACK_FAMILIES[name]
+    rng = np.random.default_rng(80 + 3 * p + q)
+    parities = (0, 1) if np.any(fam.algebra.parity) else (0,)
+    for pa, pb in product(parities, repeat=2):
+        alphas = [random_cochain(fam, p, pa, rng) for _ in range(4)]
+        betas = [random_cochain(fam, q, pb, rng) for _ in range(4)]
+        got = wedge(_stacked(alphas), _stacked(betas))
+        assert got.stack == (4,)
+        assert (got.degree, got.parity) == (p + q, (pa + pb) % 2)
+        for k, (alpha, beta) in enumerate(zip(alphas, betas)):
+            assert _rel_gap(got.member(k).tensor, wedge(alpha, beta).tensor) <= 1e-15
+
+
+def test_a_wedge_of_mismatched_stacks_is_rejected():
+    rng = np.random.default_rng(75)
+    one = random_cochain(FAM2, 1, 0, rng)
+    pair, triple = _stacked([one, one]), _stacked([one, one, one])
+    for alpha, beta in ((pair, one), (one, pair), (pair, triple)):
+        with pytest.raises(CalculusError, match="one stack shape"):
+            wedge(alpha, beta)
+
+
+def _graded_alternating_dimension(fam, degree, parity):
+    """The rank of the graded antisymmetrizer on the cochain tensors of the
+    parity sector, built entry by entry from the symmetry rule."""
+    m, dim = len(fam), fam.algebra.dim
+    sector = calculus.parity_sector(fam, degree, parity).reshape(-1)
+    shape = (m,) * degree + (dim,)
+    proj = np.zeros((sector.size, sector.size))
+    for flat in np.flatnonzero(sector):
+        *idx, k = np.unravel_index(flat, shape)
+        pars = [fam.parities[i] for i in idx]
+        for perm in permutations(range(degree)):
+            moved = tuple(idx[s] for s in perm) + (k,)
+            proj[np.ravel_multi_index(moved, shape), flat] += (
+                graded_permutation_sign(perm, pars) / factorial(degree)
+            )
+    return np.linalg.matrix_rank(proj)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_a_basis_stack_spans_its_graded_alternating_sector(name, degree):
+    fam = STACK_FAMILIES[name]
+    for parity in (0, 1):
+        basis = Cochain.basis(fam, degree, parity)
+        (size,) = basis.stack
+        assert size == _graded_alternating_dimension(fam, degree, parity)
+        flat = np.moveaxis(basis.tensor, degree, 0).reshape(size, -1 if size else 0)
+        assert np.linalg.matrix_rank(flat) == size

@@ -1,15 +1,20 @@
 import json
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from ncsym import suites
+from ncsym._linalg import expi_hermitian
+from ncsym.algebra import matrix_algebra
+from ncsym.calculus import AlgebraIsomorphism, Cochain, DerivationFamily
 from ncsym.cli import main
 from ncsym.suites import SUITES
 
 
 def test_verify_exits_zero(capsys):
-    assert main(["verify", "--seed", "0", "--samples", "30"]) == 0
+    assert main(["verify", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS suite=verify" in out
     assert "ok  " in out
@@ -75,7 +80,7 @@ def test_csv_output(tmp_path, capsys):
 
 
 def test_verify_algebra_restriction(capsys):
-    assert main(["verify", "--algebra", "m2", "--samples", "20"]) == 0
+    assert main(["verify", "--algebra", "m2"]) == 0
     out = capsys.readouterr().out
     assert "identity.matrix2" in out
     assert "matrix3" not in out
@@ -111,15 +116,12 @@ def test_unknown_preset_is_usage_error(capsys):
 def test_every_suite_passes_quickly(capsys):
     # the smoke pass used by the batch runner: all suites, default seed
     for name in SUITES:
-        argv = [name, "--seed", "0"]
-        if name == "verify":
-            argv += ["--samples", "25"]
-        assert main(argv) == 0, name
+        assert main([name, "--seed", "0"]) == 0, name
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
-    "argv", [["grassmann", "--samples", "0"], ["verify", "--samples", "-5"]]
+    "argv", [["grassmann", "--samples", "0"], ["grassmann", "--samples", "-5"]]
 )
 def test_samples_below_one_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -136,11 +138,6 @@ def test_tol_must_be_finite_and_positive(tol, capsys):
 def test_factor_hbar_must_be_finite_and_positive(hbar, capsys):
     assert main(["coupling", "--left", f"quantum:{hbar}", "--right", "quantum"]) == 2
     assert "hbar must be finite and positive" in capsys.readouterr().err
-
-
-def test_verify_suite_does_not_replace_zero_samples():
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        suites.verify_suite(seed=0, samples=0)
 
 
 def test_grassmann_routes_compared_below_ten_samples():
@@ -180,28 +177,60 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert f"ncsym: --out is a directory: {tmp_path}" in capsys.readouterr().err
 
 
+
 def test_calculus_battery_runs_on_an_explicit_matrix3():
-    rep = suites.calculus_suite(seed=0, samples=1, only="m3")
-    names = [c.name for c in rep.checks]
-    assert names and all(name.startswith("matrix3.") for name in names)
+    # the opt-in matrix3 battery: 333 basis cochains and 5,184 wedge pairs,
+    # run in blocks, so its peak stays bounded
+    tracemalloc.start()
+    try:
+        rep = suites.calculus_suite(0, only="m3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checks and all(c.name.startswith("matrix3.") for c in rep.checks)
     assert rep.passed
+    assert all(c.details["evaluated"] > 0 for c in rep.checks)
+    evaluated = {c.name: c.details["evaluated"] for c in rep.checks}
+    assert evaluated["matrix3.ddZero"] == 9 + 72 + 252
+    assert evaluated["matrix3.wedgeLeibniz"] == evaluated["matrix3.pullbackWedge"] == 72 * 72
+    assert peak <= 64e6
 
 
 @pytest.mark.parametrize("samples", [1, 5])
 @pytest.mark.parametrize("seed", range(5))
 def test_ungraded_calculus_battery_samples_even_wedge_factors(seed, samples):
-    # an odd 1-cochain on M3 is identically zero, so a wedge check drawn with
-    # an odd factor would compare zero with zero
-    rep = suites.calculus_suite(seed=seed, samples=samples, only="m3")
-    values = {c.name: c.value for c in rep.checks}
-    assert values["matrix3.wedgeLeibniz"] > 0.0
-    assert values["matrix3.pullbackWedge"] > 0.0
+    # an odd 1-cochain on M3 is identically zero, so its odd basis is empty
+    # and the wedge rows take even factors only; on the first `samples` even
+    # basis 1-cochains, under an automorphism drawn from the seed, they
+    # evaluate every pair and pass
+    alg = matrix_algebra(3)
+    fam = DerivationFamily.inner_family(alg)
+    assert Cochain.basis(fam, 1, 1).stack == (0,)
+    gen = alg.sample_element(np.random.default_rng(seed), parity=0, hermitian=True)
+    iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
+    rows = dict.fromkeys(suites.CALCULUS_ROWS, (0.0, 0))
+    suites._wedge_rows(rows, iso, [Cochain.basis(fam, 1, 0).member(slice(0, samples))])
+    for name in ("wedgeLeibniz", "pullbackWedge"):
+        value, evaluated = rows[name]
+        assert evaluated == samples * samples
+        assert value <= suites.CALCULUS_TOL
 
 
-@pytest.mark.parametrize("samples, ran", [(None, 4), (3, 3)])
-def test_verify_samples_reach_the_calculus_battery(samples, ran):
-    # each calculus sample makes five wedge calls of its own
+@pytest.mark.parametrize("samples, seed", [(None, 4), (3, 3)])
+def test_verify_samples_reach_the_calculus_battery(samples, seed, capsys):
+    # no sample count reaches the calculus battery: without one, verify runs
+    # the wedge rows on all 144 basis pairs of matrix2's 1-cochains in one
+    # block of four wedge calls; with one, it is refused before any battery
+    argv = ["verify", "--seed", str(seed), "--algebra", "m2"]
+    if samples is not None:
+        argv += ["--samples", str(samples)]
     with mock.patch.object(suites, "wedge", wraps=suites.wedge) as wedge:
-        rep = suites.verify_suite(seed=0, samples=samples, algebra="m2")
-    assert rep.passed
-    assert wedge.call_count == 5 * ran
+        code = main(argv)
+    if samples is None:
+        assert code == 0
+        assert wedge.call_count == 4
+        assert "PASS suite=verify" in capsys.readouterr().out
+    else:
+        assert code == 2
+        assert wedge.call_count == 0
+        assert "does not take --samples" in capsys.readouterr().err

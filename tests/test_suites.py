@@ -3,9 +3,11 @@ coupling and moyal-limit rows detect a corrupted route, moyal-limit's
 associativity row detects a corrupted star product weight, the exact
 hbar-order rows detect a star product shifted at order 0 or 1, and the Grassmann
 density oracle reads the scanned state.  The calculus battery checks every
-member of its cochain stacks, takes each differential once per stack, and
-holds its memory flat in the sample count.  A suite run leaves no cyclic
-garbage, and no package code reads the dense cube of structure constants.
+member of its basis stacks, takes each differential once per stack, counts
+the basis inputs of every row, and holds its memory flat in the number of
+wedge pairs.
+A suite run leaves no cyclic garbage, and no package code reads the dense
+cube of structure constants.
 
 Each bracket corruption is a small change to a structure's ``pb_tensor``,
 made after construction so the Hamiltonian-solve gate still passes; the
@@ -19,7 +21,13 @@ from unittest import mock
 
 from ncsym import calculus, measurement, moyal, suites
 from ncsym.algebra import Superalgebra, matrix_algebra
-from ncsym.calculus import AlgebraIsomorphism, DerivationFamily, random_cochain, wedge
+from ncsym.calculus import (
+    AlgebraIsomorphism,
+    Cochain,
+    DerivationFamily,
+    random_cochain,
+    wedge,
+)
 from ncsym.coupling import grassmann_classical_factor
 from ncsym.states import State, gns, make_state
 
@@ -261,8 +269,8 @@ def test_the_last_member_of_every_stack_is_checked(monkeypatch):
 
 def test_the_calculus_battery_takes_each_differential_once_per_stack(monkeypatch):
     # per degree and parity: d w, d d w, d of the pullback and d of the
-    # interior products; per sample: the random 2-cochains and the wedge
-    # rows; one call per draw would be 156 calls.
+    # interior products; per parity pair of 1-cochains: d of the wedges;
+    # one call per basis cochain would be several hundred calls.
     d = calculus.exterior_derivative
     calls = []
 
@@ -278,20 +286,74 @@ def test_the_calculus_battery_takes_each_differential_once_per_stack(monkeypatch
         assert len(calls) <= 80, seed
 
 
-def _calculus_peak(samples):
+@pytest.mark.parametrize(
+    "kernel, rows",
+    [("wedge", {"wedgeLeibniz", "pullbackWedge"}), ("lie_derivative", {"cartan", "lieBracket"})],
+)
+def test_a_kernel_perturbed_on_its_last_member_fails_the_rows_that_read_it(
+    monkeypatch, kernel, rows
+):
+    # the kernel moved by EPS on the last member of every stack and on nothing
+    # else; every other row still passes
+    run = getattr(suites, kernel)
+
+    def shifted(*args):
+        out = run(*args)
+        if out.stack:
+            out.tensor[..., -1, :] += EPS
+        return out
+
+    monkeypatch.setattr(suites, kernel, shifted)
+    rep = suites.calculus_suite(seed=0)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {f"{label}.{row}" for label in ("matrix2", "graded11") for row in rows}
+
+
+# basis inputs per row: basis cochains of degree <= 2 (28 on matrix2, 36 on
+# graded11), times the 3 family members (cartan) or the 9 ordered member
+# pairs (lieBracket); basis cochains of degree <= 1 (pullbackDifferential);
+# pairs of basis 1-cochains (the wedge rows)
+EVALUATED = {
+    "matrix2": {"ddZero": 28, "cartan": 84, "lieBracket": 252,
+                "wedgeLeibniz": 144, "pullbackWedge": 144, "pullbackDifferential": 16},
+    "graded11": {"ddZero": 36, "cartan": 108, "lieBracket": 324,
+                 "wedgeLeibniz": 144, "pullbackWedge": 144, "pullbackDifferential": 16},
+}
+
+
+def test_every_calculus_row_counts_the_basis_inputs_it_evaluated():
+    rep = suites.calculus_suite(seed=0)
+    assert all(c.details["evaluated"] > 0 for c in rep.checks)
+    got = {}
+    for c in rep.checks:
+        label, row = c.name.split(".")
+        got.setdefault(label, {})[row] = c.details["evaluated"]
+    assert got == EVALUATED
+
+
+def _wedge_rows_peak(samples):
+    # the wedge rows on every pair of the first `samples` even basis
+    # 1-cochains of matrix3
+    fam = DerivationFamily.inner_family(matrix_algebra(3))
+    ones = Cochain.basis(fam, 1, 0).member(slice(0, samples))
+    iso = AlgebraIsomorphism.unitary_conjugation(fam.algebra, np.eye(3))
+    rows = dict.fromkeys(suites.CALCULUS_ROWS, (0.0, 0))
     tracemalloc.start()
     try:
-        suites.calculus_suite(0, samples=samples, only="m3")
-        return tracemalloc.get_traced_memory()[1]
+        suites._wedge_rows(rows, iso, [ones])
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rows["wedgeLeibniz"][1] == samples * samples
+    return peak
 
 
 def test_the_calculus_battery_memory_is_flat_in_samples():
-    # stacks are cut into blocks, so doubling the samples adds only the draws
-    peak_64, peak_128 = _calculus_peak(64), _calculus_peak(128)
-    assert peak_128 <= 32e6
-    assert peak_128 <= 1.15 * peak_64
+    # the wedge pairs are cut into blocks of 79, so four times the pairs adds
+    # only the d and pullbacks of the larger basis
+    peak_16, peak_32 = _wedge_rows_peak(16), _wedge_rows_peak(32)
+    assert peak_32 <= 64e6
+    assert peak_32 <= 1.15 * peak_16
 
 
 @pytest.mark.parametrize("name", list(suites.SUITES))

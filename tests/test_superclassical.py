@@ -245,6 +245,13 @@ def test_g3_state_is_unique():
     assert out["ccReport"]["clause"] == "statesSeparateObservables"
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_g3_unique_state_rejects_zero_samples(samples):
+    # no scan may pass on zero random samples
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        g3_unique_state(samples=samples)
+
+
 def test_berezin_expectation_on_g3_state():
     _, (t1, t2, t3) = variables(0, 3)
     rho = t3 * t2 * t1
