@@ -179,6 +179,13 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def worst(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest entry of a nonempty real array and its index on each axis;
+    the first NaN wins, and ties go to the first entry in C order."""
+    at = np.unravel_index(int(np.argmax(values)), np.shape(values))
+    return float(values[at]), tuple(int(k) for k in at)
+
+
 def taylor_polynomial(z: np.ndarray, degree: int) -> np.ndarray:
     """sum_{k <= degree} z^k / k! for a square matrix z and degree >= 1, by
     Horner: I + z (I + z (... (I + z / degree) ...) / 2)."""

@@ -40,6 +40,7 @@ from ._linalg import (
     max_abs,
     nullspace,
     sum_by_key,
+    worst,
 )
 
 # Tolerance for the structural invariants checked at construction time
@@ -305,7 +306,7 @@ class Superalgebra:
             checks += [
                 ("realizationUnit", (max_abs(self.realize(u) - np.eye(rep.shape[1])), ()),
                  "unit does not realize to identity ({err:.3e})"),
-                ("realizationMultiplicative", _worst(realization_defects(c, rep)),
+                ("realizationMultiplicative", worst(realization_defects(c, rep)),
                  "realization is not multiplicative at {at} ({err:.3e})"),
             ]
         residuals = {}
@@ -605,20 +606,12 @@ def _basis_vec(n: int, i: int) -> np.ndarray:
     return v
 
 
-def _worst(mags: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Largest entry of an array of magnitudes and its index."""
-    if mags.size == 0:
-        return 0.0, ()
-    at = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    return float(mags[at]), tuple(int(k) for k in at)
-
-
 def _worst_sum(blocks, dim: int, width: int) -> tuple[float, tuple[int, ...]]:
     """Largest |sum of the values that share a key| over blocks of (keys,
     values), and its key's leading ``width`` digits in base ``dim`` (the
     last digit, the output basis index, dropped).  The blocks hold disjoint,
     increasing key ranges, so ties go to the smallest key, the entry
-    :func:`_worst` picks in a dense array."""
+    :func:`ncsym._linalg.worst` picks in a dense array."""
     err, at = 0.0, ()
     for keys, vals in blocks:
         uniq, total = sum_by_key(keys, vals)

@@ -19,9 +19,12 @@ Sign conventions (all checked by the test suite):
 * permuting arguments:  omega(X_s(1), .., X_s(p)) picks up the permutation
   sign times (-1)**(e_j e_k) for every transposed pair of odd arguments;
   adjacent swaps of odd-odd pairs are therefore symmetric.
-* wedge:  (a ^ b)(X_1..X_{p+q}) = 1/(p! q!) sum over all permutations of the
-  graded permutation sign, an extra (-1)**(e_b * sum of the parities of the
-  first p permuted arguments), and the product a(..) b(..).
+* wedge:  (a ^ b)(X_1..X_{p+q}) = sum over the (p, q) shuffles (permutations
+  increasing on the first p and on the last q arguments) of the graded
+  permutation sign, an extra (-1)**(e_b * sum of the parities of the first p
+  permuted arguments), and the product a(..) b(..).  Both factors are graded
+  alternating, so this equals 1/(p! q!) times the same sum over all
+  permutations.
 * Lie derivative on forms:  (L_Y w)(X_1..X_p) = Y[w(X_1..X_p)] minus the sum
   of w evaluated with [Y, X_i] in slot i, each weighted by
   (-1)**(e_Y (e_w + e_X1 + .. + e_X(i-1))).
@@ -35,7 +38,7 @@ never loop over index tuples.  ``wedge`` forms the product of its factors
 once, from the multiplication matrices of the lower-degree one; each term
 moves it into its argument slots and multiplies it by a sign tensor.  The
 wedge signs depend on an index tuple only through its parity pattern, so
-each permutation gets a table over the 2**(p+q) patterns, filled by
+each shuffle gets a table over the 2**(p+q) patterns, filled by
 ``graded_permutation_sign`` once per (p, q, parity of the second factor)
 and indexed by the family parities on every call.  The differential, the
 Leibniz check and the family bracket run on sparse operators instead,
@@ -58,8 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from math import factorial
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -113,23 +115,6 @@ class Derivation:
 
     def __call__(self, a: Element) -> Element:
         return Element(self.algebra, self.matrix @ a.coeffs)
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        if other.algebra is not self.algebra or other.parity != self.parity:
-            raise CalculusError("can only add derivations of equal parity")
-        src = None
-        if self.source is not None and other.source is not None:
-            src = self.source + other.source
-        return Derivation(self.algebra, self.matrix + other.matrix, self.parity, src)
-
-    def __mul__(self, scalar) -> "Derivation":
-        src = None if self.source is None else complex(scalar) * self.source
-        return Derivation(self.algebra, complex(scalar) * self.matrix, self.parity, src)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return self + (-1.0) * other
 
 
 def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
@@ -566,13 +551,14 @@ def _sign(exponent) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _wedge_sign_tables(p: int, q: int, beta_parity: int) -> tuple:
-    """For each permutation sigma of the p + q wedge arguments: the axis
+    """For each (p, q) shuffle sigma of the p + q wedge arguments: the axis
     order that puts argument k in slot k (axis j of the product tensor holds
     argument sigma[j], so slot k reads axis sigma^-1(k)), and the wedge sign
     as a read-only table over the 2**(p+q) argument parity patterns."""
     n = p + q
     out = []
-    for sigma in permutations(range(n)):
+    for first in combinations(range(n), p):
+        sigma = first + tuple(k for k in range(n) if k not in first)
         table = np.empty((2,) * n)
         for pars in np.ndindex(*(2,) * n):
             carry = beta_parity * sum(pars[sigma[j]] for j in range(p))
@@ -614,7 +600,6 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
             (np.add if sign.flat[0] > 0 else np.subtract)(t, moved, out=t)
         else:
             t += sign[..., None, None] * moved
-    t /= factorial(p) * factorial(q)
     t = t.reshape((m,) * n + alpha.stack + (dim,))
     return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 

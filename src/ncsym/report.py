@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import worst
+
 
 def jsonable(x):
     """Recursively convert numpy scalars/arrays and complex numbers to
@@ -82,13 +84,26 @@ class Report:
         self.checks.append(res)
         return res
 
-    def residual(self, name, value, tolerance, **details) -> CheckResult:
-        """Convenience: pass iff value <= tolerance."""
-        return self.add(
-            name, float(value) <= float(tolerance), float(value), float(tolerance), **details
-        )
+    def residual(self, name, values, tolerance, labels=None, **details) -> CheckResult:
+        """One row for a residual over the inputs checked.
 
-    SCHEMA = 1
+        ``values`` holds one real residual per input, with one axis per
+        input slot (a scalar is one input, with no axis for ``at``).  The row passes iff its largest
+        value is at most ``tolerance``; a NaN fails.  It records
+        ``evaluated``, the number of inputs, and, when the largest value is
+        above 0 or NaN, ``at``: that input's index on each axis, read
+        through ``labels[axis]`` where labels are given.  An empty
+        ``values`` fails, with ``evaluated`` 0 and no value."""
+        values = np.asarray(values, dtype=float)
+        details["evaluated"] = values.size
+        if not values.size:
+            return self.add(name, False, None, float(tolerance), **details)
+        value, at = worst(values)
+        if values.ndim and not value <= 0.0:
+            details["at"] = [k if labels is None else labels[axis][k] for axis, k in enumerate(at)]
+        return self.add(name, value <= tolerance, value, float(tolerance), **details)
+
+    SCHEMA = 2
 
     def to_dict(self) -> dict:
         return {

@@ -374,8 +374,8 @@ def test_derivation_star_of_inner():
             if max_abs(a.coeffs) < 1e-12:
                 continue
             lhs = derivation_star(inner_derivation(alg, a))
-            rhs = (-1.0) * inner_derivation(alg, a.star())
-            np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-10)
+            rhs = -inner_derivation(alg, a.star()).matrix
+            np.testing.assert_allclose(lhs.matrix, rhs, atol=1e-10)
 
 
 def test_wedge_sign_tables_are_built_once_per_degrees_and_parity(monkeypatch):
@@ -388,7 +388,7 @@ def test_wedge_sign_tables_are_built_once_per_degrees_and_parity(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(3):
         wedge(random_cochain(FAM11, 1, 0, rng), random_cochain(FAM11, 1, 1, rng))
-    # 2! permutations times 2**2 parity patterns, for the first wedge only
+    # 2 shuffles times 2**2 parity patterns, for the first wedge only
     assert len(calls) == 8
 
 
@@ -763,6 +763,16 @@ def test_wedge_matches_loop(name, p, q):
             got = wedge(alpha, beta)
             assert (got.degree, got.parity) == (p + q, (pa + pb) % 2)
             assert _rel_gap(got.tensor, loop_wedge(alpha, beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 2), (2, 2)])
+def test_the_shuffle_wedge_equals_the_sum_over_all_permutations(p, q):
+    # wedge sums the (p + q)! / (p! q!) shuffles; loop_wedge sums all (p + q)!
+    # permutations and divides by p! q!, which agrees for alternating factors
+    rng = np.random.default_rng(70 + 3 * p + q)
+    for pa, pb in product((0, 1), repeat=2):
+        alpha, beta = random_cochain(FAM11, p, pa, rng), random_cochain(FAM11, q, pb, rng)
+        assert _rel_gap(wedge(alpha, beta).tensor, loop_wedge(alpha, beta)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["M3", "M1-1", "M2-1"])

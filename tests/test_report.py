@@ -33,6 +33,38 @@ def test_residual_convenience_and_passed():
     assert "FAIL" in rep.checks[1].line()
 
 
+def test_a_residual_over_no_inputs_fails():
+    rep = Report("demo", 0)
+    row = rep.residual("empty", np.zeros((3, 0)), 1.0)
+    assert not row.passed and not rep.passed
+    assert row.value is None and row.tolerance == 1.0
+    assert row.details == {"evaluated": 0}
+
+
+def test_a_residual_row_counts_its_inputs_and_names_no_witness_at_zero():
+    rep = Report("demo", 0)
+    row = rep.residual("zero", np.zeros((2, 3)), 1e-10, labels=[("a", "b"), ("x", "y", "z")])
+    assert row.passed and row.value == 0.0
+    assert row.details == {"evaluated": 6}
+
+
+def test_a_nan_residual_fails_and_is_the_witness():
+    rep = Report("demo", 0)
+    row = rep.residual("nan", [0.5, np.nan, 0.25], 1.0)
+    assert not row.passed and np.isnan(row.value)
+    assert row.details == {"evaluated": 3, "at": [1]}
+
+
+def test_a_residual_witness_reads_each_axis_through_its_labels():
+    rep = Report("demo", 0)
+    values = np.zeros((2, 3))
+    values[1, 2] = 1e-12
+    row = rep.residual("labelled", values, 1e-10, labels=[("a", "b"), ("x", "y", "z")])
+    assert row.passed and row.value == 1e-12
+    assert row.details == {"evaluated": 6, "at": ["b", "z"]}
+    assert rep.residual("indexed", values, 1e-10).details["at"] == [1, 2]
+
+
 def test_empty_report_does_not_pass():
     rep = Report("demo", 0)
     assert not rep.passed
@@ -43,7 +75,7 @@ def test_json_bytes_parse_and_schema():
     rep = Report("demo", 0, meta={"alpha": np.float64(2.0)})
     rep.add("named", True, value=0.25, tolerance=0.5)
     data = json.loads(rep.to_json_bytes())
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["suite"] == "demo"
     assert data["checks"][0]["value"] == 0.25
     assert data["meta"]["alpha"] == 2.0
