@@ -1,7 +1,6 @@
 """Batch command line runner for the check suites.
 
 Usage:  ncsym SUITE [--seed N] [--tol X] [--out PATH] [--format json|csv]
-        ncsym grassmann [--samples N]   (the one sampled check, the state scan)
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for a
 usage problem.  Human-readable pass/fail lines go to stdout; the canonical
@@ -30,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc[0] if doc else None)
         p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
         p.add_argument("--tol", type=float, default=None, help="override the main tolerance")
-        p.add_argument("--samples", type=int, default=None, help="grassmann state scan size")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", dest="fmt",
@@ -52,19 +50,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fn = SUITES[args.suite]
     accepted = inspect.signature(fn).parameters
+    if args.seed < 0:
+        print(f"ncsym: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     kwargs = {"seed": args.seed}
-    for flag in ("tol", "samples"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in accepted:
-            print(f"ncsym: suite {args.suite!r} does not take --{flag}", file=sys.stderr)
+    if args.tol is not None:
+        if "tol" not in accepted:
+            print(f"ncsym: suite {args.suite!r} does not take --tol", file=sys.stderr)
             return 2
-        if flag == "tol" and not (math.isfinite(value) and value > 0):
-            print(f"ncsym: --tol must be finite and positive, got {value}",
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            print(f"ncsym: --tol must be finite and positive, got {args.tol}",
                   file=sys.stderr)
             return 2
-        kwargs[flag] = value
+        kwargs["tol"] = args.tol
     if args.out and not Path(args.out).parent.is_dir():
         print(f"ncsym: --out directory does not exist: {Path(args.out).parent}",
               file=sys.stderr)

@@ -108,9 +108,10 @@ class MeasurementModel:
         """Pointer-traced density after the interaction.
 
         Diagonal entries are exactly |c_j|**2; every off-diagonal entry is
-        bounded by |c_j c_k| times the interference magnitude.  The verdict
-        says whether the result is a statistical mixture at MIXTURE_TOL
-        (and whether the pointer actually separates the branches).
+        bounded by |c_j c_k| times the interference magnitude; the largest
+        bound, ``offDiagonalResidual``, makes the result a statistical mixture
+        at MIXTURE_TOL when it is at most that, and ``pointerResolved`` says
+        whether the pointer actually separates the branches.
         """
         n = self.lambdas.size
         probs = np.abs(self.amplitudes) ** 2
@@ -127,7 +128,6 @@ class MeasurementModel:
         return {
             "probabilities": probs,
             "offDiagonalResidual": float(residual),
-            "mixtureVerdict": bool(residual <= MIXTURE_TOL),
             "pointerResolved": bool(pointer_ok),
             "signalRatios": ratios,
         }

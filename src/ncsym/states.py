@@ -125,25 +125,31 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
         validate_state_functional(alg, f)
         return State(alg, f)
     if realization == "berezinDensity":
-        if alg.kind.get("form") != "grassmann":
-            raise StateError("berezin densities need a Grassmann algebra")
-        rho = data if isinstance(data, Element) else alg.element(data)
-        products = alg.right_mult_matrix(rho.coeffs)  # column i: e_i rho
-        f = np.array([berezin_integral_coeffs(alg, col) for col in products.T])
+        rho = data.coeffs if isinstance(data, Element) else np.asarray(data, dtype=complex)
+        f = berezin_pairing(alg) @ rho
         validate_state_functional(alg, f)
         return State(alg, f)
     raise StateError(f"unknown realization {realization!r}")
 
 
-def berezin_integral_coeffs(alg: Superalgebra, coeffs: np.ndarray) -> complex:
+def berezin_integral_coeffs(alg: Superalgebra, coeffs: np.ndarray):
     """Integral over all generators: top-monomial coefficient with the sign
     (-1)**(n(n-1)/2) (the measure d theta_1 .. d theta_n acts from the right,
     so the integral of theta_1 .. theta_n in ascending order carries that
-    reordering sign while theta_n .. theta_1 integrates to +1)."""
+    reordering sign while theta_n .. theta_1 integrates to +1).  A stack of
+    coefficient vectors (..., dim) gives the stack of their integrals."""
     n = int(alg.kind["n"])
-    top = alg.dim - 1
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return complex(sign * coeffs[top])
+    return sign * coeffs[..., alg.dim - 1]
+
+
+def berezin_pairing(alg: Superalgebra) -> np.ndarray:
+    """P[i, j] = integral of e_i e_j: the density rho gives the functional
+    phi = P @ rho, phi(e_i) = integral of e_i rho."""
+    if alg.kind.get("form") != "grassmann":
+        raise StateError("berezin densities need a Grassmann algebra")
+    # left_mult_matrix(e_i)[k, j] is the e_k coefficient of e_i e_j
+    return berezin_integral_coeffs(alg, alg.left_mult_matrix(np.eye(alg.dim)).swapaxes(1, 2))
 
 
 def vector_state(alg: Superalgebra, psi: np.ndarray) -> State:

@@ -53,7 +53,9 @@ from .moyal import (
 )
 from .report import Report, merge
 from .states import (
+    STATE_TOL,
     berezin_integral_coeffs,
+    berezin_pairing,
     gns,
     tracial_state,
     vector_state,
@@ -387,12 +389,13 @@ def gns_suite(seed: int = 0, tol: float = GNS_TOL) -> Report:
     return rep
 
 
-def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Report:
+def grassmann_suite(seed: int = 0, tol: float = 1e-12) -> Report:
     """Superclassical checks: the canonical worked brackets, the Berezin
     integral against the algebraic route on every basis element of G3, and
-    uniqueness of the state on three anticommuting generators, with its
-    density recovered from the scanned state through the Berezin pairing."""
-    rep = Report("grassmann", seed, meta={"samples": samples})
+    uniqueness of the state on three anticommuting generators, exact by a
+    rank test on the zero rows of its Gram matrix, with its density
+    recovered from that state through the Berezin pairing."""
+    rep = Report("grassmann", seed)
 
     (q, p), _ = variables(2, 0)
     w_even = SuperPBMatrix.canonical_even(1)
@@ -422,33 +425,27 @@ def grassmann_suite(seed: int = 0, samples: int = 300, tol: float = 1e-12) -> Re
         gaps.append(abs(via_alg - via_super))
     rep.residual("berezinRoutesAgree", gaps, tol, labels=[alg.labels])
 
-    scan = g3_unique_state(rng=np.random.default_rng(seed), samples=samples)
+    g3 = g3_unique_state(alg)
     rep.add(
-        "g3StateUnique",
-        scan["unique"] and scan["rejected"] == scan["tried"],
-        value=sum(scan["rejected"].values()),
-        tried=scan["tried"],
+        "g3StateUnique", g3["unique"], g3["value"], STATE_TOL,
+        evaluated=g3["evaluated"], margin=g3["margin"], zeroRows=g3["zeroRows"],
     )
-    functional = scan["state"].functional
+    functional = g3["state"].functional
     delta = np.zeros(alg.dim)
     delta[0] = 1.0
     rep.residual("g3StateIsDelta", np.abs(functional - delta), tol, labels=[alg.labels])
-    # phi(e_i) = int e_i rho = sum_j B[i, j] rho_j with the pairing
-    # B[i, j] = int e_i e_j, so rho = B^-1 phi; the oracle density is the
-    # descending top monomial: -1 on the ascending basis element
-    pairing = np.array([
-        [berezin_integral_coeffs(alg, alg.mul_coeffs(ei, ej)) for ej in np.eye(alg.dim)]
-        for ei in np.eye(alg.dim)
-    ])
+    # phi = P rho with the pairing P[i, j] = int e_i e_j, so rho = P^-1 phi;
+    # the oracle density is the descending top monomial: -1 on the
+    # ascending basis element
     want_density = np.zeros(alg.dim, dtype=complex)
     want_density[-1] = -1.0
-    density = np.linalg.solve(pairing, functional)
+    density = np.linalg.solve(berezin_pairing(alg), functional)
     rep.residual("g3DensityOracle", np.abs(density - want_density), tol, labels=[alg.labels])
     rep.add(
         "g3SeparationFails",
-        scan["ccVerdict"] is False
-        and scan["ccReport"]["clause"] == "statesSeparateObservables",
-        witness=scan["ccReport"].get("witness"),
+        g3["ccVerdict"] is False
+        and g3["ccReport"]["clause"] == "statesSeparateObservables",
+        witness=g3["ccReport"].get("witness"),
     )
     return rep
 

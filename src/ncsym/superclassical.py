@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs
-from .algebra import Element, _shuffle_sign, grassmann_algebra
-from .states import StateError, cc_check, make_state
+from ._linalg import max_abs, nullspace, numerical_rank
+from .algebra import Element, Superalgebra, _shuffle_sign
+from .states import STATE_TOL, berezin_pairing, cc_check, gram_matrix, make_state
 
 SUPER_EPS = 1e-15
 
@@ -267,65 +267,61 @@ def superfunction_from_element(e: Element) -> SuperFunction:
     return SuperFunction(0, n, terms)
 
 
-# -- the three-generator state analysis ----------------------------------------------
+# -- the Grassmann state analysis ----------------------------------------------------
 
 
-def g3_unique_state(
-    rng: np.random.Generator | None = None,
-    samples: int = 300,
-) -> dict:
-    """On the Grassmann algebra with three generators exactly one density is
-    a state: rho = theta3 theta2 theta1.
+def _linear_conditions(alg: Superalgebra, a: np.ndarray) -> dict[str, np.ndarray]:
+    """The linear conditions on a state, as rows on the real coordinates z
+    of a density with functional phi = a @ z: each row set vanishes on the
+    directions that keep a state normalized, odd-vanishing and hermitian."""
+    return {
+        "normalization": alg.unit_coeffs @ a,
+        "oddVanishing": a[alg.parity == 1],
+        # z is real, so conj(phi) = conj(a) @ z
+        "hermiticity": alg.involution_matrix.T @ a - a.conj(),
+    }
 
-    Normalization pins the top coefficient; vanishing on odd observables
-    kills the scalar and degree-2 coefficients; hermiticity plus Gram
-    positivity kills the degree-1 coefficients.  The scan below perturbs
-    every coefficient (a five-point grid and random directions) and counts the
-    rejections, then runs the separation check with the witness observables
-    1 + theta1 theta2 and 1 + 2 theta1 theta2.
+
+def g3_unique_state(alg: Superalgebra) -> dict:
+    """On a Grassmann algebra exactly one density is a state: the top
+    monomial rho0 = theta_n .. theta_1, which integrates to one.
+
+    make_state checks that rho0 is a state.  Any other candidate is
+    rho0 + sum_k t_k v_k, with real t and v_k spanning the directions of
+    the density x + i y that keep the linear conditions.  Its Gram matrix
+    G0 + sum_k t_k G_k is positive semidefinite, so each row whose
+    diagonal vanishes for every t vanishes too: c + L t = 0.  So rho0 is
+    the only state iff c = 0 and L has full column rank.  Positivity and
+    normalization alone pin it on G3-G6: L keeps full rank without the
+    odd-vanishing or hermiticity rows.  Returns the verdict with max |c|
+    as ``value``, the number of directions as ``evaluated`` and the
+    smallest singular value of L as ``margin``, and the separation check
+    on the witness observables 1 + theta1 theta2 and 1 + 2 theta1 theta2.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = rng or np.random.default_rng(20250825)
-    alg = grassmann_algebra(3)
-    rho0 = np.zeros(alg.dim, dtype=complex)
-    rho0[7] = -1.0  # theta3 theta2 theta1 written on the ascending basis
-    state = make_state(alg, "berezinDensity", alg.element(rho0))
-    rejected = {"grid": 0, "random": 0}
-    tried = {"grid": 0, "random": 0}
-    for idx in range(alg.dim):
-        for val in np.linspace(-1.0, 1.0, 5):
-            if val == 0.0:
-                continue
-            for scale in (1.0, 1.0j):
-                cand = rho0.copy()
-                cand[idx] += scale * val
-                tried["grid"] += 1
-                try:
-                    make_state(alg, "berezinDensity", alg.element(cand))
-                except StateError:
-                    rejected["grid"] += 1
-    for _ in range(samples):
-        cand = rho0.copy()
-        cand += 0.5 * (
-            rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        )
-        if max_abs(cand - rho0) < 1e-12:
-            continue
-        tried["random"] += 1
-        try:
-            make_state(alg, "berezinDensity", alg.element(cand))
-        except StateError:
-            rejected["random"] += 1
-    unique = rejected == tried
-    e12 = alg.element([0, 0, 0, 1, 0, 0, 0, 0])  # theta1 theta2
-    obs = [alg.unit + e12, alg.unit + 2.0 * e12]
-    cc = cc_check(obs, [state])
+    pairing = berezin_pairing(alg)
+    rho0 = np.eye(alg.dim)[-1] / pairing[0, -1]  # the integral of 1 rho0 is one
+    state = make_state(alg, "berezinDensity", rho0)
+    a = np.hstack([pairing, 1j * pairing])  # phi = a @ z for the density x + i y
+    rows = np.vstack([np.atleast_2d(r) for r in _linear_conditions(alg, a).values()])
+    directions = nullspace(np.vstack([rows.real, rows.imag])).real
+    g0 = gram_matrix(alg, state.functional)
+    grams = np.array([gram_matrix(alg, a @ v) for v in directions.T])
+    diag = np.abs(np.diagonal(np.concatenate([g0[None], grams]), axis1=1, axis2=2))
+    zero = np.all(diag <= STATE_TOL, axis=0)
+    value = max_abs(g0[zero])
+    lin = grams[:, zero].reshape(grams.shape[0], -1).T
+    lin = np.vstack([lin.real, lin.imag])
+    full = numerical_rank(lin) == lin.shape[1]
+    sv = np.linalg.svd(lin, compute_uv=False)
+    e12 = alg.basis_element(3)  # theta1 theta2
+    cc = cc_check([alg.unit + e12, alg.unit + 2.0 * e12], [state])
     return {
         "state": state,
-        "unique": unique,
-        "tried": tried,
-        "rejected": rejected,
+        "unique": bool(full and value <= STATE_TOL),
+        "value": value,
+        "evaluated": lin.shape[1],
+        "margin": float(sv[-1]) if sv.size == lin.shape[1] else 0.0,
+        "zeroRows": int(zero.sum()),
         "ccVerdict": cc["verdict"],
         "ccReport": cc,
     }

@@ -77,7 +77,7 @@ def test_criterion_04_gns_representation_oracles():
 
 
 def test_criterion_05_unique_state_on_three_odd_generators():
-    rep = grassmann_suite(seed=SEED, samples=300)
+    rep = grassmann_suite(seed=SEED)
     assert rep.passed, _failures(rep)
     sep = _check(rep, "g3SeparationFails")
     assert sep.details["witness"] is not None

@@ -33,20 +33,25 @@ def test_missing_suite_is_usage_error():
 
 
 def test_flag_rejected_when_suite_lacks_it(capsys):
-    assert main(["stern-gerlach", "--samples", "5"]) == 2
-    assert "--samples" in capsys.readouterr().err
+    assert main(["stern-gerlach", "--tol", "1e-9"]) == 2
+    assert "does not take --tol" in capsys.readouterr().err
+
+
+def _unknown_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_coupling_takes_no_samples(capsys):
     # the coupling battery runs on every basis pair, so there is no count
-    assert main(["coupling", "--samples", "5"]) == 2
-    assert "--samples" in capsys.readouterr().err
+    assert _unknown_flag(["coupling", "--samples", "5"], capsys)
 
 
 def test_moyal_limit_takes_no_samples(capsys):
     # associativity runs on every monomial triple, so there is no count
-    assert main(["moyal-limit", "--samples", "5"]) == 2
-    assert "--samples" in capsys.readouterr().err
+    assert _unknown_flag(["moyal-limit", "--samples", "5"], capsys)
 
 
 def test_json_report_round_trip(tmp_path, capsys):
@@ -121,11 +126,17 @@ def test_every_suite_passes_quickly(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["grassmann", "--samples", "0"], ["grassmann", "--samples", "-5"]]
+    "argv", [["grassmann", "--samples", n] for n in ("0", "-5", "5")]
 )
 def test_samples_below_one_is_usage_error(argv, capsys):
-    assert main(argv) == 2
-    assert "samples must be at least 1" in capsys.readouterr().err
+    # no suite samples, so argparse refuses every sample count
+    assert _unknown_flag(argv, capsys)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_negative_seed_is_usage_error(suite, capsys):
+    assert main([suite, "--seed", "-1"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
@@ -144,13 +155,13 @@ def test_grassmann_routes_compared_below_ten_samples():
     with mock.patch.object(
         suites, "berezin_integral_coeffs", wraps=suites.berezin_integral_coeffs
     ) as via_alg:
-        rep = suites.grassmann_suite(seed=0, samples=5)
+        rep = suites.grassmann_suite(seed=0)
     assert via_alg.call_count >= 1
     assert rep.passed
 
 
 def test_grassmann_tol_gates_the_residual_checks():
-    rep = suites.grassmann_suite(seed=0, samples=5, tol=1e-6)
+    rep = suites.grassmann_suite(seed=0, tol=1e-6)
     gated = {
         "canonicalEvenWorkedBracket", "oddSelfBracket", "berezinRoutesAgree",
         "g3StateIsDelta", "g3DensityOracle",
@@ -220,17 +231,12 @@ def test_ungraded_calculus_battery_samples_even_wedge_factors(seed, samples):
 def test_verify_samples_reach_the_calculus_battery(samples, seed, capsys):
     # no sample count reaches the calculus battery: without one, verify runs
     # the wedge rows on all 144 basis pairs of matrix2's 1-cochains in one
-    # block of four wedge calls; with one, it is refused before any battery
+    # block of four wedge calls; with one, argparse refuses it before any battery
     argv = ["verify", "--seed", str(seed), "--algebra", "m2"]
-    if samples is not None:
-        argv += ["--samples", str(samples)]
     with mock.patch.object(suites, "wedge", wraps=suites.wedge) as wedge:
-        code = main(argv)
-    if samples is None:
-        assert code == 0
-        assert wedge.call_count == 4
-        assert "PASS suite=verify" in capsys.readouterr().out
-    else:
-        assert code == 2
-        assert wedge.call_count == 0
-        assert "does not take --samples" in capsys.readouterr().err
+        if samples is None:
+            assert main(argv) == 0
+            assert "PASS suite=verify" in capsys.readouterr().out
+        else:
+            assert _unknown_flag(argv + ["--samples", str(samples)], capsys)
+    assert wedge.call_count == (4 if samples is None else 0)

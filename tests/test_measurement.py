@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncsym.measurement import (
+    MIXTURE_TOL,
     MeasurementError,
     MeasurementModel,
     PointerObservable,
@@ -50,10 +51,10 @@ def test_model_kappa_eta_and_reduced_state():
     # kappa = 2e4 leaves an interference term near 1.5e-5, above the 1e-7
     # mixture tolerance, although the pointer resolves the branches
     assert rep["offDiagonalResidual"] > 1e-7
-    assert not rep["mixtureVerdict"]
+    assert not rep["offDiagonalResidual"] <= MIXTURE_TOL
     assert rep["pointerResolved"]
     assert rep["signalRatios"] == pytest.approx([kappa])
-    # a smaller hbar pushes kappa past 1e8 and the verdict holds
+    # a smaller hbar pushes kappa past 1e8 and the result is a mixture
     sharp = MeasurementModel(
         lambdas=[-1.0, 1.0],
         amplitudes=[0.6, 0.8],
@@ -62,7 +63,7 @@ def test_model_kappa_eta_and_reduced_state():
         hbar=1.0e-6,
     )
     assert sharp.kappa(0, 1) >= 1e8
-    assert sharp.reduced_final_state()["mixtureVerdict"]
+    assert sharp.reduced_final_state()["offDiagonalResidual"] <= MIXTURE_TOL
 
 
 def test_model_flags_missing_signal():
@@ -79,7 +80,7 @@ def test_model_flags_missing_signal():
     assert model.degenerate_signal
     assert not rep["pointerResolved"]
     # kappa vanishes, so the interference survives at full strength
-    assert not rep["mixtureVerdict"]
+    assert not rep["offDiagonalResidual"] <= MIXTURE_TOL
 
 
 def test_model_rejects_degenerate_eigenvalues():
@@ -104,7 +105,7 @@ def test_model_eigenstate_input_has_no_interference():
     rep = model.reduced_final_state()
     assert rep["probabilities"] == pytest.approx([1.0, 0.0])
     assert rep["offDiagonalResidual"] == 0.0
-    assert rep["mixtureVerdict"]
+    assert rep["offDiagonalResidual"] <= MIXTURE_TOL
 
 
 def test_pointer_observable_classify_and_expectations():

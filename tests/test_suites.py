@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from unittest import mock
 
-from ncsym import calculus, measurement, moyal, suites
+from ncsym import calculus, measurement, moyal, superclassical, suites
 from ncsym.algebra import Superalgebra, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
@@ -221,8 +221,8 @@ def test_hybrid_bracket_order_passes_where_a_slope_fit_bent(seed):
 def test_density_oracle_reads_the_scanned_state():
     scan_state = suites.g3_unique_state
 
-    def corrupted(**kwargs):
-        scan = scan_state(**kwargs)
+    def corrupted(alg):
+        scan = scan_state(alg)
         f = scan["state"].functional.copy()
         f[-1] += EPS
         scan["state"] = State(scan["state"].algebra, f)
@@ -232,6 +232,39 @@ def test_density_oracle_reads_the_scanned_state():
         rep = suites.grassmann_suite(seed=0)
     check = next(c for c in rep.checks if c.name == "g3DensityOracle")
     assert not check.passed
+    assert check.value == pytest.approx(EPS)
+
+
+def test_uniqueness_fails_without_the_normalization_rows(monkeypatch):
+    # the top monomial keeps the other conditions and its Gram matrix
+    # vanishes off the unit, so the zero Gram rows no longer pin it
+    conditions = superclassical._linear_conditions
+    monkeypatch.setattr(
+        superclassical, "_linear_conditions",
+        lambda alg, a: {k: v for k, v in conditions(alg, a).items() if k != "normalization"},
+    )
+    rep = suites.grassmann_suite(seed=0)
+    assert {c.name for c in rep.checks if not c.passed} == {"g3StateUnique"}
+    check = next(c for c in rep.checks if c.name == "g3StateUnique")
+    assert check.details["evaluated"] == 4
+    assert check.details["margin"] < 1e-12
+
+
+def test_uniqueness_fails_on_a_nonzero_entry_in_a_zero_gram_row(monkeypatch):
+    # the entry (theta1, theta2) of the state's own Gram matrix, whose
+    # theta1 diagonal is zero; a direction's Gram matrix has phi(1) = 0
+    gram = superclassical.gram_matrix
+
+    def perturbed(alg, functional):
+        g = gram(alg, functional)
+        if functional[0] == 1.0:
+            g[1, 2] += EPS
+        return g
+
+    monkeypatch.setattr(superclassical, "gram_matrix", perturbed)
+    rep = suites.grassmann_suite(seed=0)
+    assert {c.name for c in rep.checks if not c.passed} == {"g3StateUnique"}
+    check = next(c for c in rep.checks if c.name == "g3StateUnique")
     assert check.value == pytest.approx(EPS)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncsym import superclassical
 from ncsym._linalg import bilinear
 from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
 from ncsym.calculus import Derivation, superderivation_residuals
@@ -233,10 +234,13 @@ def test_non_finite_coefficient_rejected(bad):
 
 
 def test_g3_state_is_unique():
-    out = g3_unique_state()
+    # three directions keep the linear conditions; the Gram rows of the
+    # seven basis elements other than 1 have zero diagonals and pin all three
+    out = g3_unique_state(G3)
     assert out["unique"]
-    assert out["rejected"] == out["tried"]
-    assert out["tried"]["grid"] > 0 and out["tried"]["random"] > 0
+    assert out["value"] == 0.0
+    assert (out["evaluated"], out["zeroRows"]) == (3, 7)
+    assert out["margin"] == pytest.approx(np.sqrt(3))
     phi = out["state"]
     expected = np.zeros(8)
     expected[0] = 1.0
@@ -245,11 +249,31 @@ def test_g3_state_is_unique():
     assert out["ccReport"]["clause"] == "statesSeparateObservables"
 
 
-@pytest.mark.parametrize("samples", [0, -5])
-def test_g3_unique_state_rejects_zero_samples(samples):
-    # no scan may pass on zero random samples
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        g3_unique_state(samples=samples)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_state_is_unique_on_larger_grassmann_algebras(n):
+    # the directions and the zero-diagonal rows double with each generator
+    out = g3_unique_state(grassmann_algebra(n))
+    assert out["unique"]
+    assert out["value"] <= 2.5e-16
+    assert (out["evaluated"], out["zeroRows"]) == (2 ** (n - 1) - 1, 2**n - 1)
+    assert out["margin"] == pytest.approx(np.sqrt(3))
+    expected = np.zeros(2**n)
+    expected[0] = 1.0
+    assert np.abs(out["state"].functional - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("dropped", ["oddVanishing", "hermiticity"])
+def test_positivity_pins_the_state_without_parity_or_hermiticity(monkeypatch, dropped):
+    # dropping either row set adds directions, but the zero Gram rows still
+    # pin them all: positivity and normalization alone make the state unique
+    conditions = superclassical._linear_conditions
+    monkeypatch.setattr(
+        superclassical, "_linear_conditions",
+        lambda alg, a: {k: v for k, v in conditions(alg, a).items() if k != dropped},
+    )
+    out = g3_unique_state(G3)
+    assert out["unique"]
+    assert out["evaluated"] == {"oddVanishing": 7, "hermiticity": 6}[dropped]
 
 
 def test_berezin_expectation_on_g3_state():
