@@ -225,7 +225,4 @@ def coupled_evolution(
 ) -> np.ndarray:
     """Heisenberg trajectory dE/dt = {H, E} on the product algebra, in
     closed form: one row of coefficients per requested time."""
-    system = HamiltonianSystem(prod, h)
-    times = np.asarray(times, dtype=float)
-    rows = [system.evolve_heisenberg(observable, t).coeffs for t in times]
-    return np.array(rows, dtype=complex).reshape(times.size, prod.algebra.dim)
+    return HamiltonianSystem(prod, h).flow(observable.coeffs, times)

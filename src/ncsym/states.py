@@ -27,6 +27,9 @@ from ._linalg import max_abs, nullspace
 from .algebra import Element, Superalgebra, realization_defects
 
 STATE_TOL = 1e-10
+# Gate on normalization, hermiticity and positivity of a state and of a
+# density matrix; odd-vanishing alone is gated at STATE_TOL.
+STATE_GATE = 1e-9
 # Values closer than this count as equal in the separation check.
 SEPARATION_TOL = 1e-9
 # Relative eigenvalue threshold for GNS rank decisions.
@@ -71,12 +74,15 @@ def gram_matrix(alg: Superalgebra, functional: np.ndarray) -> np.ndarray:
 def validate_state_functional(alg: Superalgebra, functional: np.ndarray) -> dict:
     """Normalization, hermiticity, odd-vanishing, Gram positivity.
 
+    All are gated at STATE_GATE (positivity relative to the largest Gram
+    eigenvalue when that exceeds 1) except odd-vanishing alone, which is
+    gated at STATE_TOL.
     Returns an evidence dict; raises StateError with a witness description
     on the first violated condition.
     """
     f = np.asarray(functional, dtype=complex).reshape(-1)
     norm = f @ alg.unit_coeffs
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > STATE_GATE:
         raise StateError(f"state is not normalized, phi(1) = {norm}")
     odd = max_abs(f[alg.parity == 1])
     if odd > STATE_TOL:
@@ -86,12 +92,12 @@ def validate_state_functional(alg: Superalgebra, functional: np.ndarray) -> dict
             f"= {f[idx]:.3e})"
         )
     herm = max_abs(alg.involution_matrix.T @ f - np.conj(f))
-    if herm > 1e-9:
+    if herm > STATE_GATE:
         raise StateError(f"state is not hermitian (defect {herm:.3e})")
     g = gram_matrix(alg, f)
     evals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     scale = max(1.0, float(evals[-1]))
-    if evals[0] < -1e-9 * scale:
+    if evals[0] < -STATE_GATE * scale:
         # produce a witness element A with phi(A* A) < 0
         _, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
         witness = vecs[:, 0]
@@ -112,12 +118,12 @@ def make_state(alg: Superalgebra, realization: str, data) -> State:
         if alg.rep_basis is None:
             raise StateError("algebra has no matrix realization")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > 1e-9:
+        if abs(tr - 1.0) > STATE_GATE:
             raise StateError(f"density matrix has trace {tr}")
-        if max_abs(rho - rho.conj().T) > 1e-9:
+        if max_abs(rho - rho.conj().T) > STATE_GATE:
             raise StateError("density matrix is not hermitian")
         evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if evals[0] < -1e-9:
+        if evals[0] < -STATE_GATE:
             raise StateError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
         f = np.array(
             [np.trace(rho @ alg.rep_basis[k]) for k in range(alg.dim)]

@@ -33,10 +33,16 @@ per system, so expm(t L_H) = V diag(exp(t w)) V^-1 for every t.  The
 eigenvector method is reliable only for a well-conditioned V (Moler and
 Van Loan, SIAM Rev. 45 (2003) 3), so the decomposition is used only when
 its relative reconstruction residual is at most EIG_RESIDUAL_TOL and
-cond(V) is at most EIG_COND_MAX.  A Liouvillian that fails the gate, such
-as a nilpotent one, is exponentiated by ``_linalg.expm`` at each t.
+cond(V) is at most EIG_COND_MAX.  A flow never forms that product: it
+applies the factors to the vector, V (exp(t w) * (V^-1 a)), which is
+O(dim^2) per time, and a whole time grid is one product of the phases
+against V.  States move by the transpose, V^-T (exp(t w) * (V^T phi)).  A
+Liouvillian that fails the gate, such as a nilpotent one, is exponentiated
+by ``_linalg.expm`` at each t and applied to the vector.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -126,24 +132,24 @@ class SymplecticStructure:
         self.hamiltonian_basis = coeffs
         self.solve_residual = coeffs @ self._pairing - rhs
         self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats)
+        # row t selects the basis elements of parity t
+        self._parity_masks = np.array([basis_par == 0, basis_par == 1], dtype=float)
 
     # -- hamiltonian derivations and brackets --------------------------------
 
     def _check_solve(self, a: Element) -> None:
         """Raise unless i_Y omega = -dA closes for each parity part of A.
 
-        The solve residual is linear in each part, so it is the part's
-        coefficients times the per-basis residual rows."""
+        The solve residual is linear in each part, so both parts' residuals
+        are one product of the masked coefficients with the per-basis
+        residual rows; a zero part has residual exactly 0."""
+        res = np.abs((a.coeffs * self._parity_masks) @ self.solve_residual).max(axis=1)
         for t in (0, 1):
-            part = a.coeffs * (self.algebra.parity == t)
-            if max_abs(part) == 0.0:
-                continue
-            res = max_abs(part @ self.solve_residual)
-            if res <= HAMILTONIAN_SOLVE_TOL:
+            if res[t] <= HAMILTONIAN_SOLVE_TOL:
                 continue
             if not np.any(self.family.parities == t):
                 raise SymplecticError("no family directions of the required parity")
-            raise SymplecticError(f"hamiltonian solve failed, residual {res:.3e}")
+            raise SymplecticError(f"hamiltonian solve failed, residual {res[t]:.3e}")
 
     def hamiltonian_coeffs(self, a: Element) -> np.ndarray:
         """Family coefficients of Y_A solving i_{Y_A} omega = -dA for
@@ -230,21 +236,42 @@ class HamiltonianSystem:
             if self.eig_residual <= EIG_RESIDUAL_TOL:
                 self.eigen = (v, w, vinv)
 
+    def _reachable(self, times) -> np.ndarray:
+        """The times as a float array; raises for one that is not finite or
+        at which the phase t L_H has lost every digit."""
+        times = np.asarray(times, dtype=float).reshape(-1)
+        for t in times.tolist():
+            if not math.isfinite(t) or abs(t) * self._scale > MAX_PHASE:
+                raise SymplecticError(f"cannot evolve to time {t} (|L_H| = {self._scale:.3e})")
+        return times
+
     def heisenberg_matrix(self, t: float) -> np.ndarray:
         """expm(t L_H) acting on observable coefficients; raises for a time
-        that is not finite or at which the phase t L_H has lost every digit."""
-        t = float(t)
-        if not np.isfinite(t) or abs(t) * self._scale > MAX_PHASE:
-            raise SymplecticError(f"cannot evolve to time {t} (|L_H| = {self._scale:.3e})")
+        the flow cannot reach."""
+        (t,) = self._reachable([t])
         if self.eigen is None:
             return expm(t * self.liouville)
         v, w, vinv = self.eigen
         return (v * np.exp(t * w)) @ vinv
 
+    def flow(self, vector: np.ndarray, times, dual: bool = False) -> np.ndarray:
+        """expm(t L_H) applied to a coefficient vector, one row per time;
+        with ``dual`` its transpose, which moves a functional.  Raises for a
+        time the flow cannot reach."""
+        times = self._reachable(times)
+        if self.eigen is None:
+            mats = (self.heisenberg_matrix(t) for t in times)
+            rows = [(m.T if dual else m) @ vector for m in mats]
+            return np.array(rows, dtype=complex).reshape(times.size, self.algebra.dim)
+        v, w, vinv = self.eigen
+        if dual:
+            v, vinv = vinv.T, v.T
+        return (np.exp(times[:, None] * w) * (vinv @ vector)) @ v.T
+
     def evolve_heisenberg(self, a: Element, t: float) -> Element:
         """Observable evolution dA/dt = {H, A}, in closed form."""
-        return Element(self.algebra, self.heisenberg_matrix(t) @ a.coeffs)
+        return Element(self.algebra, self.flow(a.coeffs, [t])[0])
 
     def evolve_functional(self, functional: np.ndarray, t: float) -> np.ndarray:
         """State evolution by duality: phi_t(A) = phi(A(t))."""
-        return self.heisenberg_matrix(t).T @ np.asarray(functional, dtype=complex)
+        return self.flow(functional, [t], dual=True)[0]

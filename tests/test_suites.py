@@ -365,6 +365,16 @@ def test_every_calculus_row_counts_the_basis_inputs_it_evaluated():
     assert got == EVALUATED
 
 
+def test_the_calculus_battery_builds_only_the_algebras_it_runs():
+    built = []
+    with mock.patch.object(
+        suites, "matrix_algebra", side_effect=lambda *args: built.append(args) or matrix_algebra(*args)
+    ):
+        rep = suites.calculus_suite(seed=0)
+    assert built == [(2, None), (2, (1, 1))]
+    assert {c.name.split(".")[0] for c in rep.checks} == {"matrix2", "graded11"}
+
+
 def _wedge_rows_peak(samples):
     # the wedge rows on every pair of the first `samples` even basis
     # 1-cochains of matrix3

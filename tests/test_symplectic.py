@@ -296,6 +296,42 @@ def test_solve_gate_rejects_non_hamiltonian_elements():
         ss.poisson_operator(a)
 
 
+def test_the_solve_gate_judges_each_parity_part():
+    # 1e-6 on the residual row of one odd basis element fails every input
+    # with an odd part, and leaves an even input's zero odd part at 0
+    ss = quantum_form(matrix_algebra(3, grading=(2, 1)), HBAR)
+    alg = ss.algebra
+    odd = int(np.flatnonzero(alg.parity == 1)[0])
+    ss.solve_residual[odd] += 1e-6
+    rng = np.random.default_rng(55)
+    even = alg.sample_element(rng, parity=0)
+    for a in (alg.basis_element(odd), alg.sample_element(rng, parity=1), even + alg.basis_element(odd)):
+        with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
+            ss.poisson(a, even)
+        with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
+            ss.poisson_operator(a)
+    ss.poisson(even, even)
+    ss.poisson_operator(even)
+
+
+def test_a_family_without_odd_directions_cannot_solve_for_an_odd_element():
+    # D_E11 and D_E33 on M(2|1) commute and are self-adjoint, so 1 (X ^ Y) is
+    # a closed, nondegenerate form on them with only even directions
+    alg = matrix_algebra(3, grading=(2, 1))
+    fam = DerivationFamily(alg, [inner_derivation(alg, alg.basis_element(k)) for k in (0, 8)])
+    t = np.zeros((2, 2, alg.dim), dtype=complex)
+    t[0, 1], t[1, 0] = alg.unit_coeffs, -alg.unit_coeffs
+    ss = SymplecticStructure(Cochain(fam, 2, 0, t))
+    e13 = alg.basis_element(2)
+    assert e13.parity == 1
+    with pytest.raises(SymplecticError, match="no family directions of the required parity"):
+        ss.poisson(e13, e13)
+    with pytest.raises(SymplecticError, match="no family directions of the required parity"):
+        ss.poisson_operator(e13)
+    # the diagonal units are hamiltonian: D_E11 and D_E33 kill them
+    ss.poisson_operator(alg.basis_element(0) + alg.basis_element(8))
+
+
 def test_no_canonical_pairs_in_m2():
     # the trace obstruction forbids {A, B} = 1 in a matrix algebra
     rng = np.random.default_rng(44)
@@ -440,13 +476,30 @@ def structure(label):
 @pytest.mark.parametrize("label", ["M4", "M2-1", "M2xM3", "M2xM2"])
 def test_heisenberg_matrix_matches_expm_on_the_grid(label):
     ss = structure(label)
-    h = ss.algebra.sample_element(np.random.default_rng(51), parity=0, hermitian=True)
+    rng = np.random.default_rng(51)
+    h = ss.algebra.sample_element(rng, parity=0, hermitian=True)
     hs = HamiltonianSystem(ss, h)
     assert hs.eigen is not None
     assert hs.eig_residual <= 1e-12 and hs.eig_cond <= 1e4
+    a = ss.algebra.sample_element(rng)
+    phi = rng.normal(size=ss.algebra.dim) + 1j * rng.normal(size=ss.algebra.dim)
     for t in TIMES:
-        want = expm(t * hs.liouville)
-        np.testing.assert_allclose(hs.heisenberg_matrix(t), want, rtol=0, atol=1e-12)
+        m = hs.heisenberg_matrix(t)
+        np.testing.assert_allclose(m, expm(t * hs.liouville), rtol=0, atol=1e-12)
+        # the flows apply the same propagator to vectors
+        np.testing.assert_allclose(hs.evolve_heisenberg(a, t).coeffs, m @ a.coeffs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(hs.evolve_functional(phi, t), m.T @ phi, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("label", ["M2xM3", "M2xM2"])
+def test_a_coupled_grid_is_the_flow_at_each_time(label):
+    prod = structure(label)
+    rng = np.random.default_rng(57)
+    h = prod.algebra.sample_element(rng, hermitian=True)
+    obs = prod.algebra.sample_element(rng)
+    hs = HamiltonianSystem(prod, h)
+    per_time = np.array([hs.evolve_heisenberg(obs, t).coeffs for t in TIMES])
+    np.testing.assert_allclose(coupled_evolution(prod, h, obs, TIMES), per_time, rtol=0, atol=1e-13)
 
 
 class JordanBracket:
@@ -499,6 +552,33 @@ def test_the_expm_fallback_fails_at_a_lower_taylor_degree(monkeypatch):
     monkeypatch.setattr(_linalg, "EXPM_DEGREE", 8)
     hs = HamiltonianSystem(JordanBracket(1j), M2.unit)
     assert fallback_error(hs, LONG_TIMES) > 1e-13
+
+
+def central_m4():
+    # round-off entries in L_H give a degenerate V
+    ss = quantum_form(matrix_algebra(4), 0.7)
+    return HamiltonianSystem(ss, ss.algebra.unit)
+
+
+FALLBACK_SYSTEMS = {
+    "jordan": lambda: HamiltonianSystem(JordanBracket(1j), M2.unit),
+    "central-M4": central_m4,
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK_SYSTEMS))
+def test_the_expm_fallback_applies_expm_to_vectors(name):
+    hs = FALLBACK_SYSTEMS[name]()
+    assert hs.eigen is None
+    rng = np.random.default_rng(58)
+    dim = hs.algebra.dim
+    a = hs.algebra.element(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for t in TIMES:
+        want = expm(t * hs.liouville)
+        scale = max_abs(want) * max(max_abs(a.coeffs), max_abs(phi))
+        assert max_abs(hs.evolve_heisenberg(a, t).coeffs - want @ a.coeffs) <= 1e-13 * scale
+        assert max_abs(hs.evolve_functional(phi, t) - want.T @ phi) <= 1e-13 * scale
 
 
 def test_expi_hermitian_matches_scipy():
