@@ -28,7 +28,8 @@ from .algebra import Element, Superalgebra, realization_defects
 
 STATE_TOL = 1e-10
 # Gate on normalization, hermiticity and positivity of a state and of a
-# density matrix; odd-vanishing alone is gated at STATE_TOL.
+# density matrix, and on the effects and probabilities of a PObVM;
+# odd-vanishing alone is gated at STATE_TOL.
 STATE_GATE = 1e-9
 # Values closer than this count as equal in the separation check.
 SEPARATION_TOL = 1e-9
@@ -183,18 +184,18 @@ class PObVM:
         self.effects = dict(effects)
         total = np.zeros(alg.dim, dtype=complex)
         for label, e in self.effects.items():
-            if max_abs(e.star().coeffs - e.coeffs) > 1e-9:
+            if max_abs(e.star().coeffs - e.coeffs) > STATE_GATE:
                 raise StateError(f"effect {label!r} is not hermitian")
             if alg.rep_basis is not None:
                 evs = np.linalg.eigvalsh(
                     0.5 * (e.realize() + e.realize().conj().T)
                 )
-                if evs[0] < -1e-9:
+                if evs[0] < -STATE_GATE:
                     raise StateError(
                         f"effect {label!r} has negative part {evs[0]:.3e}"
                     )
             total = total + e.coeffs
-        if max_abs(total - alg.unit_coeffs) > 1e-9:
+        if max_abs(total - alg.unit_coeffs) > STATE_GATE:
             raise StateError("effects do not resolve the unit")
 
     def probability(self, phi: State, event) -> float:
@@ -203,10 +204,10 @@ class PObVM:
         total = 0.0 + 0.0j
         for lab in labels:
             total += phi.expectation(self.effects[lab])
-        if abs(total.imag) > 1e-9:
+        if abs(total.imag) > STATE_GATE:
             raise StateError("probability came out non-real")
         p = float(total.real)
-        if p < -1e-9 or p > 1 + 1e-9:
+        if p < -STATE_GATE or p > 1 + STATE_GATE:
             raise StateError(f"probability {p} outside [0, 1]")
         return min(1.0, max(0.0, p))
 

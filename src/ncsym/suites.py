@@ -7,6 +7,8 @@ acceptance tests both call these functions.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ._linalg import expi_hermitian, rk4_trajectory, worst
@@ -17,6 +19,7 @@ from .calculus import (
     AlgebraIsomorphism,
     Cochain,
     DerivationFamily,
+    DerivationStack,
     exterior_derivative,
     interior,
     lie_derivative,
@@ -171,63 +174,93 @@ def identity_suite(
 
 
 def _note(rows: dict, name: str, gap: np.ndarray, slots: int) -> None:
-    """Append a block's largest |entry| per input to a row: the stack axis
-    (second to last) and the axes before the ``slots`` argument axes stay."""
-    mags = np.abs(gap).max(axis=-1)
-    keep = mags.ndim - 1 - slots
-    rows[name].append(mags.max(axis=tuple(range(keep, mags.ndim - 1))).ravel())
+    """Append a block's largest |entry| per input to a row: the ``slots``
+    argument axes (first) and the algebra axis (last) are reduced, and the
+    stack axes between them (members, basis cochains) stay in order.  The
+    reduction runs on re**2 + im**2, with one square root per input; a NaN
+    stays NaN."""
+    sq = np.square(gap.real)
+    sq += np.square(gap.imag)
+    sq = sq.max(axis=-1)
+    if slots:
+        sq = sq.reshape((-1,) + sq.shape[slots:]).max(axis=0)
+    rows[name].append(np.sqrt(sq).ravel())
 
 
-def _calculus_stack_rows(rows: dict, iso, basis: Cochain) -> None:
+def _lie_bracket_gap(members: DerivationStack, w: Cochain, lw: np.ndarray) -> np.ndarray:
+    """L_[Xa, Xb] w - [L_Xa, L_Xb] w for every ordered member pair (a, b),
+    as (m,) * p + (a, b) + S + (dim,), from lw = L_Xc w along the family
+    members: L_Xa L_Xb w is one more call on lw, whose entry b has parity
+    e_w + e_b, and L_[Xa, Xb] w = f[a, b, c] L_Xc w."""
+    fam, p = w.family, w.degree
+    fp, m = fam.parities, len(fam)
+    lw_stack = Cochain(fam, p, w.parity, lw, check=False)
+    llw = lie_derivative(members, lw_stack, parity=(w.parity + fp)[:, None])
+    # (L_Xa L_Xb - (-1)**(e_a e_b) L_Xb L_Xa) w, subtracted from the bracket side
+    gap = np.multiply(koszul_signs(fp, fp)[:, :, None, None], llw.swapaxes(p, p + 1), order="C")
+    np.subtract(llw, gap, out=gap)
+    lhs = fam.bracket.reshape(m * m, m) @ lw.reshape(m**p, m, -1)
+    return np.subtract(lhs.reshape(gap.shape), gap, out=gap)
+
+
+def _calculus_stack_rows(rows: dict, iso, members: DerivationStack, basis: Cochain):
     """The ddZero, cartan, lieBracket and pullbackDifferential rows on the
-    basis stack of one degree and parity: Cartan for every family member X,
-    [L_X, L_Y] = L_[X, Y] for every ordered member pair ([X, Y] from the
-    family's bracket table).  Every kernel runs on blocks of the stack, so
-    that d(d w) of a block stays within the differential's chunk bound."""
+    basis stack of one degree and parity, with the family ``members`` as a
+    stack axis: Cartan for every member X, [L_X, L_Y] = L_[X, Y] for every
+    ordered member pair ([X, Y] from the family's bracket table).  Every
+    kernel runs on blocks of the stack, so that d(d w) and L L w of a block
+    stay within the differential's chunk bound.  Below degree 2 it returns
+    d and the pullback of the basis, joined over the blocks."""
     fam, degree = basis.family, basis.degree
-    members, m = fam.members, len(fam)
-    sign = koszul_signs(fam.parities, fam.parities).reshape((m, m) + (1,) * (degree + 2))
+    fp, m = fam.parities, len(fam)
+    # Cartan's sign (-1)**(e_X e_w) per member
+    eta = np.where(fp * basis.parity, -1.0, 1.0)[:, None, None]
     per = max(1, _CHUNK_ENTRIES // (m ** (degree + 2) * fam.algebra.dim))
+    kept = []
     for lo in range(0, basis.stack[0], per):
         w = basis.member(slice(lo, lo + per))
         dw = exterior_derivative(w)
         _note(rows, "ddZero", exterior_derivative(dw).tensor, degree + 2)
-        lw = [lie_derivative(x, w) for x in members]
-        for x, lxw in zip(members, lw):
-            homotopy = interior(x, dw)
-            if degree:
-                homotopy = homotopy + exterior_derivative(interior(x, w))
-            eta = -1.0 if (x.parity and w.parity) else 1.0
-            _note(rows, "cartan", (homotopy - eta * lxw).tensor, degree)
-        # llw[a, b] = L_Xa L_Xb w against L_[Xa, Xb] w = f[a, b, c] L_Xc w
-        llw = np.array([[lie_derivative(x, v).tensor for v in lw] for x in members])
-        lhs = np.tensordot(fam.bracket, np.array([v.tensor for v in lw]), axes=1)
-        _note(rows, "lieBracket", lhs - (llw - sign * llw.swapaxes(0, 1)), degree)
+        # lw[.., a, s, :] = L_Xa w_s, of parity e_w + e_a
+        lw = lie_derivative(members, w)
+        # i_X d w + d i_X w, with d once per member parity
+        homotopy = interior(members, dw)
+        if degree:
+            iw = interior(members, w)
+            for t in np.unique(fp):
+                on = fp == t
+                part = Cochain(fam, degree - 1, w.parity + t, iw[..., on, :, :], check=False)
+                homotopy[..., on, :, :] += exterior_derivative(part).tensor
+        _note(rows, "cartan", homotopy - eta * lw, degree)
+        _note(rows, "lieBracket", _lie_bracket_gap(members, w, lw), degree)
         if degree <= 1:
-            gap = pullback(iso, dw) - exterior_derivative(pullback(iso, w))
+            pw = pullback(iso, w)
+            gap = pullback(iso, dw) - exterior_derivative(pw)
             _note(rows, "pullbackDifferential", gap.tensor, degree + 1)
+            kept.append((dw, pw))
+    joined = [np.concatenate([c.tensor for c in made], axis=-2) for made in zip(*kept)]
+    return [Cochain(fam, t.ndim - 2, basis.parity, t, check=False) for t in joined]
 
 
-def _wedge_rows(rows: dict, iso, ones: list[Cochain]) -> None:
+def _wedge_rows(rows: dict, iso, ones: list[tuple]) -> None:
     """wedgeLeibniz and pullbackWedge on every pair of basis 1-cochains of
     every two parities, as two stacks of factors, in blocks whose d stays
-    within the chunk bound; d and the pullbacks of the basis run once."""
-    fam = ones[0].family
+    within the chunk bound.  ``ones`` holds, per parity, the basis
+    1-cochains with their d and their pullback."""
+    fam = ones[0][0].family
     per = max(1, _CHUNK_ENTRIES // (len(fam) ** 3 * fam.algebra.dim))
-    d_ones = [exterior_derivative(c) for c in ones]
-    pulled = [pullback(iso, c) for c in ones]
-    for s, t in np.ndindex(len(ones), len(ones)):
-        nb = ones[t].stack[0]
-        pairs = np.arange(ones[s].stack[0] * nb)
+    for (left, d_left, p_left), (right, d_right, p_right) in itertools.product(ones, ones):
+        nb = right.stack[0]
+        pairs = np.arange(left.stack[0] * nb)
         for lo in range(0, pairs.size, per):
             i, j = np.divmod(pairs[lo : lo + per], nb)
-            a, b = ones[s].member(i), ones[t].member(j)
+            a, b = left.member(i), right.member(j)
             ab = wedge(a, b)
             leibniz = exterior_derivative(ab) - (
-                wedge(d_ones[s].member(i), b) - wedge(a, d_ones[t].member(j))
+                wedge(d_left.member(i), b) - wedge(a, d_right.member(j))
             )
             _note(rows, "wedgeLeibniz", leibniz.tensor, 3)
-            hom = pullback(iso, ab) - wedge(pulled[s].member(i), pulled[t].member(j))
+            hom = pullback(iso, ab) - wedge(p_left.member(i), p_right.member(j))
             _note(rows, "pullbackWedge", hom.tensor, 2)
 
 
@@ -256,10 +289,15 @@ def calculus_suite(
         iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
         # odd cochains vanish on an algebra with no odd part
         parities = (0, 1) if np.any(alg.parity) else (0,)
-        bases = {(p, t): Cochain.basis(fam, p, t) for p in (0, 1, 2) for t in parities}
-        for basis in bases.values():
-            _calculus_stack_rows(rows, iso, basis)
-        _wedge_rows(rows, iso, [bases[1, t] for t in parities])
+        members = DerivationStack(fam, fam.members)
+        ones = []  # the basis 1-cochains of each parity, with d and pullback
+        for p in (0, 1, 2):
+            for t in parities:
+                basis = Cochain.basis(fam, p, t)
+                made = _calculus_stack_rows(rows, iso, members, basis)
+                if p == 1:
+                    ones.append((basis, *made))
+        _wedge_rows(rows, iso, ones)
         for name, blocks in rows.items():
             rep.residual(f"{label}.{name}", np.concatenate(blocks), tol)
     return rep

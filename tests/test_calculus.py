@@ -25,6 +25,7 @@ from ncsym.calculus import (
     Cochain,
     Derivation,
     DerivationFamily,
+    DerivationStack,
     exterior_derivative,
     graded_permutation_sign,
     inner_derivation,
@@ -333,7 +334,7 @@ def test_inner_family_rejects_an_inner_derivation_moved_by_1e6(monkeypatch):
 
 def test_family_expand_and_bracket_closure():
     d = inner_derivation(M2, SX)
-    rebuilt = FAM2.combination(FAM2.expand_strict(d), 0)
+    rebuilt = FAM2.combination(DerivationStack(FAM2, [d]).coeffs[0], 0)
     np.testing.assert_allclose(rebuilt.matrix, d.matrix, atol=TOL)
     f = FAM2.bracket  # raises if not closed
     assert f.shape == (3, 3, 3)
@@ -417,15 +418,14 @@ def test_zero_form_rule_signs():
     e12 = M11.basis_element(1)
     x = inner_derivation(M11, M11.basis_element(2))  # odd derivation D_E21
     da = differential(FAM11, e12)
-    lhs = np.tensordot(FAM11.expand_strict(x), da.tensor, axes=1)  # (dA)(X)
+    coeffs = DerivationStack(FAM11, [x]).coeffs[0]  # X over the family
+    lhs = np.tensordot(coeffs, da.tensor, axes=1)  # (dA)(X)
     rhs = (-1.0) * x(e12)
     np.testing.assert_allclose(lhs, rhs.coeffs, atol=TOL)
     # even element: no sign
     h = M11.basis_element(0)
     dh = differential(FAM11, h)
-    np.testing.assert_allclose(
-        np.tensordot(FAM11.expand_strict(x), dh.tensor, axes=1), x(h).coeffs, atol=TOL
-    )
+    np.testing.assert_allclose(np.tensordot(coeffs, dh.tensor, axes=1), x(h).coeffs, atol=TOL)
 
 
 def _homogeneous_members(fam):
@@ -857,6 +857,51 @@ def test_a_stack_equals_its_members_one_by_one(name, degree):
                 assert _rel_gap(got.tensor, want) <= 1e-15
             else:
                 assert np.array_equal(got.tensor, want), kernel
+
+
+M21 = DerivationFamily.inner_family(matrix_algebra(3, (2, 1)))
+
+
+def _member_stack_cases():
+    """Every basis stack of matrix2 and graded11, and eight basis cochains
+    of each degree and parity (the first four and the last four) of the
+    mixed-parity family of M(2|1)."""
+    for name, fam in (("M2", FAM2), ("M11", FAM11), ("M21", M21)):
+        for degree, parity in product((0, 1, 2), (0, 1)):
+            basis = Cochain.basis(fam, degree, parity)
+            (size,) = basis.stack
+            if name == "M21" and size > 8:
+                basis = basis.member(np.r_[:4, size - 4 : size])
+            if basis.stack[0]:
+                yield f"{name}-{degree}-{parity}", basis
+
+
+MEMBER_STACK_CASES = dict(_member_stack_cases())
+
+
+@pytest.mark.parametrize("name", list(MEMBER_STACK_CASES))
+def test_lie_along_a_member_stack_equals_each_member_bit_for_bit(name):
+    # L_Xa w for every member a in one call, and L_Xa L_Xb w for every a, b
+    # in a second call on that output, against the one-member calls
+    basis = MEMBER_STACK_CASES[name]
+    fam, p = basis.family, basis.degree
+    fp = fam.parities
+    members = DerivationStack(fam, fam.members)
+    lw = lie_derivative(members, basis)
+    want = np.stack([lie_derivative(x, basis).tensor for x in fam.members], axis=p)
+    assert np.array_equal(lw, want)
+    llw = lie_derivative(
+        members, Cochain(fam, p, basis.parity, lw, check=False), parity=(basis.parity + fp)[:, None]
+    )
+    for b, parity in enumerate(basis.parity + fp):
+        v = Cochain(fam, p, parity, lw[(slice(None),) * p + (b,)], check=False)
+        want = np.stack([lie_derivative(x, v).tensor for x in fam.members], axis=p)
+        assert np.array_equal(llw[(slice(None),) * (p + 1) + (b,)], want), b
+
+
+def test_lie_and_interior_along_a_stack_reject_another_algebra():
+    with pytest.raises(CalculusError, match="different algebras"):
+        DerivationStack(FAM2, FAM11.members)
 
 
 def test_a_stack_with_a_bad_shape_is_rejected():

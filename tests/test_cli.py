@@ -8,7 +8,13 @@ import pytest
 from ncsym import suites
 from ncsym._linalg import expi_hermitian
 from ncsym.algebra import matrix_algebra
-from ncsym.calculus import AlgebraIsomorphism, Cochain, DerivationFamily
+from ncsym.calculus import (
+    AlgebraIsomorphism,
+    Cochain,
+    DerivationFamily,
+    exterior_derivative,
+    pullback,
+)
 from ncsym.cli import main
 from ncsym.suites import SUITES
 
@@ -220,7 +226,8 @@ def test_ungraded_calculus_battery_samples_even_wedge_factors(seed, samples):
     gen = alg.sample_element(np.random.default_rng(seed), parity=0, hermitian=True)
     iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
     rows = {name: [] for name in suites.CALCULUS_ROWS}
-    suites._wedge_rows(rows, iso, [Cochain.basis(fam, 1, 0).member(slice(0, samples))])
+    ones = Cochain.basis(fam, 1, 0).member(slice(0, samples))
+    suites._wedge_rows(rows, iso, [(ones, exterior_derivative(ones), pullback(iso, ones))])
     for name in ("wedgeLeibniz", "pullbackWedge"):
         values = np.concatenate(rows[name])
         assert values.size == samples * samples

@@ -5,6 +5,7 @@ import numpy as np
 from ncsym.algebra import grassmann_algebra, matrix_algebra
 from ncsym.calculus import AlgebraIsomorphism
 from ncsym.states import (
+    STATE_GATE,
     PObVM,
     StateError,
     cc_check,
@@ -109,6 +110,19 @@ class PObVMTest(unittest.TestCase):
         sz = M2.element([1, 0, 0, -1])
         with self.assertRaisesRegex(StateError, "resolve"):
             PObVM(M2, {"up": 0.5 * (M2.unit + sz)})
+
+    def test_negative_effects_are_gated_at_the_state_gate(self):
+        # diag(low, 0.5) and its complement diag(1 - low, 0.5) resolve the
+        # unit; low = -2e-9 lies below -STATE_GATE, -5e-10 within it
+        self.assertEqual(STATE_GATE, 1e-9)
+        for low in (-2e-9, -5e-10):
+            e = M2.element([low, 0, 0, 0.5])
+            effects = {"low": e, "rest": M2.unit - e}
+            if low < -STATE_GATE:
+                with self.assertRaisesRegex(StateError, "'low' has negative part -2.000e-09"):
+                    PObVM(M2, effects)
+            else:
+                self.assertEqual(set(PObVM(M2, effects).effects), {"low", "rest"})
 
 
 class SeparationTest(unittest.TestCase):

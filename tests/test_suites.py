@@ -3,9 +3,10 @@ coupling and moyal-limit rows detect a corrupted route, moyal-limit's
 associativity row detects a corrupted star product weight, the exact
 hbar-order rows detect a star product shifted at order 0 or 1, and the Grassmann
 density oracle reads the scanned state.  The calculus battery checks every
-member of its basis stacks, takes each differential once per stack, counts
-the basis inputs of every row, and holds its memory flat in the number of
-wedge pairs.
+member of its basis stacks, takes each differential once per stack and the
+Lie derivatives along every family member at once, fails a row on a NaN,
+counts the basis inputs of every row, and holds its memory flat in the
+number of wedge pairs.
 Every row with a tolerance in the default reports counts the inputs it
 evaluated.  A suite run leaves no cyclic garbage, and no package code reads
 the dense cube of structure constants.
@@ -30,6 +31,7 @@ from ncsym.calculus import (
     wedge,
 )
 from ncsym.coupling import grassmann_classical_factor
+from ncsym.report import Report
 from ncsym.states import State, gns, make_state
 
 EPS = 1e-6
@@ -303,8 +305,10 @@ def test_the_last_member_of_every_stack_is_checked(monkeypatch):
 
 def test_the_calculus_battery_takes_each_differential_once_per_stack(monkeypatch):
     # per degree and parity: d w, d d w, d of the pullback and d of the
-    # interior products; per parity pair of 1-cochains: d of the wedges;
-    # one call per basis cochain would be several hundred calls.
+    # interior products once per member parity; per parity pair of
+    # 1-cochains: d of the wedges (d and the pullback of the basis
+    # 1-cochains come from the stack rows).  One call per basis cochain
+    # would be several hundred calls.
     d = calculus.exterior_derivative
     calls = []
 
@@ -317,7 +321,33 @@ def test_the_calculus_battery_takes_each_differential_once_per_stack(monkeypatch
     for seed in range(5):
         calls.clear()
         assert suites.calculus_suite(seed).passed
-        assert len(calls) <= 80, seed
+        assert len(calls) <= 39, seed
+
+
+def test_the_calculus_battery_takes_lie_along_every_member_at_once(monkeypatch):
+    # two Lie kernel calls per basis block, L w and L L w, each along the
+    # whole family: 3 basis stacks on matrix2 and 6 on graded11, one block
+    # each, so 18 calls where one call per member and member pair made 108;
+    # the interior products come from the member stack too
+    kernels = {"lie_derivative": [], "interior": []}
+
+    def counting(name):
+        run = getattr(suites, name)
+
+        def counted(y, *args, **kwargs):
+            kernels[name].append(isinstance(y, calculus.DerivationStack))
+            return run(y, *args, **kwargs)
+
+        return counted
+
+    for name in kernels:
+        monkeypatch.setattr(suites, name, counting(name))
+    for seed in range(5):
+        for calls in kernels.values():
+            calls.clear()
+        assert suites.calculus_suite(seed).passed
+        assert len(kernels["lie_derivative"]) <= 18, seed
+        assert all(kernels["lie_derivative"]) and all(kernels["interior"]), seed
 
 
 @pytest.mark.parametrize(
@@ -328,19 +358,33 @@ def test_a_kernel_perturbed_on_its_last_member_fails_the_rows_that_read_it(
     monkeypatch, kernel, rows
 ):
     # the kernel moved by EPS on the last member of every stack and on nothing
-    # else; every other row still passes
+    # else; every other row still passes.  wedge returns a cochain, and the
+    # Lie kernel along the family members the tensor of the member stack.
     run = getattr(suites, kernel)
 
-    def shifted(*args):
-        out = run(*args)
-        if out.stack:
-            out.tensor[..., -1, :] += EPS
+    def shifted(*args, **kwargs):
+        out = run(*args, **kwargs)
+        getattr(out, "tensor", out)[..., -1, :] += EPS
         return out
 
     monkeypatch.setattr(suites, kernel, shifted)
     rep = suites.calculus_suite(seed=0)
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {f"{label}.{row}" for label in ("matrix2", "graded11") for row in rows}
+
+
+def test_a_nan_in_a_calculus_block_fails_its_row_at_that_input():
+    # one NaN, in the imaginary part of one entry of the second input of a
+    # block of 2 slots x (3 members, 2 cochains) x 4 algebra coefficients
+    gap = np.full((3, 3, 3, 2, 4), 1e-12 + 1e-12j)
+    gap[1, 2, 0, 1, 3] = complex(0.0, np.nan)
+    rows = {"cartan": []}
+    suites._note(rows, "cartan", gap, 2)
+    rep = Report("calculus", 0)
+    check = rep.residual("cartan", np.concatenate(rows["cartan"]), 1e-10)
+    assert not check.passed
+    assert np.isnan(check.value)
+    assert check.details["at"] == [1] and check.details["evaluated"] == 6
 
 
 # basis inputs per row: basis cochains of degree <= 2 (28 on matrix2, 36 on
@@ -384,7 +428,8 @@ def _wedge_rows_peak(samples):
     rows = {name: [] for name in suites.CALCULUS_ROWS}
     tracemalloc.start()
     try:
-        suites._wedge_rows(rows, iso, [ones])
+        d, pulled = calculus.exterior_derivative(ones), calculus.pullback(iso, ones)
+        suites._wedge_rows(rows, iso, [(ones, d, pulled)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
