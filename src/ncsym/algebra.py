@@ -252,7 +252,6 @@ class Superalgebra:
         )
         if self.rep_basis is not None and self.rep_basis.shape[0] != self.dim:
             raise AlgebraError("realization basis count mismatch")
-        self._supercomm_cache: bool | None = None
         self.validate()
 
     @cached_property
@@ -360,12 +359,10 @@ class Superalgebra:
                 out -= koszul_sign(pa, pb) * self.mul_coeffs(cb, ca)
         return Element(self, out)
 
-    @property
+    @cached_property
     def is_supercommutative(self) -> bool:
-        if self._supercomm_cache is None:
-            comm = self.constants - self.swapped_structure()
-            self._supercomm_cache = max_abs(comm.v) <= SUPERCOMMUTATIVE_TOL
-        return self._supercomm_cache
+        comm = self.constants - self.swapped_structure()
+        return max_abs(comm.v) <= SUPERCOMMUTATIVE_TOL
 
     def swapped_structure(self) -> Coo:
         """t[i, j] = (-1)**(e_i e_j) e_j e_i, so [e_i, e_j] = c[i, j] - t[i, j]."""

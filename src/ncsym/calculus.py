@@ -11,8 +11,9 @@ derivation family, a tensor of shape (m, .., m, dim).  A stack of cochains
 of one degree and parity is one tensor with stack axes between the slots
 and the algebra axis, (m, .., m) + S + (dim,); the differential, interior
 product, Lie derivative and pullback take a whole stack in one call, so
-their fixed cost is paid once per stack, and ``wedge`` wedges two stacks
-of one shape member by member.  L and i also act along a
+their fixed cost is paid once per stack, and ``wedge`` wedges every
+member of one stack with every member of the other, an outer product whose
+stack is the two stacks joined.  L and i also act along a
 ``DerivationStack``, every derivation of a stack (the family members, say)
 at once: the derivations become a new first stack axis, the Koszul signs
 are broadcast over it, and the family coefficients of each [Y_a, X_i] are
@@ -39,7 +40,8 @@ Sign conventions (all checked by the test suite):
 
 Sign tensors and sparse operators: ``exterior_derivative`` and ``wedge``
 never loop over index tuples.  ``wedge`` forms the product of its factors
-once, from the multiplication matrices of the lower-degree one; each term
+once, from the multiplication matrices of the one with fewer entries
+(slots times stack); each term
 moves it into its argument slots and multiplies it by a sign tensor.  The
 wedge signs depend on an index tuple only through its parity pattern, so
 each shuffle gets a table over the 2**(p+q) patterns, filled by
@@ -232,10 +234,6 @@ class DerivationFamily:
         pinv[comp[:, None] != entry_comp[None, :]] = 0.0
         self._pinv = np.zeros_like(self._flat)
         self._pinv[:, support] = pinv
-        self._bracket: np.ndarray | None = None
-        # (pair i m + j, k, f[i, j, k]) of every nonzero of the bracket table
-        self._bracket_entries: tuple | None = None
-        self._star: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -257,23 +255,18 @@ class DerivationFamily:
         mat = np.tensordot(coeffs, self.matrices, axes=1)
         return Derivation(self.algebra, mat, parity)
 
-    def _expand_all(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coefficients (k, m) of a stack of k operators over the family and
-        the worst expansion residual."""
-        flat = mats.reshape(len(mats), -1)
-        coeffs = flat @ self._pinv.T
-        return coeffs, max_abs(coeffs @ self._flat - flat)
-
     def _expand_all_strict(self, mats: np.ndarray) -> np.ndarray:
-        """Coefficients (k, m) of a stack of operators over the family;
+        """Coefficients (k, m) of a stack of k operators over the family;
         raises when the worst one lies outside the family by more than
         EXPAND_TOL."""
-        coeffs, worst = self._expand_all(mats)
+        flat = mats.reshape(len(mats), -1)
+        coeffs = flat @ self._pinv.T
+        worst = max_abs(coeffs @ self._flat - flat)
         if not worst <= EXPAND_TOL:
             raise CalculusError(f"derivation lies outside the family by {worst:.3e}")
         return coeffs
 
-    @property
+    @cached_property
     def bracket(self) -> np.ndarray:
         """Structure constants f[i, j, k] with [X_i, X_j] = sum_k f[i,j,k] X_k.
 
@@ -282,67 +275,61 @@ class DerivationFamily:
         adds to [X_i, X_j] and, times -(-1)**(e_i e_j), to [X_j, X_i].  Only
         the pairs whose commutator is not zero are expanded, a block of
         them at a time."""
-        if self._bracket is None:
-            m, n = len(self), self.algebra.dim
-            mem, row, col, val = self._entries
-            a, b = join(col, row)
-            i, j = mem[a], mem[b]
-            entry = row[a] * n + col[b]
-            prod = val[a] * val[b]
-            sign = koszul_signs(self.parities, self.parities)[i, j]
-            key, total = sum_by_key(
-                np.r_[(i * m + j) * n * n + entry, (j * m + i) * n * n + entry],
-                np.r_[prod, -sign * prod],
-            )
-            live = total != 0
-            pair, entry = np.divmod(key[live], n * n)
-            total = total[live]
-            # expanded on the support; a commutator entry off it is
-            # residual as it stands
-            support = self._support
-            frame, pinv = self._flat[:, support], self._pinv[:, support]
-            slot = np.full(n * n, -1)
-            slot[support] = np.arange(support.size)
-            slot = slot[entry]
-            on = slot >= 0
-            worst = max_abs(total[~on])
-            pairs, at = np.unique(pair, return_inverse=True)
-            f = np.zeros((m * m, m), dtype=complex)
-            per = max(1, GATHER_ENTRIES // support.size)
-            for lo in range(0, pairs.size, per):
-                hi = min(lo + per, pairs.size)
-                e0, e1 = np.searchsorted(at, [lo, hi])
-                sel = np.flatnonzero(on[e0:e1]) + e0
-                block = np.zeros((hi - lo, support.size), dtype=complex)
-                block[at[sel] - lo, slot[sel]] = total[sel]
-                coeffs = block @ pinv.T
-                fit = coeffs @ frame
-                fit -= block
-                worst = np.maximum(worst, max_abs(fit))
-                f[pairs[lo:hi]] = coeffs
-            if not worst <= CLOSURE_TOL:
-                raise CalculusError(f"family is not bracket closed ({worst:.3e})")
-            f = f.reshape(m, m, m)
-            nz = np.nonzero(f)
-            self._bracket_entries = (nz[0] * m + nz[1], nz[2], f[nz])
-            self._bracket = f
-        return self._bracket
+        m, n = len(self), self.algebra.dim
+        mem, row, col, val = self._entries
+        a, b = join(col, row)
+        i, j = mem[a], mem[b]
+        entry = row[a] * n + col[b]
+        prod = val[a] * val[b]
+        sign = koszul_signs(self.parities, self.parities)[i, j]
+        key, total = sum_by_key(
+            np.r_[(i * m + j) * n * n + entry, (j * m + i) * n * n + entry],
+            np.r_[prod, -sign * prod],
+        )
+        live = total != 0
+        pair, entry = np.divmod(key[live], n * n)
+        total = total[live]
+        # expanded on the support; a commutator entry off it is
+        # residual as it stands
+        support = self._support
+        frame, pinv = self._flat[:, support], self._pinv[:, support]
+        slot = np.full(n * n, -1)
+        slot[support] = np.arange(support.size)
+        slot = slot[entry]
+        on = slot >= 0
+        worst = max_abs(total[~on])
+        pairs, at = np.unique(pair, return_inverse=True)
+        f = np.zeros((m * m, m), dtype=complex)
+        per = max(1, GATHER_ENTRIES // support.size)
+        for lo in range(0, pairs.size, per):
+            hi = min(lo + per, pairs.size)
+            e0, e1 = np.searchsorted(at, [lo, hi])
+            sel = np.flatnonzero(on[e0:e1]) + e0
+            block = np.zeros((hi - lo, support.size), dtype=complex)
+            block[at[sel] - lo, slot[sel]] = total[sel]
+            coeffs = block @ pinv.T
+            fit = coeffs @ frame
+            fit -= block
+            worst = np.maximum(worst, max_abs(fit))
+            f[pairs[lo:hi]] = coeffs
+        if not worst <= CLOSURE_TOL:
+            raise CalculusError(f"family is not bracket closed ({worst:.3e})")
+        return f.reshape(m, m, m)
 
-    @property
+    @cached_property
     def bracket_entries(self) -> tuple:
         """The nonzeros of the bracket table as (i m + j, k, f[i, j, k]),
         sorted."""
-        self.bracket
-        return self._bracket_entries
+        f, m = self.bracket, len(self)
+        nz = np.nonzero(f)
+        return (nz[0] * m + nz[1], nz[2], f[nz])
 
-    @property
+    @cached_property
     def star_matrix(self) -> np.ndarray:
         """S with X_i* = sum_j S[j, i] X_j (gated expansion)."""
-        if self._star is None:
-            inv = self.algebra.involution_matrix
-            stars = inv @ np.conj(self.matrices) @ np.conj(inv)
-            self._star = self._expand_all_strict(stars).T
-        return self._star
+        inv = self.algebra.involution_matrix
+        stars = inv @ np.conj(self.matrices) @ np.conj(inv)
+        return self._expand_all_strict(stars).T
 
 
 # -- cochains ------------------------------------------------------------------
@@ -521,13 +508,12 @@ class Cochain:
 
     def star(self) -> "Cochain":
         """w*(X_1..X_p) = [w(X_1*, .., X_p*)]* (antilinear)."""
-        s = self.family.star_matrix
-        t = np.conj(self.tensor)
-        for ax in range(self.degree):
-            t = np.moveaxis(np.tensordot(np.conj(s), t, axes=(0, ax)), 0, ax)
-        m = self.family.algebra.involution_matrix
-        t = np.einsum("...a,ba->...b", t, m)
-        return Cochain(self.family, self.degree, self.parity, t, check=False)
+        fam = self.family
+        t = _transform_slots(
+            np.conj(self.tensor), self.degree, np.conj(fam.star_matrix),
+            fam.algebra.involution_matrix,
+        )
+        return Cochain(fam, self.degree, self.parity, t, check=False)
 
     def reality_residuals(self) -> dict:
         """max |w* - w| (real defect) and max |w* + w| (imaginary defect)."""
@@ -536,6 +522,14 @@ class Cochain:
             "real": max_abs(st.tensor - self.tensor),
             "imaginary": max_abs(st.tensor + self.tensor),
         }
+
+
+def _transform_slots(t: np.ndarray, degree: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A cochain tensor with X_i -> sum_j s[i, j] X_j in each of its
+    ``degree`` slots and the algebra map v on its value axis."""
+    for ax in range(degree):
+        t = np.moveaxis(np.tensordot(s, t, axes=(0, ax)), 0, ax)
+    return np.einsum("...a,ba->...b", t, v)
 
 
 def _slot_parities(family: DerivationFamily, slots: int, ndim: int) -> list[np.ndarray]:
@@ -572,27 +566,27 @@ def _wedge_sign_tables(p: int, q: int, beta_parity: int) -> tuple:
 
 def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     """Graded wedge product; see the module docstring for the convention.
-    Two stacks of one shape are wedged member by member."""
+    Every member of alpha's stack is wedged with every member of beta's:
+    the result's stack is alpha.stack + beta.stack (a lone cochain is the
+    empty stack)."""
     if alpha.family is not beta.family:
         raise CalculusError("wedge needs a common derivation family")
-    if alpha.stack != beta.stack:
-        raise CalculusError(f"wedge needs one stack shape, not {alpha.stack} and {beta.stack}")
     fam, p, q = alpha.family, alpha.degree, beta.degree
     n, m, alg = p + q, len(fam), fam.algebra
-    size, dim = int(np.prod(alpha.stack)), alg.dim
-    # prod[s, j_1..j_p, l_1..l_q] = alpha_s(X_j..) beta_s(X_l..) in the
-    # algebra for member s, from the multiplication matrices of the
-    # lower-degree factor, so no intermediate outgrows the product
-    a = alpha.tensor.reshape(m**p, size, dim).swapaxes(0, 1)
-    b = beta.tensor.reshape(m**q, size, dim).swapaxes(0, 1)
-    if p <= q:
-        prod = alg.left_mult_matrix(a).reshape(size, -1, dim) @ b.swapaxes(1, 2)
-        prod = prod.reshape(size, m**p, dim, m**q).swapaxes(2, 3)
+    sa, sb, dim = int(np.prod(alpha.stack)), int(np.prod(beta.stack)), alg.dim
+    # prod[x, y] = a_x b_y in the algebra for every row x of alpha and y of
+    # beta (rows: slots, then stack), from the multiplication matrices of the
+    # factor with fewer rows, so no intermediate outgrows the product
+    a, b = alpha.tensor.reshape(-1, dim), beta.tensor.reshape(-1, dim)
+    if len(a) <= len(b):
+        prod = alg.left_mult_matrix(a).reshape(-1, dim) @ b.T
+        prod = prod.reshape(len(a), dim, len(b)).swapaxes(1, 2)
     else:
-        prod = a @ alg.right_mult_matrix(b).reshape(size, -1, dim).swapaxes(1, 2)
-    # slots first and contiguous, so a permuted view reads whole (s, dim) runs
-    prod = np.ascontiguousarray(prod.reshape(size, m**p, m**q, dim).transpose(1, 2, 0, 3))
-    prod = prod.reshape((m,) * n + (size, dim))
+        prod = a @ alg.right_mult_matrix(b).reshape(-1, dim).T
+    # slots first, then the two stacks, contiguous, so a permuted view reads
+    # whole (stack, dim) runs
+    prod = prod.reshape(m**p, sa, m**q, sb, dim).transpose(0, 2, 1, 3, 4)
+    prod = np.ascontiguousarray(prod).reshape((m,) * n + (sa * sb, dim))
     t = np.zeros(prod.shape, dtype=complex)
     for axes, table in _wedge_sign_tables(p, q, beta.parity):
         sign = table[np.ix_(*[fam.parities] * n)]
@@ -602,7 +596,7 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
             (np.add if sign.flat[0] > 0 else np.subtract)(t, moved, out=t)
         else:
             t += sign[..., None, None] * moved
-    t = t.reshape((m,) * n + alpha.stack + (dim,))
+    t = t.reshape((m,) * n + alpha.stack + beta.stack + (dim,))
     return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 
 
@@ -855,7 +849,6 @@ class AlgebraIsomorphism:
             raise CalculusError("isomorphism matrix has wrong shape")
         if source.dim != target.dim:
             raise CalculusError("isomorphic algebras must have equal dimension")
-        self._inv: np.ndarray | None = None
         worst = max(self.verification_residuals().values())
         if worst > ISOMORPHISM_TOL:
             raise CalculusError(f"not a *-isomorphism, worst defect {worst:.3e}")
@@ -878,11 +871,9 @@ class AlgebraIsomorphism:
             "grading": float(grading),
         }
 
-    @property
+    @cached_property
     def inverse_matrix(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.matrix)
-        return self._inv
+        return np.linalg.inv(self.matrix)
 
     def __call__(self, a: Element) -> Element:
         if a.algebra is not self.source:
@@ -922,8 +913,5 @@ def pullback(iso: AlgebraIsomorphism, omega: Cochain) -> Cochain:
     # column i: coefficients of phi_* X_i over the family
     pushed = iso.matrix @ fam.matrices @ iso.inverse_matrix
     s = fam._expand_all_strict(pushed).T
-    t = omega.tensor
-    for ax in range(omega.degree):
-        t = np.moveaxis(np.tensordot(s, t, axes=(0, ax)), 0, ax)
-    t = np.einsum("...a,ba->...b", t, iso.inverse_matrix)
+    t = _transform_slots(omega.tensor, omega.degree, s, iso.inverse_matrix)
     return Cochain(fam, omega.degree, omega.parity, t, check=False)

@@ -142,25 +142,16 @@ def product_symplectic(f1: FactorSpec, f2: FactorSpec) -> CompatibilityReport:
         "lambdaGap": abs(l1 - l2),
     }
     if f1.commutative and f2.commutative:
-        return CompatibilityReport(
-            "ExistsCommutative", 0.0 + 0.0j, (l1, l2),
-            (f1.fit_residual, f2.fit_residual), evidence,
-        )
-    if f1.commutative != f2.commutative:
+        verdict, lam = "ExistsCommutative", 0.0 + 0.0j
+    elif f1.commutative != f2.commutative:
         # one factor forces lam = 0, the other forces lam != 0
-        return CompatibilityReport(
-            "NoneExistsMixed", None, (l1, l2),
-            (f1.fit_residual, f2.fit_residual), evidence,
-        )
-    if abs(l1 - l2) <= LAMBDA_FIT_TOL:
-        lam = 0.5 * (l1 + l2)
-        return CompatibilityReport(
-            "ExistsQuantum", lam, (l1, l2),
-            (f1.fit_residual, f2.fit_residual), evidence,
-        )
+        verdict, lam = "NoneExistsMixed", None
+    elif abs(l1 - l2) <= LAMBDA_FIT_TOL:
+        verdict, lam = "ExistsQuantum", 0.5 * (l1 + l2)
+    else:
+        verdict, lam = "MismatchedParameters", None
     return CompatibilityReport(
-        "MismatchedParameters", None, (l1, l2),
-        (f1.fit_residual, f2.fit_residual), evidence,
+        verdict, lam, (l1, l2), (f1.fit_residual, f2.fit_residual), evidence
     )
 
 

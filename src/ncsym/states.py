@@ -259,7 +259,6 @@ def cc_check(obs: list[Element], states: list[State]) -> dict:
 @dataclass
 class GnsResult:
     dimension: int
-    operators: list[np.ndarray]
     cyclic_vector: np.ndarray
     irreducible: bool
     commutant_dimension: int
@@ -307,7 +306,6 @@ def gns(alg: Superalgebra, phi: State) -> GnsResult:
     comm_dim = nullspace(np.vstack(rows)).shape[1]
     return GnsResult(
         dimension=d,
-        operators=list(ops),
         cyclic_vector=chi,
         irreducible=(comm_dim == 1),
         commutant_dimension=int(comm_dim),

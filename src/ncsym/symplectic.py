@@ -221,7 +221,6 @@ class HamiltonianSystem:
         herm = max_abs(h.star().coeffs - h.coeffs)
         if not herm <= HERMITIAN_TOL:
             raise SymplecticError(f"hamiltonian is not hermitian ({herm:.3e})")
-        self.h = h
         self.liouville = structure.poisson_operator(h)
         self._scale = max_abs(self.liouville)
         # (V, w, V^-1) when the decomposition passes its gate, else None;

@@ -921,26 +921,35 @@ def test_symplectic_forms_reject_a_stack():
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (1, 2), (2, 1)])
 @pytest.mark.parametrize("name", list(STACK_FAMILIES))
 def test_a_wedge_of_stacks_equals_its_members_one_by_one(name, p, q):
+    # every member of the left stack with every member of the right one;
+    # a lone factor adds no stack axis
     fam = STACK_FAMILIES[name]
     rng = np.random.default_rng(80 + 3 * p + q)
     parities = (0, 1) if np.any(fam.algebra.parity) else (0,)
     for pa, pb in product(parities, repeat=2):
-        alphas = [random_cochain(fam, p, pa, rng) for _ in range(4)]
+        alphas = [random_cochain(fam, p, pa, rng) for _ in range(3)]
         betas = [random_cochain(fam, q, pb, rng) for _ in range(4)]
+        lone = [[wedge(alpha, beta).tensor for beta in betas] for alpha in alphas]
         got = wedge(_stacked(alphas), _stacked(betas))
-        assert got.stack == (4,)
+        assert got.stack == (3, 4)
         assert (got.degree, got.parity) == (p + q, (pa + pb) % 2)
-        for k, (alpha, beta) in enumerate(zip(alphas, betas)):
-            assert _rel_gap(got.member(k).tensor, wedge(alpha, beta).tensor) <= 1e-15
+        for i, j in product(range(3), range(4)):
+            assert _rel_gap(got.tensor[..., i, j, :], lone[i][j]) <= 1e-15
+        left, right = wedge(alphas[1], _stacked(betas)), wedge(_stacked(alphas), betas[2])
+        assert (left.stack, right.stack) == ((4,), (3,))
+        for j in range(4):
+            assert _rel_gap(left.member(j).tensor, lone[1][j]) <= 1e-15
+        for i in range(3):
+            assert _rel_gap(right.member(i).tensor, lone[i][2]) <= 1e-15
 
 
-def test_a_wedge_of_mismatched_stacks_is_rejected():
+def test_a_wedge_of_cochains_on_two_families_is_rejected():
     rng = np.random.default_rng(75)
-    one = random_cochain(FAM2, 1, 0, rng)
-    pair, triple = _stacked([one, one]), _stacked([one, one, one])
-    for alpha, beta in ((pair, one), (one, pair), (pair, triple)):
-        with pytest.raises(CalculusError, match="one stack shape"):
-            wedge(alpha, beta)
+    other = DerivationFamily.inner_family(matrix_algebra(2))
+    alpha, beta = random_cochain(FAM2, 1, 0, rng), random_cochain(other, 1, 0, rng)
+    for a, b in ((alpha, beta), (beta, alpha)):
+        with pytest.raises(CalculusError, match="common derivation family"):
+            wedge(a, b)
 
 
 def _graded_alternating_dimension(fam, degree, parity):

@@ -210,7 +210,7 @@ def test_calculus_battery_runs_on_an_explicit_matrix3():
     evaluated = {c.name: c.details["evaluated"] for c in rep.checks}
     assert evaluated["matrix3.ddZero"] == 9 + 72 + 252
     assert evaluated["matrix3.wedgeLeibniz"] == evaluated["matrix3.pullbackWedge"] == 72 * 72
-    assert peak <= 64e6
+    assert peak <= 40e6
 
 
 @pytest.mark.parametrize("samples", [1, 5])

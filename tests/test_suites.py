@@ -16,12 +16,14 @@ made after construction so the Hamiltonian-solve gate still passes; the
 check it breaks must FAIL on every algebra of the battery."""
 import gc
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from unittest import mock
 
 from ncsym import calculus, measurement, moyal, superclassical, suites
+from ncsym._linalg import expi_hermitian
 from ncsym.algebra import Superalgebra, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
@@ -143,6 +145,27 @@ def test_coupling_operator_rows_do_not_depend_on_the_seed():
     for name in rows:
         assert first[name].to_dict() == second[name].to_dict()
         assert first[name].details["evaluated"] == 16
+
+
+def test_coupling_verdicts_carry_their_lambda_fits():
+    # each verdict rests on both factors' fitted lambda and fit residual;
+    # hbar 0.5 gives lambda = i hbar on M2, and 0 on the Grassmann factor
+    rep = suites.coupling_suite(seed=0)
+    rows = {c.name: c.details for c in rep.checks if c.name.startswith("verdict.")}
+    want = {
+        "verdict.bothCommutative": (0.0, 0.0),
+        "verdict.commutativeTimesQuantum": (0.0, 0.5j),
+        "verdict.bothQuantumSameHbar": (0.5j, 0.5j),
+        "verdict.quantumTimesDoubledHbar": (0.5j, 1.0j),
+    }
+    assert set(rows) == set(want)
+    for name, lambdas in want.items():
+        assert np.allclose(rows[name]["lambdas"], lambdas, rtol=0, atol=1e-12), name
+        assert max(rows[name]["fitResiduals"]) <= 1e-12, name
+    pair = suites.coupling_suite(seed=0, left="quantum:2.0", right="commutative").checks[0]
+    assert pair.details["verdict"] == "NoneExistsMixed"
+    assert np.allclose(pair.details["lambdas"], (2.0j, 0.0), rtol=0, atol=1e-12)
+    assert len(pair.details["fitResiduals"]) == 2
 
 
 def _wrong_width(state):
@@ -438,11 +461,71 @@ def _wedge_rows_peak(samples):
 
 
 def test_the_calculus_battery_memory_is_flat_in_samples():
-    # the wedge pairs are cut into blocks of 79, so four times the pairs adds
-    # only the d and pullbacks of the larger basis
+    # each block wedges 113 // nb left factors with all nb right ones (7 and
+    # 3 here), so four times the pairs adds only the d and pullbacks of the
+    # larger basis
     peak_16, peak_32 = _wedge_rows_peak(16), _wedge_rows_peak(32)
     assert peak_32 <= 64e6
     assert peak_32 <= 1.15 * peak_16
+
+
+def _perturbed_ones(fam, iso, rng):
+    """Per parity, the basis 1-cochains with their d and pullback, each
+    plus a random cochain per member, so that every pair of the wedge rows
+    has its own residual, of order 1."""
+    ones = []
+    for t in (0, 1) if np.any(fam.algebra.parity) else (0,):
+        basis = Cochain.basis(fam, 1, t)
+        made = []
+        for exact in (calculus.exterior_derivative(basis), calculus.pullback(iso, basis)):
+            degree, n = exact.degree, basis.stack[0]
+            noise = [random_cochain(fam, degree, t, rng).tensor for _ in range(n)]
+            made.append(exact + Cochain(fam, degree, t, np.stack(noise, axis=-2)))
+        ones.append((basis, *made))
+    return ones
+
+
+@pytest.mark.parametrize("label", ["matrix2", "graded11"])
+def test_the_wedge_rows_take_pair_i_j_as_input_i_nb_plus_j(label):
+    alg = matrix_algebra(*suites.BRACKET_CASES[label])
+    fam = DerivationFamily.inner_family(alg)
+    rng = np.random.default_rng(29)
+    gen = alg.sample_element(rng, parity=0, hermitian=True)
+    iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
+    ones = _perturbed_ones(fam, iso, rng)
+    rows = {name: [] for name in suites.CALCULUS_ROWS}
+    suites._wedge_rows(rows, iso, ones)
+    # the same residuals pair by pair on lone cochains, in the order of the
+    # parity pairs, then of (i, j) in C order
+    want = {"wedgeLeibniz": [], "pullbackWedge": []}
+    for (left, d_left, p_left), (right, d_right, p_right) in product(ones, ones):
+        for i, j in product(range(left.stack[0]), range(right.stack[0])):
+            a, b = left.member(i), right.member(j)
+            ab = wedge(a, b)
+            leibniz = calculus.exterior_derivative(ab) - (
+                wedge(d_left.member(i), b) - wedge(a, d_right.member(j))
+            )
+            want["wedgeLeibniz"].append(leibniz.norm())
+            hom = calculus.pullback(iso, ab) - wedge(p_left.member(i), p_right.member(j))
+            want["pullbackWedge"].append(hom.norm())
+    for name, values in want.items():
+        got, values = np.concatenate(rows[name]), np.array(values)
+        assert got.shape == values.shape
+        # most pairs have a residual of their own, so an order slip shows
+        assert np.unique(values.round(9)).size > values.size / 2
+        assert np.abs(got - values).max() <= 1e-12 * values.max()
+
+
+@pytest.mark.parametrize("label", list(suites.BRACKET_CASES))
+def test_one_left_factor_with_every_right_one_fits_the_pair_budget(label):
+    # the wedge rows wedge at least one left basis 1-cochain with the whole
+    # right stack per block; on every preset that block's d stays within
+    # the differential's chunk bound
+    fam = DerivationFamily.inner_family(matrix_algebra(*suites.BRACKET_CASES[label]))
+    m, dim = len(fam), fam.algebra.dim
+    budget = calculus._CHUNK_ENTRIES // (m**3 * dim)
+    for t in (0, 1):
+        assert Cochain.basis(fam, 1, t).stack[0] <= budget
 
 
 # rows whose verdict adds a second condition to a tolerance on one value
