@@ -360,9 +360,13 @@ class Superalgebra:
         return Element(self, out)
 
     @cached_property
+    def commutator_constants(self) -> Coo:
+        """The supercommutator table: [e_i, e_j] = sum_k comm[i, j, k] e_k."""
+        return self.constants - self.swapped_structure()
+
+    @cached_property
     def is_supercommutative(self) -> bool:
-        comm = self.constants - self.swapped_structure()
-        return max_abs(comm.v) <= SUPERCOMMUTATIVE_TOL
+        return max_abs(self.commutator_constants.v) <= SUPERCOMMUTATIVE_TOL
 
     def swapped_structure(self) -> Coo:
         """t[i, j] = (-1)**(e_i e_j) e_j e_i, so [e_i, e_j] = c[i, j] - t[i, j]."""
@@ -378,7 +382,7 @@ class Superalgebra:
         z of parity t is central when [z, e_j] = 0 for every basis element,
         with the supercommutator taken at parities (t, parity_j).
         """
-        comm = self.constants - self.swapped_structure()  # [e_i, e_j] = comm[i, j]
+        comm = self.commutator_constants
         out: list[list[Element]] = []
         for t in (0, 1):
             idx = np.flatnonzero(self.parity == t)

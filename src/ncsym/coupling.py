@@ -75,7 +75,7 @@ class FactorSpec:
 def _fit_lambda(alg: Superalgebra, pb: np.ndarray) -> tuple[complex, float, bool]:
     """Least squares for lam {e_i,e_j} = -[e_i,e_j]; raises if the bracket
     is not proportional to the supercommutator at all."""
-    target = (alg.swapped_structure() - alg.constants).dense()
+    target = (-alg.commutator_constants).dense()
     den = np.vdot(pb, pb).real
     if den < LAMBDA_FIT_TOL * LAMBDA_FIT_TOL:
         raise CouplingError("factor bracket vanishes identically")

@@ -653,13 +653,25 @@ def decoherence_suite(seed: int = 0, tol: float = 1e-7) -> Report:
     return rep
 
 
+def _eigen_meta(system: HamiltonianSystem) -> dict:
+    """How a system's flow is evaluated: the gate values of its
+    eigendecomposition and whether it fell back to expm."""
+    return {
+        "eigCond": system.eig_cond,
+        "eigResidual": system.eig_residual,
+        "expmFallback": system.eigen is None,
+    }
+
+
 def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
     """Observable/functional duality for Hamiltonian flows, with the
     matrix-conjugation density route as an independent oracle.
 
     Both run on one M2 factor and on a coupled M2 x M2 pair.  The coupled
     Heisenberg trajectory is also stepped by classical RK4, 4000 steps
-    over [0, tmax], and must match the closed form to 1e-5."""
+    over [0, tmax], and must match the closed form to 1e-5.  ``meta``
+    records, for each system, the eigen gate values and whether its flow
+    fell back to expm."""
     rng = np.random.default_rng(seed)
     rep = Report("evolve", seed, meta={"tmax": EVOLVE_TMAX})
     times = np.linspace(0.0, EVOLVE_TMAX, 21)
@@ -674,6 +686,7 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
     hmat = h.realize()
     omat = obs.realize()
     system = HamiltonianSystem(structure, h)
+    rep.meta["singleFactor"] = _eigen_meta(system)
     phi0 = np.array([1.0, 0.0, 0.0, 0.0])  # the |0> vector state functional
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])
     via_obs = system.flow(obs.coeffs, times) @ phi0
@@ -696,6 +709,7 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
     rho0 = np.outer(psi0, psi0.conj())
     phi0 = np.array([np.trace(rho0 @ palg.rep_basis[i]) for i in range(palg.dim)])
     system = HamiltonianSystem(prod, h)
+    rep.meta["coupled"] = _eigen_meta(system)
     traj = system.flow(obs.coeffs, times)
     via_obs = traj @ phi0
     via_fun = system.flow(phi0, times, dual=True) @ obs.coeffs

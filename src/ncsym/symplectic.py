@@ -31,14 +31,25 @@ A(t) = exp(iHt/hbar) A exp(-iHt/hbar) in a matrix realization.
 The closed form runs through one eigendecomposition L_H = V diag(w) V^-1
 per system, so expm(t L_H) = V diag(exp(t w)) V^-1 for every t.  The
 eigenvector method is reliable only for a well-conditioned V (Moler and
-Van Loan, SIAM Rev. 45 (2003) 3), so the decomposition is used only when
-its relative reconstruction residual is at most EIG_RESIDUAL_TOL and
-cond(V) is at most EIG_COND_MAX.  A flow never forms that product: it
-applies the factors to the vector, V (exp(t w) * (V^-1 a)), which is
-O(dim^2) per time, and a whole time grid is one product of the phases
-against V.  States move by the transpose, V^-T (exp(t w) * (V^T phi)).  A
-Liouvillian that fails the gate, such as a nilpotent one, is exponentiated
-by ``_linalg.expm`` at each t and applied to the vector.
+Van Loan, SIAM Rev. 45 (2003) 3).  There are two factorizations:
+
+- a skew-adjoint L_H, max |L_H + L_H^H| at most EIG_RESIDUAL_TOL times
+  max(1, |L_H|), as the quantum bracket (i/hbar)[H, .] of a hermitian H
+  is in an orthonormal basis, is factored through its skew part S by the
+  hermitian eigensolver on i S, with w = -i eig(i S).  V is unitary, so
+  cond(V) is about 1 even for a degenerate spectrum such as a central H's;
+- any other L_H, such as a Grassmann bracket's, is factored by the
+  general eig.
+
+Either decomposition is used only when its reconstruction residual
+against L_H itself, relative to max(1, |L_H|), is at most
+EIG_RESIDUAL_TOL and cond(V) is at most EIG_COND_MAX.  A flow never
+forms V diag(exp(t w)) V^-1: it applies the factors to the vector,
+V (exp(t w) * (V^-1 a)), which is O(dim^2) per time, and a whole time
+grid is one product of the phases against V.  States move by the
+transpose, V^-T (exp(t w) * (V^T phi)).  A Liouvillian that fails the
+gate, such as a nilpotent one, is exponentiated by ``_linalg.expm`` at
+each t and applied to the vector.
 """
 from __future__ import annotations
 
@@ -131,7 +142,9 @@ class SymplecticStructure:
         # bracket tensor (convention in the module docstring)
         self.hamiltonian_basis = coeffs
         self.solve_residual = coeffs @ self._pairing - rhs
-        self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats)
+        # C order, so left_action's unfolding is a view and no call copies
+        # the dim^3 tensor
+        self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats, order="C")
         # row t selects the basis elements of parity t
         self._parity_masks = np.array([basis_par == 0, basis_par == 1], dtype=float)
 
@@ -186,7 +199,7 @@ def _commutator_cochain(alg: Superalgebra) -> Cochain:
         )
     # [A, B] = sum_uv a_u b_v [e_u, e_v] for every pair of sources at once
     sources = np.array([x.source.coeffs for x in fam.members])
-    comm = (alg.constants - alg.swapped_structure()).dense()
+    comm = alg.commutator_constants.dense()
     t = np.tensordot(np.tensordot(sources, comm, axes=(1, 0)), sources, axes=(1, 1))
     return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
 
@@ -224,14 +237,22 @@ class HamiltonianSystem:
         self.liouville = structure.poisson_operator(h)
         self._scale = max_abs(self.liouville)
         # (V, w, V^-1) when the decomposition passes its gate, else None;
-        # the residual is not formed (inf) when cond(V) already fails
+        # the residual is not formed (inf) when cond(V) already fails.  A
+        # skew-adjoint L_H is factored by eigh of i S, S its skew part (see
+        # the module docstring)
         self.eigen = None
-        w, v = np.linalg.eig(self.liouville)
+        scale = max(1.0, self._scale)
+        adj = self.liouville.conj().T
+        if max_abs(self.liouville + adj) <= EIG_RESIDUAL_TOL * scale:
+            lam, v = np.linalg.eigh(0.5j * (self.liouville - adj))
+            w = -1j * lam
+        else:
+            w, v = np.linalg.eig(self.liouville)
         self.eig_cond = float(np.linalg.cond(v))
         self.eig_residual = np.inf
         if self.eig_cond <= EIG_COND_MAX:
             vinv = np.linalg.inv(v)
-            self.eig_residual = max_abs((v * w) @ vinv - self.liouville) / max(1.0, self._scale)
+            self.eig_residual = max_abs((v * w) @ vinv - self.liouville) / scale
             if self.eig_residual <= EIG_RESIDUAL_TOL:
                 self.eigen = (v, w, vinv)
 

@@ -20,6 +20,7 @@ from ncsym.suites import (
     moyal_suite,
     stern_gerlach_suite,
 )
+from ncsym.symplectic import EIG_COND_MAX, EIG_RESIDUAL_TOL
 
 SEED = 20250825
 
@@ -113,7 +114,13 @@ def test_criterion_08_decoherence_and_matrix_apparatus():
 def test_criterion_09_evolution_duality_to_ten_seconds():
     rep = evolve_suite(seed=SEED, tol=1e-8)
     assert rep.passed, _failures(rep)
-    assert rep.meta == {"tmax": 10.0}
+    eigen = {"eigCond", "eigResidual", "expmFallback"}
+    assert rep.meta.keys() == {"tmax", "singleFactor", "coupled"}
+    assert rep.meta["tmax"] == 10.0
+    for system in ("singleFactor", "coupled"):
+        meta = rep.meta[system]
+        assert meta.keys() == eigen and not meta["expmFallback"]
+        assert meta["eigCond"] <= EIG_COND_MAX and meta["eigResidual"] <= EIG_RESIDUAL_TOL
     assert _check(rep, "coupled.duality").value <= 1e-8
     assert _check(rep, "coupled.densityOracle").value <= 1e-8
     assert _check(rep, "coupled.rk4MatchesClosedForm").value <= 1e-6

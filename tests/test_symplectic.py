@@ -24,7 +24,12 @@ from ncsym.calculus import (
     pullback,
     random_cochain,
 )
-from ncsym.coupling import ProductStructure, coupled_evolution, quantum_factor
+from ncsym.coupling import (
+    ProductStructure,
+    coupled_evolution,
+    grassmann_classical_factor,
+    quantum_factor,
+)
 from ncsym.symplectic import (
     HamiltonianSystem,
     SymplecticError,
@@ -465,17 +470,30 @@ TIMES = np.linspace(0.0, 2.0, 21)
 
 
 def structure(label):
-    if label == "M4":
-        return quantum_form(matrix_algebra(4), HBAR)
     if label == "M2-1":
         return quantum_form(matrix_algebra(3, grading=(2, 1)), HBAR)
+    if "x" not in label:
+        return quantum_form(matrix_algebra(int(label[1:])), HBAR)
     right = matrix_algebra(int(label[-1]))
     return ProductStructure(quantum_factor(M2, HBAR), quantum_factor(right, HBAR))
 
 
-@pytest.mark.parametrize("label", ["M4", "M2-1", "M2xM3", "M2xM2"])
-def test_heisenberg_matrix_matches_expm_on_the_grid(label):
+class NoEig(Exception):
+    pass
+
+
+def block_eig(monkeypatch):
+    def no_eig(a):
+        raise NoEig
+
+    monkeypatch.setattr(symplectic.np.linalg, "eig", no_eig)
+
+
+@pytest.mark.parametrize("label", ["M2", "M3", "M4", "M2-1", "M2xM3", "M2xM2"])
+def test_heisenberg_matrix_matches_expm_on_the_grid(label, monkeypatch):
     ss = structure(label)
+    # every quantum L_H is skew-adjoint, so the general eig is never called
+    block_eig(monkeypatch)
     rng = np.random.default_rng(51)
     h = ss.algebra.sample_element(rng, parity=0, hermitian=True)
     hs = HamiltonianSystem(ss, h)
@@ -554,15 +572,18 @@ def test_the_expm_fallback_fails_at_a_lower_taylor_degree(monkeypatch):
     assert fallback_error(hs, LONG_TIMES) > 1e-13
 
 
-def central_m4():
-    # round-off entries in L_H give a degenerate V
-    ss = quantum_form(matrix_algebra(4), 0.7)
-    return HamiltonianSystem(ss, ss.algebra.unit)
+def grassmann_pair():
+    # the odd canonical bracket of G2 x G2 gives a non-normal L_H (skew
+    # defect 0.39) whose eigenvectors are degenerate (cond 1.2e15)
+    g2 = grassmann_classical_factor(2)
+    prod = ProductStructure(g2, g2)
+    h = prod.algebra.sample_element(np.random.default_rng(3), parity=0, hermitian=True)
+    return HamiltonianSystem(prod, h)
 
 
 FALLBACK_SYSTEMS = {
     "jordan": lambda: HamiltonianSystem(JordanBracket(1j), M2.unit),
-    "central-M4": central_m4,
+    "G2xG2": grassmann_pair,
 }
 
 
@@ -579,6 +600,33 @@ def test_the_expm_fallback_applies_expm_to_vectors(name):
         scale = max_abs(want) * max(max_abs(a.coeffs), max_abs(phi))
         assert max_abs(hs.evolve_heisenberg(a, t).coeffs - want @ a.coeffs) <= 1e-13 * scale
         assert max_abs(hs.evolve_functional(phi, t) - want.T @ phi) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_central_hamiltonian_takes_the_eigen_path(n):
+    # L_H of the unit is round-off, not exactly 0, but skew-adjoint, so
+    # its eigenvectors are unitary
+    ss = quantum_form(matrix_algebra(n), 0.7)
+    hs = HamiltonianSystem(ss, ss.algebra.unit)
+    assert hs.eigen is not None
+    assert hs.eig_cond <= 1.0 + 1e-12 and hs.eig_residual <= 1e-12
+    # up to t = 1, t |L_H| is below 1e-15, so the exact flow moves no
+    # element by more than that either
+    for a in np.eye(ss.algebra.dim):
+        assert max_abs(hs.flow(a, np.linspace(0.0, 1.0, 11)) - a) <= 1e-15
+
+
+def test_a_non_normal_liouvillian_is_factored_by_eig(monkeypatch):
+    block_eig(monkeypatch)
+    with pytest.raises(NoEig):
+        grassmann_pair()
+
+
+@pytest.mark.parametrize("label", ["M4", "M2-1", "M2xM3"])
+def test_the_bracket_tensor_unfolds_without_a_copy(label):
+    t = structure(label).pb_tensor
+    assert t.flags.c_contiguous
+    assert np.shares_memory(t.reshape(t.shape[0], -1), t)
 
 
 def test_expi_hermitian_matches_scipy():
