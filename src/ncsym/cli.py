@@ -3,14 +3,16 @@
 Usage:  ncsym SUITE [--seed N] [--tol X] [--out PATH] [--format json|csv]
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for a
-usage problem.  Human-readable pass/fail lines go to stdout; the canonical
-report is written to --out (byte-identical across runs with equal seeds).
+usage problem, including an --out path that cannot be written.
+Human-readable pass/fail lines go to stdout; the canonical report is
+written to --out (byte-identical across runs with equal seeds).
 """
 from __future__ import annotations
 
 import argparse
 import inspect
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -63,11 +65,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         kwargs["tol"] = args.tol
-    if args.out and not Path(args.out).parent.is_dir():
+    # os.path.isdir is False, not an error, for a path the OS cannot stat,
+    # such as an over-long name; writing it fails below
+    if args.out and not os.path.isdir(Path(args.out).parent):
         print(f"ncsym: --out directory does not exist: {Path(args.out).parent}",
               file=sys.stderr)
         return 2
-    if args.out and Path(args.out).is_dir():
+    if args.out and os.path.isdir(args.out):
         print(f"ncsym: --out is a directory: {args.out}", file=sys.stderr)
         return 2
     if args.suite == "verify" and args.algebra != "all":
@@ -83,7 +87,12 @@ def main(argv=None) -> int:
     for line in report.summary_lines():
         print(line)
     if args.out:
-        report.write(args.out, args.fmt)
+        try:
+            report.write(args.out, args.fmt)
+        except OSError as exc:
+            print(f"ncsym: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         print(f"report written to {args.out}")
     return 0 if report.passed else 1
 

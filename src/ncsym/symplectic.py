@@ -20,7 +20,9 @@ the bracket tensor is
 the same convention as the structure constants of the algebra.  So
 {A, B} = ``bilinear(pb_tensor, a, b)`` and the Poisson operator of H is
 ``left_action(pb_tensor, h)``; the coupling factors and the product
-structure contract their tensors the same way.
+structure contract their tensors the same way.  Each call still gates the
+solve for its A: first by a per-basis bound on the residual, then, when
+the bound does not pass, by the exact residual (see ``_check_solve``).
 
 Dynamics: dA/dt = {H, A} with hermitian even H, on this module's
 structures and on the product structures of :mod:`ncsym.coupling` alike;
@@ -37,9 +39,11 @@ Van Loan, SIAM Rev. 45 (2003) 3).  There are two factorizations:
   max(1, |L_H|), as the quantum bracket (i/hbar)[H, .] of a hermitian H
   is in an orthonormal basis, is factored through its skew part S by the
   hermitian eigensolver on i S, with w = -i eig(i S).  V is unitary, so
-  cond(V) is about 1 even for a degenerate spectrum such as a central H's;
+  cond(V) is about 1 even for a degenerate spectrum such as a central H's,
+  and it is bounded from the unitarity defect without an SVD: with
+  delta = dim max |V^H V - I|, cond(V) <= sqrt((1 + delta) / (1 - delta));
 - any other L_H, such as a Grassmann bracket's, is factored by the
-  general eig.
+  general eig, and cond(V) comes from the SVD.
 
 Either decomposition is used only when its reconstruction residual
 against L_H itself, relative to max(1, |L_H|), is at most
@@ -142,20 +146,33 @@ class SymplecticStructure:
         # bracket tensor (convention in the module docstring)
         self.hamiltonian_basis = coeffs
         self.solve_residual = coeffs @ self._pairing - rhs
+        self.solve_residual.flags.writeable = False
         # C order, so left_action's unfolding is a view and no call copies
         # the dim^3 tensor
         self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats, order="C")
         # row t selects the basis elements of parity t
         self._parity_masks = np.array([basis_par == 0, basis_par == 1], dtype=float)
+        # row t: max_j |R_ij| for the basis elements i of parity t, inflated
+        # by 1 + 4 dim eps, which exceeds the rounding (Higham's gamma_n) of
+        # both |a| . r and the exact product of _check_solve
+        rows = np.abs(self.solve_residual).max(axis=1)
+        self._solve_bound = self._parity_masks * (rows * (1 + 4 * dim * np.finfo(float).eps))
 
     # -- hamiltonian derivations and brackets --------------------------------
 
     def _check_solve(self, a: Element) -> None:
         """Raise unless i_Y omega = -dA closes for each parity part of A.
 
-        The solve residual is linear in each part, so both parts' residuals
-        are one product of the masked coefficients with the per-basis
-        residual rows; a zero part has residual exactly 0."""
+        The solve residual is linear in each part: part t's residual row is
+        sum_i a_i R_i over the basis elements of parity t, so by the triangle
+        inequality it is at most sum_i |a_i| max_j |R_ij|.  When that bound
+        passes for both parts the residual does too; otherwise (or for a
+        NaN, which makes the bound NaN) both parts' residuals are computed
+        exactly, in one product of the masked coefficients with the residual
+        rows, and decide.  A zero part has residual exactly 0."""
+        bound = self._solve_bound @ np.abs(a.coeffs)
+        if bound[0] <= HAMILTONIAN_SOLVE_TOL and bound[1] <= HAMILTONIAN_SOLVE_TOL:
+            return
         res = np.abs((a.coeffs * self._parity_masks) @ self.solve_residual).max(axis=1)
         for t in (0, 1):
             if res[t] <= HAMILTONIAN_SOLVE_TOL:
@@ -175,14 +192,18 @@ class SymplecticStructure:
     def poisson(self, a: Element, b: Element) -> Element:
         """{A, B} = Y_A(B), extended bilinearly over parity parts of A.
 
-        The solve gate runs on every call, for each parity part of A."""
+        The solve gate runs on every call, for each parity part of A: the
+        per-basis residual bound first, then the exact residual when the
+        bound does not pass."""
         self._check_solve(a)
         return Element(self.algebra, bilinear(self.pb_tensor, a.coeffs, b.coeffs))
 
     def poisson_operator(self, h: Element) -> np.ndarray:
         """Matrix of B -> {H, B} (sum over parity parts of H).
 
-        The solve gate runs on every call, for each parity part of H."""
+        The solve gate runs on every call, for each parity part of H: the
+        per-basis residual bound first, then the exact residual when the
+        bound does not pass."""
         self._check_solve(h)
         return left_action(self.pb_tensor, h.coeffs)
 
@@ -246,9 +267,13 @@ class HamiltonianSystem:
         if max_abs(self.liouville + adj) <= EIG_RESIDUAL_TOL * scale:
             lam, v = np.linalg.eigh(0.5j * (self.liouville - adj))
             w = -1j * lam
+            # delta = dim max|V^H V - I| >= |V^H V - I|_2, so the singular
+            # values of V lie in [sqrt(1 - delta), sqrt(1 + delta)]
+            delta = len(w) * max_abs(v.conj().T @ v - np.eye(len(w)))
+            self.eig_cond = math.sqrt((1 + delta) / (1 - delta)) if delta < 1 else math.inf
         else:
             w, v = np.linalg.eig(self.liouville)
-        self.eig_cond = float(np.linalg.cond(v))
+            self.eig_cond = float(np.linalg.cond(v))
         self.eig_residual = np.inf
         if self.eig_cond <= EIG_COND_MAX:
             vinv = np.linalg.inv(v)

@@ -194,6 +194,16 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert f"ncsym: --out is a directory: {tmp_path}" in capsys.readouterr().err
 
 
+def test_an_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys):
+    # a file name past the file system's 255-byte limit fails at open()
+    path = tmp_path / ("x" * 300 + ".json")
+    assert main(["grassmann", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"ncsym: cannot write --out {path}" in captured.err
+    assert "report written" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 
 def test_calculus_battery_runs_on_an_explicit_matrix3():
     # the opt-in matrix3 battery: 333 basis cochains and 5,184 wedge pairs,

@@ -301,16 +301,36 @@ def test_solve_gate_rejects_non_hamiltonian_elements():
         ss.poisson_operator(a)
 
 
-def test_the_solve_gate_judges_each_parity_part():
-    # 1e-6 on the residual row of one odd basis element fails every input
-    # with an odd part, and leaves an even input's zero odd part at 0
-    ss = quantum_form(matrix_algebra(3, grading=(2, 1)), HBAR)
-    alg = ss.algebra
-    odd = int(np.flatnonzero(alg.parity == 1)[0])
-    ss.solve_residual[odd] += 1e-6
+def test_the_solve_gate_judges_each_parity_part(monkeypatch):
+    # a structure rebuilt from an odd-block solve that is off by a relative
+    # 1e-6 fails every input with an odd part, and leaves an even input's
+    # zero odd part at 0
+    alg = matrix_algebra(3, grading=(2, 1))
+    ref = quantum_form(alg, HBAR)
+    odd_block = ref._pairing[ref.family.parities == 1].T
+    pinv, perturbed = np.linalg.pinv, []
+
+    def off_pinv(m):
+        if np.array_equal(m, odd_block):
+            perturbed.append(True)
+            return pinv(m) * (1 + 1e-6)
+        return pinv(m)
+
+    monkeypatch.setattr(symplectic.np.linalg, "pinv", off_pinv)
+    ss = quantum_form(alg, HBAR)
+    monkeypatch.undo()
+    assert len(perturbed) == 1
+    odd = alg.parity == 1
+    assert np.array_equal(ss.solve_residual[~odd], ref.solve_residual[~odd])
+    assert np.abs(ss.solve_residual[odd]).max(axis=1).min() > 1e-7
+    # the residual rows cannot be edited behind the gate's back
+    assert not ss.solve_residual.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ss.solve_residual[0, 0] = 0.0
+    first = int(np.flatnonzero(odd)[0])
     rng = np.random.default_rng(55)
     even = alg.sample_element(rng, parity=0)
-    for a in (alg.basis_element(odd), alg.sample_element(rng, parity=1), even + alg.basis_element(odd)):
+    for a in (alg.basis_element(first), alg.sample_element(rng, parity=1), even + alg.basis_element(first)):
         with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
             ss.poisson(a, even)
         with pytest.raises(SymplecticError, match="hamiltonian solve failed"):
@@ -319,14 +339,19 @@ def test_the_solve_gate_judges_each_parity_part():
     ss.poisson_operator(even)
 
 
-def test_a_family_without_odd_directions_cannot_solve_for_an_odd_element():
-    # D_E11 and D_E33 on M(2|1) commute and are self-adjoint, so 1 (X ^ Y) is
-    # a closed, nondegenerate form on them with only even directions
+def even_only_structure():
+    """D_E11 and D_E33 on M(2|1) commute and are self-adjoint, so 1 (X ^ Y)
+    is a closed, nondegenerate form on them with only even directions."""
     alg = matrix_algebra(3, grading=(2, 1))
     fam = DerivationFamily(alg, [inner_derivation(alg, alg.basis_element(k)) for k in (0, 8)])
     t = np.zeros((2, 2, alg.dim), dtype=complex)
     t[0, 1], t[1, 0] = alg.unit_coeffs, -alg.unit_coeffs
-    ss = SymplecticStructure(Cochain(fam, 2, 0, t))
+    return SymplecticStructure(Cochain(fam, 2, 0, t))
+
+
+def test_a_family_without_odd_directions_cannot_solve_for_an_odd_element():
+    ss = even_only_structure()
+    alg = ss.algebra
     e13 = alg.basis_element(2)
     assert e13.parity == 1
     with pytest.raises(SymplecticError, match="no family directions of the required parity"):
@@ -335,6 +360,80 @@ def test_a_family_without_odd_directions_cannot_solve_for_an_odd_element():
         ss.poisson_operator(e13)
     # the diagonal units are hamiltonian: D_E11 and D_E33 kill them
     ss.poisson_operator(alg.basis_element(0) + alg.basis_element(8))
+
+
+def parity_masks(ss):
+    return np.array([ss.algebra.parity == 0, ss.algebra.parity == 1], dtype=float)
+
+
+def exact_solve_residual(ss, coeffs):
+    """The gate's exact rule: the largest solve residual of either parity
+    part, each part's residual row being its coefficients against R."""
+    return np.abs((coeffs * parity_masks(ss)) @ ss.solve_residual).max()
+
+
+def solve_bound(ss, coeffs):
+    """The larger parity part's sum_i |a_i| max_j |R_ij|, without the
+    rounding factor, so at most the gate's bound."""
+    return (parity_masks(ss) @ (np.abs(coeffs) * np.abs(ss.solve_residual).max(axis=1))).max()
+
+
+GATE_STRUCTURES = {
+    "M4": lambda: structure("M4"),
+    "M2-1": lambda: structure("M2-1"),
+    "even-only": even_only_structure,
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_STRUCTURES))
+def test_the_solve_gate_verdict_is_the_exact_rule(name):
+    ss = GATE_STRUCTURES[name]()
+    alg = ss.algebra
+    rng = np.random.default_rng(59)
+    samples = [alg.basis_element(k).coeffs for k in range(alg.dim)]
+    samples += [alg.sample_element(rng, parity=p).coeffs for p in (0, 1, None) for _ in range(3)]
+    tol = symplectic.HAMILTONIAN_SOLVE_TOL
+    # (the bound passes, the exact residual passes) for every input
+    regions = set()
+    for scale in (1.0, 1e2, 1e4, 1e5, 3e5, 1e6, 3e6):
+        for coeffs in samples:
+            a = alg.element(scale * coeffs)
+            closes = exact_solve_residual(ss, a.coeffs) <= tol
+            regions.add((solve_bound(ss, a.coeffs) <= tol, closes))
+            if closes:
+                ss.poisson_operator(a)
+                ss.poisson(a, a)
+            else:
+                with pytest.raises(SymplecticError):
+                    ss.poisson_operator(a)
+                with pytest.raises(SymplecticError):
+                    ss.poisson(a, a)
+    # both verdicts, and on the matrix algebras the band where only the
+    # exact residual passes
+    band = set() if name == "even-only" else {(False, True)}
+    assert regions == {(True, True), (False, False)} | band
+
+
+def test_an_element_past_the_bound_is_judged_by_the_exact_residual():
+    # the band where the bound fails but the exact residual passes
+    ss = structure("M4")
+    a = 3e5 * ss.algebra.sample_element(np.random.default_rng(3))
+    assert solve_bound(ss, a.coeffs) > symplectic.HAMILTONIAN_SOLVE_TOL
+    assert exact_solve_residual(ss, a.coeffs) <= symplectic.HAMILTONIAN_SOLVE_TOL
+    ss.poisson(a, a)
+    ss.poisson_operator(a)
+
+
+@pytest.mark.parametrize("name", list(GATE_STRUCTURES))
+def test_a_nan_coefficient_fails_the_solve_gate(name):
+    ss = GATE_STRUCTURES[name]()
+    coeffs = ss.algebra.unit_coeffs.astype(complex)
+    coeffs[-1] = np.nan
+    a = ss.algebra.element(coeffs)
+    with pytest.raises(SymplecticError):
+        ss.poisson(a, a)
+    with pytest.raises(SymplecticError):
+        ss.poisson_operator(a)
 
 
 def test_no_canonical_pairs_in_m2():
@@ -614,6 +713,37 @@ def test_a_central_hamiltonian_takes_the_eigen_path(n):
     # element by more than that either
     for a in np.eye(ss.algebra.dim):
         assert max_abs(hs.flow(a, np.linspace(0.0, 1.0, 11)) - a) <= 1e-15
+
+
+class NoSvd(Exception):
+    pass
+
+
+def test_the_eigh_branch_bounds_cond_without_an_svd(monkeypatch):
+    # structures first: their solves take pseudo-inverses by SVD
+    pairs = []
+    for label in ("M2", "M4", "M2-1", "M2xM3"):
+        ss = structure(label)
+        pairs.append((ss, ss.algebra.sample_element(np.random.default_rng(61), parity=0, hermitian=True)))
+    for n in (4, 5):
+        ss = quantum_form(matrix_algebra(n), 0.7)
+        pairs.append((ss, ss.algebra.unit))
+
+    def no_svd(*args, **kwargs):
+        raise NoSvd
+
+    monkeypatch.setattr(symplectic.np.linalg, "cond", no_svd)
+    monkeypatch.setattr(symplectic.np.linalg, "svd", no_svd)
+    systems = [HamiltonianSystem(ss, h) for ss, h in pairs]
+    # the general branch still takes cond(V) by the SVD
+    with pytest.raises(NoSvd):
+        HamiltonianSystem(JordanBracket(0.0), M2.unit)
+    monkeypatch.undo()
+    for hs in systems:
+        assert hs.eigen is not None
+        assert np.linalg.cond(hs.eigen[0]) <= hs.eig_cond <= 1.0 + 1e-12
+    nilpotent = HamiltonianSystem(JordanBracket(0.0), M2.unit)
+    assert nilpotent.eig_cond == np.linalg.cond(np.linalg.eig(nilpotent.liouville)[1]) > 1e4
 
 
 def test_a_non_normal_liouvillian_is_factored_by_eig(monkeypatch):
