@@ -569,9 +569,11 @@ def tensor_algebra(a: Superalgebra, b: Superalgebra) -> Superalgebra:
         and not (np.any(a.parity) and np.any(b.parity))
     ):
         # plain Kronecker realization is only a homomorphism when at most one
-        # factor has odd elements (otherwise Koszul signs would be missed)
-        rep = np.stack(
-            [np.kron(ra, rb) for ra in a.rep_basis for rb in b.rep_basis]
+        # factor has odd elements (otherwise Koszul signs would be missed);
+        # rep[i * nb + j] = kron(ra[i], rb[j]), all pairs in one product
+        ra, rb = a.rep_basis, b.rep_basis
+        rep = (ra[:, None, :, None, :, None] * rb[None, :, None, :, None, :]).reshape(
+            ra.shape[0] * rb.shape[0], ra.shape[1] * rb.shape[1], ra.shape[2] * rb.shape[2]
         )
     kind = {"form": "tensor", "parts": [a.kind, b.kind]}
     return Superalgebra(structure, parity, unit, involution, labels, kind, rep)

@@ -669,7 +669,8 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
 
     Both run on one M2 factor and on a coupled M2 x M2 pair.  The coupled
     Heisenberg trajectory is also stepped by classical RK4, 4000 steps
-    over [0, tmax], and must match the closed form to 1e-5.  ``meta``
+    over [0, tmax] applied as powers of its step matrix, and must match
+    the closed form to 1e-5.  ``meta``
     records, for each system, the eigen gate values and whether its flow
     fell back to expm."""
     rng = np.random.default_rng(seed)

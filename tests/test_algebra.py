@@ -220,6 +220,13 @@ def test_tensor_of_matrix_algebras_is_kronecker():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("left, right", [(M2, M3), (M11, M2)], ids=["M2xM3", "M11xM2"])
+def test_tensor_realization_is_the_kronecker_product_of_each_pair(left, right):
+    prod = tensor_algebra(left, right)
+    expected = [np.kron(ra, rb) for ra in left.rep_basis for rb in right.rep_basis]
+    assert np.array_equal(prod.rep_basis, np.stack(expected))
+
+
 def _m2_data(**override) -> dict:
     data = dict(
         structure=M2.constants, parity=M2.parity, unit=M2.unit_coeffs,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 from unittest import mock
@@ -257,3 +258,70 @@ def test_verify_samples_reach_the_calculus_battery(samples, seed, capsys):
         else:
             assert _unknown_flag(argv + ["--samples", str(samples)], capsys)
     assert wedge.call_count == (4 if samples is None else 0)
+
+
+SUITE_FLAGS = {"tol": "1e-9", "algebra": "m2", "left": "quantum:1.0", "right": "commutative"}
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [(suite, flag) for suite, fn in SUITES.items() for flag in SUITE_FLAGS
+     if flag not in inspect.signature(fn).parameters],
+)
+def test_a_suite_specific_flag_is_refused_by_a_suite_that_lacks_it(suite, flag, capsys):
+    # one rule for every suite-specific flag, checked before the suite runs
+    fn = mock.Mock(wraps=SUITES[suite])
+    with mock.patch.dict(SUITES, {suite: fn}):
+        assert main([suite, f"--{flag}", SUITE_FLAGS[flag]]) == 2
+    assert fn.call_count == 0
+    assert f"ncsym: suite {suite!r} does not take --{flag}" in capsys.readouterr().err
+
+
+def test_every_suite_specific_flag_is_taken_by_some_suite():
+    taken = {flag for fn in SUITES.values() for flag in inspect.signature(fn).parameters}
+    assert set(SUITE_FLAGS) <= taken
+
+
+def test_verify_algebra_all_is_no_restriction(tmp_path, capsys):
+    plain, every = tmp_path / "plain.json", tmp_path / "all.json"
+    assert main(["verify", "--out", str(plain)]) == 0
+    assert main(["verify", "--algebra", "all", "--out", str(every)]) == 0
+    capsys.readouterr()
+    assert plain.read_bytes() == every.read_bytes()
+
+
+def test_help_lists_every_suite_with_its_summary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, fn in SUITES.items():
+        summary = fn.__doc__.strip().splitlines()[0]
+        assert any(line.split() == [name] + summary.split() for line in lines), name
+
+
+def test_an_unwritable_out_path_is_refused_before_the_suite_runs(tmp_path, capsys):
+    suite = mock.Mock(wraps=SUITES["grassmann"])
+    path = tmp_path / ("x" * 300 + ".json")
+    with mock.patch.dict(SUITES, grassmann=suite):
+        assert main(["grassmann", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert suite.call_count == 0
+    assert captured.out == ""
+    assert f"ncsym: cannot write --out {path}" in captured.err
+
+
+def test_a_usage_error_in_the_suite_leaves_no_out_file(tmp_path, capsys):
+    # the --out probe made the file; no report reached it, so it is removed
+    path = tmp_path / "pair.json"
+    assert main(["coupling", "--left", "quantum:1.0", "--out", str(path)]) == 2
+    assert "both factor tokens" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_usage_error_in_the_suite_keeps_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b"earlier report")
+    assert main(["coupling", "--left", "quantum:1.0", "--out", str(path)]) == 2
+    capsys.readouterr()
+    assert path.read_bytes() == b"earlier report"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ncsym import _linalg, calculus, symplectic
+from ncsym import _linalg, calculus, suites, symplectic
 from ncsym._linalg import expi_hermitian, max_abs, rk4_trajectory
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
@@ -519,6 +519,59 @@ def test_rk4_error_falls_as_the_fourth_power_of_the_step():
     ]
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 <= coarse / fine <= 18.0
+
+
+def _evolve_rk4_call(monkeypatch):
+    # the generator, start vector, times and rate that evolve at seed 0
+    # hands to RK4
+    calls = []
+    monkeypatch.setattr(
+        suites, "rk4_trajectory", lambda *args: calls.append(args) or rk4_trajectory(*args)
+    )
+    suites.evolve_suite(seed=0)
+    (call,) = calls
+    return call
+
+
+def _stepwise(lmat, y0, times, rate):
+    # the RK4 of rk4_trajectory one step at a time: each stretch between
+    # sorted times takes max(1, ceil(|dt| rate)) applications of P(dt L)
+    y = np.asarray(y0, dtype=complex)
+    out = np.zeros((len(times), y.size), dtype=complex)
+    t_now = 0.0
+    for r in np.argsort(times):
+        n = max(1, math.ceil(abs(times[r] - t_now) * rate))
+        step = _linalg.taylor_polynomial((times[r] - t_now) / n * lmat, 4)
+        for _ in range(n):
+            y = step @ y
+        t_now = times[r]
+        out[r] = y
+    return out
+
+
+def _assert_rows_close(got, expected, rtol):
+    gap = np.linalg.norm(got - expected, axis=1)
+    assert np.all(gap <= rtol * np.linalg.norm(expected, axis=1)), gap
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 200, 4000])
+def test_rk4_powers_equal_the_stepwise_loop_on_the_evolve_generator(steps, monkeypatch):
+    lmat, y0, _, _ = _evolve_rk4_call(monkeypatch)
+    powered = rk4_trajectory(lmat, y0, [1.0], steps)
+    _assert_rows_close(powered, _stepwise(lmat, y0, [1.0], steps), 1e-13)
+
+
+def test_rk4_powers_equal_the_stepwise_loop_on_evolve_s_grid(monkeypatch):
+    lmat, y0, times, rate = _evolve_rk4_call(monkeypatch)
+    _assert_rows_close(rk4_trajectory(lmat, y0, times, rate), _stepwise(lmat, y0, times, rate),
+                       1e-13)
+
+
+def test_rk4_powers_equal_the_stepwise_loop_on_unsorted_and_negative_times(monkeypatch):
+    lmat, y0, _, _ = _evolve_rk4_call(monkeypatch)
+    times = np.array([2.5, 0.75, -1.3, 4.0, 0.0])
+    _assert_rows_close(rk4_trajectory(lmat, y0, times, 400.0),
+                       _stepwise(lmat, y0, times, 400.0), 1e-13)
 
 
 @pytest.mark.parametrize(
