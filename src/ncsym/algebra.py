@@ -57,11 +57,6 @@ SUPERCOMMUTATIVE_TOL = 1e-12
 BLOCK_PRODUCTS = 1 << 18
 
 
-def koszul_sign(parity_a: int, parity_b: int) -> int:
-    """The sign (-1)**(parity_a * parity_b)."""
-    return -1 if (parity_a & 1) and (parity_b & 1) else 1
-
-
 class AlgebraError(ValueError):
     """Raised when structural data fails validation or an operation's
     preconditions are not met."""
@@ -343,21 +338,6 @@ class Superalgebra:
 
     def star_coeffs(self, a: np.ndarray) -> np.ndarray:
         return self.involution_matrix @ np.conj(np.asarray(a, dtype=complex))
-
-    def supercommutator(self, a: Element, b: Element) -> Element:
-        """[A, B] = AB - (-1)**(e_A e_B) BA, extended bilinearly."""
-        out = np.zeros(self.dim, dtype=complex)
-        for pa in (0, 1):
-            ca = a.coeffs * (self.parity == pa)
-            if max_abs(ca) == 0.0:
-                continue
-            for pb in (0, 1):
-                cb = b.coeffs * (self.parity == pb)
-                if max_abs(cb) == 0.0:
-                    continue
-                out += self.mul_coeffs(ca, cb)
-                out -= koszul_sign(pa, pb) * self.mul_coeffs(cb, ca)
-        return Element(self, out)
 
     @cached_property
     def commutator_constants(self) -> Coo:

@@ -13,11 +13,12 @@ and the algebra axis, (m, .., m) + S + (dim,); the differential, interior
 product, Lie derivative and pullback take a whole stack in one call, so
 their fixed cost is paid once per stack, and ``wedge`` wedges every
 member of one stack with every member of the other, an outer product whose
-stack is the two stacks joined.  L and i also act along a
-``DerivationStack``, every derivation of a stack (the family members, say)
-at once: the derivations become a new first stack axis, the Koszul signs
-are broadcast over it, and the family coefficients of each [Y_a, X_i] are
-formed once per stack.  A lone derivation is the one-member case.
+stack is the two stacks joined.  L and i act along the family itself,
+every member X_a at once: the members become a new first stack axis, the
+Koszul signs are broadcast over it, and [X_a, X_i] is read from the
+family's bracket table.  L_Y and i_Y along one derivation Y in the span of
+the family are the sums over a of c_a L_{X_a} and c_a i_{X_a}, with c the
+family coefficients of Y.
 
 Sign conventions (all checked by the test suite):
 
@@ -81,7 +82,7 @@ from ._linalg import (
     segment_sums,
     sum_by_key,
 )
-from .algebra import Element, Superalgebra, koszul_sign, koszul_signs
+from .algebra import Element, Superalgebra, koszul_signs
 from .leibniz import superderivation_dims, superderivation_residuals
 
 # Residual threshold for the superderivation (graded Leibniz) condition.
@@ -124,26 +125,11 @@ class Derivation:
 
 
 def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
-    """The supercommutator map B -> [A, B] for homogeneous A."""
-    par = a.parity
-    if par is None:
+    """The supercommutator map B -> [A, B] for homogeneous A, read from
+    the supercommutator table."""
+    if a.parity is None:
         raise CalculusError("inner derivation needs a homogeneous element")
-    left = alg.left_mult_matrix(a.coeffs)
-    right = alg.right_mult_matrix(a.coeffs)
-    signs = np.array([koszul_sign(par, int(p)) for p in alg.parity], dtype=complex)
-    return Derivation(alg, left - right @ np.diag(signs), par, source=a)
-
-
-def lie_bracket(x: Derivation, y: Derivation) -> Derivation:
-    """Graded commutator [X, Y] = X Y - (-1)**(e_X e_Y) Y X."""
-    if x.algebra is not y.algebra:
-        raise CalculusError("derivations live on different algebras")
-    sign = koszul_sign(x.parity, y.parity)
-    mat = x.matrix @ y.matrix - sign * y.matrix @ x.matrix
-    src = None
-    if x.source is not None and y.source is not None:
-        src = x.algebra.supercommutator(x.source, y.source)
-    return Derivation(x.algebra, mat, (x.parity + y.parity) % 2, src)
+    return Derivation(alg, alg.commutator_constants.left_mult(a.coeffs), a.parity, source=a)
 
 
 def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]:
@@ -189,8 +175,7 @@ class DerivationFamily:
 
     Cochains are stored by their values on tuples from this family, so the
     family plays the role of a (generally non-spanning) frame on the space
-    of derivations.  ``DerivationStack.coeffs`` writes derivations in the
-    frame.
+    of derivations; L and i act along it (see :func:`lie_derivative`).
 
     The member matrices are also kept sparsely, as their nonzero entries,
     and so is the bracket table once built."""
@@ -600,78 +585,52 @@ def wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     return Cochain(fam, n, (alpha.parity + beta.parity) % 2, t, check=False)
 
 
-class DerivationStack:
-    """Derivations Y_1..Y_k on the algebra of a family, as one stack axis:
-    ``lie_derivative`` and ``interior`` act along every Y_a at once.  The
-    family coefficients of each Y_a (for i_Y) and of each [Y_a, X_i] (for
-    L_Y) are formed on first use, through the dense matrices and the
-    family's gated expansion, and kept."""
-
-    def __init__(self, family: DerivationFamily, derivations: list[Derivation]) -> None:
-        if any(y.algebra is not family.algebra for y in derivations):
-            raise CalculusError("derivation and cochain live on different algebras")
-        self.family = family
-        self.matrices = np.array([y.matrix for y in derivations])
-        self.parities = np.array([y.parity for y in derivations], dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.parities)
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """c[a, i], the coefficient of X_i in Y_a."""
-        return self.family._expand_all_strict(self.matrices)
-
-    @cached_property
-    def brackets(self) -> np.ndarray:
-        """b[a * m + i, c], the coefficient of X_c in [Y_a, X_i], from the
-        dense products Y_a X_i - (-1)**(e_a e_i) X_i Y_a."""
-        fam = self.family
-        signs = koszul_signs(self.parities, fam.parities)[:, :, None, None]
-        ys = self.matrices[:, None]
-        comm = ys @ fam.matrices - (signs * fam.matrices) @ ys
-        return fam._expand_all_strict(comm.reshape((-1,) + comm.shape[2:]))
+def _along(y, omega: Cochain) -> np.ndarray | None:
+    """The family coefficients c of one derivation y, gated at EXPAND_TOL,
+    or None when y is the family of omega itself; raises for another family
+    or a derivation of another algebra."""
+    fam = omega.family
+    if isinstance(y, DerivationFamily):
+        if y is not fam:
+            raise CalculusError("L and i act along the family of the cochain")
+        return None
+    if y.algebra is not fam.algebra:
+        raise CalculusError("derivation and cochain live on different algebras")
+    return fam._expand_all_strict(y.matrix[None])[0]
 
 
-def _lone(y: Derivation, omega: Cochain, t: np.ndarray, degree: int) -> Cochain:
-    """The one-member stack t of a kernel along y on omega, as a cochain."""
-    out = t[(slice(None),) * degree + (0,)]
-    return Cochain(omega.family, degree, omega.parity + y.parity, out, check=False)
+def lie_derivative(y, omega: Cochain, parity=None):
+    """L_Y on a cochain w, along the family of w or along one derivation.
 
-
-def lie_derivative(y, target, parity=None):
-    """L_Y acting on an element, a derivation or a cochain.
-
-    ``y`` may also be a :class:`DerivationStack`: on a cochain w the result
-    is then the tensor of L_{Y_a} w for every member a, with a as a new
-    first stack axis, shape (m,) * p + (k,) + S + (dim,).  ``parity``, when
-    given, is the parity of w per stack entry (an int array broadcast over
-    S) in place of ``target.parity``, as for the stack of L_{X_b} v, whose
-    entry b has parity e_v + e_b.  A lone derivation on a cochain is the
-    one-member case."""
-    if isinstance(target, Element):
-        return y(target)
-    if isinstance(target, Derivation):
-        return lie_bracket(y, target)
-    omega: Cochain = target
+    With ``y`` the family of w, the result is the tensor of L_{X_a} w for
+    every member a, with a as a new first stack axis, shape
+    (m,) * p + (m,) + S + (dim,); [X_a, X_i] comes from the family's
+    bracket table.  ``parity``, when given, is the parity of w per stack
+    entry (an int array broadcast over S) in place of ``omega.parity``, as
+    for the stack of L_{X_b} v, whose entry b has parity e_v + e_b.  With
+    ``y`` one derivation in the span of the family, the result is the
+    cochain L_Y w = sum_a c_a L_{X_a} w."""
+    c = _along(y, omega)
     fam, p = omega.family, omega.degree
-    if isinstance(y, Derivation):
-        return _lone(y, omega, lie_derivative(DerivationStack(fam, [y]), omega), p)
+    if c is not None:
+        t = np.tensordot(c, lie_derivative(fam, omega, parity), axes=(0, p))
+        return Cochain(fam, p, omega.parity + y.parity, t, check=False)
     t = omega.tensor
-    k, m, n = len(y), len(fam), t.shape[-1]
-    # Y_a(w(X_1..X_p)) for every a; the member axis joins the stack in front
-    out = np.matmul(t.reshape(m**p, 1, -1, n), y.matrices.transpose(0, 2, 1))
-    out = out.reshape(t.shape[:p] + (k,) + t.shape[p:])
+    m, n = len(fam), t.shape[-1]
+    # X_a(w(X_1..X_p)) for every a; the member axis joins the stack in front
+    out = np.matmul(t.reshape(m**p, 1, -1, n), fam.matrices.transpose(0, 2, 1))
+    out = out.reshape(t.shape[:p] + (m,) + t.shape[p:])
     # the Koszul slot signs, broadcast over the members (e_a) and over the
     # stack (the parity of w)
     e = _slot_parities(fam, p, out.ndim)
     par = np.asarray(omega.parity if parity is None else parity)
     par = par.reshape((1,) * (out.ndim - 1 - par.ndim) + par.shape + (1,))
-    ya = y.parities.reshape((1,) * p + (k,) + (1,) * (out.ndim - p - 1))
+    ya = fam.parities.reshape((1,) * p + (m,) + (1,) * (out.ndim - p - 1))
+    bracket = fam.bracket.reshape(m * m, m)
     for j in range(p):
-        # w with [Y_a, X_i] in slot j, for every a and i: one product
-        tj = y.brackets @ np.moveaxis(t, j, 0).reshape(m, -1)
-        tj = np.moveaxis(tj.reshape((k, m) + t.shape[:j] + t.shape[j + 1 :]), (0, 1), (p, j))
+        # w with [X_a, X_i] in slot j, for every a and i: one product
+        tj = bracket @ np.moveaxis(t, j, 0).reshape(m, -1)
+        tj = np.moveaxis(tj.reshape((m, m) + t.shape[:j] + t.shape[j + 1 :]), (0, 1), (p, j))
         exponent = ya * (par + sum(e[:j]))
         if (exponent % 2).any():
             tj *= _sign(exponent)
@@ -679,19 +638,22 @@ def lie_derivative(y, target, parity=None):
     return out
 
 
-def interior(x, omega: Cochain):
-    """(i_X w)(X_1..X_{p-1}) = w(X, X_1, ..); on 0-forms the result is 0.
+def interior(y, omega: Cochain):
+    """(i_Y w)(X_1..X_{p-1}) = w(Y, X_1, ..); on 0-forms the result is 0.
 
-    ``x`` may also be a :class:`DerivationStack`: the result is then the
-    tensor of i_{X_a} w for every member a, with a as a new first stack
-    axis, from one contraction with the members' coefficients.  A lone
-    derivation is the one-member case."""
+    With ``y`` the family of w, the result is the tensor of i_{X_a} w for
+    every member a, with a as a new first stack axis: w's first slot moved
+    onto the stack, as a copy, so that adding into it leaves w alone.  With
+    ``y`` one derivation in the span of the family, the result is the
+    cochain i_Y w = sum_a c_a i_{X_a} w."""
+    c = _along(y, omega)
     fam, q = omega.family, max(omega.degree - 1, 0)
-    if isinstance(x, Derivation):
-        return _lone(x, omega, interior(DerivationStack(fam, [x]), omega), q)
+    if c is not None:
+        t = np.tensordot(c, interior(fam, omega), axes=(0, q))
+        return Cochain(fam, q, omega.parity + y.parity, t, check=False)
     if omega.degree == 0:
-        return np.zeros((len(x),) + omega.tensor.shape, dtype=complex)
-    return np.moveaxis(np.tensordot(x.coeffs, omega.tensor, axes=(1, 0)), 0, q)
+        return np.zeros((len(fam),) + omega.tensor.shape, dtype=complex)
+    return np.moveaxis(omega.tensor, 0, q).copy()
 
 
 # Largest slice of a differential, in entries, formed at once: d(omega) is

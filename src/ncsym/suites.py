@@ -12,14 +12,13 @@ import itertools
 import numpy as np
 
 from ._linalg import expi_hermitian, rk4_trajectory, worst
-from .algebra import grassmann_algebra, koszul_signs, matrix_algebra
+from .algebra import Element, grassmann_algebra, koszul_signs, matrix_algebra
 from .calculus import (
     _CHUNK_ENTRIES,
     DERIVATION_TOL,
     AlgebraIsomorphism,
     Cochain,
     DerivationFamily,
-    DerivationStack,
     exterior_derivative,
     interior,
     lie_derivative,
@@ -187,15 +186,15 @@ def _note(rows: dict, name: str, gap: np.ndarray, slots: int) -> None:
     rows[name].append(np.sqrt(sq).ravel())
 
 
-def _lie_bracket_gap(members: DerivationStack, w: Cochain, lw: np.ndarray) -> np.ndarray:
+def _lie_bracket_gap(w: Cochain, lw: np.ndarray) -> np.ndarray:
     """L_[Xa, Xb] w - [L_Xa, L_Xb] w for every ordered member pair (a, b),
-    as (m,) * p + (a, b) + S + (dim,), from lw = L_Xc w along the family
-    members: L_Xa L_Xb w is one more call on lw, whose entry b has parity
+    as (m,) * p + (a, b) + S + (dim,), from lw = L_Xc w along the family:
+    L_Xa L_Xb w is one more call on lw, whose entry b has parity
     e_w + e_b, and L_[Xa, Xb] w = f[a, b, c] L_Xc w."""
     fam, p = w.family, w.degree
     fp, m = fam.parities, len(fam)
     lw_stack = Cochain(fam, p, w.parity, lw, check=False)
-    llw = lie_derivative(members, lw_stack, parity=(w.parity + fp)[:, None])
+    llw = lie_derivative(fam, lw_stack, parity=(w.parity + fp)[:, None])
     # (L_Xa L_Xb - (-1)**(e_a e_b) L_Xb L_Xa) w, subtracted from the bracket side
     gap = np.multiply(koszul_signs(fp, fp)[:, :, None, None], llw.swapaxes(p, p + 1), order="C")
     np.subtract(llw, gap, out=gap)
@@ -203,9 +202,9 @@ def _lie_bracket_gap(members: DerivationStack, w: Cochain, lw: np.ndarray) -> np
     return np.subtract(lhs.reshape(gap.shape), gap, out=gap)
 
 
-def _calculus_stack_rows(rows: dict, iso, members: DerivationStack, basis: Cochain):
+def _calculus_stack_rows(rows: dict, iso, basis: Cochain):
     """The ddZero, cartan, lieBracket and pullbackDifferential rows on the
-    basis stack of one degree and parity, with the family ``members`` as a
+    basis stack of one degree and parity, with the family members as a
     stack axis: Cartan for every member X, [L_X, L_Y] = L_[X, Y] for every
     ordered member pair ([X, Y] from the family's bracket table).  Every
     kernel runs on blocks of the stack, so that d(d w) and L L w of a block
@@ -222,17 +221,17 @@ def _calculus_stack_rows(rows: dict, iso, members: DerivationStack, basis: Cocha
         dw = exterior_derivative(w)
         _note(rows, "ddZero", exterior_derivative(dw).tensor, degree + 2)
         # lw[.., a, s, :] = L_Xa w_s, of parity e_w + e_a
-        lw = lie_derivative(members, w)
+        lw = lie_derivative(fam, w)
         # i_X d w + d i_X w, with d once per member parity
-        homotopy = interior(members, dw)
+        homotopy = interior(fam, dw)
         if degree:
-            iw = interior(members, w)
+            iw = interior(fam, w)
             for t in np.unique(fp):
                 on = fp == t
                 part = Cochain(fam, degree - 1, w.parity + t, iw[..., on, :, :], check=False)
                 homotopy[..., on, :, :] += exterior_derivative(part).tensor
         _note(rows, "cartan", homotopy - eta * lw, degree)
-        _note(rows, "lieBracket", _lie_bracket_gap(members, w, lw), degree)
+        _note(rows, "lieBracket", _lie_bracket_gap(w, lw), degree)
         if degree <= 1:
             pw = pullback(iso, w)
             gap = pullback(iso, dw) - exterior_derivative(pw)
@@ -289,12 +288,11 @@ def calculus_suite(
         iso = AlgebraIsomorphism.unitary_conjugation(alg, expi_hermitian(gen.realize()))
         # odd cochains vanish on an algebra with no odd part
         parities = (0, 1) if np.any(alg.parity) else (0,)
-        members = DerivationStack(fam, fam.members)
         ones = []  # the basis 1-cochains of each parity, with d and pullback
         for p in (0, 1, 2):
             for t in parities:
                 basis = Cochain.basis(fam, p, t)
-                made = _calculus_stack_rows(rows, iso, members, basis)
+                made = _calculus_stack_rows(rows, iso, basis)
                 if p == 1:
                     ones.append((basis, *made))
         _wedge_rows(rows, iso, ones)
@@ -329,7 +327,9 @@ def coupling_suite(
     left: str | None = None,
     right: str | None = None,
 ) -> Report:
-    """The compatibility verdicts for the four factor scenarios, and the
+    """Compatibility verdicts and the product bracket on M2 (x) M2.
+
+    The compatibility verdicts for the four factor scenarios, and the
     product bracket checked against the Kronecker commutator route on every
     basis pair of M2 (x) M2.  With ``left``/``right`` factor tokens it
     instead reports the verdict for that single pair."""
@@ -399,7 +399,9 @@ def coupling_suite(
 
 
 def gns_suite(seed: int = 0, tol: float = GNS_TOL) -> Report:
-    """Representation facts recovered numerically: vector states on the
+    """GNS representations of vector states and of the trace.
+
+    Representation facts recovered numerically: vector states on the
     full matrix algebras give irreducible representations of the expected
     dimension, the trace gives the commutant of a factor."""
     rng = np.random.default_rng(seed)
@@ -436,7 +438,9 @@ def gns_suite(seed: int = 0, tol: float = GNS_TOL) -> Report:
 
 
 def grassmann_suite(seed: int = 0, tol: float = 1e-12) -> Report:
-    """Superclassical checks: the canonical worked brackets, the Berezin
+    """Superclassical brackets, Berezin integrals and the state on G3.
+
+    Superclassical checks: the canonical worked brackets, the Berezin
     integral against the algebraic route on every basis element of G3, and
     uniqueness of the state on three anticommuting generators, exact by a
     rank test on the zero rows of its Gram matrix, with its density
@@ -497,7 +501,9 @@ def grassmann_suite(seed: int = 0, tol: float = 1e-12) -> Report:
 
 
 def moyal_suite(seed: int = 0, tol: float = MOYAL_ASSOC_TOL) -> Report:
-    """Star product facts: associativity on every triple of monomials, the
+    """Star product facts and the Wigner and integral kernel routes.
+
+    Star product facts: associativity on every triple of monomials, the
     exact canonical bracket, a quadratic oracle and the classical limit
     slope; the Wigner symbols of the two lowest oscillator states against
     their closed forms, and the integral kernel on the ground-state symbol,
@@ -611,8 +617,10 @@ def stern_gerlach_suite(seed: int = 0) -> Report:
 
 
 def decoherence_suite(seed: int = 0, tol: float = 1e-7) -> Report:
-    """Interference suppression magnitudes, exact pointer probabilities
-    and the finite matrix apparatus cross-check."""
+    """Interference suppression and the matrix apparatus cross-check.
+
+    Interference suppression magnitudes, exact pointer probabilities and
+    the finite matrix apparatus cross-check."""
     rng = np.random.default_rng(seed)
     rep = Report("decoherence", seed)
     rep.residual("magnitudeAtKappa1e8", uniform_suppression(1e8), tol)
@@ -663,54 +671,17 @@ def _eigen_meta(system: HamiltonianSystem) -> dict:
     }
 
 
-def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
-    """Observable/functional duality for Hamiltonian flows, with the
-    matrix-conjugation density route as an independent oracle.
-
-    Both run on one M2 factor and on a coupled M2 x M2 pair.  The coupled
-    Heisenberg trajectory is also stepped by classical RK4, 4000 steps
-    over [0, tmax] applied as powers of its step matrix, and must match
-    the closed form to 1e-5.  ``meta``
-    records, for each system, the eigen gate values and whether its flow
-    fell back to expm."""
-    rng = np.random.default_rng(seed)
-    rep = Report("evolve", seed, meta={"tmax": EVOLVE_TMAX})
-    times = np.linspace(0.0, EVOLVE_TMAX, 21)
-
-    # single factor: a random hermitian Hamiltonian on the 2x2 algebra
-    hbar = 0.7
-    q = quantum_factor(matrix_algebra(2), hbar)
-    alg = q.algebra
-    structure = q.structure
-    h = alg.sample_element(rng, hermitian=True)
-    obs = alg.sample_element(rng, hermitian=True)
-    hmat = h.realize()
-    omat = obs.realize()
-    system = HamiltonianSystem(structure, h)
-    rep.meta["singleFactor"] = _eigen_meta(system)
-    phi0 = np.array([1.0, 0.0, 0.0, 0.0])  # the |0> vector state functional
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    via_obs = system.flow(obs.coeffs, times) @ phi0
-    via_fun = system.flow(phi0, times, dual=True) @ obs.coeffs
-    oracle_gap = []
-    for r, t in enumerate(times):
-        u = expi_hermitian(-t * hmat / hbar)
-        oracle_gap.append(abs(via_obs[r] - np.trace(u @ rho0 @ u.conj().T @ omat)))
-    rep.residual("singleFactor.duality", np.abs(via_obs - via_fun), tol, labels=[times])
-    rep.residual("singleFactor.densityOracle", oracle_gap, tol, labels=[times])
-
-    # coupled pair under a random hermitian product Hamiltonian
-    prod = ProductStructure(q, q)
-    palg = prod.algebra
-    h = palg.sample_element(rng, hermitian=True)
-    obs = palg.sample_element(rng, hermitian=True)
-    hmat = palg.realize(h.coeffs)
-    omat = palg.realize(obs.coeffs)
-    psi0 = np.kron([1.0, 1.0], [1.0, 0.0]) / np.sqrt(2.0)
+def _duality_rows(rep: Report, name: str, structure, h: Element, obs: Element,
+                  psi0: np.ndarray, hbar: float, times: np.ndarray, tol: float):
+    """The flow of H on the observable A and, by duality, on the vector
+    state of psi0, against the density route U rho0 U^+ with
+    U = exp(-i t H / hbar): ``meta[name]`` and the rows name.duality and
+    name.densityOracle.  Returns the system and A(t) on the times."""
+    hmat, omat = h.realize(), obs.realize()
     rho0 = np.outer(psi0, psi0.conj())
-    phi0 = np.array([np.trace(rho0 @ palg.rep_basis[i]) for i in range(palg.dim)])
-    system = HamiltonianSystem(prod, h)
-    rep.meta["coupled"] = _eigen_meta(system)
+    phi0 = np.array([np.trace(rho0 @ e) for e in h.algebra.rep_basis])
+    system = HamiltonianSystem(structure, h)
+    rep.meta[name] = _eigen_meta(system)
     traj = system.flow(obs.coeffs, times)
     via_obs = traj @ phi0
     via_fun = system.flow(phi0, times, dual=True) @ obs.coeffs
@@ -718,9 +689,35 @@ def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
     for r, t in enumerate(times):
         u = expi_hermitian(-t * hmat / hbar)
         oracle_gap.append(abs(via_obs[r] - np.trace(u @ rho0 @ u.conj().T @ omat)))
-    rep.residual("coupled.duality", np.abs(via_obs - via_fun), tol, labels=[times])
-    rep.residual("coupled.densityOracle", oracle_gap, tol, labels=[times])
+    rep.residual(f"{name}.duality", np.abs(via_obs - via_fun), tol, labels=[times])
+    rep.residual(f"{name}.densityOracle", oracle_gap, tol, labels=[times])
+    return system, traj
 
+
+def evolve_suite(seed: int = 0, tol: float = EVOLVE_TOL) -> Report:
+    """Observable/functional duality for Hamiltonian flows.
+
+    The duality is checked with the matrix-conjugation density route as
+    an independent oracle, on one M2 factor and on a coupled M2 x M2 pair.
+    The coupled Heisenberg trajectory is also stepped by classical RK4,
+    4000 steps over [0, tmax] applied as powers of its step matrix, and
+    must match the closed form to 1e-5.  ``meta`` records, for each
+    system, the eigen gate values and whether its flow fell back to
+    expm."""
+    rng = np.random.default_rng(seed)
+    rep = Report("evolve", seed, meta={"tmax": EVOLVE_TMAX})
+    times = np.linspace(0.0, EVOLVE_TMAX, 21)
+    hbar = 0.7
+    q = quantum_factor(matrix_algebra(2), hbar)
+    # one M2 factor in the |0> state, then the coupled pair in |+> (x) |0>,
+    # each under a random hermitian Hamiltonian and observable
+    h, obs = (q.algebra.sample_element(rng, hermitian=True) for _ in range(2))
+    _duality_rows(rep, "singleFactor", q.structure, h, obs, np.array([1.0, 0.0]),
+                  hbar, times, tol)
+    prod = ProductStructure(q, q)
+    h, obs = (prod.algebra.sample_element(rng, hermitian=True) for _ in range(2))
+    psi0 = np.kron([1.0, 1.0], [1.0, 0.0]) / np.sqrt(2.0)
+    system, traj = _duality_rows(rep, "coupled", prod, h, obs, psi0, hbar, times, tol)
     rate = 4000 / EVOLVE_TMAX  # RK4 steps per unit time
     rk4 = rk4_trajectory(system.liouville, obs.coeffs, times, rate)
     rep.residual("coupled.rk4MatchesClosedForm", np.abs(rk4 - traj).max(axis=1), 1e-5,

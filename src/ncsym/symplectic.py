@@ -33,27 +33,24 @@ A(t) = exp(iHt/hbar) A exp(-iHt/hbar) in a matrix realization.
 The closed form runs through one eigendecomposition L_H = V diag(w) V^-1
 per system, so expm(t L_H) = V diag(exp(t w)) V^-1 for every t.  The
 eigenvector method is reliable only for a well-conditioned V (Moler and
-Van Loan, SIAM Rev. 45 (2003) 3).  There are two factorizations:
+Van Loan, SIAM Rev. 45 (2003) 3).  Only a skew-adjoint L_H, max
+|L_H + L_H^H| at most EIG_RESIDUAL_TOL times max(1, |L_H|), is factored,
+as the quantum bracket (i/hbar)[H, .] of a hermitian H is in an
+orthonormal basis: through its skew part S by the hermitian eigensolver
+on i S, with w = -i eig(i S).  V is unitary, so cond(V) is about 1 even
+for a degenerate spectrum such as a central H's, and it is bounded from
+the unitarity defect without an SVD: with delta = dim max |V^H V - I|,
+cond(V) <= sqrt((1 + delta) / (1 - delta)).
 
-- a skew-adjoint L_H, max |L_H + L_H^H| at most EIG_RESIDUAL_TOL times
-  max(1, |L_H|), as the quantum bracket (i/hbar)[H, .] of a hermitian H
-  is in an orthonormal basis, is factored through its skew part S by the
-  hermitian eigensolver on i S, with w = -i eig(i S).  V is unitary, so
-  cond(V) is about 1 even for a degenerate spectrum such as a central H's,
-  and it is bounded from the unitarity defect without an SVD: with
-  delta = dim max |V^H V - I|, cond(V) <= sqrt((1 + delta) / (1 - delta));
-- any other L_H, such as a Grassmann bracket's, is factored by the
-  general eig, and cond(V) comes from the SVD.
-
-Either decomposition is used only when its reconstruction residual
-against L_H itself, relative to max(1, |L_H|), is at most
-EIG_RESIDUAL_TOL and cond(V) is at most EIG_COND_MAX.  A flow never
-forms V diag(exp(t w)) V^-1: it applies the factors to the vector,
+The decomposition is used only when its reconstruction residual against
+L_H itself, relative to max(1, |L_H|), is at most EIG_RESIDUAL_TOL and
+cond(V) is at most EIG_COND_MAX.  A flow never forms
+V diag(exp(t w)) V^-1: it applies the factors to the vector,
 V (exp(t w) * (V^-1 a)), which is O(dim^2) per time, and a whole time
 grid is one product of the phases against V.  States move by the
-transpose, V^-T (exp(t w) * (V^T phi)).  A Liouvillian that fails the
-gate, such as a nilpotent one, is exponentiated by ``_linalg.expm`` at
-each t and applied to the vector.
+transpose, V^-T (exp(t w) * (V^T phi)).  Any other Liouvillian, such as a
+Grassmann bracket's, and one that fails the gate are exponentiated by
+``_linalg.expm`` at each t and applied to the vector.
 """
 from __future__ import annotations
 
@@ -258,10 +255,12 @@ class HamiltonianSystem:
         self.liouville = structure.poisson_operator(h)
         self._scale = max_abs(self.liouville)
         # (V, w, V^-1) when the decomposition passes its gate, else None;
-        # the residual is not formed (inf) when cond(V) already fails.  A
-        # skew-adjoint L_H is factored by eigh of i S, S its skew part (see
-        # the module docstring)
+        # cond(V) and the residual are not formed (inf) for a Liouvillian
+        # that is not skew-adjoint, and the residual neither when cond(V)
+        # already fails.  L_H is factored by eigh of i S, S its skew part
+        # (see the module docstring)
         self.eigen = None
+        self.eig_cond = self.eig_residual = math.inf
         scale = max(1.0, self._scale)
         adj = self.liouville.conj().T
         if max_abs(self.liouville + adj) <= EIG_RESIDUAL_TOL * scale:
@@ -270,11 +269,8 @@ class HamiltonianSystem:
             # delta = dim max|V^H V - I| >= |V^H V - I|_2, so the singular
             # values of V lie in [sqrt(1 - delta), sqrt(1 + delta)]
             delta = len(w) * max_abs(v.conj().T @ v - np.eye(len(w)))
-            self.eig_cond = math.sqrt((1 + delta) / (1 - delta)) if delta < 1 else math.inf
-        else:
-            w, v = np.linalg.eig(self.liouville)
-            self.eig_cond = float(np.linalg.cond(v))
-        self.eig_residual = np.inf
+            if delta < 1:
+                self.eig_cond = math.sqrt((1 + delta) / (1 - delta))
         if self.eig_cond <= EIG_COND_MAX:
             vinv = np.linalg.inv(v)
             self.eig_residual = max_abs((v * w) @ vinv - self.liouville) / scale

@@ -15,7 +15,6 @@ from ncsym.algebra import (
     Coo,
     Superalgebra,
     grassmann_algebra,
-    koszul_sign,
     matrix_algebra,
     tensor_algebra,
 )
@@ -25,12 +24,10 @@ from ncsym.calculus import (
     Cochain,
     Derivation,
     DerivationFamily,
-    DerivationStack,
     exterior_derivative,
     graded_permutation_sign,
     inner_derivation,
     interior,
-    lie_bracket,
     lie_derivative,
     pullback,
     random_cochain,
@@ -53,13 +50,31 @@ SY = M2.element([0, -1j, 1j, 0])
 SZ = M2.element([1, 0, 0, -1])
 
 
+def koszul_sign(parity_a, parity_b):
+    """The sign (-1)**(parity_a * parity_b)."""
+    return -1 if parity_a & parity_b & 1 else 1
+
+
+def supercommutator(a, b):
+    """[A, B] = AB - (-1)**(e_A e_B) BA for homogeneous A and B, from the
+    products."""
+    return a * b - koszul_sign(a.parity, b.parity) * (b * a)
+
+
+def lie_bracket(x, y):
+    """The graded commutator [X, Y] = X Y - (-1)**(e_X e_Y) Y X of two
+    derivations, from their dense matrices."""
+    mat = x.matrix @ y.matrix - koszul_sign(x.parity, y.parity) * (y.matrix @ x.matrix)
+    return Derivation(x.algebra, mat, x.parity + y.parity)
+
+
 def commutator_form(alg, fam):
     """omega(D_A, D_B) = [A, B] on the inner family (sources are stored)."""
     m = len(fam)
     t = np.zeros((m, m, alg.dim), dtype=complex)
     for i, j in product(range(m), repeat=2):
         x, y = fam.members[i], fam.members[j]
-        t[i, j] = alg.supercommutator(x.source, y.source).coeffs
+        t[i, j] = supercommutator(x.source, y.source).coeffs
     return Cochain(fam, 2, 0, t)
 
 
@@ -334,7 +349,7 @@ def test_inner_family_rejects_an_inner_derivation_moved_by_1e6(monkeypatch):
 
 def test_family_expand_and_bracket_closure():
     d = inner_derivation(M2, SX)
-    rebuilt = FAM2.combination(DerivationStack(FAM2, [d]).coeffs[0], 0)
+    rebuilt = FAM2.combination(FAM2._expand_all_strict(d.matrix[None])[0], 0)
     np.testing.assert_allclose(rebuilt.matrix, d.matrix, atol=TOL)
     f = FAM2.bracket  # raises if not closed
     assert f.shape == (3, 3, 3)
@@ -418,7 +433,7 @@ def test_zero_form_rule_signs():
     e12 = M11.basis_element(1)
     x = inner_derivation(M11, M11.basis_element(2))  # odd derivation D_E21
     da = differential(FAM11, e12)
-    coeffs = DerivationStack(FAM11, [x]).coeffs[0]  # X over the family
+    coeffs = FAM11._expand_all_strict(x.matrix[None])[0]  # X over the family
     lhs = np.tensordot(coeffs, da.tensor, axes=1)  # (dA)(X)
     rhs = (-1.0) * x(e12)
     np.testing.assert_allclose(lhs, rhs.coeffs, atol=TOL)
@@ -879,29 +894,111 @@ def _member_stack_cases():
 MEMBER_STACK_CASES = dict(_member_stack_cases())
 
 
+def _lie_reference(fam, ys, t, degree, parity):
+    """L_Y w for each derivation Y of ``ys`` by the module docstring's
+    formula, one index tuple at a time, with Y as a new first stack axis:
+    Y acts on each value w(X_1..X_p) by its dense matrix, and [Y, X_i], a
+    dense commutator, is expanded over the family by least squares.  ``t``
+    is the tensor of w and ``parity`` its parity, an int or one per stack
+    entry (broadcast over the stack)."""
+    m, fp = len(fam), fam.parities
+    frame = fam.matrices.reshape(m, -1).T
+    par = np.asarray(parity)
+    out = np.zeros(t.shape[:degree] + (len(ys),) + t.shape[degree:], dtype=complex)
+    for a, y in enumerate(ys):
+        comm = np.array([lie_bracket(y, x).matrix.reshape(-1) for x in fam.members])
+        # brackets[i, c]: the coefficient of X_c in [Y, X_i]
+        brackets = np.linalg.lstsq(frame, comm.T, rcond=None)[0].T
+        for idx in np.ndindex(*(m,) * degree):
+            value = t[idx] @ y.matrix.T
+            before = 0  # the parities of the arguments before slot j
+            for j, i in enumerate(idx):
+                rest = (slice(None),) + idx[:j] + idx[j + 1 :]
+                swapped = np.tensordot(brackets[i], np.moveaxis(t, j, 0)[rest], axes=1)
+                sign = (-1.0) ** (y.parity * (par + before))
+                value = value - sign[..., None] * swapped
+                before += fp[i]
+            out[idx + (a,)] = value
+    return out
+
+
 @pytest.mark.parametrize("name", list(MEMBER_STACK_CASES))
 def test_lie_along_a_member_stack_equals_each_member_bit_for_bit(name):
     # L_Xa w for every member a in one call, and L_Xa L_Xb w for every a, b
-    # in a second call on that output, against the one-member calls
+    # in a second call on that output (entry b of parity e_w + e_b),
+    # against the module docstring's formula; along the family, each
+    # basis cochain alone gives its entry of the stack's call bit for bit
     basis = MEMBER_STACK_CASES[name]
     fam, p = basis.family, basis.degree
-    fp = fam.parities
-    members = DerivationStack(fam, fam.members)
-    lw = lie_derivative(members, basis)
-    want = np.stack([lie_derivative(x, basis).tensor for x in fam.members], axis=p)
-    assert np.array_equal(lw, want)
-    llw = lie_derivative(
-        members, Cochain(fam, p, basis.parity, lw, check=False), parity=(basis.parity + fp)[:, None]
-    )
-    for b, parity in enumerate(basis.parity + fp):
-        v = Cochain(fam, p, parity, lw[(slice(None),) * p + (b,)], check=False)
-        want = np.stack([lie_derivative(x, v).tensor for x in fam.members], axis=p)
-        assert np.array_equal(llw[(slice(None),) * (p + 1) + (b,)], want), b
+    lw = lie_derivative(fam, basis)
+    assert _rel_gap(lw, _lie_reference(fam, fam.members, basis.tensor, p, basis.parity)) <= 1e-12
+    parity = (basis.parity + fam.parities)[:, None]
+    llw = lie_derivative(fam, Cochain(fam, p, basis.parity, lw, check=False), parity=parity)
+    assert _rel_gap(llw, _lie_reference(fam, fam.members, lw, p, parity)) <= 1e-12
+    for k in range(basis.stack[0]):
+        assert np.array_equal(lie_derivative(fam, basis.member(k)), lw[..., k, :]), k
+
+
+@pytest.mark.parametrize("name", ["M2", "M11", "M21"])
+def test_lie_and_interior_along_one_derivation_are_the_formula(name):
+    # Y a random combination of the members of one parity: L_Y by the
+    # module docstring's formula, and i_Y w = w(Y, ..) from Y's least
+    # squares coefficients over the family
+    fam = {"M2": FAM2, "M11": FAM11, "M21": M21}[name]
+    rng = np.random.default_rng(90)
+    frame = fam.matrices.reshape(len(fam), -1).T
+    for parity in np.unique(fam.parities):
+        on = fam.parities == parity
+        c = np.where(on, rng.standard_normal(len(fam)), 0.0)
+        y = Derivation(fam.algebra, np.tensordot(c, fam.matrices, axes=1), parity)
+        coeffs = np.linalg.lstsq(frame, y.matrix.reshape(-1), rcond=None)[0]
+        # an odd cochain with an even Y where the algebra has an odd part
+        wp = (1 - parity) if fam.algebra.parity.any() else 0
+        for degree in (0, 1, 2):
+            w = random_cochain(fam, degree, wp, rng)
+            lie = lie_derivative(y, w)
+            assert (lie.degree, lie.parity) == (degree, (wp + parity) % 2)
+            want = _lie_reference(fam, [y], w.tensor, degree, w.parity)[(slice(None),) * degree + (0,)]
+            assert _rel_gap(lie.tensor, want) <= 1e-12
+            inner = interior(y, w)
+            assert (inner.degree, inner.parity) == (max(degree - 1, 0), (wp + parity) % 2)
+            if degree:
+                want = np.tensordot(coeffs, w.tensor, axes=1)
+                assert _rel_gap(inner.tensor, want) <= 1e-12
+            else:
+                assert not inner.tensor.any()
+        if fam.algebra.parity.any():
+            # an even and an odd 1-cochain as one stack, with a parity per entry
+            pair = [random_cochain(fam, 1, t, rng) for t in (0, 1)]
+            both = Cochain(fam, 1, 0, np.stack([v.tensor for v in pair], axis=-2), check=False)
+            got = lie_derivative(y, both, parity=np.array([0, 1]))
+            for k, v in enumerate(pair):
+                assert _rel_gap(got.tensor[..., k, :], lie_derivative(y, v).tensor) <= 1e-14
 
 
 def test_lie_and_interior_along_a_stack_reject_another_algebra():
-    with pytest.raises(CalculusError, match="different algebras"):
-        DerivationStack(FAM2, FAM11.members)
+    # a derivation of M(1|1), or its whole family, on a cochain of M2
+    w = commutator_form(M2, FAM2)
+    for kernel in (lie_derivative, interior):
+        with pytest.raises(CalculusError, match="different algebras"):
+            kernel(FAM11.members[0], w)
+        with pytest.raises(CalculusError, match="along the family of the cochain"):
+            kernel(FAM11, w)
+
+
+def test_lie_and_interior_reject_another_family_and_a_derivation_outside_the_span():
+    # a second inner family of the same algebra is another frame; one
+    # member of the family is a closed family whose span misses the others
+    w = commutator_form(M2, FAM2)
+    one = DerivationFamily(M2, FAM2.members[:1])
+    v = Cochain.basis(one, 1, 0)
+    for kernel in (lie_derivative, interior):
+        with pytest.raises(CalculusError, match="along the family of the cochain"):
+            kernel(DerivationFamily.inner_family(M2), w)
+        with pytest.raises(CalculusError, match="along the family of the cochain"):
+            kernel(FAM2, v)
+        with pytest.raises(CalculusError, match="outside the family"):
+            kernel(FAM2.members[1], v)
 
 
 def test_a_stack_with_a_bad_shape_is_rejected():

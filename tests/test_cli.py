@@ -300,6 +300,20 @@ def test_help_lists_every_suite_with_its_summary(capsys):
         assert any(line.split() == [name] + summary.split() for line in lines), name
 
 
+def test_every_suite_summary_in_help_is_one_whole_sentence(capsys):
+    # each epilog line is its suite's whole first docstring paragraph, a
+    # sentence that starts with a capital and ends in a full stop
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    lines = capsys.readouterr().out.splitlines()
+    listed = lines[lines.index("suites:") + 1 :]
+    assert [line.split()[0] for line in listed] == list(SUITES)
+    for line, fn in zip(listed, SUITES.values()):
+        summary = line.split(None, 1)[1]
+        assert summary[0].isupper() and summary.endswith("."), line
+        assert " ".join(fn.__doc__.strip().split("\n\n")[0].split()) == summary, line
+
+
 def test_an_unwritable_out_path_is_refused_before_the_suite_runs(tmp_path, capsys):
     suite = mock.Mock(wraps=SUITES["grassmann"])
     path = tmp_path / ("x" * 300 + ".json")

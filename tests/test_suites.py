@@ -351,15 +351,15 @@ def test_the_calculus_battery_takes_lie_along_every_member_at_once(monkeypatch):
     # two Lie kernel calls per basis block, L w and L L w, each along the
     # whole family: 3 basis stacks on matrix2 and 6 on graded11, one block
     # each, so 18 calls where one call per member and member pair made 108;
-    # the interior products come from the member stack too
+    # the interior products are taken along the family too
     kernels = {"lie_derivative": [], "interior": []}
 
     def counting(name):
         run = getattr(suites, name)
 
-        def counted(y, *args, **kwargs):
-            kernels[name].append(isinstance(y, calculus.DerivationStack))
-            return run(y, *args, **kwargs)
+        def counted(y, omega, *args, **kwargs):
+            kernels[name].append(y is omega.family)
+            return run(y, omega, *args, **kwargs)
 
         return counted
 
@@ -375,14 +375,20 @@ def test_the_calculus_battery_takes_lie_along_every_member_at_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "kernel, rows",
-    [("wedge", {"wedgeLeibniz", "pullbackWedge"}), ("lie_derivative", {"cartan", "lieBracket"})],
+    [
+        ("wedge", {"wedgeLeibniz", "pullbackWedge"}),
+        ("lie_derivative", {"cartan", "lieBracket"}),
+        ("interior", {"cartan"}),
+    ],
 )
 def test_a_kernel_perturbed_on_its_last_member_fails_the_rows_that_read_it(
     monkeypatch, kernel, rows
 ):
     # the kernel moved by EPS on the last member of every stack and on nothing
     # else; every other row still passes.  wedge returns a cochain, and the
-    # Lie kernel along the family members the tensor of the member stack.
+    # Lie and interior kernels along the family the tensor of the member
+    # stack.  The cartan row reads exactly 0.0 on both algebras, so the
+    # interior case shows that it still sees a perturbed interior product.
     run = getattr(suites, kernel)
 
     def shifted(*args, **kwargs):
@@ -394,6 +400,30 @@ def test_a_kernel_perturbed_on_its_last_member_fails_the_rows_that_read_it(
     rep = suites.calculus_suite(seed=0)
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {f"{label}.{row}" for label in ("matrix2", "graded11") for row in rows}
+
+
+def test_a_bracket_table_entry_perturbed_for_the_lie_kernel_fails_lie_bracket(monkeypatch):
+    # the Lie kernel reads [X_a, X_i] from the family's bracket table; one
+    # entry of the table it reads, moved by EPS (d and the bracket side
+    # L_[Xa, Xb] w keep the true table), breaks [L_X, L_Y] = L_[X, Y], and
+    # Cartan's formula, which reads L too
+    run = suites.lie_derivative
+
+    def shifted(y, omega, *args, **kwargs):
+        fam = omega.family
+        true = fam.bracket
+        fam.bracket = true.copy()
+        fam.bracket[0, 1, 2] += EPS
+        try:
+            return run(y, omega, *args, **kwargs)
+        finally:
+            fam.bracket = true
+
+    monkeypatch.setattr(suites, "lie_derivative", shifted)
+    rep = suites.calculus_suite(seed=0)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {f"{label}.{row}" for label in ("matrix2", "graded11")
+                      for row in ("cartan", "lieBracket")}
 
 
 def test_a_nan_in_a_calculus_block_fails_its_row_at_that_input():
