@@ -114,14 +114,14 @@ class Coo:
     def left_mult(self, a: np.ndarray) -> np.ndarray:
         """L[..., k, j] = sum_i a[..., i] t[i, j, k]: for structure
         constants, the matrix of b -> a b, stacked like ``a``."""
-        return self._scatter(a, self.i, self.j)
+        return self._mult_matrix(a, self.i, self.j)
 
     def right_mult(self, a: np.ndarray) -> np.ndarray:
         """R[..., k, i] = sum_j a[..., j] t[i, j, k]: for structure
         constants, the matrix of b -> b a, stacked like ``a``."""
-        return self._scatter(a, self.j, self.i)
+        return self._mult_matrix(a, self.j, self.i)
 
-    def _scatter(self, a: np.ndarray, by: np.ndarray, col: np.ndarray) -> np.ndarray:
+    def _mult_matrix(self, a: np.ndarray, by: np.ndarray, col: np.ndarray) -> np.ndarray:
         """M[..., k[e], col[e]] = sum of a[..., by[e]] v[e] over the
         nonzeros e, in their order: one scatter for the whole stack."""
         n = self.dim

@@ -39,36 +39,40 @@ Sign conventions (all checked by the test suite):
   a_i = e_Xi (e_w + sum of earlier argument parities) on the action terms and
   b_ij = e_Xj (parities strictly between i and j) on the bracket terms.
 
-Sign tensors and sparse operators: ``exterior_derivative`` and ``wedge``
-never loop over index tuples.  ``wedge`` forms the product of its factors
-once, from the multiplication matrices of the one with fewer entries
-(slots times stack); each term
-moves it into its argument slots and multiplies it by a sign tensor.  The
-wedge signs depend on an index tuple only through its parity pattern, so
-each shuffle gets a table over the 2**(p+q) patterns, filled by
-``graded_permutation_sign`` once per (p, q, parity of the second factor)
-and indexed by the family parities on every call.  The differential, the
-Leibniz check and the family bracket run on sparse operators instead,
-since the structure constants, the family matrices and the bracket table
-are mostly zeros (0.8%, 1.5% and 1.9% nonzero on M5):
+Sign tables and packed values: ``exterior_derivative`` and ``wedge`` never
+loop over index tuples.  ``wedge`` forms the product of its factors once,
+from the multiplication matrices of the one with fewer entries (slots times
+stack); each term moves it into its argument slots and multiplies it by a
+sign tensor.  The wedge signs depend on an index tuple only through its
+parity pattern, so each shuffle gets a table over the 2**(p+q) patterns,
+filled by ``graded_permutation_sign`` once per (p, q, parity of the second
+factor) and indexed by the family parities on every call.
 
-* ``superderivation_residuals`` (in :mod:`ncsym.leibniz`) multiplies a
-  stack of operators by the sparse Leibniz system, row block by row block;
-* ``DerivationFamily.bracket`` forms the commutators from the nonzero
-  entries of the member matrices;
-* ``differential_chunks`` contracts the cochain with the nonzero entries of
-  the member matrices (action terms) and of the bracket table (bracket
-  terms), one slice of the first slot at a time, and adds each term,
-  signed by (-1)**(a + a_i) or (-1)**(b + b_ij) broadcast from the family
-  parities, only where its sparse product reaches.  ``exterior_derivative``
-  joins the slices; the closedness check of a symplectic form takes their
-  maximum one slice at a time.
+A graded-alternating cochain is fixed by its packed values, those on the
+sorted argument tuples (an index repeats only when its member is odd).
+``_argument_tuples`` lists them and gives every tuple the row of its sorted
+tuple and the graded sign of the sort, so unpacking is one gather and one
+sign; ``Cochain.basis`` and ``random_cochain`` unpack packed values.
+``differential_chunks`` computes d only at the sorted tuples, a block of
+value components at a time: the action terms gather, per slot, from one
+product of the packed values with the family matrices, the bracket terms,
+per slot pair, from one product of the nonzero rows of the bracket table
+with w's first slot, each signed by (-1)**(a + a_i) or (-1)**(b + b_ij)
+read from cached gather tables.  ``exterior_derivative`` unpacks the
+blocks; the closedness check of a symplectic form takes their maximum.
+
+The Leibniz check and the family bracket run on sparse operators, since
+the structure constants and the family matrices are mostly zeros (0.8% and
+1.5% nonzero on M5): ``superderivation_residuals`` (in
+:mod:`ncsym.leibniz`) multiplies a stack of operators by the sparse Leibniz
+system, row block by row block, and ``DerivationFamily.bracket`` forms the
+commutators from the nonzero entries of the member matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -79,7 +83,6 @@ from ._linalg import (
     join,
     max_abs,
     numerical_rank,
-    segment_sums,
     sum_by_key,
 )
 from .algebra import Element, Superalgebra, koszul_signs
@@ -119,9 +122,6 @@ class Derivation:
             raise CalculusError("derivation matrix has wrong shape")
         object.__setattr__(self, "matrix", m)
         self.parity = int(self.parity) % 2
-
-    def __call__(self, a: Element) -> Element:
-        return Element(self.algebra, self.matrix @ a.coeffs)
 
 
 def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
@@ -302,14 +302,6 @@ class DerivationFamily:
         return f.reshape(m, m, m)
 
     @cached_property
-    def bracket_entries(self) -> tuple:
-        """The nonzeros of the bracket table as (i m + j, k, f[i, j, k]),
-        sorted."""
-        f, m = self.bracket, len(self)
-        nz = np.nonzero(f)
-        return (nz[0] * m + nz[1], nz[2], f[nz])
-
-    @cached_property
     def star_matrix(self) -> np.ndarray:
         """S with X_i* = sum_j S[j, i] X_j (gated expansion)."""
         inv = self.algebra.involution_matrix
@@ -347,6 +339,45 @@ def parity_sector(family: DerivationFamily, degree: int, parity: int) -> np.ndar
     fp = family.parities
     total = parity + sum(np.ix_(*[fp] * degree))
     return (np.asarray(total)[..., None] + family.algebra.parity) % 2 == 0
+
+
+@lru_cache(maxsize=None)
+def _argument_tuples(parities: tuple, q: int) -> tuple:
+    """The sorted q-tuples of family indices in ``Cochain.basis`` order (an
+    index repeats only when its member is odd), (N, q), and their row-major
+    positions; and for every q-tuple, row-major, the row of its sorted tuple
+    and the graded sign of the sort (0 where an even member repeats), so
+    that w(tuple) = sign * packed[row].  Read-only."""
+    # small integer types, as the table spans all m**q tuples
+    m, fp = len(parities), np.array(parities, dtype=np.int8)
+    every = np.indices((m,) * q, dtype=np.int16).reshape(q, m**q).T
+    exponent = np.zeros(m**q, dtype=np.int8)
+    valid = np.ones(m**q, dtype=bool)
+    for i, j in combinations(range(q), 2):
+        a, b = every[:, i], every[:, j]
+        # an inversion costs -(-1)**(e_a e_b); an even member may not repeat
+        exponent += (a > b) * (1 + fp[a] * fp[b])
+        valid &= (a != b) | (fp[a] == 1)
+    flat = np.sort(every, axis=1) @ m ** np.arange(q - 1, -1, -1)
+    at = np.flatnonzero(valid & (flat == np.arange(m**q)))
+    # a tuple that repeats an even member sorts to no row: row 0, sign 0
+    rank = np.zeros(m**q, dtype=np.int32)
+    rank[at] = np.arange(at.size)
+    out = (every[at].astype(np.int32), at, rank[flat], _sign(exponent) * valid)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _unpack(family: DerivationFamily, degree: int, packed: np.ndarray) -> np.ndarray:
+    """The tensor (m,) * degree + rest of the graded-alternating cochains
+    whose packed values are ``packed``, shape (N,) + rest."""
+    row, sign = _argument_tuples(tuple(family.parities), degree)[2:]
+    if not len(packed):  # every tuple repeats an even member
+        return np.zeros((len(family),) * degree + packed.shape[1:], dtype=complex)
+    t = packed[row]
+    t *= sign.reshape((-1,) + (1,) * (t.ndim - 1))
+    return t.reshape((len(family),) * degree + packed.shape[1:])
 
 
 class Cochain:
@@ -426,30 +457,15 @@ class Cochain:
     @classmethod
     def basis(cls, family: DerivationFamily, degree: int, parity: int) -> "Cochain":
         """The graded-alternating cochains of one degree and parity as one
-        basis stack: e_k on an index tuple i_1 <= .. <= i_p (repeating only
-        odd members) and on its permutations, with their graded signs."""
-        fp, m = family.parities, len(family)
-        sector = parity_sector(family, degree, parity)
-        units = [
-            (idx, k)
-            for idx in combinations_with_replacement(range(m), degree)
-            if all(i < j or fp[i] for i, j in zip(idx, idx[1:]))
-            for k in np.flatnonzero(sector[idx])
-        ]
-        t = np.zeros((m,) * degree + (len(units), family.algebra.dim), dtype=complex)
-        for u, (idx, k) in enumerate(units):
-            for perm in permutations(range(degree)):
-                sign = graded_permutation_sign(perm, fp[list(idx)])
-                t[tuple(idx[s] for s in perm) + (u, k)] = sign
-        return cls(family, degree, parity, t)
-
-    @classmethod
-    def zero_form(cls, family: DerivationFamily, a: Element) -> "Cochain":
-        """An algebra element viewed as a 0-cochain."""
-        par = a.parity
-        if par is None:
-            raise CalculusError("0-form needs a homogeneous element")
-        return cls(family, 0, par, a.coeffs.copy(), check=False)
+        basis stack: e_k on a sorted index tuple (repeating only odd
+        members) and on its permutations, with their graded signs; the
+        unpacked identity on the packed values of the parity sector."""
+        at = _argument_tuples(tuple(family.parities), degree)[1]
+        dim = family.algebra.dim
+        tup, k = np.nonzero(parity_sector(family, degree, parity).reshape(-1, dim)[at])
+        units = np.zeros((at.size, tup.size, dim), dtype=complex)
+        units[tup, np.arange(tup.size), k] = 1.0
+        return cls(family, degree, parity, _unpack(family, degree, units))
 
     # -- arithmetic
 
@@ -526,8 +542,8 @@ def _slot_parities(family: DerivationFamily, slots: int, ndim: int) -> list[np.n
 
 
 def _sign(exponent) -> np.ndarray:
-    """(-1)**exponent, elementwise."""
-    return 1.0 - 2.0 * (np.asarray(exponent) % 2)
+    """(-1)**exponent, elementwise, as int8: sign tables stay small."""
+    return (1 - 2 * (np.asarray(exponent) % 2)).astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -656,111 +672,102 @@ def interior(y, omega: Cochain):
     return np.moveaxis(omega.tensor, 0, q).copy()
 
 
-# Largest slice of a differential, in entries, formed at once: d(omega) is
-# computed slice by slice of its first slot.  d of a 2-cochain on M5
-# (24**3 * 25 entries) is one slice.
+# Largest differential of a stack, in entries: the calculus battery sizes
+# its stacks by it, and d forms its products with the m family matrices in
+# blocks of at most _CHUNK_ENTRIES / m entries (or one value component).
 _CHUNK_ENTRIES = 1 << 19
 
 
-def _parity_sum(slot_par: list[np.ndarray], rest: list[int], over) -> np.ndarray:
-    """The sum of the parities of the slots ``over``, broadcasting over the
-    axes (key, *rest): slot s runs along the axis of its place in rest."""
-    total = np.zeros((1,) * (len(rest) + 1), dtype=int)
-    for q, slot in enumerate(rest):
-        if slot in over:
-            shape = [1] * (len(rest) + 1)
-            shape[q + 1] = -1
-            total = total + slot_par[slot].reshape(shape)
-    return total
+@lru_cache(maxsize=None)
+def _differential_tables(parities: tuple, p: int, parity: int) -> tuple:
+    """Gather tables for d of a degree-p cochain of this parity at the sorted
+    (p+1)-tuples J: the positions of the sorted p- and (p-1)-tuples; per
+    slot a, j_a, the row of J without a and (-1)**(a + a_i); per slot pair
+    a < b, j_a, j_b, the row of J without a and b, and (-1)**(b + b_ij)
+    times the sign that moves [X_ja, X_jb] (parity e_a + e_b) from slot a
+    to the front.  Read-only."""
+    m, fp = len(parities), np.array(parities, dtype=int)
+    tuples = _argument_tuples(parities, p + 1)[0]
+    e = fp[tuples]
+    before = np.cumsum(e, axis=1) - e  # the parities of the earlier slots
 
+    def row_without(slots):
+        rest = np.delete(tuples, slots, axis=1)
+        row = _argument_tuples(parities, rest.shape[1])[2]
+        return row[rest @ m ** np.arange(rest.shape[1] - 1, -1, -1)]
 
-def _scatter(
-    t: np.ndarray, axes: tuple, index: tuple, sums: np.ndarray,
-    base: int, odd: np.ndarray, exponent: np.ndarray,
-) -> None:
-    """t[index on its ``axes``] += (-1)**(base + odd * exponent) * sums,
-    with one row of sums per index tuple, running over the other axes of t
-    in order; ``odd`` is 0 or 1 per row, ``exponent`` broadcasts over
-    (row, *other slot axes) and is None when no row is odd."""
-    view = t.transpose(axes + tuple(i for i in range(t.ndim) if i not in axes))
-    update = sums.reshape((-1,) + view.shape[len(axes):])
-    if exponent is not None and odd.any() and (exponent % 2).any():
-        sign = np.where(odd.reshape((-1,) + (1,) * (exponent.ndim - 1)), _sign(exponent), 1.0)
-        update = update * sign.reshape(sign.shape + (1,) * (update.ndim - sign.ndim))
-    if base % 2:
-        view[index] -= update
-    else:
-        view[index] += update
+    act = tuple(
+        (tuples[:, a], row_without([a]), _sign(a + e[:, a] * (parity + before[:, a])))
+        for a in range(p + 1)
+    )
+    brk = tuple(
+        (tuples[:, a], tuples[:, b], row_without([a, b]), _sign(
+            b + e[:, b] * (before[:, b] - before[:, a + 1]) + a + (e[:, a] + e[:, b]) * before[:, a]
+        ))
+        for a, b in combinations(range(p + 1), 2)
+    )
+    first = _argument_tuples(parities, p - 1)[1] if p else None
+    for arrays in act + brk:
+        for a in arrays:
+            a.setflags(write=False)
+    return _argument_tuples(parities, p)[1], first, act, brk
 
 
 def differential_chunks(omega: Cochain):
-    """The tensor of d(omega), one slice t[lo:hi] of its first slot at a
-    time, each of at most ``_CHUNK_ENTRIES`` entries (or one row).
-
-    The terms are those of the module docstring, contracted through the
-    sparse member matrices and the sparse bracket table of the family.  In
-    a slice, the action term in slot 0 applies members lo..hi to omega, and
-    those in slots 1..p apply every member to omega[lo:hi], one product for
-    all of them (and for slot 0 too when the slice is the whole first
-    slot).  The bracket terms w([X_a, X_b], ..) contract slot a of
-    omega (omega[lo:hi] when a > 0, table rows lo..hi when a = 0) once per
-    a, shared by every b.  Each term is added, signed, only at the entries
-    its sparse product reaches."""
-    fam = omega.family
-    p, par = omega.degree, omega.parity
+    """The packed values of d(omega), rows the sorted (p+1)-tuples, one block
+    of value components at a time: arrays (rows,) + stack + (components,).
+    The terms are those of the module docstring, summed in its order and
+    gathered as it describes; a block's products with the m members hold at
+    most ``_CHUNK_ENTRIES / m`` entries, or one component."""
+    fam, p = omega.family, omega.degree
     m, n = len(fam), fam.algebra.dim
-    fp = fam.parities
-    if p:
-        pair, k, fval = fam.bracket_entries
-    mem, row, col, val = fam._entries
-    act_key = mem * n + row
-    graded = bool(fp.any())
+    at, first_at, act, brk = _differential_tables(tuple(fam.parities), p, omega.parity)
     w = omega.tensor
-    step = max(1, _CHUNK_ENTRIES // w.size)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        t = np.zeros((hi - lo,) + w.shape, dtype=complex)
-        slot_par = [fp[lo:hi]] + [fp] * p
-        # action in slot a: X_ia(w(other arguments)), with a_i of the
-        # docstring.  Slot 0 applies members lo..hi to w and slots 1..p
-        # every member to w[lo:hi], with w's algebra axis first: one product
-        # when the slice is the whole first slot.
-        whole = hi - lo == m
-        e0, e1 = np.searchsorted(mem, [lo, hi])
-        products = [(range(p + 1) if whole else (0,), e0, e1, w)]
-        if p and not whole:
-            products.append((range(1, p + 1), 0, mem.size, w[lo:hi]))
-        for slots, e0, e1, src in products:
-            for key, sums in segment_sums(act_key[e0:e1], col[e0:e1], val[e0:e1], src.reshape(-1, n).T):
-                x, r = np.divmod(key, n)
-                for a in slots:
-                    rest = [s for s in range(p + 1) if s != a]
-                    exponent = par + _parity_sum(slot_par, rest, range(a)) if graded else None
-                    _scatter(t, (a, t.ndim - 1), (x - lo if a == 0 else x, r), sums, a, fp[x], exponent)
-        # bracket terms: w([X_ia, X_ib], other arguments), with b_ij
-        for a in range(p):
-            if a == 0:
-                f0, f1 = np.searchsorted(pair, [lo * m, hi * m])
-                entries = (pair[f0:f1] - lo * m, k[f0:f1], fval[f0:f1])
-                src = w.reshape(m, -1)
-            else:
-                entries = (pair, k, fval)
-                src = np.moveaxis(w[lo:hi], a, 0).reshape(m, -1)
-            for key, sums in segment_sums(*entries, src):
-                x, y = np.divmod(key, m)
-                for b in range(a + 1, p + 1):
-                    rest = [s for s in range(p + 1) if s not in (a, b)]
-                    exponent = _parity_sum(slot_par, rest, range(a + 1, b)) if graded else None
-                    _scatter(t, (a, b), (x, y), sums, b, fp[y], exponent)
-        yield t
+    rest = w.shape[p:]
+    width = int(np.prod(rest[:-1]))
+    values = w.reshape((m**p,) + rest)[at].reshape(-1, n)
+    pairs = []
+    if brk:
+        first = w.reshape((m, m ** (p - 1)) + rest)[:, first_at]
+        f = fam.bracket.reshape(m * m, m)
+        live = np.flatnonzero(f.any(axis=1))
+        f = f[live]
+        pos = np.full(m * m, -1)
+        pos[live] = np.arange(live.size)
+        for ja, jb, t, s in brk:
+            i = pos[ja * m + jb]
+            on = np.flatnonzero(i >= 0)
+            pairs.append((on, i[on], t[on], s[on, None, None]))
+    per = max(1, _CHUNK_ENTRIES // max(1, m * m * len(values)))
+    for lo in range(0, n, per):
+        comps = slice(lo, lo + per)
+        mats = fam.matrices[:, comps]
+        prod = (values @ mats.reshape(-1, n).T).reshape(at.size, width, m, mats.shape[1])
+        out = np.zeros((act[0][0].size, width, mats.shape[1]), dtype=complex)
+        for x, r, s in act:
+            term = prod[r, :, x]
+            term *= s[:, None, None]
+            out += term
+        if pairs:
+            g = first[..., comps]
+            prod = (f @ g.reshape(m, -1)).reshape(live.size, g.shape[1], width, mats.shape[1])
+            for on, i, t, s in pairs:
+                out[on] += s * prod[i, t]
+        yield out.reshape(out.shape[:1] + rest[:-1] + out.shape[-1:])
 
 
 def exterior_derivative(omega: Cochain) -> Cochain:
     """The Chevalley-Eilenberg differential with the graded weights of the
-    module docstring: the slices of :func:`differential_chunks`, joined."""
-    parts = list(differential_chunks(omega))
-    t = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return Cochain(omega.family, omega.degree + 1, omega.parity, t, check=False)
+    module docstring: the blocks of :func:`differential_chunks`, joined and
+    unpacked."""
+    fam, p = omega.family, omega.degree
+    rows = len(_argument_tuples(tuple(fam.parities), p + 1)[0])
+    packed = np.empty((rows,) + omega.tensor.shape[p:], dtype=complex)
+    lo = 0
+    for part in differential_chunks(omega):
+        packed[..., lo : lo + part.shape[-1]] = part
+        lo += part.shape[-1]
+    return Cochain(fam, p + 1, omega.parity, _unpack(fam, p + 1, packed), check=False)
 
 
 def random_cochain(
@@ -769,26 +776,15 @@ def random_cochain(
     parity: int,
     rng: np.random.Generator,
 ) -> Cochain:
-    """A random cochain of the requested degree and parity.
-
-    Degree 0 and 1 are sampled entrywise; higher degrees are assembled from
-    wedges and exterior derivatives of lower ones so that graded alternation
-    holds by construction.
-    """
-    alg = family.algebra
-    if degree == 0:
-        return Cochain.zero_form(family, alg.sample_element(rng, parity=parity))
-    if degree == 1:
-        m = len(family)
-        t = rng.standard_normal((m, alg.dim)) + 1j * rng.standard_normal((m, alg.dim))
-        t[~parity_sector(family, 1, parity)] = 0.0
-        return Cochain(family, 1, parity, t)
-    a = random_cochain(family, 1, 0, rng)
-    b = random_cochain(family, degree - 1, parity, rng)
-    out = wedge(a, b)
-    if degree == 2:
-        out = out + exterior_derivative(random_cochain(family, 1, parity, rng))
-    return out
+    """A random cochain of the requested degree and parity: standard complex
+    normals on the sorted argument tuples (its packed values), zero off the
+    parity sector, unpacked."""
+    at = _argument_tuples(tuple(family.parities), degree)[1]
+    dim = family.algebra.dim
+    shape = (at.size, dim)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values[~parity_sector(family, degree, parity).reshape(-1, dim)[at]] = 0.0
+    return Cochain(family, degree, parity, _unpack(family, degree, values), check=False)
 
 
 # -- isomorphisms and pullback -----------------------------------------------------

@@ -107,7 +107,7 @@ class SymplecticStructure:
         dim = self.algebra.dim
         self._pairing = omega.tensor.reshape(m, m * dim)
         self.reality_residuals = omega.reality_residuals()
-        # |d omega| slice by slice, so d omega is never held whole; NaN
+        # |d omega| block by block, so d omega is never held whole; NaN
         # propagates through the maximum and fails the gate
         worst = 0.0
         for part in differential_chunks(omega):

@@ -6,7 +6,6 @@ one pass/fail line per criterion.
 """
 import time
 
-import numpy as np
 
 from ncsym.suites import (
     SUITES,

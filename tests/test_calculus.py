@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import tracemalloc
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import numpy as np
@@ -29,6 +29,7 @@ from ncsym.calculus import (
     inner_derivation,
     interior,
     lie_derivative,
+    parity_sector,
     pullback,
     random_cochain,
     superderivation_dims,
@@ -90,7 +91,7 @@ def leibniz_defect(alg, xs, parity, j):
 
 def differential(fam, a):
     """dA as a 1-cochain, (dA)(X) = (-1)**(e_X e_A) X(A)."""
-    return exterior_derivative(Cochain.zero_form(fam, a))
+    return exterior_derivative(Cochain(fam, 0, a.parity, a.coeffs))
 
 
 def derivation_star(x):
@@ -107,7 +108,7 @@ def pushforward(iso, x):
 def test_inner_derivation_oracle():
     d = inner_derivation(M2, SZ)
     # [sigma_z, sigma_x] = 2i sigma_y
-    np.testing.assert_allclose(d(SX).coeffs, 2j * SY.coeffs, atol=TOL)
+    np.testing.assert_allclose(d.matrix @ SX.coeffs, 2j * SY.coeffs, atol=TOL)
     assert superderivation_residuals(M2, [d.matrix], 0)[0] < TOL
 
 
@@ -435,12 +436,12 @@ def test_zero_form_rule_signs():
     da = differential(FAM11, e12)
     coeffs = FAM11._expand_all_strict(x.matrix[None])[0]  # X over the family
     lhs = np.tensordot(coeffs, da.tensor, axes=1)  # (dA)(X)
-    rhs = (-1.0) * x(e12)
-    np.testing.assert_allclose(lhs, rhs.coeffs, atol=TOL)
+    rhs = -(x.matrix @ e12.coeffs)
+    np.testing.assert_allclose(lhs, rhs, atol=TOL)
     # even element: no sign
     h = M11.basis_element(0)
     dh = differential(FAM11, h)
-    np.testing.assert_allclose(np.tensordot(coeffs, dh.tensor, axes=1), x(h).coeffs, atol=TOL)
+    np.testing.assert_allclose(np.tensordot(coeffs, dh.tensor, axes=1), x.matrix @ h.coeffs, atol=TOL)
 
 
 def _homogeneous_members(fam):
@@ -740,17 +741,16 @@ def test_exterior_derivative_matches_loop(name, degree):
 
 @pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
 def test_sliced_differential_matches_loop(name, monkeypatch):
-    # one row of the first slot per slice, and sparse products gathered a
-    # few entries at a time
+    # one value component of d per block, at every sorted argument tuple
     monkeypatch.setattr(calculus, "_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(_linalg, "GATHER_ENTRIES", 8)
     fam = ORACLE_FAMILIES[name]
     rng = np.random.default_rng(45)
     for degree in (0, 1, 2, 3):
+        rows = len(calculus._argument_tuples(tuple(fam.parities), degree + 1)[0])
         for parity in _parities(name):
             omega = random_cochain(fam, degree, parity, rng)
-            slices = list(calculus.differential_chunks(omega))
-            assert [t.shape[0] for t in slices] == [1] * len(fam)
+            blocks = list(calculus.differential_chunks(omega))
+            assert [t.shape for t in blocks] == [(rows, 1)] * fam.algebra.dim
             got = exterior_derivative(omega)
             assert _rel_gap(got.tensor, loop_exterior_derivative(omega)) <= 1e-12
 
@@ -1077,3 +1077,89 @@ def test_a_basis_stack_spans_its_graded_alternating_sector(name, degree):
         assert size == _graded_alternating_dimension(fam, degree, parity)
         flat = np.moveaxis(basis.tensor, degree, 0).reshape(size, -1 if size else 0)
         assert np.linalg.matrix_rank(flat) == size
+
+
+def _loop_basis(fam, degree, parity):
+    """The basis stack unit by unit: e_k on each sorted index tuple (an index
+    repeating only when its member is odd) and on every permutation of it,
+    with its graded sign."""
+    fp, m, dim = fam.parities, len(fam), fam.algebra.dim
+    sector = parity_sector(fam, degree, parity)
+    units = [
+        (idx, k)
+        for idx in combinations_with_replacement(range(m), degree)
+        if all(i < j or fp[i] for i, j in zip(idx, idx[1:]))
+        for k in np.flatnonzero(sector[idx])
+    ]
+    t = np.zeros((m,) * degree + (len(units), dim), dtype=complex)
+    for u, (idx, k) in enumerate(units):
+        for perm in permutations(range(degree)):
+            t[tuple(idx[s] for s in perm) + (u, k)] = graded_permutation_sign(perm, fp[list(idx)])
+    return t
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_the_basis_stack_is_the_permutation_loop_in_its_order(name, degree):
+    # report rows name their worst input by its place in the stack
+    fam = STACK_FAMILIES[name]
+    for parity in (0, 1):
+        got = Cochain.basis(fam, degree, parity).tensor
+        assert np.array_equal(got, _loop_basis(fam, degree, parity))
+
+
+def _entrywise_sample(fam, degree, parity, rng):
+    """The 0- and 1-cochain sampler as an algebra element, or entry by entry
+    with the entries off the parity sector zeroed."""
+    alg = fam.algebra
+    if degree == 0:
+        return alg.sample_element(rng, parity=parity).coeffs
+    shape = (len(fam), alg.dim)
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t[~parity_sector(fam, 1, parity)] = 0.0
+    return t
+
+
+@pytest.mark.parametrize("name", ["M2", "M1-1", "M2-1", "M5"])
+def test_random_low_degree_cochains_keep_their_draws(name):
+    # the benchmark's 1-cochains and every 0-cochain input stay the same
+    fam = DerivationFamily.inner_family(matrix_algebra(5)) if name == "M5" else STACK_FAMILIES[name]
+    for degree, parity in product((0, 1), (0, 1)):
+        got, want = np.random.default_rng(60), np.random.default_rng(60)
+        for _ in range(3):
+            sample = random_cochain(fam, degree, parity, got)
+            assert np.array_equal(sample.tensor, _entrywise_sample(fam, degree, parity, want))
+        assert got.standard_normal() == want.standard_normal()
+
+
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_random_2_cochains_span_the_basis_units(name):
+    # as many samples as units are independent: standard complex normals on
+    # the sorted tuples of the sector, one per unit
+    fam = STACK_FAMILIES[name]
+    rng = np.random.default_rng(61)
+    for parity in (0, 1) if fam.parities.any() else (0,):
+        (units,) = Cochain.basis(fam, 2, parity).stack
+        samples = [random_cochain(fam, 2, parity, rng) for _ in range(units)]
+        assert max(s.symmetry_residual() for s in samples) == 0.0
+        assert np.linalg.matrix_rank(np.array([s.tensor.ravel() for s in samples])) == units
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["M1-1", "M2-1"])
+def test_argument_tuple_signs_are_the_graded_permutation_signs(name, degree):
+    fam = ORACLE_FAMILIES[name]
+    m, fp = len(fam), fam.parities
+    tuples, at, row, sign = calculus._argument_tuples(tuple(fp), degree)
+    assert np.array_equal(at, [np.ravel_multi_index(t, (m,) * degree) for t in tuples])
+    seen = np.zeros(m**degree, dtype=bool)
+    for u, idx in enumerate(tuples):
+        for perm in permutations(range(degree)):
+            flat = np.ravel_multi_index([idx[s] for s in perm], (m,) * degree)
+            assert (row[flat], sign[flat]) == (u, graded_permutation_sign(perm, fp[idx]))
+            seen[flat] = True
+    # every other tuple repeats an even member, and has sign 0
+    assert not sign[~seen].any()
+    for flat in np.flatnonzero(~seen):
+        idx = list(np.unravel_index(flat, (m,) * degree))
+        assert any(idx.count(i) > 1 and not fp[i] for i in idx)

@@ -38,7 +38,9 @@ def test_checker_flags_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

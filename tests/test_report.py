@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncsym.report import CheckResult, Report, jsonable, merge
+from ncsym.report import Report, jsonable, merge
 
 
 def test_jsonable_conversions():

@@ -4,7 +4,7 @@ import pytest
 from ncsym import superclassical
 from ncsym._linalg import bilinear
 from ncsym.algebra import grassmann_algebra, grassmann_derivative_matrices
-from ncsym.calculus import Derivation, superderivation_residuals
+from ncsym.calculus import superderivation_residuals
 from ncsym.coupling import grassmann_classical_factor
 from ncsym.states import berezin_integral_coeffs
 from ncsym.superclassical import (

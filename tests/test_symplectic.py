@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ncsym import _linalg, calculus, suites, symplectic
+from ncsym import _linalg, suites, symplectic
 from ncsym._linalg import expi_hermitian, max_abs, rk4_trajectory
 from ncsym.algebra import kron_element, matrix_algebra
 from ncsym.calculus import (
@@ -92,7 +92,8 @@ def test_streamed_closed_residual_is_the_norm_of_d_omega(name):
     assert ss.closed_residual == exterior_derivative(omega).norm()
     assert ss.closed_residual <= 1e-10 * max(1.0, omega.norm())
     if name == "M6":
-        # 35**3 * 36 entries: more than one slice
+        # its products with the 35 members exceed 2**19 / 35 entries per
+        # value component: more than one block
         assert len(list(differential_chunks(omega))) > 1
 
 
@@ -100,18 +101,20 @@ def test_a_defect_in_the_last_slice_of_m7_is_not_closed():
     ss = quantum_form(matrix_algebra(7), 0.7)
     fam, omega = ss.family, ss.omega
     m, dim = len(fam), fam.algebra.dim
-    step = max(1, calculus._CHUNK_ENTRIES // (m * m * dim))
-    lo = (m - 1) // step * step
-    assert lo > 0
-    # an alternating 2-cochain on the members of the last slice only
+    # the value components of the last block of d omega
+    blocks = list(differential_chunks(omega))
+    last = blocks[-1].shape[-1]
+    assert len(blocks) > 1
+    # an alternating 2-cochain valued in those components only
     rng = np.random.default_rng(51)
     t = np.zeros((m, m, dim), dtype=complex)
-    a = rng.standard_normal((m - lo, m - lo, dim))
-    t[lo:, lo:] = a - a.transpose(1, 0, 2)
+    a = rng.standard_normal((m, m, last))
+    t[..., dim - last :] = a - a.transpose(1, 0, 2)
     bump = Cochain(fam, 2, 0, t)
     parts = [max_abs(part) for part in differential_chunks(bump)]
-    # d(bump) reaches every slice, but its largest entries lie in the last
-    # one, so at 1.05 times the gate only the last slice fails it
+    # its action terms carry d(bump) into other blocks, but its largest
+    # entries lie in the last one, so at 1.05 times the gate only the last
+    # block fails it
     assert parts[-1] > 1.1 * max(parts[:-1])
     gate = symplectic.CLOSED_TOL * max(1.0, omega.norm())
     for size in (1e-9 * omega.norm(), 1.05 * gate):
@@ -120,7 +123,7 @@ def test_a_defect_in_the_last_slice_of_m7_is_not_closed():
 
 
 def test_quantum_form_of_m7_peaks_below_60_mb():
-    # d omega (48**3 * 49 entries, 87 MB) is streamed slice by slice, never
+    # d omega (48**3 * 49 entries, 87 MB) is streamed block by block, never
     # held whole
     tracemalloc.start()
     try:
@@ -260,10 +263,10 @@ def test_bracket_tensor_solves_the_hamiltonian_system(alg):
             if max_abs(part.coeffs) == 0.0:
                 continue
             y = hamiltonian_derivation(ss, part)
-            d_part = exterior_derivative(Cochain.zero_form(ss.family, part))
+            d_part = exterior_derivative(Cochain(ss.family, 0, part.parity, part.coeffs))
             defect = interior(y, ss.omega) + d_part
             assert defect.norm() <= 1e-9
-            via_parts += y(b).coeffs
+            via_parts += y.matrix @ b.coeffs
         np.testing.assert_allclose(ss.poisson(a, b).coeffs, via_parts, atol=1e-9)
 
 
