@@ -31,13 +31,22 @@ def nullspace(a: np.ndarray) -> np.ndarray:
 
 
 def numerical_rank(a: np.ndarray) -> int:
-    a = np.atleast_2d(np.asarray(a))
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    s = np.linalg.svd(np.atleast_2d(np.asarray(a)), compute_uv=False)
+    return int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
+
+
+def rank_and_pinv(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """``numerical_rank(a)`` and ``np.linalg.pinv(a)`` from one SVD.  The
+    pseudo-inverse is formed as pinv forms it, with its default cutoff of
+    1e-15 times the largest singular value; the rank keeps the RANK_RTOL
+    cutoff."""
+    u, s, vh = np.linalg.svd(np.conj(a), full_matrices=False)
+    smax = s.max(initial=0.0)
+    rank = int(np.sum(s > RANK_RTOL * smax))
+    large = s > 1e-15 * smax
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return rank, vh.T @ (s[:, None] * u.T)
 
 
 def lstsq_with_residual(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -87,47 +96,22 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Largest gather, in entries, formed at once by a sparse product: a block of
-# segment_sums, or of commutators expanded by DerivationFamily.bracket.
+# the Leibniz system joined with the nonzero operator entries, or of
+# commutators expanded by DerivationFamily.bracket.
 GATHER_ENTRIES = 1 << 14
 
 
-def segment_sums(keys: np.ndarray, idx: np.ndarray, vals: np.ndarray, src: np.ndarray):
-    """The products of a sparse operator, block by block of its entries.
-
-    The entries (keys[e], idx[e], vals[e]) are sorted by key.  Yields
-    ``(key, sums)`` per block: the distinct keys of the block and, for each,
-    the sum of vals[e] * src[idx[e]] over its entries, added in order.  A
-    block gathers at most ``GATHER_ENTRIES`` entries of src, or one key's
-    rows when that key alone has more, and no key spans two blocks."""
-    total = keys.size
-    if total == 0:
-        return
-    new_key = np.empty(total, dtype=bool)
-    new_key[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_key[1:])
-    starts = np.flatnonzero(new_key)
-    per = max(1, GATHER_ENTRIES // max(1, src[0].size))
-    bounds = [0, total]
-    if total > per:
-        cuts = np.append(starts, total)
-        bounds = np.unique(np.append(cuts[np.searchsorted(cuts, np.arange(0, total, per))], total))
-    scale = (-1,) + (1,) * (src.ndim - 1)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = src[idx[lo:hi]]
-        block *= vals[lo:hi].reshape(scale)
-        first, last = (0, starts.size) if len(bounds) == 2 else np.searchsorted(starts, [lo, hi])
-        if last - first == hi - lo:
-            yield keys[lo:hi], block
-            continue
-        # each key's first product, then its r-th ones for all keys at once
-        heads = starts[first:last] - lo
-        sums = block[heads]
-        owner = np.cumsum(new_key[lo:hi]) - 1
-        rank = np.arange(hi - lo) - heads[owner]
-        for r in range(1, rank.max() + 1):
-            at = np.flatnonzero(rank == r)
-            sums[owner[at]] += block[at]
-        yield keys[lo + heads], sums
+def key_blocks(keys: np.ndarray, weights: np.ndarray):
+    """Bounds (lo, hi) of consecutive blocks of entries sorted by a
+    nonnegative key, each weighing at most ``GATHER_ENTRIES`` in all, or one
+    key's entries when those alone weigh more; no key spans two blocks."""
+    edges = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
+    total = np.r_[0, np.cumsum(weights)][edges]
+    k = 0
+    while k < edges.size - 1:
+        nxt = max(k + 1, int(np.searchsorted(total, total[k] + GATHER_ENTRIES, "right")) - 1)
+        yield edges[k], edges[nxt]
+        k = nxt
 
 
 def column_components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:

@@ -54,19 +54,20 @@ sorted argument tuples (an index repeats only when its member is odd).
 tuple and the graded sign of the sort, so unpacking is one gather and one
 sign; ``Cochain.basis`` and ``random_cochain`` unpack packed values.
 ``differential_chunks`` computes d only at the sorted tuples, a block of
-value components at a time: the action terms gather, per slot, from one
-product of the packed values with the family matrices, the bracket terms,
-per slot pair, from one product of the nonzero rows of the bracket table
-with w's first slot, each signed by (-1)**(a + a_i) or (-1)**(b + b_ij)
-read from cached gather tables.  ``exterior_derivative`` unpacks the
+value components at a time: the action terms take, per slot, whole rows of
+one product of the packed values with the family matrices, the bracket
+terms, per slot pair, whole rows of one product of the nonzero rows of the
+bracket table with w's first slot, each signed by (-1)**(a + a_i) or
+(-1)**(b + b_ij) read from cached gather tables.  ``exterior_derivative`` unpacks the
 blocks; the closedness check of a symplectic form takes their maximum.
 
-The Leibniz check and the family bracket run on sparse operators, since
-the structure constants and the family matrices are mostly zeros (0.8% and
-1.5% nonzero on M5): ``superderivation_residuals`` (in
-:mod:`ncsym.leibniz`) multiplies a stack of operators by the sparse Leibniz
-system, row block by row block, and ``DerivationFamily.bracket`` forms the
-commutators from the nonzero entries of the member matrices.
+The inner family, its Leibniz check and its bracket run on sparse
+operators, as the structure constants and the family matrices are mostly
+zeros (0.8% and 1.5% nonzero on M5): ``inner_family`` scatters every inner
+derivation from the supercommutator table at once, the Leibniz check
+(:mod:`ncsym.leibniz`) joins the sparse system with the members' nonzero
+entries, and ``DerivationFamily.bracket`` forms the commutators from them.
+One SVD of the family frame gives both its rank and its pseudo-inverse.
 """
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ from ._linalg import (
     greedy_independent,
     join,
     max_abs,
-    numerical_rank,
+    rank_and_pinv,
     sum_by_key,
 )
 from .algebra import Element, Superalgebra, koszul_signs
@@ -122,14 +123,6 @@ class Derivation:
             raise CalculusError("derivation matrix has wrong shape")
         object.__setattr__(self, "matrix", m)
         self.parity = int(self.parity) % 2
-
-
-def inner_derivation(alg: Superalgebra, a: Element) -> Derivation:
-    """The supercommutator map B -> [A, B] for homogeneous A, read from
-    the supercommutator table."""
-    if a.parity is None:
-        raise CalculusError("inner derivation needs a homogeneous element")
-    return Derivation(alg, alg.commutator_constants.left_mult(a.coeffs), a.parity, source=a)
 
 
 def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]:
@@ -204,7 +197,8 @@ class DerivationFamily:
         # the matrix entries some member uses
         self._support = support = np.flatnonzero(np.any(self._flat != 0, axis=0))
         frame = self._flat[:, support]
-        if numerical_rank(frame) != m:
+        rank, pinv = rank_and_pinv(frame.T)
+        if rank != m:
             raise CalculusError("family members are linearly dependent")
         # members with disjoint supports are orthogonal, so the
         # pseudo-inverse is block diagonal over the connected components of
@@ -215,7 +209,6 @@ class DerivationFamily:
         comp = column_components(entry, member, m)
         entry_comp = np.empty(support.size, dtype=int)
         entry_comp[entry] = comp[member]
-        pinv = np.linalg.pinv(frame.T)
         pinv[comp[:, None] != entry_comp[None, :]] = 0.0
         self._pinv = np.zeros_like(self._flat)
         self._pinv[:, support] = pinv
@@ -225,11 +218,12 @@ class DerivationFamily:
 
     @classmethod
     def inner_family(cls, alg: Superalgebra) -> "DerivationFamily":
-        """Inner derivations of the basis elements, thinned to an independent
+        """Inner derivations B -> [e_i, B] of the basis elements, read from the
+        supercommutator table in one scatter and thinned to an independent
         set (the center contributes nothing and is dropped)."""
-        derivs = [inner_derivation(alg, alg.basis_element(i)) for i in range(alg.dim)]
-        keep = greedy_independent([d.matrix.reshape(-1) for d in derivs], 1e-14)
-        members = [derivs[k] for k in keep]
+        mats = alg.commutator_constants.left_mult(np.eye(alg.dim))
+        keep = greedy_independent(list(mats.reshape(alg.dim, -1)), 1e-14)
+        members = [Derivation(alg, mats[i], alg.parity[i], alg.basis_element(i)) for i in keep]
         if not members:
             raise CalculusError(
                 "no nonzero inner derivations (is the algebra supercommutative?)"
@@ -530,7 +524,7 @@ def _transform_slots(t: np.ndarray, degree: int, s: np.ndarray, v: np.ndarray) -
     ``degree`` slots and the algebra map v on its value axis."""
     for ax in range(degree):
         t = np.moveaxis(np.tensordot(s, t, axes=(0, ax)), 0, ax)
-    return np.einsum("...a,ba->...b", t, v)
+    return t @ v.T
 
 
 def _slot_parities(family: DerivationFamily, slots: int, ndim: int) -> list[np.ndarray]:
@@ -726,6 +720,9 @@ def differential_chunks(omega: Cochain):
     rest = w.shape[p:]
     width = int(np.prod(rest[:-1]))
     values = w.reshape((m**p,) + rest)[at].reshape(-1, n)
+    # each term takes whole (width, components) rows of a block product,
+    # ordered (row, member) for the act terms, (live pair, row) for brackets
+    terms = [(r * m + x, s[:, None]) for x, r, s in act]
     pairs = []
     if brk:
         first = w.reshape((m, m ** (p - 1)) + rest)[:, first_at]
@@ -737,23 +734,25 @@ def differential_chunks(omega: Cochain):
         for ja, jb, t, s in brk:
             i = pos[ja * m + jb]
             on = np.flatnonzero(i >= 0)
-            pairs.append((on, i[on], t[on], s[on, None, None]))
+            pairs.append((on, i[on] * first_at.size + t[on], s[on, None]))
     per = max(1, _CHUNK_ENTRIES // max(1, m * m * len(values)))
     for lo in range(0, n, per):
         comps = slice(lo, lo + per)
         mats = fam.matrices[:, comps]
-        prod = (values @ mats.reshape(-1, n).T).reshape(at.size, width, m, mats.shape[1])
-        out = np.zeros((act[0][0].size, width, mats.shape[1]), dtype=complex)
-        for x, r, s in act:
-            term = prod[r, :, x]
-            term *= s[:, None, None]
+        c = mats.shape[1]
+        prod = (values @ mats.reshape(-1, n).T).reshape(at.size, width, m, c)
+        prod = prod.swapaxes(1, 2).reshape(at.size * m, width * c)
+        out = np.zeros((act[0][0].size, width * c), dtype=complex)
+        for rows, s in terms:
+            term = prod.take(rows, axis=0)
+            term *= s
             out += term
         if pairs:
             g = first[..., comps]
-            prod = (f @ g.reshape(m, -1)).reshape(live.size, g.shape[1], width, mats.shape[1])
-            for on, i, t, s in pairs:
-                out[on] += s * prod[i, t]
-        yield out.reshape(out.shape[:1] + rest[:-1] + out.shape[-1:])
+            prod = (f @ g.reshape(m, -1)).reshape(-1, width * c)
+            for on, rows, s in pairs:
+                out[on] += s * prod.take(rows, axis=0)
+        yield out.reshape(out.shape[:1] + rest[:-1] + (c,))
 
 
 def exterior_derivative(omega: Cochain) -> Cochain:

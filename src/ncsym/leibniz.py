@@ -9,13 +9,15 @@ it is one sparse system over the dim**2 matrix entries of X, assembled
 from the nonzero structure constants by :func:`leibniz_system`.  The
 superderivation space is its null space on the grading-respecting entries
 (:func:`superderivation_dims`), and a stack of operators is checked by
-multiplying it with the system (:func:`superderivation_residuals`).
+applying the system to their nonzero entries only
+(:func:`superderivation_residuals`), as inner derivations are mostly zeros
+(1.5% nonzero on M5).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, column_components, segment_sums, sum_by_key
+from ._linalg import RANK_RTOL, column_components, join, key_blocks, sum_by_key
 from .algebra import Superalgebra, koszul_signs
 
 
@@ -23,18 +25,27 @@ def superderivation_residuals(
     alg: Superalgebra, matrices: np.ndarray, parity: int
 ) -> np.ndarray:
     """The residual of each operator in a stack (k, dim, dim) of declared
-    parity r: the worst entry of its Leibniz defect, the stack times the
-    sparse system of :func:`leibniz_system` taken row block by row block,
-    and of its grading defect (matrix entries that move between wrong
-    parity sectors)."""
+    parity r: the worst entry of its Leibniz defect and of its grading
+    defect (matrix entries that move between wrong parity sectors).
+
+    The Leibniz defect is the sparse system of :func:`leibniz_system` applied
+    to the nonzero operator entries only: each block of the system is joined
+    with them on the candidate column, cut at row boundaries so that one join
+    holds at most ``GATHER_ENTRIES`` products (or one row's), and the
+    products are summed per row and operator, in column order."""
     xs = np.asarray(matrices, dtype=complex)
-    n = alg.dim
-    # column a dim + b of the system meets entry (a, b) of every operator
-    flat = np.ascontiguousarray(xs.reshape(len(xs), n * n).T)
-    worst = np.zeros(len(xs))
+    k, n = len(xs), alg.dim
+    flat = xs.reshape(k, n * n)
+    # the nonzero entries, by column a dim + b of the system, then operator
+    entry, op = np.nonzero(flat.T)
+    value = flat[op, entry]
+    count = np.bincount(entry, minlength=n * n)
+    worst = np.zeros(k)
     for rows, cols, vals in leibniz_system(alg, parity):
-        for _, sums in segment_sums(rows, cols, vals, flat):
-            worst = np.maximum(worst, np.abs(sums).max(axis=0))
+        for lo, hi in key_blocks(rows, count[cols]):
+            a, b = join(cols[lo:hi], entry)
+            key, total = sum_by_key(rows[lo + a] * k + op[b], value[b] * vals[lo + a])
+            np.maximum.at(worst, key % k, np.abs(total))
     bad = (alg.parity[:, None] != (alg.parity[None, :] + int(parity)) % 2)
     return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
 

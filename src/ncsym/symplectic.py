@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from ._linalg import bilinear, expm, left_action, max_abs, numerical_rank
+from ._linalg import bilinear, expm, left_action, max_abs, numerical_rank, rank_and_pinv
 from .algebra import Element, Superalgebra, koszul_signs
 from .calculus import (
     Cochain,
@@ -123,7 +123,14 @@ class SymplecticStructure:
             defect = self.reality_residuals[declared]
             if defect > REALITY_TOL * scale:
                 raise SymplecticError(f"form is not {declared} (defect {defect:.3e})")
-        if numerical_rank(self._pairing) != m:
+        # a family of one parity pairs as one block, and one SVD gives its
+        # rank and pseudo-inverse; a graded pairing takes one per block
+        fp = self.family.parities
+        if np.all(fp == fp[0]):
+            rank, pinv = rank_and_pinv(self._pairing.T)
+        else:
+            rank, pinv = numerical_rank(self._pairing), None
+        if rank != m:
             raise SymplecticError("form is degenerate on the family")
         # i_Y omega = -d e_i for every basis element in one batch.  Y has the
         # parity of e_i since the form is even, and
@@ -135,10 +142,10 @@ class SymplecticStructure:
         coeffs = np.zeros((dim, m), dtype=complex)
         for t in (0, 1):
             rows = np.flatnonzero(basis_par == t)
-            cols = np.flatnonzero(self.family.parities == t)
+            cols = np.flatnonzero(fp == t)
             if rows.size and cols.size:
-                pinv = np.linalg.pinv(self._pairing[cols].T)
-                coeffs[np.ix_(rows, cols)] = rhs[rows] @ pinv.T
+                block = np.linalg.pinv(self._pairing[cols].T) if pinv is None else pinv
+                coeffs[np.ix_(rows, cols)] = rhs[rows] @ block.T
         # row i: family coefficients of Y_{e_i}; its solve residual; and the
         # bracket tensor (convention in the module docstring)
         self.hamiltonian_basis = coeffs
@@ -146,7 +153,8 @@ class SymplecticStructure:
         self.solve_residual.flags.writeable = False
         # C order, so left_action's unfolding is a view and no call copies
         # the dim^3 tensor
-        self.pb_tensor = np.einsum("il,lkj->ijk", coeffs, mats, order="C")
+        pb = (coeffs @ mats.reshape(m, dim * dim)).reshape(dim, dim, dim)
+        self.pb_tensor = np.ascontiguousarray(pb.transpose(0, 2, 1))
         # row t selects the basis elements of parity t
         self._parity_masks = np.array([basis_par == 0, basis_par == 1], dtype=float)
         # row t: max_j |R_ij| for the basis elements i of parity t, inflated
@@ -215,11 +223,9 @@ def _commutator_cochain(alg: Superalgebra) -> Cochain:
             "algebra is not special (trivial graded center + all "
             f"superderivations inner); evidence: {info}"
         )
-    # [A, B] = sum_uv a_u b_v [e_u, e_v] for every pair of sources at once
+    # [A, B] = D_A(B) for every pair of sources at once
     sources = np.array([x.source.coeffs for x in fam.members])
-    comm = alg.commutator_constants.dense()
-    t = np.tensordot(np.tensordot(sources, comm, axes=(1, 0)), sources, axes=(1, 1))
-    return Cochain(fam, 2, 0, t.transpose(0, 2, 1))
+    return Cochain(fam, 2, 0, (fam.matrices @ sources.T).transpose(0, 2, 1))
 
 
 def quantum_form(alg: Superalgebra, hbar: float) -> SymplecticStructure:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncsym import algebra
-from ncsym._linalg import bilinear, max_abs, nullspace
+from ncsym._linalg import bilinear, max_abs, nullspace, numerical_rank, rank_and_pinv
 from ncsym.algebra import (
     STRUCTURE_TOL,
     AlgebraError,
@@ -472,6 +472,29 @@ def test_nullspace_of_tall_and_wide_matrices(shape, rank):
     assert basis.shape == (shape[1], shape[1] - rank)
     np.testing.assert_allclose(basis.conj().T @ basis, np.eye(shape[1] - rank), atol=1e-12)
     assert np.abs(a @ basis).max() <= 1e-12
+
+
+def _frame_with_singular_values(s, rows, cols, seed):
+    """A complex (rows, cols) matrix U diag(s) V^H with orthonormal U, V."""
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(rng.standard_normal((n, len(s))) + 1j * rng.standard_normal((n, len(s))))[0]
+        for n in (rows, cols)
+    )
+    return (u * np.asarray(s)) @ v.conj().T
+
+
+@pytest.mark.parametrize("s, rank", [
+    ([3.0, 2.0, 1.0, 0.5, 0.25], 5),  # full rank
+    ([3.0, 2.0, 1.0, 0.0, 0.0], 3),  # rank deficient: round-off below pinv's cutoff
+    ([3.0, 2.0, 1.0, 3e-12, 0.25], 4),  # one value between 1e-15 and 1e-10 of the largest
+], ids=["full", "deficient", "between"])
+def test_rank_and_pinv_equal_numerical_rank_and_numpys_pinv(s, rank):
+    for shape in ((5, 12), (12, 5)):
+        a = _frame_with_singular_values(s, *shape, seed=len(s) + shape[0])
+        got_rank, got_pinv = rank_and_pinv(a)
+        assert got_rank == numerical_rank(a) == rank
+        assert np.array_equal(got_pinv, np.linalg.pinv(a))
 
 
 def test_graded_center_of_m7_needs_no_dim4_matrix():

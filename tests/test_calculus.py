@@ -26,7 +26,6 @@ from ncsym.calculus import (
     DerivationFamily,
     exterior_derivative,
     graded_permutation_sign,
-    inner_derivation,
     interior,
     lie_derivative,
     parity_sector,
@@ -49,6 +48,13 @@ FAM11 = DerivationFamily.inner_family(M11)
 SX = M2.element([0, 1, 1, 0])
 SY = M2.element([0, -1j, 1j, 0])
 SZ = M2.element([1, 0, 0, -1])
+
+
+def inner_derivation(alg, a):
+    """D_A = [A, .] for homogeneous A, one element at a time from the
+    supercommutator table: the per-element reference for the inner family."""
+    assert a.parity is not None
+    return Derivation(alg, alg.commutator_constants.left_mult(a.coeffs), a.parity, source=a)
 
 
 def koszul_sign(parity_a, parity_b):
@@ -223,8 +229,9 @@ def test_sparse_leibniz_residuals_match_the_dense_reference(alg, monkeypatch):
             scale = 3 * n * cmax * max_abs(xs)
             assert got.shape == (len(xs),)
             assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * scale)
-            # row blocks of a few dozen entries, assembled one block j at a
-            # time: the same sums in the same order
+            # joins of at most 256 products, cut at row boundaries, on a
+            # system assembled one block j at a time: the same sums in the
+            # same order
             monkeypatch.setattr(_linalg, "GATHER_ENTRIES", 256)
             monkeypatch.setattr(leibniz, "_ASSEMBLY_ENTRIES", 1)
             assert np.array_equal(superderivation_residuals(alg, xs, r), got)
@@ -330,20 +337,51 @@ def test_greedy_independent_keeps_the_members_the_svd_scan_keeps(label):
     assert kept
 
 
+INNER_ALGEBRAS = {
+    "M2": M2,
+    "M1-1": M11,
+    "M3": matrix_algebra(3),
+    "M2-1": matrix_algebra(3, grading=(2, 1)),
+    "M2xM3": tensor_algebra(matrix_algebra(2), matrix_algebra(3)),
+    "denseM3": DENSE_M3,
+}
+
+
+@pytest.mark.parametrize("alg", list(INNER_ALGEBRAS.values()), ids=list(INNER_ALGEBRAS))
+def test_inner_family_equals_the_per_element_matrices(alg):
+    # one scatter for every basis element gives the same sums in the same
+    # order as one scatter per element, so the same members are kept
+    derivs = [inner_derivation(alg, alg.basis_element(i)) for i in range(alg.dim)]
+    keep = greedy_independent([x.matrix.reshape(-1) for x in derivs], 1e-14)
+    fam = DerivationFamily.inner_family(alg)
+    assert np.array_equal(fam.matrices, np.array([derivs[k].matrix for k in keep]))
+    assert fam.parities.tolist() == [derivs[k].parity for k in keep]
+    sources = np.array([x.source.coeffs for x in fam.members])
+    assert np.array_equal(sources, np.eye(alg.dim)[keep])
+
+
+def test_dense_basis_inner_family_memory_is_bounded():
+    # the Leibniz check joins the system with every nonzero member entry;
+    # blocked at GATHER_ENTRIES products, the peak stays within 1 MB of the
+    # 2.1 MB the dense gather of every entry took
+    alg = dense_basis(matrix_algebra(4), 1)
+    fam, peak = _traced_peak(lambda: DerivationFamily.inner_family(alg))
+    assert len(fam) == 15
+    assert peak <= 3.1 * 2**20
+
+
 def test_inner_family_rejects_an_inner_derivation_moved_by_1e6(monkeypatch):
     alg = matrix_algebra(3)
     assert len(DerivationFamily.inner_family(alg)) == 8
-    build = calculus.inner_derivation
+    table = alg.commutator_constants
+    build = table.left_mult
 
-    def moved(alg_, a):
-        x = build(alg_, a)
-        if a.coeffs[1] == 1:
-            matrix = x.matrix.copy()
-            matrix[2, 5] += 1e-6
-            x = Derivation(alg_, matrix, x.parity, x.source)
-        return x
+    def moved(a):
+        mats = build(a)
+        mats[1, 2, 5] += 1e-6  # the matrix of e_1
+        return mats
 
-    monkeypatch.setattr(calculus, "inner_derivation", moved)
+    monkeypatch.setattr(table, "left_mult", moved)
     with pytest.raises(CalculusError, match=r"fails the derivation condition \(1\.0"):
         DerivationFamily.inner_family(alg)
 

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from ncsym import _linalg, suites, symplectic
 from ncsym._linalg import expi_hermitian, max_abs, rk4_trajectory
-from ncsym.algebra import kron_element, matrix_algebra
+from ncsym.algebra import Coo, kron_element, matrix_algebra
 from ncsym.calculus import (
     AlgebraIsomorphism,
     CalculusError,
@@ -18,7 +18,6 @@ from ncsym.calculus import (
     DerivationFamily,
     differential_chunks,
     exterior_derivative,
-    inner_derivation,
     interior,
     lie_derivative,
     pullback,
@@ -36,6 +35,7 @@ from ncsym.symplectic import (
     SymplecticStructure,
     quantum_form,
 )
+from test_calculus import inner_derivation
 from test_coupling import product_form
 
 M2 = matrix_algebra(2)
@@ -186,6 +186,61 @@ def test_quantum_form_reuses_the_inner_family_is_special_built(monkeypatch):
     ref = build(DerivationFamily, alg)
     assert np.array_equal(ss.family.matrices, ref.matrices)
     assert list(ss.family.parities) == list(ref.parities)
+
+
+QUANTUM_ALGEBRAS = {
+    **{f"M{n}": (n, None) for n in range(2, 6)},
+    "M1-1": (2, (1, 1)),
+    "M2-1": (3, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("label", list(QUANTUM_ALGEBRAS))
+def test_commutator_cochain_and_pb_tensor_equal_the_dense_constructions(label):
+    # omega_c from the family matrices, against the sources contracted with
+    # the dense commutator cube; pb_tensor by one matrix product, against
+    # the einsum over the family members
+    alg = matrix_algebra(*QUANTUM_ALGEBRAS[label])
+    omega = symplectic._commutator_cochain(alg)
+    sources = np.array([x.source.coeffs for x in omega.family.members])
+    cube = alg.commutator_constants.dense()
+    t = np.tensordot(np.tensordot(sources, cube, axes=(1, 0)), sources, axes=(1, 1))
+    assert np.array_equal(omega.tensor, t.transpose(0, 2, 1))
+    ss = quantum_form(alg, 0.7)
+    want = np.einsum("il,lkj->ijk", ss.hamiltonian_basis, ss.family.matrices, order="C")
+    assert np.array_equal(ss.pb_tensor, want)
+    assert ss.pb_tensor.flags.c_contiguous
+
+
+def test_quantum_form_factors_each_matrix_once(monkeypatch):
+    # np.linalg.pinv calls the svd of numpy's own module, so both names are
+    # counted; the dense commutator cube and einsum are blocked outright
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("dense cube or einsum in the construction")
+
+    m5, m11 = matrix_algebra(5), matrix_algebra(2, grading=(1, 1))
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr("numpy.linalg._linalg.svd", counted)
+    monkeypatch.setattr(Coo, "dense", blocked)
+    monkeypatch.setattr(np, "einsum", blocked)
+    # the inner family: one SVD for its rank and pseudo-inverse; M5's form
+    # adds one for its single-parity pairing; M(1|1)'s graded pairing keeps
+    # a rank SVD and one pseudo-inverse per parity block
+    for build, want in (
+        (lambda: DerivationFamily.inner_family(matrix_algebra(5)), 1),
+        (lambda: quantum_form(m5, 0.7), 6),
+        (lambda: quantum_form(m11, 0.7), 9),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == want
 
 
 def test_hamiltonian_derivation_under_commutator_form():
