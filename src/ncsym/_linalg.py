@@ -95,23 +95,22 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, order[shift + np.arange(a.size)]
 
 
-# Largest gather, in entries, formed at once by a sparse product: a block of
-# the Leibniz system joined with the nonzero operator entries, or of
-# commutators expanded by DerivationFamily.bracket.
+# Largest gather, in entries, formed at once by a sparse product: a run of
+# Leibniz defect products of operator entries and structure constants, or
+# a block of commutators expanded by DerivationFamily.bracket.
 GATHER_ENTRIES = 1 << 14
 
 
-def key_blocks(keys: np.ndarray, weights: np.ndarray):
-    """Bounds (lo, hi) of consecutive blocks of entries sorted by a
-    nonnegative key, each weighing at most ``GATHER_ENTRIES`` in all, or one
-    key's entries when those alone weigh more; no key spans two blocks."""
-    edges = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
-    total = np.r_[0, np.cumsum(weights)][edges]
-    k = 0
-    while k < edges.size - 1:
-        nxt = max(k + 1, int(np.searchsorted(total, total[k] + GATHER_ENTRIES, "right")) - 1)
-        yield edges[k], edges[nxt]
-        k = nxt
+def budget_blocks(weights: np.ndarray):
+    """Bounds (lo, hi) of consecutive runs of indices, each weighing at
+    most ``GATHER_ENTRIES`` in all, or one index when that alone weighs
+    more."""
+    total = np.cumsum(np.append(0, weights))
+    lo = 0
+    while lo < len(weights):
+        hi = max(lo + 1, int(np.searchsorted(total, total[lo] + GATHER_ENTRIES, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def column_components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
@@ -132,30 +131,27 @@ def column_components(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
 
 def greedy_independent(vectors, zero_tol: float) -> list[int]:
     """Indices kept by a greedy scan: skip a vector with max |entry| below
-    ``zero_tol``, keep it when it raises the numerical rank of those kept.
+    ``zero_tol``, keep it when its distance from the span of those kept
+    exceeds RANK_RTOL times the largest norm among them and it.
 
-    The kept vectors are factored incrementally by Gram-Schmidt, applied
-    twice to stay orthogonal to working precision.  A vector raises the rank
-    when its distance from their span exceeds RANK_RTOL times the largest
-    norm among them and it."""
-    kept: list[int] = []
-    scale = 0.0
-    # orthonormal rows spanning the kept vectors, in its first len(kept) rows
-    basis = np.empty((len(vectors), np.size(vectors[0]) if vectors else 0), dtype=complex)
-    for idx, v in enumerate(vectors):
-        if max_abs(v) < zero_tol:
-            continue
-        r = np.asarray(v, dtype=complex)
-        q = basis[: len(kept)]
-        for _ in range(2):
-            r = r - (q.conj() @ r) @ q
-        norm = np.linalg.norm(v)
-        dist = np.linalg.norm(r)
-        if dist > RANK_RTOL * max(scale, norm):
-            basis[len(kept)] = r / dist
-            kept.append(idx)
-            scale = max(scale, norm)
-    return kept
+    One QR factorization of the scanned vectors, as columns, gives that
+    distance as |R_ii| up to the first vector dropped; the rows of R below
+    those kept hold the later vectors projected off their span, and are
+    factored again after each drop."""
+    vectors = np.asarray(vectors)
+    live = np.flatnonzero(np.abs(vectors).max(axis=1) >= zero_tol)
+    norms = np.linalg.norm(vectors[live], axis=1)
+    keep = np.zeros(live.size, dtype=bool)
+    rest = vectors[live].T  # columns not yet scanned, projected off the kept span
+    while rest.size:  # with no rows left, the rest lie in the kept span
+        tri = np.linalg.qr(rest, mode="r")
+        at = live.size - tri.shape[1]  # column 0 is vector live[at]
+        dist = np.abs(np.diagonal(tri))
+        scale = np.maximum(norms[keep].max(initial=0.0), np.maximum.accumulate(norms[at:]))
+        drop = int(np.argmax(np.append(dist <= RANK_RTOL * scale[: dist.size], True)))
+        keep[at: at + drop] = True
+        rest = tri[drop:, drop + 1:] if drop < dist.size else tri[:0]
+    return live[keep].tolist()
 
 
 def max_abs(a: np.ndarray) -> float:

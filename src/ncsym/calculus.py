@@ -64,10 +64,10 @@ blocks; the closedness check of a symplectic form takes their maximum.
 The inner family, its Leibniz check and its bracket run on sparse
 operators, as the structure constants and the family matrices are mostly
 zeros (0.8% and 1.5% nonzero on M5): ``inner_family`` scatters every inner
-derivation from the supercommutator table at once, the Leibniz check
-(:mod:`ncsym.leibniz`) joins the sparse system with the members' nonzero
-entries, and ``DerivationFamily.bracket`` forms the commutators from them.
-One SVD of the family frame gives both its rank and its pseudo-inverse.
+derivation from the supercommutator table at once and thins them by a QR,
+the Leibniz check (:mod:`ncsym.leibniz`) joins the members' nonzero entries
+with the nonzero constants, and ``DerivationFamily.bracket`` forms the
+commutators from them.  One SVD of the frame gives its rank and pseudo-inverse.
 """
 from __future__ import annotations
 
@@ -131,31 +131,18 @@ def _special_evidence(alg: Superalgebra) -> tuple[dict, DerivationFamily | None]
     superderivation-space dimension with dim - 1.  Returns the evidence dict
     and the inner family it counted (None on a supercommutative algebra)."""
     z0, z1 = alg.graded_center()
-    if alg.is_supercommutative:
-        result = {
-            "special": False,
-            "center_dims": [len(z0), len(z1)],
-            "superderivation_dims": None,
-            "inner_dim": 0,
-            "supercommutative": True,
-        }
-        return result, None
-    sder = superderivation_dims(alg)
-    fam = DerivationFamily.inner_family(alg)
-    inner_dim = len(fam)
-    special = (
-        len(z0) == 1
-        and len(z1) == 0
-        and not alg.is_supercommutative
-        and inner_dim == alg.dim - 1
-        and sder["even"] + sder["odd"] == inner_dim
-    )
+    sc = bool(alg.is_supercommutative)
+    sder = None if sc else superderivation_dims(alg)
+    fam = None if sc else DerivationFamily.inner_family(alg)
+    inner_dim = 0 if sc else len(fam)
+    special = not sc and len(z0) == 1 and len(z1) == 0 and (
+        inner_dim == alg.dim - 1 == sder["even"] + sder["odd"])
     result = {
-        "special": bool(special),
+        "special": special,
         "center_dims": [len(z0), len(z1)],
-        "superderivation_dims": [sder["even"], sder["odd"]],
+        "superderivation_dims": None if sc else [sder["even"], sder["odd"]],
         "inner_dim": inner_dim,
-        "supercommutative": bool(alg.is_supercommutative),
+        "supercommutative": sc,
     }
     return result, fam
 
@@ -222,7 +209,7 @@ class DerivationFamily:
         supercommutator table in one scatter and thinned to an independent
         set (the center contributes nothing and is dropped)."""
         mats = alg.commutator_constants.left_mult(np.eye(alg.dim))
-        keep = greedy_independent(list(mats.reshape(alg.dim, -1)), 1e-14)
+        keep = greedy_independent(mats.reshape(alg.dim, -1), 1e-14)
         members = [Derivation(alg, mats[i], alg.parity[i], alg.basis_element(i)) for i in keep]
         if not members:
             raise CalculusError(

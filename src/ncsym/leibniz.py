@@ -6,10 +6,10 @@ Leibniz defect X L_j - (-1)**(r e_j) L_j X - L(X e_j) vanishes for every
 basis element e_j (L_j is left multiplication by e_j) and it maps each
 parity sector into the sector shifted by r.  The defect is linear in X, so
 it is one sparse system over the dim**2 matrix entries of X, assembled
-from the nonzero structure constants by :func:`leibniz_system`.  The
-superderivation space is its null space on the grading-respecting entries
-(:func:`superderivation_dims`), and a stack of operators is checked by
-applying the system to their nonzero entries only
+from the nonzero structure constants by :func:`leibniz_system`, whose null
+space on the grading-respecting entries is the superderivation space
+(:func:`superderivation_dims`).  A stack of operators is checked without
+the system, by joining their nonzero entries with the nonzero constants
 (:func:`superderivation_residuals`), as inner derivations are mostly zeros
 (1.5% nonzero on M5).
 """
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, column_components, join, key_blocks, sum_by_key
-from .algebra import Superalgebra, koszul_signs
+from ._linalg import RANK_RTOL, budget_blocks, column_components, join, sum_by_key
+from .algebra import Superalgebra, _boxes, koszul_signs
 
 
 def superderivation_residuals(
@@ -28,24 +28,48 @@ def superderivation_residuals(
     parity r: the worst entry of its Leibniz defect and of its grading
     defect (matrix entries that move between wrong parity sectors).
 
-    The Leibniz defect is the sparse system of :func:`leibniz_system` applied
-    to the nonzero operator entries only: each block of the system is joined
-    with them on the candidate column, cut at row boundaries so that one join
-    holds at most ``GATHER_ENTRIES`` products (or one row's), and the
-    products are summed per row and operator, in column order."""
-    xs = np.asarray(matrices, dtype=complex)
-    k, n = len(xs), alg.dim
-    flat = xs.reshape(k, n * n)
-    # the nonzero entries, by column a dim + b of the system, then operator
-    entry, op = np.nonzero(flat.T)
-    value = flat[op, entry]
-    count = np.bincount(entry, minlength=n * n)
-    worst = np.zeros(k)
-    for rows, cols, vals in leibniz_system(alg, parity):
-        for lo, hi in key_blocks(rows, count[cols]):
-            a, b = join(cols[lo:hi], entry)
-            key, total = sum_by_key(rows[lo + a] * k + op[b], value[b] * vals[lo + a])
-            np.maximum.at(worst, key % k, np.abs(total))
+    The defect is summed from the nonzero operator entries X_ab = x and
+    constants c[i, j, k] = v, one join per term; in block t, X L_t adds
+    x v at t = i, entry (a, j), where k = b; L_t X adds -s_t x v at t = i,
+    entry (k, b), where j = a; and L(X e_t) adds -x v at t = b, entry
+    (k, j), where i = a.  The (operator, block) pairs are taken in runs of
+    at most ``GATHER_ENTRIES`` products (or one pair's), each tiled by
+    boxes, so each defect entry is summed in one box, in the same order
+    whatever the runs."""
+    n = alg.dim
+    xs = np.asarray(matrices, dtype=complex).reshape(-1, n, n)
+    k = len(xs)
+    op, a, b = np.nonzero(xs)
+    x = xs[op, a, b]
+    ci, cj, ck, cv = alg.constants
+    s = koszul_signs([int(parity) % 2], alg.parity)[0]
+    op_starts = np.searchsorted(op, np.arange(k + 1))
+    c_starts = np.searchsorted(ci, np.arange(n + 1))
+    # products per (operator, block), from counts of entries per
+    # (operator, b) and (operator, a) and of constants per (i, k), (i, j), i
+    tables = [np.bincount(u * n + w, minlength=n * m).reshape(m, n)
+              for u, w, m in ((op, b, k), (op, a, k), (ci, ck, n), (ci, cj, n))]
+    cost = (tables[0] @ tables[2].T + tables[1] @ tables[3].T).reshape(-1)
+    cost += np.bincount(op * n + b, np.diff(c_starts)[a], k * n).astype(int)
+    # per term: the entry and constant indices joined, and each side's part
+    # of the key (operator, block, row, column) and of the value
+    terms = ((b, ck, op * n**3 + a * n, ci * n * n + cj, cv),
+             (a, cj, op * n**3 + b, (ci * n + ck) * n, -s[ci] * cv),
+             (a, ci, (op * n + b) * n * n, ck * n + cj, -cv))
+    every, worst = np.arange(ci.size), np.zeros(k)
+    for p0, p1 in budget_blocks(cost):
+        keys, vals = [], []
+        for o0, o1, j0, j1 in _boxes(p0, p1, n):
+            e, c = np.arange(op_starts[o0], op_starts[o1]), np.arange(c_starts[j0], c_starts[j1])
+            # L(X e_t) joins the entries in the box's columns t with every constant
+            sides = ((e, c), (e, c), (e[(b[e] >= j0) & (b[e] < j1)], every))
+            for (left, right, lkey, rkey, rval), (le, rc) in zip(terms, sides):
+                p, q = join(left[le], right[rc])
+                p, q = le[p], rc[q]
+                keys.append(lkey[p] + rkey[q])
+                vals.append(x[p] * rval[q])
+        key, total = sum_by_key(np.concatenate(keys), np.concatenate(vals))
+        np.maximum.at(worst, key // n**3, np.abs(total))
     bad = (alg.parity[:, None] != (alg.parity[None, :] + int(parity)) % 2)
     return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
 
@@ -119,79 +143,82 @@ def _block_singular_values(
     step = max(nc, _BLOCK_ENTRIES // (g * nc))
     tri = np.zeros((g, 0, nc), dtype=complex)
     for lo in range(0, nr, step):
-        hi = min(lo + step, nr)
-        sel = (lrow >= lo) & (lrow < hi)
-        chunk = np.zeros((g, hi - lo, nc), dtype=complex)
+        sel = (lrow >= lo) & (lrow < lo + step)
+        chunk = np.zeros((g, min(step, nr - lo), nc), dtype=complex)
         chunk[comp[sel], lrow[sel] - lo, lcol[sel]] = vals[sel]
-        if hi - lo == nr:
-            return np.linalg.svd(chunk, compute_uv=False)
-        tri = np.linalg.qr(np.concatenate([tri, chunk], axis=1), mode="r")
+        tri = np.linalg.qr(np.concatenate([tri, chunk], axis=1), mode="r") if step < nr else chunk
     return np.linalg.svd(tri, compute_uv=False)
-
-
-def _local_index(comp: np.ndarray) -> np.ndarray:
-    """Position of each item among the items of its component, in order."""
-    order = np.argsort(comp, kind="stable")
-    ranked = comp[order]
-    local = np.empty(comp.size, dtype=int)
-    local[order] = np.arange(comp.size) - np.searchsorted(ranked, ranked)
-    return local
 
 
 def superderivation_dims(alg: Superalgebra) -> dict:
     """Dimensions of the even and odd superderivation spaces.
 
-    Per parity r, the superderivations are the null space of the stacked
-    Leibniz system of :func:`leibniz_system`: every block e_j of the defect,
-    on the columns of the grading-respecting unit candidates E_ab, of which
-    there are q.  Permuted, that system
-    is block diagonal: the connected components of its bipartite (equation,
-    candidate) graph are independent subsystems (Pothen & Fan, ACM TOMS 16
-    (1990) 303).  Components of equal shape are stacked, at most
-    ``_BLOCK_ENTRIES`` entries at a time, and their singular values taken
-    in one batched SVD.  All ranks use one cutoff, ``RANK_RTOL`` times the
-    largest singular value over all components, which is the stacked
-    system's own cutoff: the singular values of a block-diagonal matrix are
-    the union of its blocks'.  The dimension is the number of candidates
-    minus that rank.  A dense algebra forms one component of up to dim**3
-    rows, folded into a triangular factor chunk by chunk, so memory stays
-    O(dim**4).
+    Per parity r, the superderivations are the null space of the Leibniz
+    system of :func:`leibniz_system` on the q grading-respecting unit
+    candidates E_ab.  Permuted, that system is block diagonal: the connected
+    components of its bipartite (equation, candidate) graph are independent
+    subsystems (Pothen & Fan, ACM TOMS 16 (1990) 303).  The entries are
+    sorted once, by component shape and then by component; components of
+    one shape are stacked, at most ``_BLOCK_ENTRIES`` entries at a time,
+    into one batched SVD, and a one-column component's singular value is
+    its norm.  All ranks use one cutoff, ``RANK_RTOL`` times the largest
+    singular value over all components, the stacked system's own: a
+    block-diagonal matrix's singular values are the union of its blocks'.
+    The dimension is q minus that rank.  A dense algebra forms one
+    component of up to dim**3 rows, folded into a triangular factor chunk
+    by chunk, so memory stays O(dim**4).
     """
-    dims = {}
-    for r in (0, 1):
-        allowed = (alg.parity[:, None] == (alg.parity[None, :] + r) % 2).reshape(-1)
-        q = int(np.count_nonzero(allowed))
-        if q == 0:  # no candidate, as for odd maps on a trivially graded algebra
-            dims[r] = 0
+    even, odd = (_superderivation_dim(alg, r) for r in (0, 1))
+    return {"even": even, "odd": odd}
+
+
+def _superderivation_dim(alg: Superalgebra, r: int) -> int:
+    """The dimension of the parity-r superderivations (see superderivation_dims)."""
+    allowed = (alg.parity[:, None] == (alg.parity[None, :] + r) % 2).reshape(-1)
+    q = int(np.count_nonzero(allowed))
+    if q == 0:  # no candidate, as for odd maps on a trivially graded algebra
+        return 0
+    rows, cols, vals = (np.concatenate(x) for x in zip(*leibniz_system(alg, r)))
+    keep = allowed[cols]  # on the allowed columns, numbered from 0
+    rows, cols, vals = rows[keep], (np.cumsum(allowed) - 1)[cols[keep]], vals[keep]
+    # the rows are sorted: number them from 0 by their changes
+    first = np.diff(rows, prepend=-1) != 0
+    rows = np.cumsum(first) - 1
+    label = column_components(rows, cols, q)
+    present = np.bincount(label, minlength=q) > 0
+    comp = (np.cumsum(present) - 1)[label]
+    ncomp = int(np.count_nonzero(present))
+    nr = np.bincount(comp[cols[first]], minlength=ncomp)
+    nc = np.bincount(comp, minlength=ncomp)
+    # each column's position among its component's, in order
+    by_comp = np.argsort(comp, kind="stable")
+    lcol = np.empty(q, dtype=int)
+    lcol[by_comp] = np.arange(q) - (np.cumsum(nc) - nc)[comp[by_comp]]
+    # components ordered by shape, then by index, and the entries by
+    # component, so that each shape, and each run of components of one
+    # shape, is one slice; a component's rows stay in order
+    by_shape = np.lexsort((nc, nr))
+    epos = np.argsort(by_shape)[comp[cols]]
+    order = np.argsort(epos, kind="stable")
+    epos, rows, lcol, vals = epos[order], rows[order], lcol[cols[order]], vals[order]
+    starts = np.searchsorted(epos, np.arange(ncomp + 1))
+    seen = np.cumsum(np.diff(rows, prepend=-1) != 0)
+    lrow = seen - seen[starts[epos]]
+    shapes = np.stack([nr, nc])[:, by_shape]
+    edges = np.flatnonzero(np.any(np.diff(shapes, axis=1), axis=0)) + 1
+    svals = [np.zeros(0)]
+    for g0, g1 in zip(np.append(0, edges), np.append(edges, ncomp)):
+        h, w = shapes[:, g0]
+        if w == 1:  # one column (or a candidate in no equation): its norm
+            col = vals[starts[g0]:starts[g1]].reshape(g1 - g0, h)
+            svals.append(np.linalg.norm(col, axis=1))
             continue
-        cand = np.full(allowed.size, -1)
-        cand[allowed] = np.arange(q)
-        rows, cols, vals = (np.concatenate(x) for x in zip(*leibniz_system(alg, r)))
-        keep = allowed[cols]
-        rows, cols, vals = rows[keep], cand[cols[keep]], vals[keep]
-        _, rows = np.unique(rows, return_inverse=True)
-        _, comp = np.unique(column_components(rows, cols, q), return_inverse=True)
-        ecomp = comp[cols]
-        row_comp = np.zeros(rows.max(initial=-1) + 1, dtype=int)
-        row_comp[rows] = ecomp
-        ncomp = comp.max(initial=-1) + 1
-        nr = np.bincount(row_comp, minlength=ncomp)
-        nc = np.bincount(comp, minlength=ncomp)
-        lrow, lcol = _local_index(row_comp)[rows], _local_index(comp)[cols]
-        svals = [np.zeros(0)]
-        # candidates no equation touches (no rows) add nothing to the rank
-        for h, w in np.unique(np.stack([nr, nc])[:, nr > 0], axis=1).T:
-            members = np.flatnonzero((nr == h) & (nc == w))
-            pos = np.full(ncomp, -1)
-            pos[members] = np.arange(members.size)
-            epos = pos[ecomp]
-            per = max(1, _BLOCK_ENTRIES // (h * w))
-            for b0 in range(0, members.size, per):
-                sel = (epos >= b0) & (epos < b0 + per)
-                g = min(per, members.size - b0)
-                svals.append(_block_singular_values(
-                    epos[sel] - b0, lrow[sel], lcol[sel], vals[sel], g, h, w
-                ).reshape(-1))
-        s = np.concatenate(svals)
-        dims[r] = q - int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))
-    return {"even": dims[0], "odd": dims[1]}
+        per = max(1, _BLOCK_ENTRIES // (h * w))
+        for b0 in range(g0, g1, per):
+            b1 = min(b0 + per, g1)
+            e = slice(starts[b0], starts[b1])
+            svals.append(_block_singular_values(
+                epos[e] - b0, lrow[e], lcol[e], vals[e], b1 - b0, h, w
+            ).reshape(-1))
+    s = np.concatenate(svals)
+    return q - int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))

@@ -205,7 +205,10 @@ def dense_superderivation_residuals(alg, xs, parity):
     return np.maximum(worst, np.abs(np.where(bad, xs, 0.0)).max(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
+RESIDUAL_ALGEBRAS = {**SOLVE_ALGEBRAS, "M2xM3": tensor_algebra(M2, matrix_algebra(3))}
+
+
+@pytest.mark.parametrize("alg", list(RESIDUAL_ALGEBRAS.values()), ids=list(RESIDUAL_ALGEBRAS))
 def test_sparse_leibniz_residuals_match_the_dense_reference(alg, monkeypatch):
     # each defect entry sums 3 dim products of a structure constant and an
     # operator entry, so the two orders of summation agree within
@@ -222,6 +225,7 @@ def test_sparse_leibniz_residuals_match_the_dense_reference(alg, monkeypatch):
             noise,
             np.where(sector, 0.0, noise),  # off the sector only
             np.where(sector, noise, 0.0) + 1e-3 * np.where(sector, 0.0, noise),
+            np.concatenate([noise[:1], np.zeros((1, n, n)), noise[1:]]),  # one zero operator
         ]
         for xs in stacks:
             got = superderivation_residuals(alg, xs, r)
@@ -229,13 +233,14 @@ def test_sparse_leibniz_residuals_match_the_dense_reference(alg, monkeypatch):
             scale = 3 * n * cmax * max_abs(xs)
             assert got.shape == (len(xs),)
             assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * scale)
-            # joins of at most 256 products, cut at row boundaries, on a
-            # system assembled one block j at a time: the same sums in the
-            # same order
+            # runs of at most 256 products, or one (operator, block) pair's:
+            # every defect entry is summed within one box, in the same order
             monkeypatch.setattr(_linalg, "GATHER_ENTRIES", 256)
-            monkeypatch.setattr(leibniz, "_ASSEMBLY_ENTRIES", 1)
             assert np.array_equal(superderivation_residuals(alg, xs, r), got)
             monkeypatch.undo()
+        # the zero operator has no entry, so its residual is exactly 0
+        assert superderivation_residuals(alg, stacks[-1], r)[1] == 0.0
+        assert superderivation_residuals(alg, np.zeros((0, n, n)), r).shape == (0,)
 
 
 def test_a_member_with_one_off_sector_entry_of_1e6_is_rejected():
@@ -254,6 +259,27 @@ def test_a_member_with_one_off_sector_entry_of_1e6_is_rejected():
 def test_dense_basis_superderivations_are_inner():
     assert np.count_nonzero(DENSE_M3.structure) == 9**3
     assert superderivation_dims(DENSE_M3) == {"even": 8, "odd": 0}
+
+
+NULLITY_ALGEBRAS = {"M2": M2, "M1-1": M11, **SOLVE_ALGEBRAS}
+
+
+@pytest.mark.parametrize("alg", list(NULLITY_ALGEBRAS.values()), ids=list(NULLITY_ALGEBRAS))
+def test_superderivation_dims_is_the_nullity_of_the_dense_defect_stack(alg):
+    # the dense Leibniz defect of every grading-respecting unit candidate,
+    # one column each, and its rank at the RANK_RTOL cut of one numpy SVD;
+    # M3 and M(2|1) have one-column components, whose norm is their
+    # singular value
+    n = alg.dim
+    dims = superderivation_dims(alg)
+    for r, name in ((0, "even"), (1, "odd")):
+        sector = (alg.parity[:, None] == (alg.parity[None, :] + r) % 2).reshape(-1)
+        xs = np.eye(n * n, dtype=complex)[sector].reshape(-1, n, n)
+        stack = np.concatenate([leibniz_defect(alg, xs, r, j).reshape(len(xs), n * n).T
+                                for j in range(n)])
+        s = np.linalg.svd(stack, compute_uv=False)
+        rank = int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))
+        assert dims[name] == len(xs) - rank
 
 
 @pytest.mark.parametrize("alg", list(SOLVE_ALGEBRAS.values()), ids=list(SOLVE_ALGEBRAS))
@@ -335,6 +361,33 @@ def test_greedy_independent_keeps_the_members_the_svd_scan_keeps(label):
     kept = greedy_independent(vectors, 1e-14)
     assert kept == svd_greedy_independent(vectors, 1e-14)
     assert kept
+
+
+def test_greedy_independent_at_the_rank_cut():
+    # vectors at relative distance 1e-9 (kept) and 1e-11 (dropped) from the
+    # span of those kept, one below zero_tol, and vectors after the dropped
+    # ones
+    rng = np.random.default_rng(12)
+    a, b, c = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+    off = np.linalg.qr(np.array([a, b]).T, mode="complete")[0][:, 2]  # a unit normal to a, b
+    near = a + b
+    vectors = [
+        a,
+        1e-15 * c,  # below zero_tol
+        b,
+        near + 1e-11 * np.linalg.norm(near) * off,  # dropped
+        2 * a - b + 1e-9 * np.linalg.norm(2 * a - b) * off,  # kept
+        3 * b,  # dropped: in the span of those kept
+        c,  # kept
+    ]
+    kept = greedy_independent(vectors, 1e-14)
+    assert kept == svd_greedy_independent(vectors, 1e-14) == [0, 2, 4, 6]
+    # exact multiples leave the reflector of the dropped vector undefined;
+    # the vectors after it are measured against the kept span only
+    e = np.eye(3)
+    vectors = [e[0], 2 * e[0], e[1], 3 * e[1], e[0] + e[1] + e[2]]
+    assert greedy_independent(vectors, 1e-14) == svd_greedy_independent(vectors, 1e-14)
+    assert greedy_independent(vectors, 1e-14) == [0, 2, 4]
 
 
 INNER_ALGEBRAS = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ncsym import _linalg, suites, symplectic
+from ncsym import _linalg, leibniz, suites, symplectic
 from ncsym._linalg import expi_hermitian, max_abs, rk4_trajectory
 from ncsym.algebra import Coo, kron_element, matrix_algebra
 from ncsym.calculus import (
@@ -232,15 +232,39 @@ def test_quantum_form_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(np, "einsum", blocked)
     # the inner family: one SVD for its rank and pseudo-inverse; M5's form
     # adds one for its single-parity pairing; M(1|1)'s graded pairing keeps
-    # a rank SVD and one pseudo-inverse per parity block
+    # a rank SVD and one pseudo-inverse per parity block; a one-column
+    # component of the superderivation solve takes its norm, not an SVD
     for build, want in (
         (lambda: DerivationFamily.inner_family(matrix_algebra(5)), 1),
-        (lambda: quantum_form(m5, 0.7), 6),
-        (lambda: quantum_form(m11, 0.7), 9),
+        (lambda: quantum_form(m5, 0.7), 5),
+        (lambda: quantum_form(m11, 0.7), 8),
     ):
         calls.clear()
         build()
         assert len(calls) == want
+
+
+def test_only_the_superderivation_solve_assembles_the_leibniz_system(monkeypatch):
+    # the Leibniz check of a family reads the operators' nonzeros and the
+    # structure constants directly; the solve assembles one system per
+    # parity that has candidates (M5 has no odd ones)
+    calls = []
+    real = leibniz.leibniz_system
+
+    def counted(alg, parity):
+        calls.append(parity)
+        return real(alg, parity)
+
+    monkeypatch.setattr(leibniz, "leibniz_system", counted)
+    m5, m11 = matrix_algebra(5), matrix_algebra(2, grading=(1, 1))
+    for build, want in (
+        (lambda: DerivationFamily.inner_family(m5), []),
+        (lambda: quantum_form(m5, 0.7), [0]),
+        (lambda: quantum_form(m11, 0.7), [0, 1]),
+    ):
+        calls.clear()
+        build()
+        assert calls == want
 
 
 def test_hamiltonian_derivation_under_commutator_form():
